@@ -1,27 +1,26 @@
 //! The query engine: prober + hash table + exact re-rank = k-NN search.
 //!
 //! Implements the querying stage of the paper's §2.2: *retrieval* asks a
-//! [`Prober`] for bucket codes and gathers their items, *evaluation*
-//! computes exact distances and maintains the running top-k (re-ranking is
-//! incremental, which also enables the checkpointed instrumentation behind
-//! every recall–time curve in the evaluation).
+//! [`Prober`](crate::probe::Prober) for bucket codes and gathers their
+//! items, *evaluation* computes exact distances and maintains the running
+//! top-k (re-ranking is incremental, which also enables the checkpointed
+//! instrumentation behind every recall–time curve in the evaluation).
 
-use crate::attrs::{AttributeStore, Bitmap, FilterPlan};
-use crate::code::{typed_encoding, CodeWord};
-use crate::metrics::{
-    metric_name, MarkerKind, MetricsRegistry, Phase, PhaseSpans, SpanId, TraceContext,
-};
+use crate::attrs::AttributeStore;
+use crate::code::CodeWord;
+use crate::metrics::{metric_name, MetricsRegistry, PhaseSpans};
 use crate::probe::mih::MihIndex;
-use crate::probe::{GenerateHammingRanking, GenerateQdRanking, HammingRanking, Prober, QdRanking};
+use crate::probe_loop::{
+    drive, Evaluator, MihSource, ProbeCtx, StopPolicy, StopReason, SurvivorSource, TableSource,
+};
 use crate::recall::{RecallController, RecallModel, RecallTarget};
 use crate::request::SearchRequest;
 pub use crate::response::{Checkpoint, SearchResponse};
-use crate::stats::ProbeStats;
 use crate::table::HashTable;
-use crate::topk::TopK;
 use gqr_l2h::HashModel;
 use gqr_linalg::kernels::{kernel_name, ScoreBlock};
 use gqr_linalg::vecops::Metric;
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::time::{Duration, Instant};
 
@@ -31,6 +30,11 @@ thread_local! {
     /// [`ScoreBlock::ensure_dim`], so steady-state evaluation is
     /// allocation-free.
     static SCRATCH: RefCell<ScoreBlock> = RefCell::new(ScoreBlock::new(1));
+}
+
+/// Run `f` with this thread's score tile.
+pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut ScoreBlock) -> R) -> R {
+    SCRATCH.with_borrow_mut(f)
 }
 
 /// Which querying method to use (paper §3–§5 and appendix).
@@ -376,24 +380,6 @@ impl SearchParamsBuilder {
     }
 }
 
-/// An owned or borrowed MIH side index. [`QueryEngine::enable_mih`] builds
-/// an owned one; [`ShardedIndex`](crate::shard::ShardedIndex) builds one per
-/// shard once and lends it to the short-lived engines it constructs per
-/// query, so the (expensive) substring tables are never rebuilt.
-enum MihHandle<'a, C: CodeWord = u64> {
-    Owned(MihIndex<C>),
-    Borrowed(&'a MihIndex<C>),
-}
-
-impl<C: CodeWord> MihHandle<'_, C> {
-    fn get(&self) -> &MihIndex<C> {
-        match self {
-            MihHandle::Owned(m) => m,
-            MihHandle::Borrowed(m) => m,
-        }
-    }
-}
-
 /// A querying engine over one hash table.
 ///
 /// Generic over the code width `C` (default `u64`): the width is fixed when
@@ -405,7 +391,11 @@ pub struct QueryEngine<'a, M: HashModel + ?Sized, C: CodeWord = u64> {
     data: &'a [f32],
     dim: usize,
     metric: Metric,
-    mih: Option<MihHandle<'a, C>>,
+    /// [`QueryEngine::enable_mih`] builds an owned side index;
+    /// [`ShardedIndex`](crate::shard::ShardedIndex) builds one per shard
+    /// once and lends it to the short-lived engines it constructs per
+    /// query, so the (expensive) substring tables are never rebuilt.
+    mih: Option<Cow<'a, MihIndex<C>>>,
     recall: Option<&'a RecallModel>,
     attrs: Option<&'a AttributeStore>,
     metrics: MetricsRegistry,
@@ -524,11 +514,8 @@ impl<'a, M: HashModel + ?Sized, C: CodeWord> QueryEngine<'a, M, C> {
     /// table, not re-encoded.
     pub fn enable_mih(&mut self, blocks: usize) {
         let codes = self.table.dense_codes();
-        self.mih = Some(MihHandle::Owned(MihIndex::build(
-            self.table.code_length(),
-            &codes,
-            blocks,
-        )));
+        let mih = MihIndex::build(self.table.code_length(), &codes, blocks);
+        self.mih = Some(Cow::Owned(mih));
     }
 
     /// Attach a prebuilt MIH side index by reference (builder style). The
@@ -541,7 +528,7 @@ impl<'a, M: HashModel + ?Sized, C: CodeWord> QueryEngine<'a, M, C> {
             self.table.code_length(),
             "MIH index and table code length differ"
         );
-        self.mih = Some(MihHandle::Borrowed(mih));
+        self.mih = Some(Cow::Borrowed(mih));
         self
     }
 
@@ -590,12 +577,6 @@ impl<'a, M: HashModel + ?Sized, C: CodeWord> QueryEngine<'a, M, C> {
         self.attrs
     }
 
-    /// The attached MIH side index, if any (the calibrator replays MIH
-    /// trajectories through it).
-    pub(crate) fn mih_index(&self) -> Option<&MihIndex<C>> {
-        self.mih.as_ref().map(|h| h.get())
-    }
-
     /// The hash table.
     pub fn table(&self) -> &HashTable<C> {
         self.table
@@ -628,7 +609,7 @@ impl<'a, M: HashModel + ?Sized, C: CodeWord> QueryEngine<'a, M, C> {
     /// empty result immediately. When the engine finishes past the deadline
     /// the `gqr_request_deadline_missed_total` counter is bumped.
     pub fn run(&self, req: SearchRequest<'_>) -> SearchResponse {
-        SCRATCH.with_borrow_mut(|scratch| self.run_with_scratch(req, scratch))
+        with_scratch(|scratch| self.run_with_scratch(req, scratch))
     }
 
     /// [`QueryEngine::run`] with a caller-owned gather/score tile. The
@@ -638,142 +619,112 @@ impl<'a, M: HashModel + ?Sized, C: CodeWord> QueryEngine<'a, M, C> {
     /// engine's dimensionality and left empty on return.
     pub fn run_with_scratch(
         &self,
-        req: SearchRequest<'_>,
+        mut req: SearchRequest<'_>,
         scratch: &mut ScoreBlock,
     ) -> SearchResponse {
-        let parts = req.into_parts();
-        let (query, budgets) = (parts.query, parts.budgets);
-        let (mut params, mut filter) = (parts.params, parts.filter);
-        let predicate = parts.predicate;
-        let deadline = params.deadline;
+        let strat = req.params.strategy.name();
+        let env = req.open(&self.metrics, strat);
+        let (query, params, budgets) = (req.query, req.params, req.budgets);
         scratch.ensure_dim(self.dim);
         assert_eq!(query.len(), self.dim, "query dimensionality mismatch");
         debug_assert!(
             budgets.windows(2).all(|w| w[0] <= w[1]),
             "budgets must ascend"
         );
-        let admitted_late = deadline.is_some_and(|d| Instant::now() > d);
-        if let Some(d) = deadline {
-            let remaining = d.saturating_duration_since(Instant::now());
-            params.time_limit = Some(params.time_limit.map_or(remaining, |tl| tl.min(remaining)));
-        }
-        // A composite surface (sharded fan-out, live segments) hands this
-        // engine a lane in an already-open trace; otherwise the engine owns
-        // the trace — begun here (sampled 1-in-N, forced for explicit
-        // `.trace()` opt-ins and for requests already past their deadline)
-        // and sealed below.
-        let (trace, troot, owned_trace) = match parts.trace_parent {
-            Some((ctx, parent)) => (ctx, parent, false),
-            None => {
-                let ctx = self
-                    .metrics
-                    .trace_begin(params.strategy.name(), parts.trace || admitted_late);
-                (ctx, SpanId::ROOT, true)
-            }
-        };
         let start = Instant::now();
-        let (mut result, checkpoints) = if let Some(pred) = predicate.as_ref() {
-            // Plan the predicate: the store's posting lists give an exact
-            // survivor set (and exact selectivity) when every leaf is
-            // indexed, an estimate otherwise. The arm decides how the
-            // filter composes with probing; the user's closure filter (if
-            // any) must also accept — both gates apply.
-            let store = self.attrs.expect(
-                "request carries a predicate but the engine has no attribute store \
-                 (attach one with with_attrs, and validate() the predicate first)",
-            );
-            let brute_budget = if params.n_candidates < usize::MAX {
-                params.n_candidates
-            } else {
-                4096usize.max(16 * params.k)
-            };
-            let choice = store.plan(pred, brute_budget);
-            self.metrics.incr(&metric_name(
-                "gqr_filter_plans_total",
-                &[("plan", choice.plan.name())],
-            ));
-            let ppm = (choice.selectivity * 1e6) as u64;
-            self.metrics.record("gqr_filter_selectivity_ppm", ppm);
-            trace.marker(troot, MarkerKind::FilterPlan, choice.plan.tag(), ppm);
-            match choice.plan {
-                FilterPlan::BruteForce { survivors } => self.run_brute(
-                    query,
-                    &params,
-                    budgets,
-                    start,
-                    &survivors,
-                    filter.as_deref_mut(),
-                    scratch,
-                    &trace,
-                    troot,
-                ),
-                FilterPlan::PreFilter { survivors } => {
-                    let mut keep = |id: u32| {
-                        survivors.contains(id) && filter.as_deref_mut().is_none_or(|f| f(id))
-                    };
-                    self.run_probe(
-                        query,
-                        &params,
-                        budgets,
-                        start,
-                        Some(&mut keep),
-                        scratch,
-                        &trace,
-                        troot,
-                    )
-                }
-                FilterPlan::PostFilter => {
-                    let mut keep = |id: u32| {
-                        store.matches(pred, id) && filter.as_deref_mut().is_none_or(|f| f(id))
-                    };
-                    self.run_probe(
-                        query,
-                        &params,
-                        budgets,
-                        start,
-                        Some(&mut keep),
-                        scratch,
-                        &trace,
-                        troot,
-                    )
-                }
-            }
+        let mut ctx = ProbeCtx::new(&env);
+        // Plan the predicate. The arm decides how the filter composes with
+        // probing: a survivor set within the brute budget is evaluated
+        // outright, anything else gates the probed candidates.
+        let brute_budget = if params.n_candidates < usize::MAX {
+            params.n_candidates
         } else {
-            self.run_probe(
-                query,
-                &params,
-                budgets,
-                start,
-                filter.as_deref_mut(),
-                scratch,
-                &trace,
-                troot,
-            )
+            4096usize.max(16 * params.k)
         };
-        result.checkpoints = checkpoints;
-        result.trace_id = trace.id();
-        let missed = deadline.is_some_and(|d| Instant::now() > d);
-        if missed {
-            self.metrics.incr(&metric_name(
-                "gqr_request_deadline_missed_total",
-                &[("strategy", params.strategy.name())],
-            ));
-            if trace.is_sampled() {
-                let over = deadline.map_or(0, |d| {
-                    u64::try_from(Instant::now().duration_since(d).as_nanos()).unwrap_or(u64::MAX)
-                });
-                trace.marker(troot, MarkerKind::DeadlineMiss, over, 0);
+        let predicate = req.predicate;
+        let (brute, mut filter) =
+            env.plan_filter(self.attrs, predicate.as_ref(), req.filter, brute_budget);
+        let tile_rows = scratch.capacity();
+        let sink = Evaluator {
+            query,
+            data: self.data,
+            dim: self.dim,
+            metric: self.metric,
+            filter: filter.as_deref_mut(),
+            scratch,
+        };
+        let mut policy = StopPolicy::new(&params, start);
+        let mut result = if let Some(survivors) = &brute {
+            // Survivors ascend; ids beyond the data buffer are not
+            // addressable and end the sweep.
+            let n_rows = self.data.len() / self.dim;
+            let ids = survivors.iter().take_while(|&id| (id as usize) < n_rows);
+            let tile = Vec::with_capacity(tile_rows);
+            let mut source = SurvivorSource {
+                survivors: ids,
+                tile,
+                tile_rows,
+            };
+            let mut result = drive(&mut source, policy, sink, budgets, &mut ctx);
+            // The survivor set is exact — recall over the filtered universe
+            // is 1.0 by construction once it is fully evaluated. If a stop
+            // cut the sweep short, report the evaluated fraction instead.
+            result.predicted_recall = params.recall_target.map(|_| match result.stop_reason {
+                StopReason::Exhausted => 1.0,
+                _ => result.stats.items_evaluated as f32 / survivors.len().max(1) as f32,
+            });
+            result
+        } else {
+            policy.mu = self.early_stop_mu(&params);
+            policy.controller = self.recall_controller(&params);
+            let (model, cap) = (self.model, params.max_buckets);
+            match params.strategy {
+                ProbeStrategy::MultiIndexHashing { .. } => {
+                    let mut source = MihSource::new(model, self.mih_index(), cap, query, &mut ctx);
+                    drive(&mut source, policy, sink, budgets, &mut ctx)
+                }
+                strategy => {
+                    let mut source = TableSource::new(model, self.table, strategy, query, &mut ctx);
+                    drive(&mut source, policy, sink, budgets, &mut ctx)
+                }
             }
-        }
-        if owned_trace {
-            self.metrics.trace_finish(trace, missed);
-        }
+        };
+        self.flush_spans(&ctx.phases, strat, start.elapsed());
+        result.trace_id = env.close();
         result
     }
 
     /// k-NN search with the given parameters.
     pub fn search(&self, query: &[f32], params: &SearchParams) -> SearchResponse {
         self.run(SearchRequest::new(query).params(*params))
+    }
+
+    /// The attached MIH side index (the calibrator replays MIH
+    /// trajectories through it).
+    ///
+    /// # Panics
+    ///
+    /// Panics when none is attached.
+    pub(crate) fn mih_index(&self) -> &MihIndex<C> {
+        let mih = self.mih.as_deref();
+        mih.expect("call enable_mih() before searching with MultiIndexHashing")
+    }
+
+    /// Early-stop constant µ = 1/(σ_max(H)·√m) of Theorem 2, when `params`
+    /// ask for the early stop and it applies (QD strategy, Euclidean
+    /// evaluation, linear model).
+    fn early_stop_mu(&self, params: &SearchParams) -> Option<f64> {
+        let qd_strategy = matches!(
+            params.strategy,
+            ProbeStrategy::QdRanking | ProbeStrategy::GenerateQdRanking
+        );
+        if !(params.early_stop && qd_strategy && self.metric == Metric::SquaredEuclidean) {
+            return None;
+        }
+        let m = self.table.code_length() as f64;
+        self.model
+            .spectral_norm()
+            .map(|norm| 1.0 / (norm * m.sqrt()))
     }
 
     /// Per-query recall controller for `params`, when a target is set and
@@ -793,504 +744,6 @@ impl<'a, M: HashModel + ?Sized, C: CodeWord> QueryEngine<'a, M, C> {
         }
         controller
     }
-
-    /// Dispatch to the strategy's probing loop — the shared tail of every
-    /// planner arm except brute force.
-    #[allow(clippy::too_many_arguments)]
-    fn run_probe<'q>(
-        &self,
-        query: &[f32],
-        params: &SearchParams,
-        budgets: &[usize],
-        start: Instant,
-        filter: Option<&mut (dyn FnMut(u32) -> bool + 'q)>,
-        scratch: &mut ScoreBlock,
-        trace: &TraceContext,
-        troot: SpanId,
-    ) -> (SearchResponse, Vec<Checkpoint>) {
-        match params.strategy {
-            ProbeStrategy::MultiIndexHashing { .. } => {
-                self.run_mih(query, params, budgets, start, filter, scratch, trace, troot)
-            }
-            _ => self.run_buckets(query, params, budgets, start, filter, scratch, trace, troot),
-        }
-    }
-
-    /// The planner's brute-force arm: the exact survivor set is smaller
-    /// than the candidate budget, so probing buckets would only re-derive
-    /// a superset — evaluate the survivors directly. No hashing, no probe
-    /// generation; the result is exact over the filtered subset (predicted
-    /// recall 1.0 when a recall target asked for a prediction).
-    #[allow(clippy::too_many_arguments)]
-    fn run_brute<'q>(
-        &self,
-        query: &[f32],
-        params: &SearchParams,
-        budgets: &[usize],
-        start: Instant,
-        survivors: &Bitmap,
-        mut filter: Option<&mut (dyn FnMut(u32) -> bool + 'q)>,
-        scratch: &mut ScoreBlock,
-        trace: &TraceContext,
-        troot: SpanId,
-    ) -> (SearchResponse, Vec<Checkpoint>) {
-        let mut spans = PhaseSpans::new(&self.metrics);
-        let mut topk = TopK::new(params.k);
-        let mut stats = ProbeStats::default();
-        let mut checkpoints = Vec::with_capacity(budgets.len());
-        let mut next_budget = budgets.iter().copied().peekable();
-        let n_rows = self.data.len() / self.dim;
-        let t = spans.begin();
-        let ts = trace.begin_opt(troot, Phase::Evaluate.as_str(), t);
-        let mut expired = params.time_limit.is_some_and(|tl| start.elapsed() >= tl);
-        if !expired {
-            for id in survivors.iter() {
-                if id as usize >= n_rows {
-                    break; // survivors are sorted; nothing else is addressable
-                }
-                stats.items_collected += 1;
-                if let Some(f) = filter.as_deref_mut() {
-                    if !f(id) {
-                        continue;
-                    }
-                }
-                if scratch.is_full() {
-                    stats.items_evaluated +=
-                        scratch.flush(query, self.metric, |id, d| topk.push(d, id));
-                    while let Some(&b) = next_budget.peek() {
-                        if stats.items_evaluated < b {
-                            break;
-                        }
-                        next_budget.next();
-                        trace.marker(
-                            troot,
-                            MarkerKind::Checkpoint,
-                            b as u64,
-                            stats.items_evaluated as u64,
-                        );
-                        checkpoints.push(self.snapshot(b, &stats, start, &topk));
-                    }
-                    if params.time_limit.is_some_and(|tl| start.elapsed() >= tl) {
-                        expired = true;
-                        break;
-                    }
-                }
-                let row = &self.data[id as usize * self.dim..(id as usize + 1) * self.dim];
-                scratch.push(id, row);
-            }
-        }
-        stats.items_evaluated += scratch.flush(query, self.metric, |id, d| topk.push(d, id));
-        spans.end(Phase::Evaluate, t);
-        trace.end(ts);
-        while let Some(&b) = next_budget.peek() {
-            if stats.items_evaluated < b {
-                break;
-            }
-            next_budget.next();
-            trace.marker(
-                troot,
-                MarkerKind::Checkpoint,
-                b as u64,
-                stats.items_evaluated as u64,
-            );
-            checkpoints.push(self.snapshot(b, &stats, start, &topk));
-        }
-        for b in next_budget {
-            checkpoints.push(self.snapshot(b, &stats, start, &topk));
-        }
-        let t = spans.begin();
-        let ts = trace.begin_opt(troot, Phase::Rerank.as_str(), t);
-        let neighbors = topk.into_sorted();
-        spans.end(Phase::Rerank, t);
-        trace.end(ts);
-        #[cfg(debug_assertions)]
-        stats.checked_invariants();
-        self.flush_spans(&spans, params.strategy.name(), start.elapsed());
-        let evaluated = stats.items_evaluated;
-        let mut response = SearchResponse::from_ranked(neighbors, stats);
-        // The survivor set is exact and fully evaluated — recall over the
-        // filtered universe is 1.0 by construction. If the time limit cut
-        // the sweep short, report the evaluated fraction instead.
-        response.predicted_recall = params.recall_target.map(|_| {
-            if expired {
-                evaluated as f32 / survivors.len().max(1) as f32
-            } else {
-                1.0
-            }
-        });
-        (response, checkpoints)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_buckets<'q>(
-        &self,
-        query: &[f32],
-        params: &SearchParams,
-        budgets: &[usize],
-        start: Instant,
-        mut filter: Option<&mut (dyn FnMut(u32) -> bool + 'q)>,
-        scratch: &mut ScoreBlock,
-        trace: &TraceContext,
-        troot: SpanId,
-    ) -> (SearchResponse, Vec<Checkpoint>) {
-        let mut spans = PhaseSpans::new(&self.metrics);
-        let t = spans.begin();
-        let ts = trace.begin_opt(troot, Phase::HashQuery.as_str(), t);
-        let qe = typed_encoding::<C>(self.model.encode_query_wide(query));
-        spans.end(Phase::HashQuery, t);
-        trace.end(ts);
-        let t = spans.begin();
-        let ts = trace.begin_opt(troot, Phase::ProbeGenerate.as_str(), t);
-        let mut prober: Box<dyn Prober<C> + '_> = match params.strategy {
-            ProbeStrategy::HammingRanking => Box::new(HammingRanking::new(self.table)),
-            ProbeStrategy::GenerateHammingRanking => {
-                Box::new(GenerateHammingRanking::new(self.table.code_length()))
-            }
-            ProbeStrategy::QdRanking => Box::new(QdRanking::new(self.table)),
-            ProbeStrategy::GenerateQdRanking => {
-                Box::new(GenerateQdRanking::new(self.table.code_length()))
-            }
-            ProbeStrategy::MultiIndexHashing { .. } => unreachable!("handled by run_mih"),
-        };
-        prober.reset(&qe);
-        spans.end(Phase::ProbeGenerate, t);
-        trace.end(ts);
-
-        // Early-stop constant µ = 1/(σ_max(H)·√m), Theorem 2.
-        let qd_strategy = matches!(
-            params.strategy,
-            ProbeStrategy::QdRanking | ProbeStrategy::GenerateQdRanking
-        );
-        let mu = if params.early_stop && qd_strategy && self.metric == Metric::SquaredEuclidean {
-            self.model
-                .spectral_norm()
-                .map(|m_norm| 1.0 / (m_norm * (self.table.code_length() as f64).sqrt()))
-        } else {
-            None
-        };
-
-        let mut topk = TopK::new(params.k);
-        let mut stats = ProbeStats::default();
-        let mut checkpoints = Vec::with_capacity(budgets.len());
-        let mut next_budget = budgets.iter().copied().peekable();
-        let mut controller = self.recall_controller(params);
-        // Occupied buckets where the filter rejected every item — the
-        // pre-filter arm's payoff: no distance computed for the bucket.
-        let mut buckets_skipped: u64 = 0;
-
-        let n_items = self.table.n_items();
-        while stats.items_evaluated < params.n_candidates && stats.items_evaluated < n_items {
-            if params
-                .max_buckets
-                .is_some_and(|mb| stats.buckets_probed >= mb)
-            {
-                break;
-            }
-            if params.time_limit.is_some_and(|tl| start.elapsed() >= tl) {
-                break;
-            }
-            // QD of the bucket about to be probed, captured *before*
-            // `next_bucket` consumes it — this is the per-step difficulty
-            // signal both the trace and the recall controller consume. Only
-            // read when one of them is listening.
-            let step_qd = if trace.is_sampled() || controller.is_some() {
-                Some(prober.peek_cost().unwrap_or(-1.0))
-            } else {
-                None
-            };
-            let t = spans.begin();
-            if let (Some(mu), Some(dk)) = (mu, topk.kth_dist()) {
-                if let Some(qd) = prober.peek_cost() {
-                    let bound = mu * qd;
-                    if (bound * bound) as f32 >= dk {
-                        spans.end(Phase::ProbeGenerate, t);
-                        trace.marker(troot, MarkerKind::EarlyStop, stats.buckets_probed as u64, 0);
-                        break; // no remaining bucket can improve the top-k
-                    }
-                }
-            }
-            let ts = trace.begin_opt(troot, Phase::ProbeGenerate.as_str(), t);
-            let next = prober.next_bucket();
-            spans.end(Phase::ProbeGenerate, t);
-            trace.end(ts);
-            let Some(code) = next else { break };
-            let bucket_rank = stats.buckets_probed as u32;
-            stats.buckets_probed += 1;
-            let t = spans.begin();
-            let ts = trace.begin_opt(troot, Phase::BucketLookup.as_str(), t);
-            let items = self.table.bucket(code);
-            spans.end(Phase::BucketLookup, t);
-            trace.end(ts);
-            if items.is_empty() {
-                stats.empty_buckets += 1;
-                if let Some(qd) = step_qd {
-                    trace.qd_step(troot, bucket_rank, qd, 0, 0);
-                    if let Some(c) = controller.as_mut() {
-                        if c.observe(bucket_rank as u64, qd, stats.items_evaluated) {
-                            self.recall_stop(c, &stats, params, trace, troot);
-                            break;
-                        }
-                    }
-                }
-                continue;
-            }
-            stats.items_collected += items.len();
-            let evaluated_before = stats.items_evaluated;
-            let t = spans.begin();
-            let ts = trace.begin_opt(troot, Phase::Evaluate.as_str(), t);
-            // Gather surviving candidates into the scratch tile and score
-            // whole tiles through the blocked batch kernel. Filtering makes
-            // tiles ragged; the per-bucket flush keeps checkpoint and
-            // early-stop semantics identical to per-row evaluation (and the
-            // batch kernel is bit-identical to the row kernel, so results
-            // match exactly).
-            for &id in items {
-                if let Some(f) = filter.as_deref_mut() {
-                    if !f(id) {
-                        continue;
-                    }
-                }
-                if scratch.is_full() {
-                    stats.items_evaluated +=
-                        scratch.flush(query, self.metric, |id, d| topk.push(d, id));
-                }
-                let row = &self.data[id as usize * self.dim..(id as usize + 1) * self.dim];
-                scratch.push(id, row);
-            }
-            stats.items_evaluated += scratch.flush(query, self.metric, |id, d| topk.push(d, id));
-            spans.end(Phase::Evaluate, t);
-            trace.end(ts);
-            if filter.is_some() && stats.items_evaluated == evaluated_before {
-                buckets_skipped += 1;
-            }
-            if let Some(qd) = step_qd {
-                let kept = (stats.items_evaluated - evaluated_before) as u32;
-                trace.qd_step(troot, bucket_rank, qd, items.len() as u32, kept);
-            }
-            while let Some(&b) = next_budget.peek() {
-                if stats.items_evaluated < b {
-                    break;
-                }
-                next_budget.next();
-                trace.marker(
-                    troot,
-                    MarkerKind::Checkpoint,
-                    b as u64,
-                    stats.items_evaluated as u64,
-                );
-                checkpoints.push(self.snapshot(b, &stats, start, &topk));
-            }
-            if let (Some(c), Some(qd)) = (controller.as_mut(), step_qd) {
-                if c.observe(bucket_rank as u64, qd, stats.items_evaluated) {
-                    self.recall_stop(c, &stats, params, trace, troot);
-                    break;
-                }
-            }
-        }
-        // Flush budgets the table couldn't fill.
-        for b in next_budget {
-            checkpoints.push(self.snapshot(b, &stats, start, &topk));
-        }
-        let t = spans.begin();
-        let ts = trace.begin_opt(troot, Phase::Rerank.as_str(), t);
-        let neighbors = topk.into_sorted();
-        spans.end(Phase::Rerank, t);
-        trace.end(ts);
-        if buckets_skipped > 0 {
-            self.metrics
-                .add("gqr_filter_buckets_skipped_total", buckets_skipped);
-            trace.marker(troot, MarkerKind::FilterSkip, buckets_skipped, 0);
-        }
-        #[cfg(debug_assertions)]
-        stats.checked_invariants();
-        self.flush_spans(&spans, params.strategy.name(), start.elapsed());
-        let mut response = SearchResponse::from_ranked(neighbors, stats);
-        response.predicted_recall = controller.as_ref().map(|c| c.predicted());
-        (response, checkpoints)
-    }
-
-    /// Record a recall-SLA stop: the per-strategy counter plus a trace
-    /// marker carrying the probe position and the prediction (in thousandths
-    /// — markers are integer-payload).
-    fn recall_stop(
-        &self,
-        controller: &RecallController<'_>,
-        stats: &ProbeStats,
-        params: &SearchParams,
-        trace: &TraceContext,
-        troot: SpanId,
-    ) {
-        self.metrics.incr(&metric_name(
-            "gqr_recall_stops_total",
-            &[("strategy", params.strategy.name())],
-        ));
-        trace.marker(
-            troot,
-            MarkerKind::RecallStop,
-            stats.buckets_probed as u64,
-            (controller.predicted() as f64 * 1000.0) as u64,
-        );
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_mih<'q>(
-        &self,
-        query: &[f32],
-        params: &SearchParams,
-        budgets: &[usize],
-        start: Instant,
-        mut filter: Option<&mut (dyn FnMut(u32) -> bool + 'q)>,
-        scratch: &mut ScoreBlock,
-        trace: &TraceContext,
-        troot: SpanId,
-    ) -> (SearchResponse, Vec<Checkpoint>) {
-        let mih = self
-            .mih
-            .as_ref()
-            .expect("call enable_mih() before searching with MultiIndexHashing")
-            .get();
-        let mut spans = PhaseSpans::new(&self.metrics);
-        let t = spans.begin();
-        let ts = trace.begin_opt(troot, Phase::HashQuery.as_str(), t);
-        let code = C::from_blocks(self.model.encode_wide(query).blocks());
-        spans.end(Phase::HashQuery, t);
-        trace.end(ts);
-        let t = spans.begin();
-        let ts = trace.begin_opt(troot, Phase::ProbeGenerate.as_str(), t);
-        let mut searcher = mih.search(code);
-        // Same contract as the bucket-generation path: `max_buckets` bounds
-        // substring-bucket lookups, occupied or not. The cap lives inside
-        // the searcher because one radius expansion enumerates C(bits, r)
-        // masks per block (up to 64-bit substrings) — a between-batch check
-        // could overshoot by an entire radius shell. Items found before the
-        // cap fires are still evaluated, like buckets already generated.
-        if let Some(mb) = params.max_buckets {
-            searcher.set_lookup_cap(mb);
-        }
-        spans.end(Phase::ProbeGenerate, t);
-        trace.end(ts);
-        let mut topk = TopK::new(params.k);
-        let mut stats = ProbeStats::default();
-        let mut checkpoints = Vec::with_capacity(budgets.len());
-        let mut next_budget = budgets.iter().copied().peekable();
-        let mut controller = self.recall_controller(params);
-        let mut batch = Vec::new();
-        // Non-empty candidate batches the filter rejected wholesale (the
-        // MIH analogue of a skipped bucket).
-        let mut batches_skipped: u64 = 0;
-
-        while stats.items_evaluated < params.n_candidates {
-            if params.time_limit.is_some_and(|tl| start.elapsed() >= tl) {
-                break;
-            }
-            batch.clear();
-            let t = spans.begin();
-            let ts = trace.begin_opt(troot, Phase::BucketLookup.as_str(), t);
-            let got = searcher.next_batch(&mut batch);
-            spans.end(Phase::BucketLookup, t);
-            trace.end(ts);
-            if got.is_none() {
-                break;
-            }
-            let batch_rank = searcher.lookups() as u32;
-            let evaluated_before = stats.items_evaluated;
-            stats.items_collected += batch.len();
-            let t = spans.begin();
-            let ts = trace.begin_opt(troot, Phase::Evaluate.as_str(), t);
-            // Same contract as the bucket path: rejected items are skipped
-            // before any distance is computed and do not count toward the
-            // candidate budget (the flush return values count evaluations).
-            for &id in &batch {
-                if let Some(f) = filter.as_deref_mut() {
-                    if !f(id) {
-                        continue;
-                    }
-                }
-                if scratch.is_full() {
-                    stats.items_evaluated +=
-                        scratch.flush(query, self.metric, |id, d| topk.push(d, id));
-                }
-                let row = &self.data[id as usize * self.dim..(id as usize + 1) * self.dim];
-                scratch.push(id, row);
-            }
-            stats.items_evaluated += scratch.flush(query, self.metric, |id, d| topk.push(d, id));
-            spans.end(Phase::Evaluate, t);
-            trace.end(ts);
-            if filter.is_some() && !batch.is_empty() && stats.items_evaluated == evaluated_before {
-                batches_skipped += 1;
-            }
-            if trace.is_sampled() {
-                // MIH enumerates by Hamming radius, not quantization
-                // distance; -1.0 marks QD as unavailable for this batch.
-                let kept = (stats.items_evaluated - evaluated_before) as u32;
-                trace.qd_step(troot, batch_rank, -1.0, batch.len() as u32, kept);
-            }
-            while let Some(&b) = next_budget.peek() {
-                if stats.items_evaluated < b {
-                    break;
-                }
-                next_budget.next();
-                stats.buckets_probed = searcher.lookups();
-                stats.empty_buckets = searcher.empty_lookups();
-                stats.duplicates_skipped = searcher.duplicates();
-                trace.marker(
-                    troot,
-                    MarkerKind::Checkpoint,
-                    b as u64,
-                    stats.items_evaluated as u64,
-                );
-                checkpoints.push(self.snapshot(b, &stats, start, &topk));
-            }
-            if let Some(c) = controller.as_mut() {
-                // The Hamming level of the batch just evaluated is the MIH
-                // analogue of the QD step cost.
-                let level = got.unwrap_or(0) as f64;
-                if c.observe(searcher.lookups() as u64, level, stats.items_evaluated) {
-                    stats.buckets_probed = searcher.lookups();
-                    self.recall_stop(c, &stats, params, trace, troot);
-                    break;
-                }
-            }
-        }
-        stats.buckets_probed = searcher.lookups();
-        stats.empty_buckets = searcher.empty_lookups();
-        stats.duplicates_skipped = searcher.duplicates();
-        for b in next_budget {
-            checkpoints.push(self.snapshot(b, &stats, start, &topk));
-        }
-        let t = spans.begin();
-        let ts = trace.begin_opt(troot, Phase::Rerank.as_str(), t);
-        let neighbors = topk.into_sorted();
-        spans.end(Phase::Rerank, t);
-        trace.end(ts);
-        if batches_skipped > 0 {
-            self.metrics
-                .add("gqr_filter_buckets_skipped_total", batches_skipped);
-            trace.marker(troot, MarkerKind::FilterSkip, batches_skipped, 0);
-        }
-        #[cfg(debug_assertions)]
-        stats.checked_invariants();
-        self.flush_spans(&spans, params.strategy.name(), start.elapsed());
-        let mut response = SearchResponse::from_ranked(neighbors, stats);
-        response.predicted_recall = controller.as_ref().map(|c| c.predicted());
-        (response, checkpoints)
-    }
-
-    fn snapshot(
-        &self,
-        budget: usize,
-        stats: &ProbeStats,
-        start: Instant,
-        topk: &TopK,
-    ) -> Checkpoint {
-        Checkpoint {
-            budget,
-            items_evaluated: stats.items_evaluated,
-            buckets_probed: stats.buckets_probed,
-            elapsed: start.elapsed(),
-            top_ids: topk.ids_unordered().collect(),
-        }
-    }
 }
 
 impl<M: HashModel + ?Sized, C: CodeWord> QueryEngine<'_, M, C> {
@@ -1309,7 +762,7 @@ impl<M: HashModel + ?Sized, C: CodeWord> QueryEngine<'_, M, C> {
             self.table,
             self.data,
             self.dim,
-            self.mih.as_ref().map(|h| h.get()),
+            self.mih.as_deref(),
             self.metric,
             self.recall,
             self.attrs,

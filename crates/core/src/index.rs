@@ -36,6 +36,11 @@ pub trait Index {
     /// Number of items the index currently answers for.
     fn n_items(&self) -> usize;
 
+    /// Dimensionality of the query vectors the index answers. Serving
+    /// surfaces reject a query of any other length before submitting it:
+    /// [`run`](Index::run) treats a mismatch as a caller bug and panics.
+    fn dim(&self) -> usize;
+
     /// The metrics registry observing this index.
     fn metrics(&self) -> &MetricsRegistry;
 
@@ -58,6 +63,10 @@ impl<M: HashModel + ?Sized, C: CodeWord> Index for QueryEngine<'_, M, C> {
         self.table().n_items()
     }
 
+    fn dim(&self) -> usize {
+        QueryEngine::dim(self)
+    }
+
     fn metrics(&self) -> &MetricsRegistry {
         QueryEngine::metrics(self)
     }
@@ -67,76 +76,35 @@ impl<M: HashModel + ?Sized, C: CodeWord> Index for QueryEngine<'_, M, C> {
     }
 }
 
-impl<M: HashModel + ?Sized + Sync> Index for ShardedIndex<'_, M> {
-    fn run(&self, req: SearchRequest<'_>) -> SearchResponse {
-        ShardedIndex::run(self, req)
-    }
-
-    fn n_items(&self) -> usize {
-        ShardedIndex::n_items(self)
-    }
-
-    fn metrics(&self) -> &MetricsRegistry {
-        ShardedIndex::metrics(self)
-    }
-
-    fn attrs(&self) -> Option<&AttributeStore> {
-        ShardedIndex::attrs(self)
-    }
+/// The composite shapes answer the trait with their inherent methods of
+/// the same names.
+macro_rules! forward_index {
+    ($([$($generics:tt)*] $ty:ty;)*) => {$(
+        impl<$($generics)*> Index for $ty {
+            fn run(&self, req: SearchRequest<'_>) -> SearchResponse {
+                <$ty>::run(self, req)
+            }
+            fn n_items(&self) -> usize {
+                <$ty>::n_items(self)
+            }
+            fn dim(&self) -> usize {
+                <$ty>::dim(self)
+            }
+            fn metrics(&self) -> &MetricsRegistry {
+                <$ty>::metrics(self)
+            }
+            fn attrs(&self) -> Option<&AttributeStore> {
+                <$ty>::attrs(self)
+            }
+        }
+    )*};
 }
 
-impl Index for MultiTableIndex<'_> {
-    fn run(&self, req: SearchRequest<'_>) -> SearchResponse {
-        MultiTableIndex::run(self, req)
-    }
-
-    fn n_items(&self) -> usize {
-        MultiTableIndex::n_items(self)
-    }
-
-    fn metrics(&self) -> &MetricsRegistry {
-        MultiTableIndex::metrics(self)
-    }
-
-    fn attrs(&self) -> Option<&AttributeStore> {
-        MultiTableIndex::attrs(self)
-    }
-}
-
-impl<M: HashModel + ?Sized + 'static, C: CodeWord> Index for MutableIndex<M, C> {
-    fn run(&self, req: SearchRequest<'_>) -> SearchResponse {
-        MutableIndex::run(self, req)
-    }
-
-    fn n_items(&self) -> usize {
-        MutableIndex::n_items(self)
-    }
-
-    fn metrics(&self) -> &MetricsRegistry {
-        MutableIndex::metrics(self)
-    }
-
-    fn attrs(&self) -> Option<&AttributeStore> {
-        MutableIndex::attrs(self)
-    }
-}
-
-impl<M: HashModel + ?Sized + 'static, C: CodeWord> Index for ShardedMutableIndex<M, C> {
-    fn run(&self, req: SearchRequest<'_>) -> SearchResponse {
-        ShardedMutableIndex::run(self, req)
-    }
-
-    fn n_items(&self) -> usize {
-        ShardedMutableIndex::n_items(self)
-    }
-
-    fn metrics(&self) -> &MetricsRegistry {
-        ShardedMutableIndex::metrics(self)
-    }
-
-    fn attrs(&self) -> Option<&AttributeStore> {
-        ShardedMutableIndex::attrs(self)
-    }
+forward_index! {
+    [M: HashModel + ?Sized + Sync] ShardedIndex<'_, M>;
+    [] MultiTableIndex<'_>;
+    [M: HashModel + ?Sized + 'static, C: CodeWord] MutableIndex<M, C>;
+    [M: HashModel + ?Sized + 'static, C: CodeWord] ShardedMutableIndex<M, C>;
 }
 
 #[cfg(test)]
@@ -156,7 +124,7 @@ mod tests {
         data
     }
 
-    fn query_dyn(index: &dyn Index, q: &[f32], k: usize) -> Vec<u32> {
+    fn run_dyn(index: &dyn Index, q: &[f32], k: usize) -> SearchResponse {
         let params = SearchParams {
             k,
             n_candidates: usize::MAX,
@@ -165,7 +133,12 @@ mod tests {
         };
         let res = index.run(SearchRequest::new(q).params(params));
         assert_eq!(res.len(), k);
-        res.ids
+        assert_eq!(index.dim(), q.len());
+        res
+    }
+
+    fn query_dyn(index: &dyn Index, q: &[f32], k: usize) -> Vec<u32> {
+        run_dyn(index, q, k).ids
     }
 
     #[test]
@@ -176,7 +149,8 @@ mod tests {
         let q = [4.2f32, 3.1];
 
         let engine = QueryEngine::new(&model, &table, &data, 2);
-        let expect = query_dyn(&engine, &q, 5);
+        let single = run_dyn(&engine, &q, 5);
+        let expect = single.ids.clone();
         assert_eq!(Index::n_items(&engine), 100);
 
         let sharded = ShardedIndex::build(&model, &data, 2, 3);
@@ -194,7 +168,12 @@ mod tests {
 
         let models: Vec<&dyn gqr_l2h::HashModel> = vec![&model];
         let multi = MultiTableIndex::build(models, &data, 2);
-        assert_eq!(query_dyn(&multi, &q, 5), expect);
+        // One table merged with nothing is the plain engine: same loop,
+        // same probe order, so the whole response agrees, not just the ids.
+        let merged = run_dyn(&multi, &q, 5);
+        assert_eq!(merged.ranked(), single.ranked());
+        assert_eq!(merged.stats, single.stats);
+        assert_eq!(merged.stop_reason, single.stop_reason);
         assert_eq!(Index::n_items(&multi), 100);
     }
 }

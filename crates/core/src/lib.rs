@@ -61,6 +61,7 @@ pub use gqr_metrics as metrics;
 pub mod multi_table;
 pub mod persist;
 pub mod probe;
+pub mod probe_loop;
 pub mod range;
 pub mod recall;
 pub mod request;
@@ -89,6 +90,7 @@ pub use persist::{
     SnapshotFile, SnapshotWriter, FORMAT_VERSION,
 };
 pub use probe::{GenerateHammingRanking, GenerateQdRanking, HammingRanking, Prober, QdRanking};
+pub use probe_loop::StopReason;
 pub use recall::{Calibrator, RecallController, RecallModel, RecallTarget};
 pub use request::SearchRequest;
 pub use response::{Checkpoint, SearchResponse};

@@ -46,7 +46,7 @@
 //! the residue class `id ≡ s (mod S)` — mutations route by `id % S`
 //! without any shared allocator.
 
-use crate::attrs::{AttributeStore, FilterPlan};
+use crate::attrs::AttributeStore;
 use crate::code::CodeWord;
 use crate::engine::{QueryEngine, SearchResponse};
 use crate::executor::Executor;
@@ -55,9 +55,7 @@ use crate::persist::{corrupt, PersistError, SectionKind, SnapshotFile, SnapshotW
 use crate::probe::mih::MihIndex;
 use crate::recall::RecallModel;
 use crate::request::SearchRequest;
-use crate::stats::ProbeStats;
 use crate::table::HashTable;
-use crate::topk::TopK;
 use gqr_l2h::HashModel;
 use gqr_linalg::vecops::Metric;
 use gqr_linalg::wire::{ByteReader, ByteWriter, WireError};
@@ -588,76 +586,21 @@ impl<M: HashModel + ?Sized + 'static, C: CodeWord> VersionedStore<M, C> {
     /// filter speaks external ids. Checkpoints are rejected (per-segment
     /// snapshots cannot be merged); a deadline tightens the per-segment
     /// soft time limit.
-    fn run_pinned(&self, gen: &Generation<C>, req: SearchRequest<'_>) -> SearchResponse {
-        let parts = req.into_parts();
-        let (query, mut params) = (parts.query, parts.params);
-        let deadline = params.deadline;
-        let filter = parts.filter;
-        assert!(
-            parts.budgets.is_empty(),
-            "checkpoints are not supported on the mutable path"
-        );
-        let admitted_late = deadline.is_some_and(|d| Instant::now() > d);
-        let (trace, troot, owned_trace) = match parts.trace_parent {
-            Some((ctx, parent)) => (ctx, parent, false),
-            None => {
-                let ctx = self
-                    .metrics
-                    .trace_begin("live", parts.trace || admitted_late);
-                (ctx, SpanId::ROOT, true)
-            }
-        };
+    fn run_pinned(&self, gen: &Generation<C>, mut req: SearchRequest<'_>) -> SearchResponse {
+        let env = req.open_merged(&self.metrics, "live");
+        let (query, params) = (req.query, req.params);
+        let (trace, troot) = (&env.trace, env.root);
         // Predicate → composed filter over **external** ids (the attribute
         // store outlives mutations; appended rows have no attributes and
         // match nothing). Tombstone masking wraps this below, so deleted
         // rows never reach the predicate. No brute arm on the mutable path
         // — the survivor bitmap acts as a pre-filter.
-        let predicate = parts.predicate;
-        let planned = predicate.as_ref().map(|pred| {
-            let store = self.attrs.as_deref().expect(
-                "request carries a predicate but the mutable index has no attribute \
-                 store (attach one with MutableIndexBuilder::attrs, and validate() first)",
-            );
-            let choice = store.plan(pred, 0);
-            self.metrics.incr(&metric_name(
-                "gqr_filter_plans_total",
-                &[("plan", choice.plan.name())],
-            ));
-            let ppm = (choice.selectivity * 1e6) as u64;
-            self.metrics.record("gqr_filter_selectivity_ppm", ppm);
-            trace.marker(troot, MarkerKind::FilterPlan, choice.plan.tag(), ppm);
-            (store, choice.plan)
-        });
-        let mut filter: Option<Box<dyn FnMut(u32) -> bool + '_>> = match planned {
-            Some((store, plan)) => {
-                let pred = predicate.as_ref().expect("planned implies predicate");
-                let mut user = filter;
-                Some(match plan {
-                    FilterPlan::BruteForce { survivors } | FilterPlan::PreFilter { survivors } => {
-                        Box::new(move |ext: u32| {
-                            survivors.contains(ext) && user.as_deref_mut().is_none_or(|f| f(ext))
-                        })
-                    }
-                    FilterPlan::PostFilter => Box::new(move |ext: u32| {
-                        store.matches(pred, ext) && user.as_deref_mut().is_none_or(|f| f(ext))
-                    }),
-                })
-            }
-            None => filter,
-        };
-        if let Some(d) = deadline {
-            let remaining = d.saturating_duration_since(Instant::now());
-            params.time_limit = Some(params.time_limit.map_or(remaining, |tl| tl.min(remaining)));
-        }
+        let predicate = req.predicate;
+        let attrs = self.attrs.as_deref();
+        let (_, mut filter) = env.plan_filter(attrs, predicate.as_ref(), req.filter, 0);
         let start = Instant::now();
         let base_rows = gen.base.rows() as u32;
-        let mut topk = TopK::new(params.k);
-        let mut stats = ProbeStats::default();
-        // Row-weighted recall prediction across the searched segments
-        // (mirrors the sharded merge): `None` unless every non-empty
-        // segment produced a prediction.
-        let mut predicted = Some(0.0f64);
-        let searched_rows: usize = gen.base.rows() + gen.delta.rows();
+        let mut answers = Vec::with_capacity(2);
         let segments: [(&Segment<C>, u32, &'static str); 2] =
             [(&gen.base, 0, "base"), (&gen.delta, base_rows, "delta")];
         for (track, (seg, offset, label)) in segments.into_iter().enumerate() {
@@ -688,49 +631,20 @@ impl<M: HashModel + ?Sized + 'static, C: CodeWord> VersionedStore<M, C> {
             }
             let res = self.segment_engine(seg, label).run(seg_req);
             lane.end(seg_span);
-            stats.merge(&res.stats);
-            predicted = match (predicted, res.predicted_recall) {
-                (Some(acc), Some(p)) if searched_rows > 0 => {
-                    Some(acc + p as f64 * seg.rows() as f64 / searched_rows as f64)
-                }
-                _ => None,
-            };
-            for (local, dist) in res.neighbors() {
-                topk.push(dist, local + offset);
-            }
+            answers.push((res, offset, seg.rows()));
         }
         let merge_span = trace.begin(troot, "merge");
-        let neighbors = topk
-            .into_sorted()
-            .into_iter()
-            .map(|(slot, dist)| (gen.ext_id(slot), dist))
-            .collect();
+        let mut out = SearchResponse::merged(params.k, answers);
+        for slot in &mut out.ids {
+            *slot = gen.ext_id(*slot);
+        }
         trace.end(merge_span);
         if self.metrics.is_enabled() {
             self.metrics
                 .record_duration("gqr_live_total_ns", start.elapsed());
             self.metrics.incr("gqr_live_queries_total");
         }
-        let missed = deadline.is_some_and(|d| Instant::now() > d);
-        if missed {
-            self.metrics.incr(&metric_name(
-                "gqr_request_deadline_missed_total",
-                &[("strategy", params.strategy.name())],
-            ));
-            if trace.is_sampled() {
-                let over_ns = deadline
-                    .map(|d| Instant::now().saturating_duration_since(d).as_nanos() as u64)
-                    .unwrap_or(0);
-                trace.marker(troot, MarkerKind::DeadlineMiss, over_ns, 0);
-            }
-        }
-        let trace_id = trace.id();
-        if owned_trace {
-            self.metrics.trace_finish(trace, missed);
-        }
-        let mut out = SearchResponse::from_ranked(neighbors, stats);
-        out.trace_id = trace_id;
-        out.predicted_recall = predicted.map(|p| p.clamp(0.0, 1.0) as f32);
+        out.trace_id = env.close();
         out
     }
 
@@ -1528,6 +1442,11 @@ impl<M: HashModel + ?Sized + 'static, C: CodeWord> ShardedMutableIndex<M, C> {
         self.shards.iter().map(MutableIndex::n_items).sum()
     }
 
+    /// Vector dimensionality (every shard shares it).
+    pub fn dim(&self) -> usize {
+        self.shards[0].dim()
+    }
+
     /// The shared metrics registry.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
@@ -1558,58 +1477,28 @@ impl<M: HashModel + ?Sized + 'static, C: CodeWord> ShardedMutableIndex<M, C> {
     /// Execute one request serially across the shards and merge the
     /// per-shard top-k (external ids throughout). Checkpoints are
     /// rejected; filters compose (shards already speak external ids).
-    pub fn run(&self, req: SearchRequest<'_>) -> SearchResponse {
-        let parts = req.into_parts();
-        let (query, params) = (parts.query, parts.params);
-        let deadline = params.deadline;
-        let mut filter = parts.filter;
+    pub fn run(&self, mut req: SearchRequest<'_>) -> SearchResponse {
+        let env = req.open_merged(&self.metrics, "sharded_live");
+        let (query, params) = (req.query, req.params);
+        let mut filter = req.filter;
         // Shards speak external ids, and every shard holds the same shared
         // attribute store — the predicate passes through untouched and
         // each shard plans it locally.
-        let predicate = parts.predicate;
-        assert!(
-            parts.budgets.is_empty(),
-            "checkpoints are not supported on the sharded path"
-        );
-        let admitted_late = deadline.is_some_and(|d| Instant::now() > d);
-        let (trace, troot, owned_trace) = match parts.trace_parent {
-            Some((ctx, parent)) => (ctx, parent, false),
-            None => {
-                let ctx = self
-                    .metrics
-                    .trace_begin("sharded_live", parts.trace || admitted_late);
-                (ctx, SpanId::ROOT, true)
+        let predicate = req.predicate;
+        let results = env.fan_out(self.shards.len(), |i, lane, span| {
+            let mut shard_req = SearchRequest::new(query)
+                .params(params)
+                .with_trace_parent(lane, span);
+            if let Some(f) = filter.as_deref_mut() {
+                shard_req = shard_req.filter(|id: u32| f(id));
             }
-        };
-        let fanout = trace.begin_arg(troot, "fanout", self.shards.len() as u64);
-        let results: Vec<SearchResponse> = self
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(i, shard)| {
-                let lane = trace.clone().with_track(i as u32 + 1);
-                let shard_span = lane.begin_arg(fanout, "shard", i as u64);
-                let mut shard_req = SearchRequest::new(query)
-                    .params(params)
-                    .with_trace_parent(lane.clone(), shard_span);
-                if let Some(f) = filter.as_deref_mut() {
-                    shard_req = shard_req.filter(|id: u32| f(id));
-                }
-                if let Some(p) = &predicate {
-                    shard_req = shard_req.predicate(p.clone());
-                }
-                let res = shard.run(shard_req);
-                lane.end(shard_span);
-                res
-            })
-            .collect();
-        trace.end(fanout);
+            if let Some(p) = &predicate {
+                shard_req = shard_req.predicate(p.clone());
+            }
+            self.shards[i].run(shard_req)
+        });
         let mut merged = merge_ext(params.k, results);
-        merged.trace_id = trace.id();
-        if owned_trace {
-            let missed = deadline.is_some_and(|d| Instant::now() > d);
-            self.metrics.trace_finish(trace, missed);
-        }
+        merged.trace_id = env.close();
         merged
     }
 
@@ -1617,61 +1506,18 @@ impl<M: HashModel + ?Sized + 'static, C: CodeWord> ShardedMutableIndex<M, C> {
     /// `exec`. Filtered requests (closure or predicate) fall back to the
     /// serial path (a `FnMut` filter cannot be shared across concurrent
     /// shards).
-    pub fn run_on(&self, exec: &Executor, req: SearchRequest<'_>) -> SearchResponse {
+    pub fn run_on(&self, exec: &Executor, mut req: SearchRequest<'_>) -> SearchResponse {
         if req.has_filter() || req.has_predicate() {
             return self.run(req);
         }
-        let parts = req.into_parts();
-        let (query, params) = (parts.query, parts.params);
-        let deadline = params.deadline;
-        assert!(
-            parts.budgets.is_empty(),
-            "checkpoints are not supported on the sharded path"
-        );
-        let admitted_late = deadline.is_some_and(|d| Instant::now() > d);
-        let (trace, troot, owned_trace) = match parts.trace_parent {
-            Some((ctx, parent)) => (ctx, parent, false),
-            None => {
-                let ctx = self
-                    .metrics
-                    .trace_begin("sharded_live", parts.trace || admitted_late);
-                (ctx, SpanId::ROOT, true)
-            }
-        };
-        let fanout = trace.begin_arg(troot, "fanout", self.shards.len() as u64);
-        let mut slots: Vec<Option<SearchResponse>> = (0..self.shards.len()).map(|_| None).collect();
-        let trace_ref = &trace;
-        exec.run_scoped(self.shards.iter().zip(slots.iter_mut()).enumerate().map(
-            |(i, (shard, slot))| {
-                let lane = trace_ref.clone().with_track(i as u32 + 1);
-                let enq = Instant::now();
-                Box::new(move || {
-                    let shard_span = lane.begin_arg_at(fanout, "shard", i as u64, enq);
-                    let wait = lane.begin_at(shard_span, "queue_wait", enq);
-                    lane.end(wait);
-                    // 1-based worker id; 0 means the job ran off-pool.
-                    let worker = Executor::current_worker_index().map_or(0, |w| w as u64 + 1);
-                    let run_span = lane.begin_arg(shard_span, "run", worker);
-                    let shard_req = SearchRequest::new(query)
-                        .params(params)
-                        .with_trace_parent(lane.clone(), run_span);
-                    *slot = Some(shard.run(shard_req));
-                    lane.end(run_span);
-                    lane.end(shard_span);
-                }) as Box<dyn FnOnce() + Send + '_>
-            },
-        ));
-        trace.end(fanout);
-        let results = slots
-            .into_iter()
-            .map(|r| r.expect("run_scoped completed every shard"))
-            .collect();
+        let env = req.open_merged(&self.metrics, "sharded_live");
+        let (query, params) = (req.query, req.params);
+        let results = env.fan_out_on(exec, self.shards.len(), |i, lane, span| {
+            let shard_req = SearchRequest::new(query).params(params);
+            self.shards[i].run(shard_req.with_trace_parent(lane, span))
+        });
         let mut merged = merge_ext(params.k, results);
-        merged.trace_id = trace.id();
-        if owned_trace {
-            let missed = deadline.is_some_and(|d| Instant::now() > d);
-            self.metrics.trace_finish(trace, missed);
-        }
+        merged.trace_id = env.close();
         merged
     }
 
@@ -1682,17 +1528,11 @@ impl<M: HashModel + ?Sized + 'static, C: CodeWord> ShardedMutableIndex<M, C> {
     }
 }
 
-/// Merge per-shard results whose neighbor ids are already external.
+/// Merge per-shard results whose neighbor ids are already external. The
+/// shards do not say how many rows each answered for, so the merged answer
+/// carries no recall prediction.
 fn merge_ext(k: usize, results: Vec<SearchResponse>) -> SearchResponse {
-    let mut topk = TopK::new(k);
-    let mut stats = ProbeStats::default();
-    for res in results {
-        stats.merge(&res.stats);
-        for (id, dist) in res.neighbors() {
-            topk.push(dist, id);
-        }
-    }
-    SearchResponse::from_ranked(topk.into_sorted(), stats)
+    SearchResponse::merged(k, results.into_iter().map(|res| (res, 0, 0)))
 }
 
 impl<M: HashModel + ?Sized + 'static, C: CodeWord> std::fmt::Debug for ShardedMutableIndex<M, C> {

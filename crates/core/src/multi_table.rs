@@ -9,16 +9,13 @@
 //! another table are skipped — the de-duplication cost that makes
 //! multi-table setups trade memory for recall.
 
-use crate::attrs::{AttributeStore, FilterPlan};
-use crate::engine::{ProbeStrategy, SearchParams, SearchResponse};
-use crate::metrics::{metric_name, MarkerKind, MetricsRegistry, Phase, PhaseSpans, SpanId};
-use crate::probe::{GenerateHammingRanking, GenerateQdRanking, HammingRanking, Prober, QdRanking};
+use crate::attrs::AttributeStore;
+use crate::engine::{with_scratch, ProbeStrategy, SearchParams, SearchResponse};
+use crate::metrics::MetricsRegistry;
+use crate::probe_loop::{drive, Evaluator, MergedTables, ProbeCtx, StopPolicy};
 use crate::request::SearchRequest;
-use crate::stats::ProbeStats;
 use crate::table::HashTable;
-use crate::topk::TopK;
 use gqr_l2h::HashModel;
-use gqr_linalg::kernels::ScoreBlock;
 use gqr_linalg::vecops::Metric;
 use std::time::Instant;
 
@@ -86,6 +83,11 @@ impl<'a> MultiTableIndex<'a> {
         self.tables.len()
     }
 
+    /// Vector dimensionality.
+    pub fn dim(&self) -> usize {
+        self.dim
+    }
+
     /// Number of indexed items (rows shared by every table).
     pub fn n_items(&self) -> usize {
         self.data.len() / self.dim
@@ -106,212 +108,49 @@ impl<'a> MultiTableIndex<'a> {
 
     /// Execute one [`SearchRequest`] across all tables — the same front
     /// door as [`QueryEngine::run`](crate::engine::QueryEngine::run), with
-    /// the same filter and deadline semantics (a request deadline tightens
-    /// the soft per-search time limit; a late finish bumps
-    /// `gqr_request_deadline_missed_total`). Items rejected by a filter are
-    /// still marked visited, so other tables do not re-collect them.
-    /// Checkpoints are not supported on the multi-table path.
-    pub fn run(&self, req: SearchRequest<'_>) -> SearchResponse {
-        let parts = req.into_parts();
-        let (query, mut params) = (parts.query, parts.params);
-        let deadline = params.deadline;
-        let filter = parts.filter;
-        assert!(
-            parts.budgets.is_empty(),
-            "checkpoints are not supported on the multi-table path"
-        );
-        let admitted_late = deadline.is_some_and(|d| Instant::now() > d);
-        let (trace, troot, owned_trace) = match parts.trace_parent {
-            Some((ctx, parent)) => (ctx, parent, false),
-            None => {
-                let ctx = self
-                    .metrics
-                    .trace_begin("multi_table", parts.trace || admitted_late);
-                (ctx, SpanId::ROOT, true)
-            }
-        };
-        // Predicate → composed filter (same fold as the sharded surface:
-        // no brute arm on a probing merge, so an exact survivor set acts as
-        // a pre-filter and everything else post-filters).
-        let predicate = parts.predicate;
-        let planned = predicate.as_ref().map(|pred| {
-            let store = self.attrs.expect(
-                "request carries a predicate but the multi-table index has no attribute \
-                 store (attach one with with_attrs, and validate() the predicate first)",
-            );
-            let choice = store.plan(pred, 0);
-            self.metrics.incr(&metric_name(
-                "gqr_filter_plans_total",
-                &[("plan", choice.plan.name())],
-            ));
-            let ppm = (choice.selectivity * 1e6) as u64;
-            self.metrics.record("gqr_filter_selectivity_ppm", ppm);
-            trace.marker(troot, MarkerKind::FilterPlan, choice.plan.tag(), ppm);
-            (store, choice.plan)
-        });
-        let mut filter: Option<Box<dyn FnMut(u32) -> bool + '_>> = match planned {
-            Some((store, plan)) => {
-                let pred = predicate.as_ref().expect("planned implies predicate");
-                let mut user = filter;
-                Some(match plan {
-                    FilterPlan::BruteForce { survivors } | FilterPlan::PreFilter { survivors } => {
-                        Box::new(move |id: u32| {
-                            survivors.contains(id) && user.as_deref_mut().is_none_or(|f| f(id))
-                        })
-                    }
-                    FilterPlan::PostFilter => Box::new(move |id: u32| {
-                        store.matches(pred, id) && user.as_deref_mut().is_none_or(|f| f(id))
-                    }),
-                })
-            }
-            None => filter,
-        };
+    /// the same checkpoint, filter and deadline semantics (a request
+    /// deadline tightens the soft per-search time limit; a late finish
+    /// bumps `gqr_request_deadline_missed_total`). Items rejected by a
+    /// filter are still marked visited, so other tables do not re-collect
+    /// them. Evaluation is squared Euclidean; the Theorem-2 early stop and
+    /// recall targets are single-table only and ignored here.
+    pub fn run(&self, mut req: SearchRequest<'_>) -> SearchResponse {
+        let env = req.open(&self.metrics, "multi_table");
+        let (query, params) = (req.query, req.params);
         assert_eq!(query.len(), self.dim, "query dimensionality mismatch");
-        if let Some(d) = deadline {
-            let remaining = d.saturating_duration_since(Instant::now());
-            params.time_limit = Some(params.time_limit.map_or(remaining, |tl| tl.min(remaining)));
-        }
-        let n_items = self.data.len() / self.dim;
-        let start = Instant::now();
-        let mut spans = PhaseSpans::new(&self.metrics);
-
-        // Per-table prober + query encoding.
-        let mut probers: Vec<Box<dyn Prober + '_>> = Vec::with_capacity(self.tables.len());
-        for (model, table) in self.models.iter().zip(&self.tables) {
-            let t = spans.begin();
-            let ts = trace.begin_opt(troot, Phase::HashQuery.as_str(), t);
-            let qe = model.encode_query(query);
-            spans.end(Phase::HashQuery, t);
-            trace.end(ts);
-            let t = spans.begin();
-            let ts = trace.begin_opt(troot, Phase::ProbeGenerate.as_str(), t);
-            let mut p: Box<dyn Prober + '_> = match params.strategy {
-                ProbeStrategy::HammingRanking => Box::new(HammingRanking::new(table)),
-                ProbeStrategy::GenerateHammingRanking => {
-                    Box::new(GenerateHammingRanking::new(table.code_length()))
-                }
-                ProbeStrategy::QdRanking => Box::new(QdRanking::new(table)),
-                ProbeStrategy::GenerateQdRanking => {
-                    Box::new(GenerateQdRanking::new(table.code_length()))
-                }
-                ProbeStrategy::MultiIndexHashing { .. } => {
-                    panic!("MIH is not supported across multiple tables")
-                }
-            };
-            p.reset(&qe);
-            spans.end(Phase::ProbeGenerate, t);
-            trace.end(ts);
-            probers.push(p);
-        }
-
-        let mut visited = vec![false; n_items];
-        let mut topk = TopK::new(params.k);
-        let mut stats = ProbeStats::default();
-        let mut scratch = ScoreBlock::new(self.dim);
-
-        while stats.items_evaluated < params.n_candidates {
-            if params
-                .max_buckets
-                .is_some_and(|mb| stats.buckets_probed >= mb)
-            {
-                break;
-            }
-            if params.time_limit.is_some_and(|tl| start.elapsed() >= tl) {
-                break;
-            }
-            // Pick the table whose next bucket has the smallest indicator.
-            let tg = spans.begin();
-            let mut best: Option<(usize, f64)> = None;
-            for (t, p) in probers.iter_mut().enumerate() {
-                if let Some(c) = p.peek_cost() {
-                    if best.is_none_or(|(_, bc)| c < bc) {
-                        best = Some((t, c));
-                    }
-                }
-            }
-            let next = best.map(|(t, _)| (t, probers[t].next_bucket()));
-            spans.end(Phase::ProbeGenerate, tg);
-            let Some((t, code)) = next else { break };
-            let code = code.expect("peeked prober must yield");
-            let step_qd = best.map_or(-1.0, |(_, c)| c);
-            let bucket_rank = stats.buckets_probed as u32;
-            stats.buckets_probed += 1;
-            let tl = spans.begin();
-            let ts = trace.begin_opt(troot, Phase::BucketLookup.as_str(), tl);
-            let items = self.tables[t].bucket(code);
-            spans.end(Phase::BucketLookup, tl);
-            trace.end(ts);
-            if items.is_empty() {
-                stats.empty_buckets += 1;
-                if trace.is_sampled() {
-                    trace.qd_step(troot, bucket_rank, step_qd, 0, 0);
-                }
-                continue;
-            }
-            let evaluated_before = stats.items_evaluated;
-            stats.items_collected += items.len();
-            let te = spans.begin();
-            let ts = trace.begin_opt(troot, Phase::Evaluate.as_str(), te);
-            for &id in items {
-                let seen = &mut visited[id as usize];
-                if *seen {
-                    stats.duplicates_skipped += 1;
-                    continue;
-                }
-                *seen = true;
-                if let Some(f) = filter.as_deref_mut() {
-                    if !f(id) {
-                        continue;
-                    }
-                }
-                if scratch.is_full() {
-                    stats.items_evaluated +=
-                        scratch.flush(query, Metric::SquaredEuclidean, |id, d| topk.push(d, id));
-                }
-                let row = &self.data[id as usize * self.dim..(id as usize + 1) * self.dim];
-                scratch.push(id, row);
-            }
-            stats.items_evaluated +=
-                scratch.flush(query, Metric::SquaredEuclidean, |id, d| topk.push(d, id));
-            spans.end(Phase::Evaluate, te);
-            trace.end(ts);
-            if trace.is_sampled() {
-                let kept = (stats.items_evaluated - evaluated_before) as u32;
-                trace.qd_step(troot, bucket_rank, step_qd, items.len() as u32, kept);
-            }
-        }
-        let tr = spans.begin();
-        let ts = trace.begin_opt(troot, Phase::Rerank.as_str(), tr);
-        let neighbors = topk.into_sorted();
-        spans.end(Phase::Rerank, tr);
-        trace.end(ts);
-        #[cfg(debug_assertions)]
-        stats.checked_invariants();
-        spans.flush(
-            &self.metrics,
-            "gqr_multi_table",
-            params.strategy.name(),
-            start.elapsed(),
+        assert!(
+            !matches!(params.strategy, ProbeStrategy::MultiIndexHashing { .. }),
+            "MIH is not supported across multiple tables"
         );
-        let missed = deadline.is_some_and(|d| Instant::now() > d);
-        if missed {
-            self.metrics.incr(&metric_name(
-                "gqr_request_deadline_missed_total",
-                &[("strategy", params.strategy.name())],
-            ));
-            if trace.is_sampled() {
-                let over_ns = deadline
-                    .map(|d| Instant::now().saturating_duration_since(d).as_nanos() as u64)
-                    .unwrap_or(0);
-                trace.marker(troot, MarkerKind::DeadlineMiss, over_ns, 0);
-            }
-        }
-        let trace_id = trace.id();
-        if owned_trace {
-            self.metrics.trace_finish(trace, missed);
-        }
-        let mut out = SearchResponse::from_ranked(neighbors, stats);
-        out.trace_id = trace_id;
+        let strat = params.strategy.name();
+        let predicate = req.predicate;
+        let (_, mut filter) = env.plan_filter(self.attrs, predicate.as_ref(), req.filter, 0);
+        let start = Instant::now();
+        let mut ctx = ProbeCtx::new(&env);
+        let mut source = MergedTables::new(
+            &self.models,
+            &self.tables,
+            params.strategy,
+            self.n_items(),
+            query,
+            &mut ctx,
+        );
+        let mut out = with_scratch(|scratch| {
+            scratch.ensure_dim(self.dim);
+            let sink = Evaluator {
+                query,
+                data: self.data,
+                dim: self.dim,
+                metric: Metric::SquaredEuclidean,
+                filter: filter.as_deref_mut(),
+                scratch,
+            };
+            let policy = StopPolicy::new(&params, start);
+            drive(&mut source, policy, sink, req.budgets, &mut ctx)
+        });
+        ctx.phases
+            .flush(&self.metrics, "gqr_multi_table", strat, start.elapsed());
+        out.trace_id = env.close();
         out
     }
 }

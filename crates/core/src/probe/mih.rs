@@ -340,6 +340,12 @@ impl<C: CodeWord> MihSearcher<'_, C> {
         self.misses
     }
 
+    /// Whether the lookup cap cut an expansion short (as opposed to the
+    /// search running dry).
+    pub fn hit_lookup_cap(&self) -> bool {
+        self.capped
+    }
+
     /// Duplicate candidate hits suppressed so far (MIH's extra cost).
     pub fn duplicates(&self) -> usize {
         self.duplicates

@@ -26,6 +26,8 @@ pub use hr::HammingRanking;
 pub use qr::QdRanking;
 
 use crate::code::CodeWord;
+use crate::engine::ProbeStrategy;
+use crate::table::HashTable;
 use gqr_l2h::QueryEncoding;
 
 /// A source of bucket codes in strategy order for one query.
@@ -51,6 +53,62 @@ pub trait Prober<C: CodeWord = u64> {
 
     /// Strategy name for reports.
     fn name(&self) -> &'static str;
+}
+
+/// The four bucket-ranking probers behind one statically dispatched type:
+/// the query loop holds one of these per table instead of boxing a
+/// `dyn Prober` per query.
+pub(crate) enum AnyProber<'t, C: CodeWord = u64> {
+    Hr(HammingRanking<'t, C>),
+    Ghr(GenerateHammingRanking<C>),
+    Qr(QdRanking<'t, C>),
+    Gqr(GenerateQdRanking<C>),
+}
+
+macro_rules! each_prober {
+    ($self:ident, $p:ident => $e:expr) => {
+        match $self {
+            AnyProber::Hr($p) => $e,
+            AnyProber::Ghr($p) => $e,
+            AnyProber::Qr($p) => $e,
+            AnyProber::Gqr($p) => $e,
+        }
+    };
+}
+
+impl<'t, C: CodeWord> AnyProber<'t, C> {
+    /// The prober `strategy` names, over `table` and reset for `query`.
+    /// Panics on MIH, which retrieves items through its own side index
+    /// rather than whole-code buckets.
+    pub(crate) fn for_strategy(
+        strategy: ProbeStrategy,
+        table: &'t HashTable<C>,
+        query: &QueryEncoding<C>,
+    ) -> Self {
+        let m = table.code_length();
+        let mut prober = match strategy {
+            ProbeStrategy::HammingRanking => AnyProber::Hr(HammingRanking::new(table)),
+            ProbeStrategy::GenerateHammingRanking => AnyProber::Ghr(GenerateHammingRanking::new(m)),
+            ProbeStrategy::QdRanking => AnyProber::Qr(QdRanking::new(table)),
+            ProbeStrategy::GenerateQdRanking => AnyProber::Gqr(GenerateQdRanking::new(m)),
+            ProbeStrategy::MultiIndexHashing { .. } => panic!("MIH has no bucket-code prober"),
+        };
+        let reset = &mut prober;
+        each_prober!(reset, p => p.reset(query));
+        prober
+    }
+
+    /// See [`Prober::peek_cost`].
+    #[inline]
+    pub(crate) fn peek_cost(&mut self) -> Option<f64> {
+        each_prober!(self, p => p.peek_cost())
+    }
+
+    /// See [`Prober::next_bucket`].
+    #[inline]
+    pub(crate) fn next_bucket(&mut self) -> Option<C> {
+        each_prober!(self, p => p.next_bucket())
+    }
 }
 
 #[cfg(test)]

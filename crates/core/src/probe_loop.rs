@@ -1,0 +1,532 @@
+//! The one query loop (paper Algorithms 1 and 3): take the next probe unit
+//! in ascending cost, evaluate it, stop when a criterion of §4.2 fires.
+//!
+//! GQR, QR, HR, GHR, MIH, the planner's brute arm and multi-table search
+//! differ only in *where the next unit comes from* — a `BucketSource`.
+//! *When to stop* is a `StopPolicy`, asked once before and once after
+//! every unit, and *why it stopped* is the [`StopReason`] every response
+//! carries. `drive` owns everything in between: filter → gather →
+//! [`ScoreBlock`] flush → [`TopK`], checkpoints, phase spans, the per-step
+//! trace trajectory and the stop markers.
+
+use crate::code::{typed_encoding, CodeWord};
+use crate::engine::{ProbeStrategy, SearchParams};
+use crate::metrics::{metric_name, MarkerKind, Phase, PhaseSpans};
+use crate::probe::mih::{MihIndex, MihSearcher};
+use crate::probe::AnyProber;
+use crate::recall::RecallController;
+use crate::request::Envelope;
+use crate::response::{Checkpoint, SearchResponse};
+use crate::stats::ProbeStats;
+use crate::table::HashTable;
+use crate::topk::TopK;
+use gqr_l2h::HashModel;
+use gqr_linalg::kernels::ScoreBlock;
+use gqr_linalg::vecops::Metric;
+use std::time::Instant;
+
+/// Why a search stopped probing. Ordered so that the merge of several
+/// partial searches (shards, live segments) is the `max` of its parts: a
+/// merged answer is `Exhausted` only if every part was.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum StopReason {
+    /// The source ran dry: every bucket (or every indexed item) was seen.
+    #[default]
+    Exhausted,
+    /// The Theorem-2 bound proved no unseen bucket can improve the top-k.
+    EarlyStop,
+    /// The calibrated recall prediction cleared the request's target.
+    RecallTarget,
+    /// The candidate budget `n_candidates` was spent.
+    Budget,
+    /// `max_buckets` probe units were spent.
+    BucketCap,
+    /// The time limit (or the request deadline folded into it) passed.
+    Deadline,
+}
+
+impl StopReason {
+    /// Snake-case label (`reason="…"` in `gqr_stop_total`).
+    pub fn as_str(self) -> &'static str {
+        match self {
+            StopReason::Exhausted => "exhausted",
+            StopReason::EarlyStop => "early_stop",
+            StopReason::RecallTarget => "recall_target",
+            StopReason::Budget => "budget",
+            StopReason::BucketCap => "bucket_cap",
+            StopReason::Deadline => "deadline",
+        }
+    }
+}
+
+/// Per-query instrumentation shared by the sources and the loop: the
+/// request's envelope plus the phase-time accumulator.
+pub(crate) struct ProbeCtx<'a> {
+    pub env: &'a Envelope<'a>,
+    pub phases: PhaseSpans,
+}
+
+impl<'a> ProbeCtx<'a> {
+    pub fn new(env: &'a Envelope<'a>) -> Self {
+        let phases = PhaseSpans::new(env.metrics);
+        ProbeCtx { env, phases }
+    }
+
+    /// Run `f` as one segment of `phase`: one clock read feeds both the
+    /// phase accumulator and the trace span.
+    #[inline]
+    pub fn time<R>(&mut self, phase: Phase, f: impl FnOnce() -> R) -> R {
+        let t = self.phases.begin();
+        let span = self.env.trace.begin_opt(self.env.root, phase.as_str(), t);
+        let out = f();
+        self.phases.end(phase, t);
+        self.env.trace.end(span);
+        out
+    }
+}
+
+/// One probe unit: the items of one bucket, one MIH distance level, or one
+/// tile of planner survivors.
+pub(crate) struct Unit<'s> {
+    pub items: &'s [u32],
+    /// Probe-unit rank reported to the trace and the recall controller.
+    pub rank: u64,
+    /// Cost indicator of the unit — the per-step difficulty signal both the
+    /// trace and the recall controller consume: QD or Hamming distance,
+    /// `-1.0` when the source has none.
+    pub cost: f64,
+}
+
+/// "Next probe unit in ascending cost" for one query.
+pub(crate) trait BucketSource {
+    /// Whether a unit is a probe step — a bucket or a lookup level, with a
+    /// place in the trace trajectory and in the skipped-bucket count. The
+    /// brute arm's survivor tiles are not.
+    const PROBES: bool = true;
+
+    /// Cost of the unit `next` would return, when the source can tell
+    /// without producing it.
+    fn peek_cost(&mut self) -> Option<f64> {
+        None
+    }
+
+    /// Produce the next unit, counting it into `stats` (probe units, empty
+    /// ones, items collected, duplicates dropped); `None` when done.
+    fn next(&mut self, ctx: &mut ProbeCtx<'_>, stats: &mut ProbeStats) -> Option<Unit<'_>>;
+
+    /// Number of distinct items the source can ever yield, when it yields
+    /// each at most once: evaluating that many exhausts it.
+    fn universe(&self) -> Option<usize> {
+        None
+    }
+
+    /// `None` when the policy enforces `max_buckets` between units;
+    /// `Some(hit)` when the source enforces it inside `next`, `hit` telling
+    /// whether the cap (rather than exhaustion) ended it.
+    fn capped(&self) -> Option<bool> {
+        None
+    }
+}
+
+/// One hash table probed in the order of a bucket-ranking strategy
+/// (HR / GHR / QR / GQR).
+pub(crate) struct TableSource<'t, C: CodeWord> {
+    prober: AnyProber<'t, C>,
+    table: &'t HashTable<C>,
+}
+
+impl<'t, C: CodeWord> TableSource<'t, C> {
+    pub fn new<M: HashModel + ?Sized>(
+        model: &M,
+        table: &'t HashTable<C>,
+        strategy: ProbeStrategy,
+        query: &[f32],
+        ctx: &mut ProbeCtx<'_>,
+    ) -> Self {
+        let qe = ctx.time(Phase::HashQuery, || {
+            typed_encoding::<C>(model.encode_query_wide(query))
+        });
+        let prober = ctx.time(Phase::ProbeGenerate, || {
+            AnyProber::for_strategy(strategy, table, &qe)
+        });
+        TableSource { prober, table }
+    }
+}
+
+impl<C: CodeWord> BucketSource for TableSource<'_, C> {
+    fn peek_cost(&mut self) -> Option<f64> {
+        self.prober.peek_cost()
+    }
+
+    #[inline]
+    fn next(&mut self, ctx: &mut ProbeCtx<'_>, stats: &mut ProbeStats) -> Option<Unit<'_>> {
+        // The cost is captured *before* `next_bucket` consumes the bucket.
+        let prober = &mut self.prober;
+        let (cost, code) = ctx.time(Phase::ProbeGenerate, || {
+            (prober.peek_cost().unwrap_or(-1.0), prober.next_bucket())
+        });
+        let code = code?;
+        let rank = stats.buckets_probed as u64;
+        stats.buckets_probed += 1;
+        let items = ctx.time(Phase::BucketLookup, || self.table.bucket(code));
+        stats.empty_buckets += usize::from(items.is_empty());
+        stats.items_collected += items.len();
+        Some(Unit { items, rank, cost })
+    }
+
+    fn universe(&self) -> Option<usize> {
+        Some(self.table.n_items())
+    }
+}
+
+/// Multi-index hashing: one unit per full-distance level of the radius
+/// sweep; the probe unit counted is one substring-bucket lookup.
+pub(crate) struct MihSource<'i, C: CodeWord> {
+    searcher: MihSearcher<'i, C>,
+    batch: Vec<u32>,
+}
+
+impl<'i, C: CodeWord> MihSource<'i, C> {
+    pub fn new<M: HashModel + ?Sized>(
+        model: &M,
+        mih: &'i MihIndex<C>,
+        max_buckets: Option<usize>,
+        query: &[f32],
+        ctx: &mut ProbeCtx<'_>,
+    ) -> Self {
+        let code = ctx.time(Phase::HashQuery, || {
+            C::from_blocks(model.encode_wide(query).blocks())
+        });
+        let mut searcher = ctx.time(Phase::ProbeGenerate, || mih.search(code));
+        // `max_buckets` bounds substring-bucket lookups, occupied or not,
+        // like the bucket sources. The cap lives inside the searcher because
+        // one radius expansion enumerates C(bits, r) masks per block (up to
+        // 64-bit substrings) — a between-unit check could overshoot by an
+        // entire radius shell. Items found before the cap fires are still
+        // evaluated, like buckets already generated.
+        searcher.set_lookup_cap(max_buckets.unwrap_or(usize::MAX));
+        let batch = Vec::new();
+        MihSource { searcher, batch }
+    }
+}
+
+impl<C: CodeWord> BucketSource for MihSource<'_, C> {
+    fn next(&mut self, ctx: &mut ProbeCtx<'_>, stats: &mut ProbeStats) -> Option<Unit<'_>> {
+        self.batch.clear();
+        let (searcher, batch) = (&mut self.searcher, &mut self.batch);
+        let level = ctx.time(Phase::BucketLookup, || searcher.next_batch(batch));
+        stats.buckets_probed = searcher.lookups();
+        stats.empty_buckets = searcher.empty_lookups();
+        stats.duplicates_skipped = searcher.duplicates();
+        stats.items_collected += batch.len();
+        // The Hamming level of the batch is the MIH analogue of the bucket
+        // sources' step cost.
+        let (rank, cost) = (searcher.lookups() as u64, level? as f64);
+        let items = &self.batch;
+        Some(Unit { items, rank, cost })
+    }
+
+    fn capped(&self) -> Option<bool> {
+        Some(self.searcher.hit_lookup_cap())
+    }
+}
+
+/// The planner's brute-force arm: the exact survivor set is smaller than
+/// the candidate budget, so probing buckets would only re-derive a
+/// superset — hand the survivors out directly, one score tile per unit
+/// (so the time limit and checkpoints are checked once per flushed tile).
+/// No hashing, no probe generation, zero buckets probed.
+pub(crate) struct SurvivorSource<I: Iterator<Item = u32>> {
+    pub survivors: I,
+    pub tile: Vec<u32>,
+    pub tile_rows: usize,
+}
+
+impl<I: Iterator<Item = u32>> BucketSource for SurvivorSource<I> {
+    const PROBES: bool = false;
+
+    fn next(&mut self, _ctx: &mut ProbeCtx<'_>, stats: &mut ProbeStats) -> Option<Unit<'_>> {
+        self.tile.clear();
+        self.tile
+            .extend(self.survivors.by_ref().take(self.tile_rows));
+        if self.tile.is_empty() {
+            return None;
+        }
+        stats.items_collected += self.tile.len();
+        let (items, rank, cost) = (&self.tile[..], 0, -1.0);
+        Some(Unit { items, rank, cost })
+    }
+}
+
+/// Several tables over the same rows, merged by cost: each step probes the
+/// table whose next bucket has the smallest cost indicator, so the global
+/// order respects every per-table order. Items another table already
+/// produced are dropped (and counted) before they reach the filter.
+pub(crate) struct MergedTables<'t> {
+    sources: Vec<TableSource<'t, u64>>,
+    visited: Vec<bool>,
+    fresh: Vec<u32>,
+}
+
+impl<'t> MergedTables<'t> {
+    pub fn new(
+        models: &[&dyn HashModel],
+        tables: &'t [HashTable],
+        strategy: ProbeStrategy,
+        n_items: usize,
+        query: &[f32],
+        ctx: &mut ProbeCtx<'_>,
+    ) -> Self {
+        let sources = models
+            .iter()
+            .zip(tables)
+            .map(|(model, table)| TableSource::new(*model, table, strategy, query, ctx))
+            .collect();
+        let (visited, fresh) = (vec![false; n_items], Vec::new());
+        MergedTables {
+            sources,
+            visited,
+            fresh,
+        }
+    }
+
+    /// The table whose next bucket is cheapest, and that cost.
+    fn cheapest(&mut self) -> Option<(usize, f64)> {
+        let mut best: Option<(usize, f64)> = None;
+        for (t, source) in self.sources.iter_mut().enumerate() {
+            if let Some(c) = source.peek_cost() {
+                if best.is_none_or(|(_, bc)| c < bc) {
+                    best = Some((t, c));
+                }
+            }
+        }
+        best
+    }
+}
+
+impl BucketSource for MergedTables<'_> {
+    fn peek_cost(&mut self) -> Option<f64> {
+        self.cheapest().map(|(_, cost)| cost)
+    }
+
+    fn next(&mut self, ctx: &mut ProbeCtx<'_>, stats: &mut ProbeStats) -> Option<Unit<'_>> {
+        let (t, _) = ctx.time(Phase::ProbeGenerate, || self.cheapest())?;
+        let unit = self.sources[t].next(ctx, stats)?;
+        self.fresh.clear();
+        for &id in unit.items {
+            let seen = &mut self.visited[id as usize];
+            if *seen {
+                stats.duplicates_skipped += 1;
+            } else {
+                // Marked before the filter runs: a rejected item is not
+                // re-collected through another table.
+                *seen = true;
+                self.fresh.push(id);
+            }
+        }
+        let items = &self.fresh;
+        Some(Unit { items, ..unit })
+    }
+}
+
+/// The stopping criteria of §4.2, built once per query. Whichever fires
+/// first ends the search.
+pub(crate) struct StopPolicy<'m> {
+    params: SearchParams,
+    start: Instant,
+    /// Early-stop constant µ = 1/(σ_max(H)·√m) of Theorem 2, when the
+    /// search may use it.
+    pub mu: Option<f64>,
+    /// The recall-target stop, when the request set one and the attached
+    /// model covers the strategy.
+    pub controller: Option<RecallController<'m>>,
+}
+
+impl StopPolicy<'_> {
+    /// The budget, bucket-cap and time-limit criteria of `params`, timed
+    /// from `start`; no early stop, no recall target.
+    pub fn new(params: &SearchParams, start: Instant) -> Self {
+        StopPolicy {
+            params: *params,
+            start,
+            mu: None,
+            controller: None,
+        }
+    }
+
+    /// The criteria decidable before the next unit is pulled, given the
+    /// counters so far and the current k-th best distance.
+    #[inline]
+    pub fn before<S: BucketSource>(
+        &self,
+        stats: &ProbeStats,
+        kth_dist: Option<f32>,
+        source: &mut S,
+    ) -> Option<StopReason> {
+        let evaluated = stats.items_evaluated;
+        if evaluated >= self.params.n_candidates {
+            return Some(StopReason::Budget);
+        }
+        if source.universe().is_some_and(|n| evaluated >= n) {
+            return Some(StopReason::Exhausted);
+        }
+        let cap = self.params.max_buckets;
+        let cap = cap.filter(|_| source.capped().is_none());
+        if cap.is_some_and(|cap| stats.buckets_probed >= cap) {
+            return Some(StopReason::BucketCap);
+        }
+        // A unit in flight is finished, so this is a soft deadline of one
+        // unit's granularity.
+        let limit = self.params.time_limit;
+        if limit.is_some_and(|tl| self.start.elapsed() >= tl) {
+            return Some(StopReason::Deadline);
+        }
+        if let (Some(mu), Some(dk)) = (self.mu, kth_dist) {
+            let bound = mu * source.peek_cost()?;
+            // No remaining bucket can improve the top-k.
+            return ((bound * bound) as f32 >= dk).then_some(StopReason::EarlyStop);
+        }
+        None
+    }
+
+    /// The criterion that needs the unit just evaluated: feed the recall
+    /// controller the step the tracer sees.
+    #[inline]
+    pub fn after(&mut self, rank: u64, cost: f64, evaluated: usize) -> Option<StopReason> {
+        let stop = self.controller.as_mut()?.observe(rank, cost, evaluated);
+        stop.then_some(StopReason::RecallTarget)
+    }
+}
+
+/// Where a unit's items go: filter, gather into the score tile, score whole
+/// tiles through the blocked batch kernel, push into the top-k.
+pub(crate) struct Evaluator<'a, 'f> {
+    pub query: &'a [f32],
+    /// Row-major item vectors, `dim` columns.
+    pub data: &'a [f32],
+    pub dim: usize,
+    pub metric: Metric,
+    /// `true` keeps the item. Rejected items are skipped before any
+    /// distance is computed and do not count toward the candidate budget.
+    pub filter: Option<&'a mut (dyn FnMut(u32) -> bool + 'f)>,
+    pub scratch: &'a mut ScoreBlock,
+}
+
+impl Evaluator<'_, '_> {
+    /// Score the surviving `items` into `topk`; returns how many were
+    /// evaluated. Filtering makes tiles ragged; the flush at the end of the
+    /// unit keeps checkpoint and early-stop semantics identical to per-row
+    /// evaluation (the batch kernel is bit-identical to the row kernel, so
+    /// results match exactly).
+    fn evaluate(&mut self, items: &[u32], topk: &mut TopK) -> usize {
+        let (query, metric, dim) = (self.query, self.metric, self.dim);
+        let mut evaluated = 0;
+        for &id in items {
+            if self.filter.as_deref_mut().is_some_and(|keep| !keep(id)) {
+                continue;
+            }
+            if self.scratch.is_full() {
+                evaluated += self.scratch.flush(query, metric, |id, d| topk.push(d, id));
+            }
+            let row = &self.data[id as usize * dim..(id as usize + 1) * dim];
+            self.scratch.push(id, row);
+        }
+        evaluated + self.scratch.flush(query, metric, |id, d| topk.push(d, id))
+    }
+}
+
+/// Run one query: pull units from `source` until `policy` (or the source)
+/// says stop, evaluating each into the running top-k and snapshotting it
+/// at every checkpoint budget in `budgets` (ascending).
+pub(crate) fn drive<S: BucketSource>(
+    source: &mut S,
+    mut policy: StopPolicy<'_>,
+    mut sink: Evaluator<'_, '_>,
+    budgets: &[usize],
+    ctx: &mut ProbeCtx<'_>,
+) -> SearchResponse {
+    let (env, start) = (ctx.env, policy.start);
+    let mut topk = TopK::new(policy.params.k);
+    let mut stats = ProbeStats::default();
+    let mut checkpoints = Vec::with_capacity(budgets.len());
+    let mut next_budget = budgets.iter().copied().peekable();
+    // Non-empty units where the filter rejected every item — the pre-filter
+    // arm's payoff: no distance computed for the unit.
+    let mut units_skipped: u64 = 0;
+    let snapshot = |budget, stats: &ProbeStats, topk: &TopK| Checkpoint {
+        budget,
+        items_evaluated: stats.items_evaluated,
+        buckets_probed: stats.buckets_probed,
+        elapsed: start.elapsed(),
+        top_ids: topk.ids_unordered().collect(),
+    };
+
+    let reason = loop {
+        if let Some(reason) = policy.before(&stats, topk.kth_dist(), source) {
+            break reason;
+        }
+        let collected = stats.items_collected;
+        let Some(unit) = source.next(ctx, &mut stats) else {
+            break match source.capped() {
+                Some(true) => StopReason::BucketCap,
+                _ => StopReason::Exhausted,
+            };
+        };
+        let (rank, cost, offered) = (unit.rank, unit.cost, unit.items.len());
+        let mut kept = 0;
+        if offered > 0 {
+            kept = ctx.time(Phase::Evaluate, || sink.evaluate(unit.items, &mut topk));
+            stats.items_evaluated += kept;
+        }
+        if S::PROBES {
+            units_skipped += u64::from(sink.filter.is_some() && offered > 0 && kept == 0);
+            let in_unit = (stats.items_collected - collected) as u32;
+            env.trace
+                .qd_step(env.root, rank as u32, cost, in_unit, kept as u32);
+        }
+        // Checkpoints are cut after units that offered items; an empty
+        // one leaves a due budget (only ever a budget of 0) to the next.
+        while let Some(b) = next_budget.next_if(|&b| offered > 0 && stats.items_evaluated >= b) {
+            let reached = stats.items_evaluated as u64;
+            env.trace
+                .marker(env.root, MarkerKind::Checkpoint, b as u64, reached);
+            checkpoints.push(snapshot(b, &stats, &topk));
+        }
+        if let Some(reason) = policy.after(rank, cost, stats.items_evaluated) {
+            break reason;
+        }
+    };
+
+    let probed = stats.buckets_probed as u64;
+    let predicted = policy.controller.as_ref().map(|c| c.predicted());
+    match reason {
+        StopReason::EarlyStop => env.trace.marker(env.root, MarkerKind::EarlyStop, probed, 0),
+        StopReason::RecallTarget => {
+            // Markers are integer-payload: the prediction in thousandths.
+            let milli = (predicted.unwrap_or(0.0) as f64 * 1000.0) as u64;
+            env.trace
+                .marker(env.root, MarkerKind::RecallStop, probed, milli);
+        }
+        _ => {}
+    }
+    if env.metrics.is_enabled() {
+        let labels = [("reason", reason.as_str()), ("strategy", env.strategy)];
+        env.metrics.incr(&metric_name("gqr_stop_total", &labels));
+    }
+    // Budgets the source couldn't fill.
+    checkpoints.extend(next_budget.map(|b| snapshot(b, &stats, &topk)));
+    let neighbors = ctx.time(Phase::Rerank, || topk.into_sorted());
+    if units_skipped > 0 {
+        env.metrics
+            .add("gqr_filter_buckets_skipped_total", units_skipped);
+        env.trace
+            .marker(env.root, MarkerKind::FilterSkip, units_skipped, 0);
+    }
+    #[cfg(debug_assertions)]
+    stats.checked_invariants();
+    let mut response = SearchResponse::from_ranked(neighbors, stats);
+    response.checkpoints = checkpoints;
+    response.stop_reason = reason;
+    response.predicted_recall = predicted;
+    response
+}

@@ -32,12 +32,16 @@
 //!
 //! [`SearchParams::recall_target`]: crate::engine::SearchParams::recall_target
 
-use crate::code::{typed_encoding, CodeWord};
-use crate::engine::{ProbeStrategy, QueryEngine};
-use crate::probe::{GenerateHammingRanking, GenerateQdRanking, HammingRanking, Prober, QdRanking};
+use crate::code::CodeWord;
+use crate::engine::{ProbeStrategy, QueryEngine, SearchParams};
+use crate::metrics::MetricsRegistry;
+use crate::probe_loop::{BucketSource, MihSource, ProbeCtx, StopPolicy, TableSource};
+use crate::request::SearchRequest;
+use crate::stats::ProbeStats;
 use gqr_l2h::HashModel;
 use gqr_linalg::wire::{ByteReader, ByteWriter, WireError};
 use std::collections::HashSet;
+use std::time::Instant;
 
 /// A recall SLA: stop probing when predicted recall@k clears
 /// `target + margin`.
@@ -382,28 +386,13 @@ impl RecallController<'_> {
     /// (`< 0` when unavailable), and the total items evaluated so far.
     /// Returns `true` when the engine should stop probing.
     pub fn observe(&mut self, rank: u64, cost: f64, items_evaluated: usize) -> bool {
-        let cost_norm = self.normalize(cost);
+        let cost_norm = normalize_cost(self.family, cost, &mut self.qd0, self.m as f32);
         let idx = bin_index(rank, items_evaluated, self.k, cost_norm);
         let estimate = self.values[idx].clamp(0.0, 1.0);
         if estimate > self.best {
             self.best = estimate;
         }
         items_evaluated >= self.k && self.should_stop()
-    }
-
-    fn normalize(&mut self, cost: f64) -> Option<f32> {
-        if cost < 0.0 {
-            return None;
-        }
-        match self.family {
-            CostFamily::Qd => {
-                if self.qd0.is_none() && cost > 1e-12 {
-                    self.qd0 = Some(cost);
-                }
-                Some(self.qd0.map_or(0.0, |q0| (cost / q0) as f32))
-            }
-            CostFamily::Hamming => Some(HAMMING_COST_SCALE * cost as f32 / self.m as f32),
-        }
     }
 
     fn should_stop(&self) -> bool {
@@ -540,6 +529,10 @@ impl Calibrator {
         );
         self.m = Some(m);
         let slot = StrategySlot::of(strategy);
+        // Replays are neither timed nor traced.
+        let metrics = MetricsRegistry::disabled();
+        let env = SearchRequest::new(&[]).open(&metrics, "calibrate");
+        let mut ctx = ProbeCtx::new(&env);
         for (query, gt) in queries.chunks_exact(dim).zip(ground_truth) {
             let gt: HashSet<u32> = gt.iter().copied().collect();
             if gt.is_empty() {
@@ -547,96 +540,58 @@ impl Calibrator {
             }
             match strategy {
                 ProbeStrategy::MultiIndexHashing { .. } => {
-                    self.replay_mih(engine, slot, query, &gt)
+                    let (mih, cap) = (engine.mih_index(), Some(self.bucket_cap));
+                    let mut source = MihSource::new(engine.model(), mih, cap, query, &mut ctx);
+                    self.replay(&mut source, slot, &gt, &mut ctx)
                 }
-                _ => self.replay_buckets(engine, strategy, slot, query, &gt),
+                _ => {
+                    let (model, table) = (engine.model(), engine.table());
+                    let mut source = TableSource::new(model, table, strategy, query, &mut ctx);
+                    self.replay(&mut source, slot, &gt, &mut ctx)
+                }
             }
         }
     }
 
-    fn replay_buckets<M: HashModel + ?Sized, C: CodeWord>(
+    /// Walk `source` exactly as the query loop would — same units, ranks
+    /// and costs — recording recall-so-far per trajectory state instead of
+    /// evaluating distances.
+    fn replay<S: BucketSource>(
         &mut self,
-        engine: &QueryEngine<'_, M, C>,
-        strategy: ProbeStrategy,
+        source: &mut S,
         slot: StrategySlot,
-        query: &[f32],
         gt: &HashSet<u32>,
+        ctx: &mut ProbeCtx<'_>,
     ) {
-        let table = engine.table();
-        let qe = typed_encoding::<C>(engine.model().encode_query_wide(query));
-        let mut prober: Box<dyn Prober<C>> = match strategy {
-            ProbeStrategy::HammingRanking => Box::new(HammingRanking::new(table)),
-            ProbeStrategy::GenerateHammingRanking => {
-                Box::new(GenerateHammingRanking::new(table.code_length()))
-            }
-            ProbeStrategy::QdRanking => Box::new(QdRanking::new(table)),
-            ProbeStrategy::GenerateQdRanking => {
-                Box::new(GenerateQdRanking::new(table.code_length()))
-            }
-            ProbeStrategy::MultiIndexHashing { .. } => unreachable!("handled by replay_mih"),
-        };
-        prober.reset(&qe);
-        let n_items = table.n_items();
+        // Replay the FULL trajectory, even long after this query reached
+        // recall 1.0: only exhaustion and the bucket cap stop it. Breaking
+        // early would mean deep-rank bins only ever see the hard,
+        // still-incomplete queries — a selection bias that drags the
+        // conservative quantile down and keeps the controller probing to
+        // the cap. Calibration is offline; a step is one hash lookup.
+        let policy = StopPolicy::new(
+            &SearchParams {
+                n_candidates: usize::MAX,
+                max_buckets: Some(self.bucket_cap),
+                ..SearchParams::default()
+            },
+            Instant::now(),
+        );
         let denom = gt.len() as f32;
-        let family = slot.family();
         let m = self.m.expect("set by observe") as f32;
         let mut qd0: Option<f64> = None;
-        let (mut rank, mut evaluated, mut hits) = (0u64, 0usize, 0usize);
-        // Replay the FULL trajectory, even long after this query reached
-        // recall 1.0. Breaking early would mean deep-rank bins only ever
-        // see the hard, still-incomplete queries — a selection bias that
-        // drags the conservative quantile down and keeps the controller
-        // probing to the cap. Calibration is offline; a step is one hash
-        // lookup.
-        while evaluated < n_items && (rank as usize) < self.bucket_cap {
-            let cost = prober.peek_cost().unwrap_or(-1.0);
-            let Some(code) = prober.next_bucket() else {
+        let (mut stats, mut hits) = (ProbeStats::default(), 0usize);
+        while policy.before(&stats, None, source).is_none() {
+            let Some(unit) = source.next(ctx, &mut stats) else {
                 break;
             };
-            let step_rank = rank;
-            rank += 1;
-            let items = table.bucket(code);
-            evaluated += items.len();
-            hits += items.iter().filter(|id| gt.contains(id)).count();
+            // Unfiltered, everything collected would be evaluated.
+            stats.items_evaluated = stats.items_collected;
+            hits += unit.items.iter().filter(|id| gt.contains(id)).count();
             let recall = (hits as f32 / denom).clamp(0.0, 1.0);
-            let cost_norm = normalize_cost(family, cost, &mut qd0, m);
-            self.samples[slot as usize][bin_index(step_rank, evaluated, self.k, cost_norm)]
-                .push(recall);
-        }
-    }
-
-    fn replay_mih<M: HashModel + ?Sized, C: CodeWord>(
-        &mut self,
-        engine: &QueryEngine<'_, M, C>,
-        slot: StrategySlot,
-        query: &[f32],
-        gt: &HashSet<u32>,
-    ) {
-        let mih = engine
-            .mih_index()
-            .expect("calibrating MIH needs an engine with an MIH index attached");
-        let code = C::from_blocks(engine.model().encode_wide(query).blocks());
-        let mut searcher = mih.search(code);
-        searcher.set_lookup_cap(self.bucket_cap);
-        let denom = gt.len() as f32;
-        let m = self.m.expect("set by observe") as f32;
-        let mut batch = Vec::new();
-        let (mut evaluated, mut hits) = (0usize, 0usize);
-        // Full replay, same rationale as `replay_buckets`: breaking once
-        // this query saturates would bias deep-lookup bins toward hard
-        // queries only.
-        loop {
-            batch.clear();
-            let Some(dist) = searcher.next_batch(&mut batch) else {
-                break;
-            };
-            evaluated += batch.len();
-            hits += batch.iter().filter(|id| gt.contains(id)).count();
-            let recall = (hits as f32 / denom).clamp(0.0, 1.0);
-            let cost_norm = Some(HAMMING_COST_SCALE * dist as f32 / m);
-            self.samples[slot as usize]
-                [bin_index(searcher.lookups() as u64, evaluated, self.k, cost_norm)]
-            .push(recall);
+            let cost_norm = normalize_cost(slot.family(), unit.cost, &mut qd0, m);
+            let state = bin_index(unit.rank, stats.items_evaluated, self.k, cost_norm);
+            self.samples[slot as usize][state].push(recall);
         }
     }
 
@@ -768,6 +723,36 @@ mod tests {
             cal.observe(&engine, s, &queries, &gt);
         }
         cal.finalize()
+    }
+
+    /// FNV-1a over the table's f32 bit patterns.
+    fn table_digest(model: &RecallModel, strategy: ProbeStrategy) -> u64 {
+        let table = model.raw_table(strategy).expect("calibrated");
+        table.iter().fold(0xcbf2_9ce4_8422_2325, |h, v| {
+            (h ^ v.to_bits() as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn calibration_tables_match_the_pre_refactor_golden() {
+        // The calibrator walks the same sources as the query loop; these
+        // digests were captured from the dedicated replay loops it used to
+        // carry, so any drift in units, ranks or costs shows up here.
+        let golden = [
+            (ProbeStrategy::HammingRanking, 0x144f_8cb4_49fe_556e),
+            (ProbeStrategy::GenerateHammingRanking, 0x197a_cb86_757e_6ba6),
+            (ProbeStrategy::QdRanking, 0xc448_991d_b859_6d7d),
+            (ProbeStrategy::GenerateQdRanking, 0x89a8_2b55_c644_5efa),
+            (
+                ProbeStrategy::MultiIndexHashing { blocks: 2 },
+                0x21d2_eea6_cc9c_edb1,
+            ),
+        ];
+        let model = calibrated_model(&golden.map(|(strategy, _)| strategy));
+        for (strategy, digest) in golden {
+            let got = table_digest(&model, strategy);
+            assert_eq!(got, digest, "{}: {got:#018x}", strategy.name());
+        }
     }
 
     #[test]

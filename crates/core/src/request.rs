@@ -10,7 +10,7 @@
 //! [`ShardedIndex::run`](crate::shard::ShardedIndex::run), and
 //! [`MutableIndex::run`](crate::live::MutableIndex::run) — accepts the same
 //! type, and the [`Index`](crate::index::Index) trait abstracts over them.
-//! This request/[`SearchResponse`](crate::response::SearchResponse) pair is
+//! This request/[`SearchResponse`] pair is
 //! the *only* query entry point; the legacy per-feature wrappers are gone.
 //!
 //! ```
@@ -36,9 +36,11 @@
 //! assert!(result.ids.iter().all(|&id| id % 2 == 0));
 //! ```
 
-use crate::attrs::Predicate;
+use crate::attrs::{AttributeStore, Bitmap, FilterPlan, Predicate};
 use crate::engine::SearchParams;
-use gqr_metrics::{SpanId, TraceContext};
+use crate::executor::Executor;
+use crate::response::SearchResponse;
+use gqr_metrics::{metric_name, MarkerKind, MetricsRegistry, SpanId, TraceContext};
 use std::time::Instant;
 
 /// The id filter a request may carry: `true` keeps the item.
@@ -51,12 +53,15 @@ pub type SearchFilter<'a> = Box<dyn FnMut(u32) -> bool + 'a>;
 /// borrow parameter ties the request to the query slice, the checkpoint
 /// budgets, and anything the filter captures.
 pub struct SearchRequest<'a> {
-    query: &'a [f32],
-    params: SearchParams,
-    budgets: &'a [usize],
-    filter: Option<SearchFilter<'a>>,
-    predicate: Option<Predicate>,
+    pub(crate) query: &'a [f32],
+    pub(crate) params: SearchParams,
+    pub(crate) budgets: &'a [usize],
+    pub(crate) filter: Option<SearchFilter<'a>>,
+    /// The structured predicate (owned — it crossed the wire).
+    pub(crate) predicate: Option<Predicate>,
+    /// The request's explicit trace opt-in.
     trace: bool,
+    /// An already-open trace to emit under instead of starting one.
     trace_parent: Option<(TraceContext, SpanId)>,
 }
 
@@ -104,7 +109,7 @@ impl<'a> SearchRequest<'a> {
     /// estimates its selectivity from the store's posting lists and picks
     /// pre-filtering, post-filtering, or brute force over the survivor set.
     /// Requires the execution surface to hold an
-    /// [`AttributeStore`](crate::attrs::AttributeStore); validate with
+    /// [`AttributeStore`]; validate with
     /// [`AttributeStore::validate`](crate::attrs::AttributeStore::validate)
     /// first. A closure filter may be set alongside — both must accept.
     pub fn predicate(mut self, predicate: Predicate) -> Self {
@@ -182,34 +187,204 @@ impl<'a> SearchRequest<'a> {
         self.params.deadline
     }
 
-    /// Decompose into named [`RequestParts`] for an execution surface.
-    pub(crate) fn into_parts(self) -> RequestParts<'a> {
-        RequestParts {
-            query: self.query,
-            params: self.params,
-            budgets: self.budgets,
-            filter: self.filter,
-            predicate: self.predicate,
-            trace: self.trace,
-            trace_parent: self.trace_parent,
+    /// Open the envelope every execution surface wraps a request in: fold
+    /// the deadline into `params.time_limit` (whichever is tighter wins)
+    /// and settle who owns the trace. A composite surface (sharded fan-out,
+    /// live segments) hands its parts a lane in an already-open trace;
+    /// otherwise this surface owns the trace — begun here as `surface`
+    /// (sampled 1-in-N, forced for explicit `.trace()` opt-ins and for
+    /// requests already past their deadline) and sealed by
+    /// [`Envelope::close`].
+    pub(crate) fn open<'m>(
+        &mut self,
+        metrics: &'m MetricsRegistry,
+        surface: &'static str,
+    ) -> Envelope<'m> {
+        let deadline = self.params.deadline;
+        let admitted_late = deadline.is_some_and(|d| Instant::now() > d);
+        if let Some(d) = deadline {
+            let remaining = d.saturating_duration_since(Instant::now());
+            let limit = self.params.time_limit;
+            self.params.time_limit = Some(limit.map_or(remaining, |tl| tl.min(remaining)));
         }
+        let (trace, root, owned) = match self.trace_parent.take() {
+            Some((ctx, parent)) => (ctx, parent, false),
+            None => {
+                let ctx = metrics.trace_begin(surface, self.trace || admitted_late);
+                (ctx, SpanId::ROOT, true)
+            }
+        };
+        Envelope {
+            metrics,
+            strategy: self.params.strategy.name(),
+            trace,
+            root,
+            owned,
+            deadline,
+        }
+    }
+
+    /// [`SearchRequest::open`] for a surface that merges per-part answers.
+    /// Checkpoints are rejected there: per-part snapshots cannot be merged
+    /// into a global running top-k without the distances a snapshot
+    /// discards.
+    pub(crate) fn open_merged<'m>(
+        &mut self,
+        metrics: &'m MetricsRegistry,
+        surface: &'static str,
+    ) -> Envelope<'m> {
+        assert!(
+            self.budgets.is_empty(),
+            "checkpoints are not supported on the {surface} path"
+        );
+        self.open(metrics, surface)
     }
 }
 
-/// The decomposed fields of a [`SearchRequest`], named instead of a
-/// positional tuple so execution surfaces can take what they need (and new
-/// fields don't ripple through every destructuring site).
-pub(crate) struct RequestParts<'a> {
-    pub query: &'a [f32],
-    pub params: SearchParams,
-    pub budgets: &'a [usize],
-    pub filter: Option<SearchFilter<'a>>,
-    /// The structured predicate (owned — it crossed the wire).
-    pub predicate: Option<Predicate>,
-    /// The request's explicit trace opt-in.
-    pub trace: bool,
-    /// An already-open trace to emit under instead of starting one.
-    pub trace_parent: Option<(TraceContext, SpanId)>,
+/// The open trace and deadline of one request on one execution surface.
+pub(crate) struct Envelope<'m> {
+    pub metrics: &'m MetricsRegistry,
+    /// The request's strategy name: the `strategy` label of its counters.
+    pub strategy: &'static str,
+    /// The trace this surface emits into.
+    pub trace: TraceContext,
+    /// The span this surface's spans and markers hang under.
+    pub root: SpanId,
+    owned: bool,
+    deadline: Option<Instant>,
+}
+
+impl Envelope<'_> {
+    /// Count a late finish under
+    /// `gqr_request_deadline_missed_total{strategy}` (with a `DeadlineMiss`
+    /// marker carrying the overrun in nanoseconds), seal the trace when
+    /// this surface owns it, and return the trace id for the response.
+    pub(crate) fn close(self) -> Option<u64> {
+        let now = Instant::now();
+        let missed = self.deadline.filter(|&d| now > d);
+        if let Some(d) = missed {
+            let labels = [("strategy", self.strategy)];
+            let name = metric_name("gqr_request_deadline_missed_total", &labels);
+            self.metrics.incr(&name);
+            let over_ns = u64::try_from((now - d).as_nanos()).unwrap_or(u64::MAX);
+            self.trace
+                .marker(self.root, MarkerKind::DeadlineMiss, over_ns, 0);
+        }
+        let trace_id = self.trace.id();
+        if self.owned {
+            self.metrics.trace_finish(self.trace, missed.is_some());
+        }
+        trace_id
+    }
+
+    /// Plan the request's predicate (if any) against `store`, record the
+    /// decision under its three observables — `gqr_filter_plans_total{plan}`,
+    /// `gqr_filter_selectivity_ppm` and a `FilterPlan` trace marker — and
+    /// fold it with the caller's closure filter into one gate: both must
+    /// accept. The store's posting lists give an exact survivor set (and
+    /// exact selectivity) when every leaf is indexed, an estimate
+    /// otherwise; an exact set gates with a bitmap test per candidate,
+    /// anything else evaluates the predicate per candidate.
+    ///
+    /// `brute_budget` is what a brute-force arm may spend. When the exact
+    /// survivor set fits, it is returned beside the caller's filter instead
+    /// of being folded in. Surfaces with no brute arm of their own (each
+    /// part probes its own table) pass 0 and always get a gate.
+    pub(crate) fn plan_filter<'a>(
+        &self,
+        store: Option<&'a AttributeStore>,
+        predicate: Option<&'a Predicate>,
+        mut user: Option<SearchFilter<'a>>,
+        brute_budget: usize,
+    ) -> (Option<Bitmap>, Option<SearchFilter<'a>>) {
+        let Some(pred) = predicate else {
+            return (None, user);
+        };
+        let store = store.expect(
+            "request carries a predicate but the index has no attribute store \
+             (attach one at build time, and validate() the predicate first)",
+        );
+        let choice = store.plan(pred, brute_budget);
+        let labels = [("plan", choice.plan.name())];
+        self.metrics
+            .incr(&metric_name("gqr_filter_plans_total", &labels));
+        let ppm = (choice.selectivity * 1e6) as u64;
+        self.metrics.record("gqr_filter_selectivity_ppm", ppm);
+        self.trace
+            .marker(self.root, MarkerKind::FilterPlan, choice.plan.tag(), ppm);
+        let survivors = match choice.plan {
+            FilterPlan::BruteForce { survivors } if brute_budget > 0 => {
+                return (Some(survivors), user);
+            }
+            FilterPlan::BruteForce { survivors } | FilterPlan::PreFilter { survivors } => {
+                Some(survivors)
+            }
+            FilterPlan::PostFilter => None,
+        };
+        let mut user = move |id| user.as_deref_mut().is_none_or(|f| f(id));
+        let gate: SearchFilter<'a> = match survivors {
+            Some(survivors) => Box::new(move |id| survivors.contains(id) && user(id)),
+            None => Box::new(move |id| store.matches(pred, id) && user(id)),
+        };
+        (None, Some(gate))
+    }
+
+    /// Fan the request out over `n` parts (shards), serially on the calling
+    /// thread: `part(i, lane, span)` answers part `i`, emitting its trace
+    /// under `span` in `lane`. Each part gets its own display track so the
+    /// Chrome export lays the fan-out side by side.
+    pub(crate) fn fan_out(
+        &self,
+        n: usize,
+        mut part: impl FnMut(usize, TraceContext, SpanId) -> SearchResponse,
+    ) -> Vec<SearchResponse> {
+        let fanout = self.trace.begin_arg(self.root, "fanout", n as u64);
+        let results = (0..n).map(|i| {
+            let lane = self.trace.clone().with_track(i as u32 + 1);
+            let span = lane.begin_arg(fanout, "shard", i as u64);
+            let res = part(i, lane.clone(), span);
+            lane.end(span);
+            res
+        });
+        let results = results.collect();
+        self.trace.end(fanout);
+        results
+    }
+
+    /// [`Envelope::fan_out`] as one job per part on `exec`, blocking until
+    /// all complete.
+    pub(crate) fn fan_out_on(
+        &self,
+        exec: &Executor,
+        n: usize,
+        part: impl Fn(usize, TraceContext, SpanId) -> SearchResponse + Sync,
+    ) -> Vec<SearchResponse> {
+        let fanout = self.trace.begin_arg(self.root, "fanout", n as u64);
+        let mut slots: Vec<Option<SearchResponse>> = (0..n).map(|_| None).collect();
+        let part = &part;
+        exec.run_scoped(slots.iter_mut().enumerate().map(|(i, slot)| {
+            // `enq` is captured as the job is handed to the executor, so the
+            // `queue_wait` span covers the time the job sat in the bounded
+            // queue before a worker picked it up.
+            let lane = self.trace.clone().with_track(i as u32 + 1);
+            let enq = Instant::now();
+            Box::new(move || {
+                let span = lane.begin_arg_at(fanout, "shard", i as u64, enq);
+                let wait = lane.begin_at(span, "queue_wait", enq);
+                lane.end(wait);
+                // 1-based worker id; 0 means the job ran off-pool.
+                let worker = Executor::current_worker_index().map_or(0, |w| w as u64 + 1);
+                let run_span = lane.begin_arg(span, "run", worker);
+                *slot = Some(part(i, lane.clone(), run_span));
+                lane.end(run_span);
+                lane.end(span);
+            }) as Box<dyn FnOnce() + Send + '_>
+        }));
+        self.trace.end(fanout);
+        let done = slots.into_iter();
+        done.map(|r| r.expect("run_scoped completed every part"))
+            .collect()
+    }
 }
 
 impl std::fmt::Debug for SearchRequest<'_> {

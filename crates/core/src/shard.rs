@@ -4,7 +4,7 @@
 //! builds one [`HashTable`] (and optionally one MIH side index) per shard,
 //! and answers a query by searching every shard and merging the per-shard
 //! top-k into a global top-k. Because each shard retains its *full* local
-//! top-k and [`TopK`]'s `(distance, id)` ordering is deterministic, the
+//! top-k and [`TopK`](crate::topk::TopK)'s `(distance, id)` ordering is deterministic, the
 //! merged result is **bit-identical** to running the single unsharded engine
 //! over the same data — sharding changes the execution plan, never the
 //! answer (see `tests/sharded_equivalence.rs`).
@@ -16,17 +16,15 @@
 //! family (phase spans labelled `{shard, strategy}`) and the merge through
 //! `gqr_sharded_*`.
 
-use crate::attrs::{AttributeStore, FilterPlan};
+use crate::attrs::AttributeStore;
 use crate::engine::{QueryEngine, SearchParams, SearchResponse};
 use crate::executor::Executor;
-use crate::metrics::{metric_name, MarkerKind, MetricsRegistry, SpanId, TraceContext};
+use crate::metrics::MetricsRegistry;
 use crate::persist::{LoadedIndex, PersistError, SnapshotWriter};
 use crate::probe::mih::MihIndex;
 use crate::recall::RecallModel;
-use crate::request::SearchRequest;
-use crate::stats::ProbeStats;
+use crate::request::{Envelope, SearchRequest};
 use crate::table::HashTable;
-use crate::topk::TopK;
 use gqr_l2h::HashModel;
 use gqr_linalg::vecops::Metric;
 use std::time::Instant;
@@ -373,6 +371,11 @@ impl<'a, M: HashModel + ?Sized> ShardedIndex<'a, M> {
         self.shards.iter().map(|s| s.table.n_items()).sum()
     }
 
+    /// Vector dimensionality.
+    pub fn dim(&self) -> usize {
+        self.dim
+    }
+
     /// The attached metrics registry.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
@@ -405,94 +408,27 @@ impl<'a, M: HashModel + ?Sized> ShardedIndex<'a, M> {
     /// [deadline](SearchParams::deadline) is folded into the per-shard soft
     /// time limit and a late finish bumps
     /// `gqr_request_deadline_missed_total`.
-    pub fn run(&self, req: SearchRequest<'_>) -> SearchResponse {
-        let parts = req.into_parts();
-        let (query, mut params) = (parts.query, parts.params);
-        let deadline = params.deadline;
-        let filter = parts.filter;
-        assert!(
-            parts.budgets.is_empty(),
-            "checkpoints are not supported on the sharded path"
-        );
-        let admitted_late = deadline.is_some_and(|d| Instant::now() > d);
-        let (trace, troot, owned_trace) = match parts.trace_parent {
-            Some((ctx, parent)) => (ctx, parent, false),
-            None => {
-                let ctx = self
-                    .metrics
-                    .trace_begin("sharded", parts.trace || admitted_late);
-                (ctx, SpanId::ROOT, true)
-            }
-        };
-        fold_deadline(&mut params, deadline);
+    pub fn run(&self, mut req: SearchRequest<'_>) -> SearchResponse {
+        let env = req.open_merged(&self.metrics, "sharded");
+        let (query, params) = (req.query, req.params);
         // A predicate is planned once here, over global ids, and becomes
-        // part of the composed filter every shard engine sees. The brute
-        // arm doesn't exist at this level (each shard probes its own
-        // table), so the planner runs with a zero brute budget: an exact
-        // survivor set acts as a pre-filter, anything else post-filters.
-        let predicate = parts.predicate;
-        let planned = predicate.as_ref().map(|pred| {
-            let store = self.attrs.expect(
-                "request carries a predicate but the sharded index has no attribute \
-                 store (attach one with with_attrs, and validate() the predicate first)",
-            );
-            let choice = store.plan(pred, 0);
-            self.metrics.incr(&metric_name(
-                "gqr_filter_plans_total",
-                &[("plan", choice.plan.name())],
-            ));
-            let ppm = (choice.selectivity * 1e6) as u64;
-            self.metrics.record("gqr_filter_selectivity_ppm", ppm);
-            trace.marker(troot, MarkerKind::FilterPlan, choice.plan.tag(), ppm);
-            (store, choice.plan)
-        });
-        let mut keep: Option<Box<dyn FnMut(u32) -> bool + '_>> = match planned {
-            Some((store, plan)) => {
-                let pred = predicate.as_ref().expect("planned implies predicate");
-                let mut user = filter;
-                Some(match plan {
-                    FilterPlan::BruteForce { survivors } | FilterPlan::PreFilter { survivors } => {
-                        Box::new(move |id: u32| {
-                            survivors.contains(id) && user.as_deref_mut().is_none_or(|f| f(id))
-                        })
-                    }
-                    FilterPlan::PostFilter => Box::new(move |id: u32| {
-                        store.matches(pred, id) && user.as_deref_mut().is_none_or(|f| f(id))
-                    }),
-                })
-            }
-            None => filter,
-        };
+        // part of the composed filter every shard engine sees.
+        let predicate = req.predicate;
+        let (_, mut keep) = env.plan_filter(self.attrs, predicate.as_ref(), req.filter, 0);
         let start = Instant::now();
-        let fanout = trace.begin_arg(troot, "fanout", self.shards.len() as u64);
-        let mut shard_results = Vec::with_capacity(self.shards.len());
-        for i in 0..self.shards.len() {
+        let shard_results = env.fan_out(self.shards.len(), |i, lane, span| {
             let offset = self.shards[i].offset;
-            // Each shard gets its own display track so the Chrome export
-            // lays the fan-out shards side by side.
-            let lane = trace.clone().with_track(i as u32 + 1);
-            let shard_span = lane.begin_arg(fanout, "shard", i as u64);
             let mut shard_req = SearchRequest::new(query)
                 .params(params)
-                .with_trace_parent(lane.clone(), shard_span);
+                .with_trace_parent(lane, span);
             if let Some(f) = keep.as_deref_mut() {
                 // Shard engines see local ids; the caller's filter speaks
                 // global ids.
                 shard_req = shard_req.filter(move |local: u32| f(local + offset));
             }
-            shard_results.push(self.shard_engine(i).run(shard_req));
-            lane.end(shard_span);
-        }
-        trace.end(fanout);
-        self.finish(
-            &params,
-            deadline,
-            start,
-            shard_results,
-            trace,
-            troot,
-            owned_trace,
-        )
+            self.shard_engine(i).run(shard_req)
+        });
+        self.finish(&params, start, shard_results, env)
     }
 
     /// Execute one request, fanning the shards out as one job each on
@@ -503,71 +439,19 @@ impl<'a, M: HashModel + ?Sized> ShardedIndex<'a, M> {
     /// Filtered requests (closure or predicate) fall back to the serial
     /// path: a `FnMut` filter cannot be shared across
     /// concurrently-searching shards.
-    pub fn run_on(&self, exec: &Executor, req: SearchRequest<'_>) -> SearchResponse {
+    pub fn run_on(&self, exec: &Executor, mut req: SearchRequest<'_>) -> SearchResponse {
         if req.has_filter() || req.has_predicate() {
             return self.run(req);
         }
-        let parts = req.into_parts();
-        let (query, mut params) = (parts.query, parts.params);
-        let deadline = params.deadline;
-        assert!(
-            parts.budgets.is_empty(),
-            "checkpoints are not supported on the sharded path"
-        );
-        let admitted_late = deadline.is_some_and(|d| Instant::now() > d);
-        let (trace, troot, owned_trace) = match parts.trace_parent {
-            Some((ctx, parent)) => (ctx, parent, false),
-            None => {
-                let ctx = self
-                    .metrics
-                    .trace_begin("sharded", parts.trace || admitted_late);
-                (ctx, SpanId::ROOT, true)
-            }
-        };
-        fold_deadline(&mut params, deadline);
+        let env = req.open_merged(&self.metrics, "sharded");
+        let (query, params) = (req.query, req.params);
         let start = Instant::now();
-        let fanout = trace.begin_arg(troot, "fanout", self.shards.len() as u64);
-        let mut slots: Vec<Option<SearchResponse>> = (0..self.shards.len()).map(|_| None).collect();
-        let trace_ref = &trace;
-        exec.run_scoped(slots.iter_mut().enumerate().map(|(i, slot)| {
-            // One display track per shard; `enq` is captured as the job is
-            // handed to the executor, so the `queue_wait` span covers the
-            // time the job sat in the bounded queue before a worker picked
-            // it up.
-            let lane = trace_ref.clone().with_track(i as u32 + 1);
-            let enq = Instant::now();
-            Box::new(move || {
-                let shard_span = lane.begin_arg_at(fanout, "shard", i as u64, enq);
-                let wait = lane.begin_at(shard_span, "queue_wait", enq);
-                lane.end(wait);
-                // 1-based worker id; 0 means the job ran off-pool.
-                let worker = Executor::current_worker_index().map_or(0, |w| w as u64 + 1);
-                let run_span = lane.begin_arg(shard_span, "run", worker);
-                *slot = Some(
-                    self.shard_engine(i).run(
-                        SearchRequest::new(query)
-                            .params(params)
-                            .with_trace_parent(lane.clone(), run_span),
-                    ),
-                );
-                lane.end(run_span);
-                lane.end(shard_span);
-            }) as Box<dyn FnOnce() + Send + '_>
-        }));
-        let shard_results = slots
-            .into_iter()
-            .map(|r| r.expect("run_scoped completed every shard"))
-            .collect();
-        trace.end(fanout);
-        self.finish(
-            &params,
-            deadline,
-            start,
-            shard_results,
-            trace,
-            troot,
-            owned_trace,
-        )
+        let shard_results = env.fan_out_on(exec, self.shards.len(), |i, lane, span| {
+            let shard_req = SearchRequest::new(query).params(params);
+            let shard_req = shard_req.with_trace_parent(lane, span);
+            self.shard_engine(i).run(shard_req)
+        });
+        self.finish(&params, start, shard_results, env)
     }
 
     /// k-NN search across all shards, serially (thin wrapper over
@@ -576,44 +460,21 @@ impl<'a, M: HashModel + ?Sized> ShardedIndex<'a, M> {
         self.run(SearchRequest::new(query).params(*params))
     }
 
-    /// Merge per-shard results into the global result and flush the
-    /// sharded-level metrics (and the trace, when this surface owns it).
-    #[allow(clippy::too_many_arguments)]
+    /// Merge per-shard results into the global result, flush the
+    /// sharded-level metrics and close the request envelope.
     fn finish(
         &self,
         params: &SearchParams,
-        deadline: Option<Instant>,
         start: Instant,
         shard_results: Vec<SearchResponse>,
-        trace: TraceContext,
-        troot: SpanId,
-        owned_trace: bool,
+        env: Envelope,
     ) -> SearchResponse {
         let merge_start = Instant::now();
-        let merge_span = trace.begin_at(troot, "merge", merge_start);
-        let mut topk = TopK::new(params.k);
-        let mut stats = ProbeStats::default();
-        // Shard-row-weighted average of per-shard recall predictions: each
-        // shard's controller only sees its own partition, so its estimate
-        // speaks for `rows / total` of the id space. `None` unless every
-        // shard produced a prediction (a partially-calibrated fan-out would
-        // otherwise over-claim).
-        let mut predicted = Some(0.0f64);
-        let total_rows: usize = self.shards.iter().map(|s| s.table.n_items()).sum();
-        for (shard, res) in self.shards.iter().zip(shard_results) {
-            stats.merge(&res.stats);
-            predicted = match (predicted, res.predicted_recall) {
-                (Some(acc), Some(p)) if total_rows > 0 => {
-                    Some(acc + p as f64 * shard.table.n_items() as f64 / total_rows as f64)
-                }
-                _ => None,
-            };
-            for (local, dist) in res.neighbors() {
-                topk.push(dist, local + shard.offset);
-            }
-        }
-        let neighbors = topk.into_sorted();
-        trace.end(merge_span);
+        let merge_span = env.trace.begin_at(env.root, "merge", merge_start);
+        let parts = self.shards.iter().zip(shard_results);
+        let parts = parts.map(|(shard, res)| (res, shard.offset, shard.table.n_items()));
+        let mut out = SearchResponse::merged(params.k, parts);
+        env.trace.end(merge_span);
         if self.metrics.is_enabled() {
             self.metrics
                 .record_duration("gqr_sharded_merge_ns", merge_start.elapsed());
@@ -621,26 +482,7 @@ impl<'a, M: HashModel + ?Sized> ShardedIndex<'a, M> {
                 .record_duration("gqr_sharded_total_ns", start.elapsed());
             self.metrics.incr("gqr_sharded_queries_total");
         }
-        let missed = deadline.is_some_and(|d| Instant::now() > d);
-        if missed {
-            self.metrics.incr(&metric_name(
-                "gqr_request_deadline_missed_total",
-                &[("strategy", params.strategy.name())],
-            ));
-            if trace.is_sampled() {
-                let over_ns = deadline
-                    .map(|d| Instant::now().saturating_duration_since(d).as_nanos() as u64)
-                    .unwrap_or(0);
-                trace.marker(troot, MarkerKind::DeadlineMiss, over_ns, 0);
-            }
-        }
-        let trace_id = trace.id();
-        if owned_trace {
-            self.metrics.trace_finish(trace, missed);
-        }
-        let mut out = SearchResponse::from_ranked(neighbors, stats);
-        out.trace_id = trace_id;
-        out.predicted_recall = predicted.map(|p| p.clamp(0.0, 1.0) as f32);
+        out.trace_id = env.close();
         out
     }
 }
@@ -686,14 +528,6 @@ impl<M: HashModel + ?Sized> std::fmt::Debug for ShardedIndex<'_, M> {
             .field("n_items", &self.n_items())
             .field("dim", &self.dim)
             .finish()
-    }
-}
-
-/// Tighten `params.time_limit` to whatever remains until `deadline`.
-fn fold_deadline(params: &mut SearchParams, deadline: Option<Instant>) {
-    if let Some(d) = deadline {
-        let remaining = d.saturating_duration_since(Instant::now());
-        params.time_limit = Some(params.time_limit.map_or(remaining, |tl| tl.min(remaining)));
     }
 }
 

@@ -178,7 +178,11 @@ mod tests {
     use crate::curve::CurvePoint;
 
     fn tmp() -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("gqr_report_{}", std::process::id()));
+        // One directory per call: the tests run concurrently, and a shared
+        // one would be wiped under a sibling's feet.
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("gqr_report_{}_{n}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
     }

@@ -447,6 +447,16 @@ fn handle_search(
     params.client_id = Some(client);
 
     let index = shared.index;
+    // A query of the wrong length would trip the engine's dimensionality
+    // assert on a worker; it is the client's error, so say so here.
+    if decoded.query.len() != index.dim() {
+        let msg = format!(
+            "\"query\" has {} dimensions; this index serves {}",
+            decoded.query.len(),
+            index.dim()
+        );
+        return respond_error(shared, stream, 400, &msg, None, close);
+    }
     // Validate the filter against the served schema before admitting any
     // work: unknown columns, type mismatches, and filters against an index
     // with no attribute store are all client errors, not query failures.

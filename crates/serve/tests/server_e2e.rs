@@ -239,12 +239,17 @@ fn invalid_json_gets_a_typed_400() {
         (r#"{"query":[1,2],"k":0}"#, "positive integer"),
         (r#"{"query":[1,2]}"#, "missing required field"),
         (r#"{"query":[1,2],"k":1,"whatever":1}"#, "unknown field"),
+        (r#"{"query":[1,2,3],"k":1}"#, "has 3 dimensions"),
     ] {
         let (status, _, body) = post_search(addr, bad, None);
         assert_eq!(status, 400, "{bad} -> {body}");
         assert!(body.contains("\"error\""), "{body}");
         assert!(body.contains(needle), "expected {needle:?} in {body}");
     }
+    // None of them reached a worker, let alone panicked one.
+    let (_, _, metrics) = exchange(addr, b"GET /metrics HTTP/1.1\r\nconnection: close\r\n\r\n");
+    assert!(metrics.contains("gqr_http_responses_total{status=\"400\"} 5"));
+    assert!(!metrics.contains("gqr_http_responses_total{status=\"500\"}"));
     server.shutdown();
 }
 

@@ -10,6 +10,9 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Every suite in the workspace runs here once (snapshot, recall SLA,
+# filtered search, trace, ...); the steps below re-run a suite only where
+# they change its environment.
 echo "==> cargo test"
 cargo test --workspace -q
 
@@ -21,24 +24,8 @@ GQR_FORCE_SCALAR=1 cargo test -q -p gqr-core --test blocked_eval
 echo "==> cargo doc (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
-echo "==> snapshot corruption + round-trip suites"
-cargo test -q --test snapshot_corruption
-cargo test -q --test snapshot_roundtrip
-
-echo "==> recall SLA conformance suite"
-cargo test -q -p gqr-core --test recall_sla
-
-echo "==> filtered-search suites (planner equivalence, zero false negatives, metric names)"
-cargo test -q -p gqr-core --test predicate_equivalence
-cargo test -q -p gqr-core --test filtered_search
-cargo test -q -p gqr-core --test filter_metrics
-
 echo "==> mutation stress (bounded)"
 GQR_STRESS_ITERS=800 cargo test -q -p gqr-core --test live_stress
-
-echo "==> trace suites (span trees, early-return flushes, Chrome export)"
-cargo test -q -p gqr-core --test trace_paths
-cargo test -q --test trace
 
 echo "==> trace overhead bench (smoke, gated at 2%)"
 GQR_BENCH_SMOKE=1 cargo bench -q -p gqr-bench --bench trace_overhead
