@@ -11,9 +11,10 @@ use crate::code::CodeWord;
 use crate::metrics::{metric_name, MetricsRegistry, PhaseSpans};
 use crate::probe::mih::MihIndex;
 use crate::probe_loop::{
-    drive, Evaluator, MihSource, ProbeCtx, StopPolicy, StopReason, SurvivorSource, TableSource,
+    drive, Evaluator, FlatRows, MihSource, ProbeCtx, StopPolicy, StopReason, SurvivorSource,
+    TableSource,
 };
-use crate::recall::{RecallController, RecallModel, RecallTarget};
+use crate::recall::{RecallModel, RecallTarget};
 use crate::request::SearchRequest;
 pub use crate::response::{Checkpoint, SearchResponse};
 use crate::table::HashTable;
@@ -647,13 +648,14 @@ impl<'a, M: HashModel + ?Sized, C: CodeWord> QueryEngine<'a, M, C> {
         let tile_rows = scratch.capacity();
         let sink = Evaluator {
             query,
-            data: self.data,
-            dim: self.dim,
+            rows: FlatRows {
+                data: self.data,
+                dim: self.dim,
+            },
             metric: self.metric,
             filter: filter.as_deref_mut(),
             scratch,
         };
-        let mut policy = StopPolicy::new(&params, start);
         let mut result = if let Some(survivors) = &brute {
             // Survivors ascend; ids beyond the data buffer are not
             // addressable and end the sweep.
@@ -665,6 +667,7 @@ impl<'a, M: HashModel + ?Sized, C: CodeWord> QueryEngine<'a, M, C> {
                 tile,
                 tile_rows,
             };
+            let policy = StopPolicy::new(&params, start);
             let mut result = drive(&mut source, policy, sink, budgets, &mut ctx);
             // The survivor set is exact — recall over the filtered universe
             // is 1.0 by construction once it is fully evaluated. If a stop
@@ -675,9 +678,9 @@ impl<'a, M: HashModel + ?Sized, C: CodeWord> QueryEngine<'a, M, C> {
             });
             result
         } else {
-            policy.mu = self.early_stop_mu(&params);
-            policy.controller = self.recall_controller(&params);
-            let (model, cap) = (self.model, params.max_buckets);
+            let (model, cap, m) = (self.model, params.max_buckets, self.table.code_length());
+            let (metric, recall, metrics) = (self.metric, self.recall, &self.metrics);
+            let policy = StopPolicy::probing(&params, start, model, m, metric, recall, metrics);
             match params.strategy {
                 ProbeStrategy::MultiIndexHashing { .. } => {
                     let mut source = MihSource::new(model, self.mih_index(), cap, query, &mut ctx);
@@ -708,41 +711,6 @@ impl<'a, M: HashModel + ?Sized, C: CodeWord> QueryEngine<'a, M, C> {
     pub(crate) fn mih_index(&self) -> &MihIndex<C> {
         let mih = self.mih.as_deref();
         mih.expect("call enable_mih() before searching with MultiIndexHashing")
-    }
-
-    /// Early-stop constant µ = 1/(σ_max(H)·√m) of Theorem 2, when `params`
-    /// ask for the early stop and it applies (QD strategy, Euclidean
-    /// evaluation, linear model).
-    fn early_stop_mu(&self, params: &SearchParams) -> Option<f64> {
-        let qd_strategy = matches!(
-            params.strategy,
-            ProbeStrategy::QdRanking | ProbeStrategy::GenerateQdRanking
-        );
-        if !(params.early_stop && qd_strategy && self.metric == Metric::SquaredEuclidean) {
-            return None;
-        }
-        let m = self.table.code_length() as f64;
-        self.model
-            .spectral_norm()
-            .map(|norm| 1.0 / (norm * m.sqrt()))
-    }
-
-    /// Per-query recall controller for `params`, when a target is set and
-    /// the attached model covers the strategy. A target without usable
-    /// calibration degrades to the budget stops (counted per strategy under
-    /// `gqr_recall_uncalibrated_total`) rather than failing the query.
-    fn recall_controller(&self, params: &SearchParams) -> Option<RecallController<'a>> {
-        let target = params.recall_target?;
-        let controller = self
-            .recall
-            .and_then(|m| m.controller(params.strategy, target, params.k));
-        if controller.is_none() {
-            self.metrics.incr(&metric_name(
-                "gqr_recall_uncalibrated_total",
-                &[("strategy", params.strategy.name())],
-            ));
-        }
-        controller
     }
 }
 

@@ -15,11 +15,11 @@
 //! * [`IndexWriter`] routes [`insert`](IndexWriter::insert) /
 //!   [`delete`](IndexWriter::delete) / [`upsert`](IndexWriter::upsert)
 //!   into an append-only **delta segment** (hashed through the same
-//!   [`HashModel`], searched alongside the main table by all five probe
-//!   strategies) and a **tombstone set** masking deleted rows at evaluate
-//!   time. Each mutation publishes a brand-new generation (copy-on-write
-//!   over the small delta; the large base segment is shared by `Arc`), so
-//!   publishing is one atomic pointer swap.
+//!   [`HashModel`], so one prober walks base and delta together) and a
+//!   **tombstone set** masking deleted rows at evaluate time. Each
+//!   mutation publishes a brand-new generation (an insert copies the small
+//!   delta, a delete shares it; the large base segment is always shared by
+//!   `Arc`), so publishing is one atomic pointer swap.
 //! * When `delta rows + tombstones` reaches the compaction threshold, the
 //!   store **compacts**: live rows are folded into a fresh base segment
 //!   (main table plus MIH block tables rebuilt from cached codes), the
@@ -48,19 +48,25 @@
 
 use crate::attrs::AttributeStore;
 use crate::code::CodeWord;
-use crate::engine::{QueryEngine, SearchResponse};
+use crate::engine::{with_scratch, ProbeStrategy, SearchResponse};
 use crate::executor::Executor;
 use crate::metrics::{metric_name, MarkerKind, MetricsRegistry, SpanId};
 use crate::persist::{corrupt, PersistError, SectionKind, SnapshotFile, SnapshotWriter};
 use crate::probe::mih::MihIndex;
+use crate::probe_loop::{
+    drive, Evaluator, FlatRows, MihSource, ProbeCtx, SegmentRef, SegmentedRows, SegmentedTables,
+    StopPolicy,
+};
 use crate::recall::RecallModel;
 use crate::request::SearchRequest;
-use crate::table::HashTable;
+use crate::table::{CodeHasher, HashTable};
 use gqr_l2h::HashModel;
+use gqr_linalg::kernels::ScoreBlock;
 use gqr_linalg::vecops::Metric;
 use gqr_linalg::wire::{ByteReader, ByteWriter, WireError};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet};
+use std::hash::BuildHasherDefault;
 use std::marker::PhantomData;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -74,9 +80,9 @@ use std::time::Instant;
 pub const DEFAULT_COMPACTION_THRESHOLD: usize = 512;
 
 /// One frozen run of rows: vectors, per-slot external ids and codes, the
-/// hash table over the slots, and an optional MIH side index. The base
-/// segment is large and shared (`Arc`); the delta segment is small and
-/// cloned copy-on-write by each mutation.
+/// hash table over the slots, and an optional MIH side index. Both segments
+/// of a generation are shared by `Arc`: the large base until a compaction,
+/// the small delta until the next insert or upsert clones and extends it.
 #[derive(Clone)]
 struct Segment<C: CodeWord = u64> {
     /// Row-major vectors, `dim` columns.
@@ -130,18 +136,20 @@ impl<C: CodeWord> Segment<C> {
 }
 
 /// One immutable published version of the index: a shared base segment, a
-/// copy-on-write delta segment, and the tombstone set masking deleted
+/// copy-on-append delta segment, and the tombstone set masking deleted
 /// global slots. Obtained from [`MutableIndex::pin`]; everything reachable
 /// from a generation is frozen, so a pinned generation can be queried
 /// concurrently with any number of mutations.
 pub struct Generation<C: CodeWord = u64> {
     epoch: u64,
     base: Arc<Segment<C>>,
-    delta: Segment<C>,
+    delta: Arc<Segment<C>>,
     /// Deleted global slots (base slot `s` → `s`; delta row `j` →
     /// `base_rows + j`). Shared between generations when a mutation does
-    /// not touch it.
-    tombstones: Arc<HashSet<u32>>,
+    /// not touch it. A read tests every candidate against it and slots are
+    /// the index's own dense integers: the table's multiply-fold hashes
+    /// them, not SipHash.
+    tombstones: Arc<HashSet<u32, BuildHasherDefault<CodeHasher>>>,
 }
 
 impl<C: CodeWord> Generation<C> {
@@ -185,33 +193,24 @@ impl<C: CodeWord> Generation<C> {
         out
     }
 
+    /// The segment holding global slot `g`, and the slot's place in it.
+    fn locate(&self, g: usize) -> (&Segment<C>, usize) {
+        match g.checked_sub(self.base.rows()) {
+            Some(j) => (&self.delta, j),
+            None => (&self.base, g),
+        }
+    }
+
     /// External id of global slot `g`.
     fn ext_id(&self, g: u32) -> u32 {
-        let base_rows = self.base.rows() as u32;
-        if g < base_rows {
-            self.base.ids[g as usize]
-        } else {
-            self.delta.ids[(g - base_rows) as usize]
-        }
+        let (seg, slot) = self.locate(g as usize);
+        seg.ids[slot]
     }
 
     /// `(vector, external id, code)` of global slot `g`.
     fn row(&self, g: usize, dim: usize) -> (&[f32], u32, C) {
-        let base_rows = self.base.rows();
-        if g < base_rows {
-            (
-                self.base.row_data(g, dim),
-                self.base.ids[g],
-                self.base.codes[g],
-            )
-        } else {
-            let j = g - base_rows;
-            (
-                self.delta.row_data(j, dim),
-                self.delta.ids[j],
-                self.delta.codes[j],
-            )
-        }
+        let (seg, slot) = self.locate(g);
+        (seg.row_data(slot, dim), seg.ids[slot], seg.codes[slot])
     }
 }
 
@@ -243,8 +242,8 @@ pub struct VersionedStore<M: HashModel + ?Sized, C: CodeWord = u64> {
     /// alive on the executor without a reference cycle.
     myself: Weak<VersionedStore<M, C>>,
     metrics: MetricsRegistry,
-    /// Owned recall calibration model, attached to every segment engine so
-    /// requests with a `recall_target` terminate adaptively. Calibration is
+    /// Owned recall calibration model, consulted by every query so requests
+    /// with a `recall_target` terminate adaptively. Calibration is
     /// against a frozen index; mutations drift the distribution, so treat
     /// the model as advisory on a heavily mutated store until recalibrated.
     recall: Option<RecallModel>,
@@ -296,14 +295,14 @@ impl<M: HashModel + ?Sized + 'static, C: CodeWord> VersionedStore<M, C> {
     fn grown_delta(&self, gen: &Generation<C>, vector: &[f32], id: u32) -> (Segment<C>, u32) {
         let total = gen.base.rows() + gen.delta.rows();
         assert!(total < u32::MAX as usize, "slot space is u32");
-        let mut delta = gen.delta.clone();
+        let mut delta = (*gen.delta).clone();
         delta.push(
             vector,
             id,
             C::from_blocks(self.model.encode_wide(vector).blocks()),
         );
         delta.rebuild_mih(self.mih_blocks);
-        ((delta), (total) as u32)
+        (delta, total as u32)
     }
 
     fn insert(&self, vector: &[f32]) -> u32 {
@@ -323,7 +322,7 @@ impl<M: HashModel + ?Sized + 'static, C: CodeWord> VersionedStore<M, C> {
             self.publish(Generation {
                 epoch: gen.epoch + 1,
                 base: Arc::clone(&gen.base),
-                delta,
+                delta: Arc::new(delta),
                 tombstones: Arc::clone(&gen.tombstones),
             });
         }
@@ -347,7 +346,7 @@ impl<M: HashModel + ?Sized + 'static, C: CodeWord> VersionedStore<M, C> {
             self.publish(Generation {
                 epoch: gen.epoch + 1,
                 base: Arc::clone(&gen.base),
-                delta: gen.delta.clone(),
+                delta: Arc::clone(&gen.delta),
                 tombstones: Arc::new(tombstones),
             });
         }
@@ -390,7 +389,7 @@ impl<M: HashModel + ?Sized + 'static, C: CodeWord> VersionedStore<M, C> {
             self.publish(Generation {
                 epoch: gen.epoch + 1,
                 base: Arc::clone(&gen.base),
-                delta,
+                delta: Arc::new(delta),
                 tombstones,
             });
             replaced = old_slot.is_some();
@@ -519,7 +518,7 @@ impl<M: HashModel + ?Sized + 'static, C: CodeWord> VersionedStore<M, C> {
             // Tombstones added after E against rows that were folded into
             // the new base follow the remap; everything else (dead at E,
             // or a replayed-and-skipped delta row) is resolved and drops.
-            let mut tombstones = HashSet::new();
+            let mut tombstones = HashSet::default();
             for &g in cur.tombstones.iter() {
                 if let Some(&m) = remap.get(g as usize) {
                     if m != u32::MAX {
@@ -541,7 +540,7 @@ impl<M: HashModel + ?Sized + 'static, C: CodeWord> VersionedStore<M, C> {
             self.publish(Generation {
                 epoch: cur.epoch + 1,
                 base,
-                delta,
+                delta: Arc::new(delta),
                 tombstones: Arc::new(tombstones),
             });
         }
@@ -560,85 +559,100 @@ impl<M: HashModel + ?Sized + 'static, C: CodeWord> VersionedStore<M, C> {
             .record_duration("gqr_compaction_ns", started.elapsed());
     }
 
-    /// A short-lived engine over one frozen segment.
-    fn segment_engine<'s>(
-        &'s self,
-        seg: &'s Segment<C>,
-        label: &'static str,
-    ) -> QueryEngine<'s, M, C> {
-        let mut engine = QueryEngine::new(&*self.model, &seg.table, &seg.data, self.dim)
-            .with_metric(self.metric)
-            .with_metrics(self.metrics.clone())
-            .with_span_scope("gqr_live", vec![("segment".to_string(), label.to_string())]);
-        if let Some(mih) = &seg.mih {
-            engine = engine.with_mih(mih);
-        }
-        if let Some(model) = &self.recall {
-            engine = engine.with_recall_model(model);
-        }
-        engine
-    }
-
-    /// Execute one request against a pinned generation. Searches the base
-    /// segment and (when non-empty) the delta segment — each with the full
-    /// candidate budget, like the sharded fan-out — masking tombstoned
-    /// slots at evaluate time, then merges the per-segment top-k. The user
-    /// filter speaks external ids. Checkpoints are rejected (per-segment
-    /// snapshots cannot be merged); a deadline tightens the per-segment
-    /// soft time limit.
-    fn run_pinned(&self, gen: &Generation<C>, mut req: SearchRequest<'_>) -> SearchResponse {
+    /// See [`MutableIndex::run_pinned`]; `tile` is this thread's score tile.
+    fn run_pinned(
+        &self,
+        gen: &Generation<C>,
+        mut req: SearchRequest<'_>,
+        tile: &mut ScoreBlock,
+    ) -> SearchResponse {
         let env = req.open_merged(&self.metrics, "live");
-        let (query, params) = (req.query, req.params);
-        let (trace, troot) = (&env.trace, env.root);
+        let (query, params, model) = (req.query, req.params, &*self.model);
+        let (dim, metric) = (self.dim, self.metric);
+        assert_eq!(query.len(), dim, "query dimensionality mismatch");
+        tile.ensure_dim(dim);
         // Predicate → composed filter over **external** ids (the attribute
         // store outlives mutations; appended rows have no attributes and
-        // match nothing). Tombstone masking wraps this below, so deleted
-        // rows never reach the predicate. No brute arm on the mutable path
-        // — the survivor bitmap acts as a pre-filter.
+        // match nothing). No brute arm on the mutable path — the survivor
+        // bitmap acts as a pre-filter.
         let predicate = req.predicate;
         let attrs = self.attrs.as_deref();
         let (_, mut filter) = env.plan_filter(attrs, predicate.as_ref(), req.filter, 0);
         let start = Instant::now();
+        // The one gate, over global slots: tombstone first, so a deleted
+        // row never reaches the filter.
+        let tombstones = &*gen.tombstones;
+        let gated = !tombstones.is_empty() || filter.is_some();
+        let mut user = filter.as_deref_mut();
+        let mut gate = |slot: u32| {
+            !tombstones.contains(&slot) && user.as_deref_mut().is_none_or(|f| f(gen.ext_id(slot)))
+        };
+        let mut gate: Option<&mut dyn FnMut(u32) -> bool> = gated.then_some(&mut gate);
+        let (m, recall, metrics) = (model.code_length(), self.recall.as_ref(), &self.metrics);
+        let policy = || StopPolicy::probing(&params, start, model, m, metric, recall, metrics);
+        let flush = |ctx: &ProbeCtx<'_>, segment: &str, since: Instant| {
+            let labels = [("segment", segment), ("strategy", env.strategy)];
+            let phases = &ctx.phases;
+            phases.flush_labeled(metrics, "gqr_live", &labels, since.elapsed());
+        };
         let base_rows = gen.base.rows() as u32;
-        let mut answers = Vec::with_capacity(2);
-        let segments: [(&Segment<C>, u32, &'static str); 2] =
-            [(&gen.base, 0, "base"), (&gen.delta, base_rows, "delta")];
-        for (track, (seg, offset, label)) in segments.into_iter().enumerate() {
-            if seg.rows() == 0 {
-                continue;
+        let mut out = match params.strategy {
+            // The side index is per segment: search each with the whole
+            // candidate budget and merge.
+            ProbeStrategy::MultiIndexHashing { .. } => {
+                let mut answers = Vec::with_capacity(2);
+                let parts = [(&gen.base, 0, "base"), (&gen.delta, base_rows, "delta")];
+                for (seg, first, label) in parts.into_iter().filter(|p| p.0.rows() > 0) {
+                    let began = Instant::now();
+                    let mih = seg.mih.as_ref();
+                    let mih = mih.expect("build with mih_blocks() before searching with MIH");
+                    let mut ctx = ProbeCtx::new(&env);
+                    let mut source =
+                        MihSource::new(model, mih, params.max_buckets, query, &mut ctx);
+                    let mut shifted = gate
+                        .as_deref_mut()
+                        .map(|gate| move |local: u32| gate(first + local));
+                    let filter = shifted.as_mut().map(|f| f as &mut dyn FnMut(u32) -> bool);
+                    let (data, scratch) = (&seg.data[..], &mut *tile);
+                    let rows = FlatRows { data, dim };
+                    let sink = Evaluator {
+                        query,
+                        rows,
+                        metric,
+                        filter,
+                        scratch,
+                    };
+                    let res = drive(&mut source, policy(), sink, &[], &mut ctx);
+                    flush(&ctx, label, began);
+                    answers.push((res, first, seg.rows()));
+                }
+                SearchResponse::merged(params.k, answers)
             }
-            // Base on track 1, delta on track 2 — the segments read as two
-            // lanes in the Chrome export, like the sharded fan-out.
-            let lane = trace.clone().with_track(track as u32 + 1);
-            let seg_span = lane.begin_arg(troot, label, seg.rows() as u64);
-            let tombstones = &*gen.tombstones;
-            let ids = &seg.ids;
-            let user = filter.as_deref_mut();
-            let mut seg_req = SearchRequest::new(query)
-                .params(params)
-                .with_trace_parent(lane.clone(), seg_span);
-            if !tombstones.is_empty() || user.is_some() {
-                let mut user = user;
-                seg_req = seg_req.filter(move |local: u32| {
-                    if tombstones.contains(&(local + offset)) {
-                        return false;
-                    }
-                    match user.as_deref_mut() {
-                        Some(f) => f(ids[local as usize]),
-                        None => true,
-                    }
-                });
+            strategy => {
+                let (base, delta) = (&gen.base, &gen.delta);
+                let segments = &[
+                    SegmentRef::new(&base.table, &base.data, 0),
+                    SegmentRef::new(&delta.table, &delta.data, base_rows),
+                ];
+                let mut ctx = ProbeCtx::new(&env);
+                let mut source =
+                    SegmentedTables::new(model, segments, gen.n_live(), strategy, query, &mut ctx);
+                let (rows, filter, scratch) = (SegmentedRows { segments, dim }, gate, tile);
+                let sink = Evaluator {
+                    query,
+                    rows,
+                    metric,
+                    filter,
+                    scratch,
+                };
+                let res = drive(&mut source, policy(), sink, &[], &mut ctx);
+                flush(&ctx, "all", start);
+                res
             }
-            let res = self.segment_engine(seg, label).run(seg_req);
-            lane.end(seg_span);
-            answers.push((res, offset, seg.rows()));
-        }
-        let merge_span = trace.begin(troot, "merge");
-        let mut out = SearchResponse::merged(params.k, answers);
+        };
         for slot in &mut out.ids {
             *slot = gen.ext_id(*slot);
         }
-        trace.end(merge_span);
         if self.metrics.is_enabled() {
             self.metrics
                 .record_duration("gqr_live_total_ns", start.elapsed());
@@ -829,14 +843,14 @@ impl<M: HashModel + ?Sized + 'static, C: CodeWord> MutableIndexBuilder<M, C> {
     }
 
     /// Metrics registry for mutation counters, size gauges, compaction
-    /// spans, and per-segment query spans.
+    /// spans, and query spans.
     pub fn metrics(mut self, metrics: MetricsRegistry) -> Self {
         self.metrics = metrics;
         self
     }
 
     /// Maintain MIH block tables (required for
-    /// [`ProbeStrategy::MultiIndexHashing`](crate::engine::ProbeStrategy::MultiIndexHashing));
+    /// [`ProbeStrategy::MultiIndexHashing`]);
     /// the delta's block tables are rebuilt per publish, the base's per
     /// compaction.
     pub fn mih_blocks(mut self, blocks: usize) -> Self {
@@ -862,8 +876,8 @@ impl<M: HashModel + ?Sized + 'static, C: CodeWord> MutableIndexBuilder<M, C> {
         self
     }
 
-    /// Attach a calibrated [`RecallModel`] (owned): every per-segment query
-    /// engine consults it when a request sets a
+    /// Attach a calibrated [`RecallModel`] (owned): every query consults it
+    /// when a request sets a
     /// [`recall_target`](crate::engine::SearchParamsBuilder::recall_target),
     /// and [`MutableIndex::save_snapshot`] persists it.
     pub fn recall_model(mut self, model: RecallModel) -> Self {
@@ -948,8 +962,8 @@ impl<M: HashModel + ?Sized + 'static, C: CodeWord> MutableIndexBuilder<M, C> {
             current: RwLock::new(Arc::new(Generation {
                 epoch: 0,
                 base: Arc::new(base),
-                delta: Segment::empty(code_length),
-                tombstones: Arc::new(HashSet::new()),
+                delta: Arc::new(Segment::empty(code_length)),
+                tombstones: Arc::default(),
             })),
             writer: Mutex::new(WriterState { next_id, live }),
             compacting: AtomicBool::new(false),
@@ -1040,8 +1054,7 @@ impl<M: HashModel + ?Sized + 'static, C: CodeWord> MutableIndex<M, C> {
     /// Execute one request against the current generation. See
     /// [`MutableIndex::run_pinned`] for the delta/tombstone semantics.
     pub fn run(&self, req: SearchRequest<'_>) -> SearchResponse {
-        let gen = self.store.pin();
-        self.store.run_pinned(&gen, req)
+        self.run_pinned(&self.store.pin(), req)
     }
 
     /// The attribute store backing structured predicates, if one was
@@ -1050,14 +1063,17 @@ impl<M: HashModel + ?Sized + 'static, C: CodeWord> MutableIndex<M, C> {
         self.store.attrs.as_deref()
     }
 
-    /// Execute one request against an explicitly pinned generation: the
-    /// base and delta segments are searched with the full candidate budget
-    /// each (all five probe strategies), tombstoned rows are masked at
-    /// evaluate time before any distance is computed, and the per-segment
-    /// top-k merge to the global result. Neighbor ids are external ids; a
-    /// request filter also speaks external ids. Checkpoints are rejected.
+    /// Execute one request against an explicitly pinned generation. HR, GHR,
+    /// QR and GQR probe base and delta as **one** table: one prober, one
+    /// global candidate budget, one top-k, so the answer is that of a fresh
+    /// rebuild over the live rows. A candidate passes one gate — the
+    /// tombstone test, then the request's filter and predicate on its
+    /// external id — before any distance is computed, and a rejected row
+    /// spends no budget. MIH searches each segment through its own side
+    /// index with the whole budget and merges the per-segment top-k.
+    /// Neighbor ids are external ids. Checkpoints are rejected.
     pub fn run_pinned(&self, gen: &Generation<C>, req: SearchRequest<'_>) -> SearchResponse {
-        self.store.run_pinned(gen, req)
+        with_scratch(|tile| self.store.run_pinned(gen, req, tile))
     }
 
     /// Live rows in the current generation.
@@ -1246,7 +1262,7 @@ impl<C: CodeWord> MutableIndex<dyn HashModel, C> {
             });
         }
         let total_slots = rows + delta_payload.ids.len();
-        let mut tombstones = HashSet::with_capacity(live_state.tombstones.len());
+        let mut tombstones = HashSet::default();
         for &slot in &live_state.tombstones {
             if slot as usize >= total_slots || !tombstones.insert(slot) {
                 return Err(PersistError::Inconsistent {
@@ -1309,7 +1325,7 @@ impl<C: CodeWord> MutableIndex<dyn HashModel, C> {
             current: RwLock::new(Arc::new(Generation {
                 epoch: live_state.epoch,
                 base: Arc::new(base),
-                delta,
+                delta: Arc::new(delta),
                 tombstones: Arc::new(tombstones),
             })),
             writer: Mutex::new(WriterState {

@@ -12,7 +12,7 @@
 use crate::attrs::AttributeStore;
 use crate::engine::{with_scratch, ProbeStrategy, SearchParams, SearchResponse};
 use crate::metrics::MetricsRegistry;
-use crate::probe_loop::{drive, Evaluator, MergedTables, ProbeCtx, StopPolicy};
+use crate::probe_loop::{drive, Evaluator, FlatRows, MergedTables, ProbeCtx, StopPolicy};
 use crate::request::SearchRequest;
 use crate::table::HashTable;
 use gqr_l2h::HashModel;
@@ -139,8 +139,10 @@ impl<'a> MultiTableIndex<'a> {
             scratch.ensure_dim(self.dim);
             let sink = Evaluator {
                 query,
-                data: self.data,
-                dim: self.dim,
+                rows: FlatRows {
+                    data: self.data,
+                    dim: self.dim,
+                },
                 metric: Metric::SquaredEuclidean,
                 filter: filter.as_deref_mut(),
                 scratch,

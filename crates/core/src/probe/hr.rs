@@ -2,12 +2,13 @@
 //! buckets* by Hamming distance to the query code before probing — paying
 //! the paper's "slow start" cost up front.
 
-use super::Prober;
+use super::{for_each_union_code, Prober};
 use crate::code::CodeWord;
 use crate::table::HashTable;
 use gqr_l2h::QueryEncoding;
 
-/// Upfront-sorting Hamming prober over one table's occupied buckets.
+/// Upfront-sorting Hamming prober over one table's occupied buckets (or
+/// the union of several row-disjoint tables of one model).
 ///
 /// Sorting is a bucket sort into `m + 1` radius levels (`O(B)`), exactly the
 /// "efficient bucket sort" the paper credits HR with. The distance pass is
@@ -16,7 +17,7 @@ use gqr_l2h::QueryEncoding;
 /// code order so the emission order is identical for every code width wide
 /// enough to hold `m`.
 pub struct HammingRanking<'t, C: CodeWord = u64> {
-    table: &'t HashTable<C>,
+    tables: Vec<&'t HashTable<C>>,
     /// Bucket codes grouped by radius; `levels[r]` holds codes at Hamming
     /// distance `r` from the query.
     levels: Vec<Vec<C>>,
@@ -33,9 +34,16 @@ pub struct HammingRanking<'t, C: CodeWord = u64> {
 impl<'t, C: CodeWord> HammingRanking<'t, C> {
     /// Prober over `table`'s occupied buckets.
     pub fn new(table: &'t HashTable<C>) -> HammingRanking<'t, C> {
-        let m = table.code_length();
+        Self::over(vec![table])
+    }
+
+    /// Prober over the union of the occupied buckets of `tables` (at least
+    /// one). The in-level code sort makes the order that of one table
+    /// holding all their rows.
+    pub(crate) fn over(tables: Vec<&'t HashTable<C>>) -> HammingRanking<'t, C> {
+        let m = tables[0].code_length();
         HammingRanking {
-            table,
+            tables,
             levels: vec![Vec::new(); m + 1],
             codes: Vec::new(),
             blocks: Vec::new(),
@@ -62,12 +70,13 @@ impl<C: CodeWord> Prober<C> for HammingRanking<'_, C> {
         // pay before the first probe — batched through the popcount kernel.
         self.codes.clear();
         self.blocks.clear();
-        for code in self.table.codes() {
-            self.codes.push(code);
+        let (codes, blocks) = (&mut self.codes, &mut self.blocks);
+        for_each_union_code(&self.tables, |code| {
+            codes.push(code);
             for b in 0..C::BLOCKS {
-                self.blocks.push(code.block(b));
+                blocks.push(code.block(b));
             }
-        }
+        });
         let mut qblocks = [0u64; crate::code::MAX_BLOCKS];
         query.code.write_blocks(&mut qblocks);
         self.dists.resize(self.codes.len(), 0);

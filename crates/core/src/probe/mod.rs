@@ -76,20 +76,38 @@ macro_rules! each_prober {
     };
 }
 
+/// Hand `f` every occupied bucket code of the union of `tables`
+/// (row-disjoint tables of one hash model), each code once, in arbitrary
+/// order: a code is taken from the first table that holds it. Internal
+/// iteration keeps the one-table case the plain walk over its buckets.
+pub(crate) fn for_each_union_code<C: CodeWord>(tables: &[&HashTable<C>], mut f: impl FnMut(C)) {
+    for (s, table) in tables.iter().enumerate() {
+        let earlier = &tables[..s];
+        for code in table.codes() {
+            if !earlier.iter().any(|t| t.contains(code)) {
+                f(code);
+            }
+        }
+    }
+}
+
 impl<'t, C: CodeWord> AnyProber<'t, C> {
-    /// The prober `strategy` names, over `table` and reset for `query`.
-    /// Panics on MIH, which retrieves items through its own side index
-    /// rather than whole-code buckets.
+    /// The prober `strategy` names, reset for `query`, over the union of
+    /// `tables` — one table, or the row-disjoint segments of one index,
+    /// which share a hash model and therefore a probe order. Panics on
+    /// MIH, which retrieves items through its own side index rather than
+    /// whole-code buckets.
     pub(crate) fn for_strategy(
         strategy: ProbeStrategy,
-        table: &'t HashTable<C>,
+        tables: impl IntoIterator<Item = &'t HashTable<C>>,
         query: &QueryEncoding<C>,
     ) -> Self {
-        let m = table.code_length();
+        let mut tables = tables.into_iter().peekable();
+        let m = tables.peek().expect("at least one table").code_length();
         let mut prober = match strategy {
-            ProbeStrategy::HammingRanking => AnyProber::Hr(HammingRanking::new(table)),
+            ProbeStrategy::HammingRanking => AnyProber::Hr(HammingRanking::over(tables.collect())),
             ProbeStrategy::GenerateHammingRanking => AnyProber::Ghr(GenerateHammingRanking::new(m)),
-            ProbeStrategy::QdRanking => AnyProber::Qr(QdRanking::new(table)),
+            ProbeStrategy::QdRanking => AnyProber::Qr(QdRanking::over(tables.collect())),
             ProbeStrategy::GenerateQdRanking => AnyProber::Gqr(GenerateQdRanking::new(m)),
             ProbeStrategy::MultiIndexHashing { .. } => panic!("MIH has no bucket-code prober"),
         };

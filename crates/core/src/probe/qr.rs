@@ -5,15 +5,15 @@
 //! difference is *when* the work happens. QR's upfront `O(B log B)` sort is
 //! the slow-start cost that motivates GQR (paper §4.2/§5).
 
-use super::Prober;
+use super::{for_each_union_code, Prober};
 use crate::code::{quantization_distance, CodeWord};
 use crate::table::HashTable;
 use gqr_l2h::QueryEncoding;
 
 /// Upfront-sorting quantization-distance prober over one table's occupied
-/// buckets.
+/// buckets (or the union of several row-disjoint tables of one model).
 pub struct QdRanking<'t, C: CodeWord = u64> {
-    table: &'t HashTable<C>,
+    tables: Vec<&'t HashTable<C>>,
     /// `(qd, code)` for every occupied bucket, ascending.
     sorted: Vec<(f64, C)>,
     cursor: usize,
@@ -22,8 +22,15 @@ pub struct QdRanking<'t, C: CodeWord = u64> {
 impl<'t, C: CodeWord> QdRanking<'t, C> {
     /// Prober over `table`'s occupied buckets.
     pub fn new(table: &'t HashTable<C>) -> QdRanking<'t, C> {
+        Self::over(vec![table])
+    }
+
+    /// Prober over the union of the occupied buckets of `tables`. The
+    /// `(qd, code)` sort makes the order that of one table holding all
+    /// their rows.
+    pub(crate) fn over(tables: Vec<&'t HashTable<C>>) -> QdRanking<'t, C> {
         QdRanking {
-            table,
+            tables,
             sorted: Vec::new(),
             cursor: 0,
         }
@@ -33,10 +40,12 @@ impl<'t, C: CodeWord> QdRanking<'t, C> {
 impl<C: CodeWord> Prober<C> for QdRanking<'_, C> {
     fn reset(&mut self, query: &QueryEncoding<C>) {
         self.sorted.clear();
-        self.sorted.reserve(self.table.n_buckets());
-        for code in self.table.codes() {
-            self.sorted.push((quantization_distance(query, code), code));
-        }
+        let occupied = self.tables.iter().map(|t| t.n_buckets()).sum();
+        self.sorted.reserve(occupied);
+        let sorted = &mut self.sorted;
+        for_each_union_code(&self.tables, |code| {
+            sorted.push((quantization_distance(query, code), code));
+        });
         // Code tiebreak keeps the order deterministic when QDs tie.
         self.sorted.sort_unstable_by(|a, b| {
             a.0.partial_cmp(&b.0)

@@ -1,8 +1,9 @@
 //! The one query loop (paper Algorithms 1 and 3): take the next probe unit
 //! in ascending cost, evaluate it, stop when a criterion of §4.2 fires.
 //!
-//! GQR, QR, HR, GHR, MIH, the planner's brute arm and multi-table search
-//! differ only in *where the next unit comes from* — a `BucketSource`.
+//! GQR, QR, HR, GHR, MIH, the planner's brute arm, multi-table search and
+//! segmented (live) search differ only in *where the next unit comes from*
+//! — a `BucketSource` — and *where a candidate's vector lies* — a `Rows`.
 //! *When to stop* is a `StopPolicy`, asked once before and once after
 //! every unit, and *why it stopped* is the [`StopReason`] every response
 //! carries. `drive` owns everything in between: filter → gather →
@@ -11,10 +12,10 @@
 
 use crate::code::{typed_encoding, CodeWord};
 use crate::engine::{ProbeStrategy, SearchParams};
-use crate::metrics::{metric_name, MarkerKind, Phase, PhaseSpans};
+use crate::metrics::{metric_name, MarkerKind, MetricsRegistry, Phase, PhaseSpans};
 use crate::probe::mih::{MihIndex, MihSearcher};
 use crate::probe::AnyProber;
-use crate::recall::RecallController;
+use crate::recall::{RecallController, RecallModel};
 use crate::request::Envelope;
 use crate::response::{Checkpoint, SearchResponse};
 use crate::stats::ProbeStats;
@@ -26,7 +27,7 @@ use gqr_linalg::vecops::Metric;
 use std::time::Instant;
 
 /// Why a search stopped probing. Ordered so that the merge of several
-/// partial searches (shards, live segments) is the `max` of its parts: a
+/// partial searches (shards, live MIH segments) is the `max` of its parts: a
 /// merged answer is `Exhausted` only if every part was.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum StopReason {
@@ -135,6 +136,41 @@ pub(crate) struct TableSource<'t, C: CodeWord> {
     table: &'t HashTable<C>,
 }
 
+/// Encode `query` with `model` and open the prober `strategy` names over
+/// the union of `tables` (see [`AnyProber::for_strategy`]).
+fn open_prober<'t, M: HashModel + ?Sized, C: CodeWord>(
+    model: &M,
+    tables: impl IntoIterator<Item = &'t HashTable<C>>,
+    strategy: ProbeStrategy,
+    query: &[f32],
+    ctx: &mut ProbeCtx<'_>,
+) -> AnyProber<'t, C> {
+    let qe = ctx.time(Phase::HashQuery, || {
+        typed_encoding::<C>(model.encode_query_wide(query))
+    });
+    ctx.time(Phase::ProbeGenerate, || {
+        AnyProber::for_strategy(strategy, tables, &qe)
+    })
+}
+
+/// Take the next bucket code off `prober` as one probe unit, counted into
+/// `stats`: `(code, rank, cost)`.
+#[inline]
+fn next_code<C: CodeWord>(
+    prober: &mut AnyProber<'_, C>,
+    ctx: &mut ProbeCtx<'_>,
+    stats: &mut ProbeStats,
+) -> Option<(C, u64, f64)> {
+    // The cost is captured *before* `next_bucket` consumes the bucket.
+    let (cost, code) = ctx.time(Phase::ProbeGenerate, || {
+        (prober.peek_cost().unwrap_or(-1.0), prober.next_bucket())
+    });
+    let code = code?;
+    let rank = stats.buckets_probed as u64;
+    stats.buckets_probed += 1;
+    Some((code, rank, cost))
+}
+
 impl<'t, C: CodeWord> TableSource<'t, C> {
     pub fn new<M: HashModel + ?Sized>(
         model: &M,
@@ -143,12 +179,7 @@ impl<'t, C: CodeWord> TableSource<'t, C> {
         query: &[f32],
         ctx: &mut ProbeCtx<'_>,
     ) -> Self {
-        let qe = ctx.time(Phase::HashQuery, || {
-            typed_encoding::<C>(model.encode_query_wide(query))
-        });
-        let prober = ctx.time(Phase::ProbeGenerate, || {
-            AnyProber::for_strategy(strategy, table, &qe)
-        });
+        let prober = open_prober(model, [table], strategy, query, ctx);
         TableSource { prober, table }
     }
 }
@@ -160,14 +191,7 @@ impl<C: CodeWord> BucketSource for TableSource<'_, C> {
 
     #[inline]
     fn next(&mut self, ctx: &mut ProbeCtx<'_>, stats: &mut ProbeStats) -> Option<Unit<'_>> {
-        // The cost is captured *before* `next_bucket` consumes the bucket.
-        let prober = &mut self.prober;
-        let (cost, code) = ctx.time(Phase::ProbeGenerate, || {
-            (prober.peek_cost().unwrap_or(-1.0), prober.next_bucket())
-        });
-        let code = code?;
-        let rank = stats.buckets_probed as u64;
-        stats.buckets_probed += 1;
+        let (code, rank, cost) = next_code(&mut self.prober, ctx, stats)?;
         let items = ctx.time(Phase::BucketLookup, || self.table.bucket(code));
         stats.empty_buckets += usize::from(items.is_empty());
         stats.items_collected += items.len();
@@ -329,6 +353,100 @@ impl BucketSource for MergedTables<'_> {
     }
 }
 
+/// One row-disjoint part of a segmented index: a table over the local ids
+/// `0..rows`, the row vectors those ids address, and the global id of local
+/// id 0. Segments are listed in ascending `first_id`, the first at 0.
+pub(crate) struct SegmentRef<'t, C: CodeWord> {
+    table: &'t HashTable<C>,
+    /// Row-major vectors of this segment.
+    data: &'t [f32],
+    first_id: u32,
+}
+
+impl<'t, C: CodeWord> SegmentRef<'t, C> {
+    pub fn new(table: &'t HashTable<C>, data: &'t [f32], first_id: u32) -> Self {
+        SegmentRef {
+            table,
+            data,
+            first_id,
+        }
+    }
+}
+
+/// Several row-disjoint tables of **one** hash model (the base and delta of
+/// a live index) probed once — the dual of [`MergedTables`]. The bucket
+/// order is a function of the query alone, so one prober serves every
+/// segment, and a unit is the concatenation of each segment's bucket for
+/// the code, as global ids in segment order: exactly the bucket of one
+/// table built over all the rows.
+pub(crate) struct SegmentedTables<'t, C: CodeWord> {
+    prober: AnyProber<'t, C>,
+    segments: &'t [SegmentRef<'t, C>],
+    universe: usize,
+    /// The unit, when it is not one segment's bucket as it lies.
+    joined: Vec<u32>,
+}
+
+impl<'t, C: CodeWord> SegmentedTables<'t, C> {
+    /// `universe` is how many of the segments' rows a search can evaluate
+    /// at most — a live index passes its live-row count, so a search that
+    /// has seen every live row stops like one over a fresh rebuild.
+    pub fn new<M: HashModel + ?Sized>(
+        model: &M,
+        segments: &'t [SegmentRef<'t, C>],
+        universe: usize,
+        strategy: ProbeStrategy,
+        query: &[f32],
+        ctx: &mut ProbeCtx<'_>,
+    ) -> Self {
+        let tables = segments.iter().map(|s| s.table);
+        let prober = open_prober(model, tables, strategy, query, ctx);
+        SegmentedTables {
+            prober,
+            segments,
+            universe,
+            joined: Vec::new(),
+        }
+    }
+}
+
+impl<C: CodeWord> BucketSource for SegmentedTables<'_, C> {
+    fn peek_cost(&mut self) -> Option<f64> {
+        self.prober.peek_cost()
+    }
+
+    #[inline]
+    fn next(&mut self, ctx: &mut ProbeCtx<'_>, stats: &mut ProbeStats) -> Option<Unit<'_>> {
+        let (code, rank, cost) = next_code(&mut self.prober, ctx, stats)?;
+        let (segments, joined) = (self.segments, &mut self.joined);
+        let items = ctx.time(Phase::BucketLookup, move || {
+            let mut parts = segments
+                .iter()
+                .map(|s| (s.table.bucket(code), s.first_id))
+                .filter(|(bucket, _)| !bucket.is_empty());
+            match (parts.next(), parts.next()) {
+                (None, _) => &[][..],
+                // Local ids of the segment at 0 are global ids already.
+                (Some((bucket, 0)), None) => bucket,
+                (Some(first), second) => {
+                    joined.clear();
+                    for (bucket, first_id) in [first].into_iter().chain(second).chain(parts) {
+                        joined.extend(bucket.iter().map(|&local| first_id + local));
+                    }
+                    &joined[..]
+                }
+            }
+        });
+        stats.empty_buckets += usize::from(items.is_empty());
+        stats.items_collected += items.len();
+        Some(Unit { items, rank, cost })
+    }
+
+    fn universe(&self) -> Option<usize> {
+        Some(self.universe)
+    }
+}
+
 /// The stopping criteria of §4.2, built once per query. Whichever fires
 /// first ends the search.
 pub(crate) struct StopPolicy<'m> {
@@ -336,13 +454,13 @@ pub(crate) struct StopPolicy<'m> {
     start: Instant,
     /// Early-stop constant µ = 1/(σ_max(H)·√m) of Theorem 2, when the
     /// search may use it.
-    pub mu: Option<f64>,
+    mu: Option<f64>,
     /// The recall-target stop, when the request set one and the attached
     /// model covers the strategy.
-    pub controller: Option<RecallController<'m>>,
+    controller: Option<RecallController<'m>>,
 }
 
-impl StopPolicy<'_> {
+impl<'m> StopPolicy<'m> {
     /// The budget, bucket-cap and time-limit criteria of `params`, timed
     /// from `start`; no early stop, no recall target.
     pub fn new(params: &SearchParams, start: Instant) -> Self {
@@ -351,6 +469,26 @@ impl StopPolicy<'_> {
             start,
             mu: None,
             controller: None,
+        }
+    }
+
+    /// [`StopPolicy::new`] plus what probing the `code_length`-bit buckets
+    /// of one hash `model` may add: the Theorem-2 early stop (under
+    /// `metric`) and the recall target (against `recall`, with `metrics`
+    /// counting a target it cannot serve).
+    pub fn probing<M: HashModel + ?Sized>(
+        params: &SearchParams,
+        start: Instant,
+        model: &M,
+        code_length: usize,
+        metric: Metric,
+        recall: Option<&'m RecallModel>,
+        metrics: &MetricsRegistry,
+    ) -> StopPolicy<'m> {
+        StopPolicy {
+            mu: early_stop_mu(model, code_length, metric, params),
+            controller: recall_controller(recall, metrics, params),
+            ..StopPolicy::new(params, start)
         }
     }
 
@@ -398,13 +536,88 @@ impl StopPolicy<'_> {
     }
 }
 
-/// Where a unit's items go: filter, gather into the score tile, score whole
-/// tiles through the blocked batch kernel, push into the top-k.
-pub(crate) struct Evaluator<'a, 'f> {
-    pub query: &'a [f32],
-    /// Row-major item vectors, `dim` columns.
+/// Early-stop constant µ = 1/(σ_max(H)·√m) of Theorem 2 for a search of
+/// `model`'s `code_length`-bit table, when `params` ask for the early stop
+/// and it applies (QD strategy, Euclidean evaluation, linear model).
+fn early_stop_mu<M: HashModel + ?Sized>(
+    model: &M,
+    code_length: usize,
+    metric: Metric,
+    params: &SearchParams,
+) -> Option<f64> {
+    let qd_strategy = matches!(
+        params.strategy,
+        ProbeStrategy::QdRanking | ProbeStrategy::GenerateQdRanking
+    );
+    if !(params.early_stop && qd_strategy && metric == Metric::SquaredEuclidean) {
+        return None;
+    }
+    let norm = model.spectral_norm()?;
+    Some(1.0 / (norm * (code_length as f64).sqrt()))
+}
+
+/// Per-query recall controller for `params`, when a target is set and the
+/// attached `recall` model covers the strategy. A target without usable
+/// calibration degrades to the budget stops (counted per strategy under
+/// `gqr_recall_uncalibrated_total`) rather than failing the query.
+fn recall_controller<'m>(
+    recall: Option<&'m RecallModel>,
+    metrics: &MetricsRegistry,
+    params: &SearchParams,
+) -> Option<RecallController<'m>> {
+    let target = params.recall_target?;
+    let controller = recall.and_then(|m| m.controller(params.strategy, target, params.k));
+    if controller.is_none() {
+        let labels = [("strategy", params.strategy.name())];
+        metrics.incr(&metric_name("gqr_recall_uncalibrated_total", &labels));
+    }
+    controller
+}
+
+/// Where a candidate's vector lies, by the id its unit names it with. A
+/// view (`Copy`): the evaluator keeps it in a local across its loop.
+pub(crate) trait Rows: Copy {
+    fn row(&self, id: u32) -> &[f32];
+}
+
+/// One row-major buffer, `dim` columns: the static indexes' rows.
+#[derive(Clone, Copy)]
+pub(crate) struct FlatRows<'a> {
     pub data: &'a [f32],
     pub dim: usize,
+}
+
+impl Rows for FlatRows<'_> {
+    #[inline]
+    fn row(&self, id: u32) -> &[f32] {
+        &self.data[id as usize * self.dim..(id as usize + 1) * self.dim]
+    }
+}
+
+/// The rows of a [`SegmentedTables`] search: global id `g` lies in the last
+/// segment that starts at or before it.
+#[derive(Clone, Copy)]
+pub(crate) struct SegmentedRows<'t, C: CodeWord> {
+    pub segments: &'t [SegmentRef<'t, C>],
+    pub dim: usize,
+}
+
+impl<C: CodeWord> Rows for SegmentedRows<'_, C> {
+    #[inline]
+    fn row(&self, id: u32) -> &[f32] {
+        let starts_before = |s: &&SegmentRef<'_, C>| s.first_id <= id;
+        let seg = self.segments.iter().rev().find(starts_before);
+        let seg = seg.expect("the first segment starts at id 0");
+        let local = (id - seg.first_id) as usize;
+        &seg.data[local * self.dim..(local + 1) * self.dim]
+    }
+}
+
+/// Where a unit's items go: filter, gather into the score tile, score whole
+/// tiles through the blocked batch kernel, push into the top-k.
+pub(crate) struct Evaluator<'a, 'f, R: Rows> {
+    pub query: &'a [f32],
+    pub rows: R,
     pub metric: Metric,
     /// `true` keeps the item. Rejected items are skipped before any
     /// distance is computed and do not count toward the candidate budget.
@@ -412,14 +625,14 @@ pub(crate) struct Evaluator<'a, 'f> {
     pub scratch: &'a mut ScoreBlock,
 }
 
-impl Evaluator<'_, '_> {
+impl<R: Rows> Evaluator<'_, '_, R> {
     /// Score the surviving `items` into `topk`; returns how many were
     /// evaluated. Filtering makes tiles ragged; the flush at the end of the
     /// unit keeps checkpoint and early-stop semantics identical to per-row
     /// evaluation (the batch kernel is bit-identical to the row kernel, so
     /// results match exactly).
     fn evaluate(&mut self, items: &[u32], topk: &mut TopK) -> usize {
-        let (query, metric, dim) = (self.query, self.metric, self.dim);
+        let (query, metric, rows) = (self.query, self.metric, self.rows);
         let mut evaluated = 0;
         for &id in items {
             if self.filter.as_deref_mut().is_some_and(|keep| !keep(id)) {
@@ -428,8 +641,7 @@ impl Evaluator<'_, '_> {
             if self.scratch.is_full() {
                 evaluated += self.scratch.flush(query, metric, |id, d| topk.push(d, id));
             }
-            let row = &self.data[id as usize * dim..(id as usize + 1) * dim];
-            self.scratch.push(id, row);
+            self.scratch.push(id, rows.row(id));
         }
         evaluated + self.scratch.flush(query, metric, |id, d| topk.push(d, id))
     }
@@ -438,10 +650,10 @@ impl Evaluator<'_, '_> {
 /// Run one query: pull units from `source` until `policy` (or the source)
 /// says stop, evaluating each into the running top-k and snapshotting it
 /// at every checkpoint budget in `budgets` (ascending).
-pub(crate) fn drive<S: BucketSource>(
+pub(crate) fn drive<S: BucketSource, R: Rows>(
     source: &mut S,
     mut policy: StopPolicy<'_>,
-    mut sink: Evaluator<'_, '_>,
+    mut sink: Evaluator<'_, '_, R>,
     budgets: &[usize],
     ctx: &mut ProbeCtx<'_>,
 ) -> SearchResponse {
@@ -529,4 +741,108 @@ pub(crate) fn drive<S: BucketSource>(
     response.stop_reason = reason;
     response.predicted_recall = predicted;
     response
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::request::SearchRequest;
+    use gqr_l2h::lsh::Lsh;
+
+    const STRATEGIES: [ProbeStrategy; 4] = [
+        ProbeStrategy::HammingRanking,
+        ProbeStrategy::GenerateHammingRanking,
+        ProbeStrategy::QdRanking,
+        ProbeStrategy::GenerateQdRanking,
+    ];
+
+    fn grid(n: u32) -> Vec<f32> {
+        let mut data = Vec::new();
+        for i in 0..n {
+            data.push((i % 20) as f32 + 0.001 * ((i * 7) % 13) as f32);
+            data.push((i / 20) as f32);
+        }
+        data
+    }
+
+    /// Every unit `source` yields, as `(items, rank, cost)`, and what it
+    /// counted on the way.
+    fn drain<S: BucketSource>(
+        source: &mut S,
+        ctx: &mut ProbeCtx<'_>,
+    ) -> (Vec<(Vec<u32>, u64, f64)>, ProbeStats) {
+        let mut stats = ProbeStats::default();
+        let mut units = Vec::new();
+        while let Some(unit) = source.next(ctx, &mut stats) {
+            units.push((unit.items.to_vec(), unit.rank, unit.cost));
+        }
+        (units, stats)
+    }
+
+    /// Rows `..split` and `split..` of `data` as two segments must probe
+    /// like one table over all of `data`: same units (for HR/QR that is
+    /// the same code sequence — their buckets are non-empty and disjoint),
+    /// same counters, same rows.
+    fn assert_segments_probe_like_one_table(data: &[f32], split: usize) {
+        let model = Lsh::train(&grid(300), 2, 7, 3).unwrap();
+        let (head, tail) = data.split_at(split * 2);
+        let whole: HashTable = HashTable::build(&model, data, 2);
+        let base: HashTable = HashTable::build(&model, head, 2);
+        let delta: HashTable = HashTable::build(&model, tail, 2);
+        let segments = [
+            SegmentRef::new(&base, head, 0),
+            SegmentRef::new(&delta, tail, split as u32),
+        ];
+        let rows = SegmentedRows {
+            segments: &segments,
+            dim: 2,
+        };
+        for (id, row) in data.chunks_exact(2).enumerate() {
+            assert_eq!(rows.row(id as u32), row, "split {split}, id {id}");
+        }
+
+        let metrics = MetricsRegistry::disabled();
+        let q = [7.3f32, 4.1];
+        for strategy in STRATEGIES {
+            let mut req = SearchRequest::new(&q);
+            let env = req.open(&metrics, "test");
+            let mut ctx = ProbeCtx::new(&env);
+            let mut one = TableSource::new(&model, &whole, strategy, &q, &mut ctx);
+            let n = whole.n_items();
+            let mut many = SegmentedTables::new(&model, &segments, n, strategy, &q, &mut ctx);
+            assert_eq!(many.universe(), one.universe());
+            assert_eq!(many.peek_cost(), one.peek_cost());
+            let at = format!("split {split}, {}", strategy.name());
+            assert_eq!(
+                drain(&mut many, &mut ctx),
+                drain(&mut one, &mut ctx),
+                "{at}"
+            );
+        }
+    }
+
+    #[test]
+    fn segments_probe_like_one_table_over_all_rows() {
+        let data = grid(300);
+        // The fixture must cover every way a bucket can be split.
+        let model = Lsh::train(&data, 2, 7, 3).unwrap();
+        let (head, tail) = data.split_at(200 * 2);
+        let base: HashTable = HashTable::build(&model, head, 2);
+        let delta: HashTable = HashTable::build(&model, tail, 2);
+        assert!(
+            delta.codes().any(|c| !base.contains(c)),
+            "delta-only bucket"
+        );
+        assert!(delta.codes().any(|c| base.contains(c)), "shared bucket");
+        assert!(base.codes().any(|c| !delta.contains(c)), "base-only bucket");
+        assert_segments_probe_like_one_table(&data, 200);
+    }
+
+    #[test]
+    fn an_empty_segment_changes_nothing() {
+        let data = grid(120);
+        assert_segments_probe_like_one_table(&data, 0);
+        assert_segments_probe_like_one_table(&data, 120);
+        assert_segments_probe_like_one_table(&[], 0);
+    }
 }

@@ -145,8 +145,8 @@ impl<'a> SearchRequest<'a> {
 
     /// Attach an already-open trace: the execution surface emits its spans
     /// under `parent` in `ctx` instead of beginning (and finishing) a trace
-    /// of its own. This is how composite surfaces (sharded fan-out, live
-    /// segments) hand their per-part engines a lane in the query's tree.
+    /// of its own. This is how the sharded fan-out hands its per-shard
+    /// engines a lane in the query's tree.
     pub(crate) fn with_trace_parent(mut self, ctx: TraceContext, parent: SpanId) -> Self {
         self.trace_parent = Some((ctx, parent));
         self
@@ -189,8 +189,8 @@ impl<'a> SearchRequest<'a> {
 
     /// Open the envelope every execution surface wraps a request in: fold
     /// the deadline into `params.time_limit` (whichever is tighter wins)
-    /// and settle who owns the trace. A composite surface (sharded fan-out,
-    /// live segments) hands its parts a lane in an already-open trace;
+    /// and settle who owns the trace. A composite surface (the sharded
+    /// fan-out) hands its parts a lane in an already-open trace;
     /// otherwise this surface owns the trace — begun here as `surface`
     /// (sampled 1-in-N, forced for explicit `.trace()` opt-ins and for
     /// requests already past their deadline) and sealed by
@@ -224,10 +224,10 @@ impl<'a> SearchRequest<'a> {
         }
     }
 
-    /// [`SearchRequest::open`] for a surface that merges per-part answers.
-    /// Checkpoints are rejected there: per-part snapshots cannot be merged
-    /// into a global running top-k without the distances a snapshot
-    /// discards.
+    /// [`SearchRequest::open`] for a surface that merges per-part answers
+    /// (for a live index: under MIH). Checkpoints are rejected there:
+    /// per-part snapshots cannot be merged into a global running top-k
+    /// without the distances a snapshot discards.
     pub(crate) fn open_merged<'m>(
         &mut self,
         metrics: &'m MetricsRegistry,

@@ -1,7 +1,9 @@
 //! The mutation-layer contract, end to end: interleaved inserts, deletes,
-//! and queries return only live ids; compaction never changes an answer
-//! (bit-identical across all five probe strategies); and a snapshot
-//! round-trips the delta segment and tombstone set exactly.
+//! and queries return only live ids; compaction never changes an answer —
+//! at every epoch and every candidate budget a fragmented index answers
+//! like a fresh rebuild over its live rows (bit-identical across the probe
+//! strategies); and a snapshot round-trips the delta segment and tombstone
+//! set exactly.
 
 use gqr_core::engine::{ProbeStrategy, SearchParams};
 use gqr_core::live::MutableIndex;
@@ -43,31 +45,48 @@ fn exhaustive(k: usize, strategy: ProbeStrategy) -> SearchParams {
     }
 }
 
-/// Deterministic churn: delete every 3rd initial row, insert replacements
-/// near the deleted positions, upsert a handful. Returns the surviving
-/// `id -> row` map for brute-force verification.
-fn churn(index: &MutableIndex<Lsh>, data: &[f32]) -> HashMap<u32, Vec<f32>> {
-    let mut live: HashMap<u32, Vec<f32>> = data
-        .chunks_exact(2)
-        .enumerate()
-        .map(|(i, row)| (i as u32, row.to_vec()))
-        .collect();
+/// Deterministic churn in three stages: delete every 3rd initial row,
+/// insert replacements near the deleted positions, upsert a handful.
+/// `live` follows the surviving `id -> row` map for brute-force
+/// verification.
+fn churn_stage(index: &MutableIndex<Lsh>, n: u32, stage: usize, live: &mut HashMap<u32, Vec<f32>>) {
     let writer = index.writer();
+    match stage {
+        0 => {
+            for id in (0..n).step_by(3) {
+                assert!(writer.delete(id));
+                live.remove(&id);
+            }
+        }
+        1 => {
+            for j in 0..40u32 {
+                let row = vec![(j % 25) as f32 + 0.5, (j / 25) as f32 + 0.5];
+                let id = writer.insert(&row);
+                assert!(id >= n, "fresh ids never collide with the initial rows");
+                live.insert(id, row);
+            }
+        }
+        _ => {
+            for id in [1u32, 4, 7, 10] {
+                let row = vec![(id % 25) as f32 + 0.25, 30.0 + id as f32];
+                assert!(writer.upsert(id, &row));
+                live.insert(id, row);
+            }
+        }
+    }
+}
+
+fn initial_rows(data: &[f32]) -> HashMap<u32, Vec<f32>> {
+    let rows = data.chunks_exact(2).enumerate();
+    rows.map(|(i, row)| (i as u32, row.to_vec())).collect()
+}
+
+/// All three churn stages; returns the surviving `id -> row` map.
+fn churn(index: &MutableIndex<Lsh>, data: &[f32]) -> HashMap<u32, Vec<f32>> {
+    let mut live = initial_rows(data);
     let n = live.len() as u32;
-    for id in (0..n).step_by(3) {
-        assert!(writer.delete(id));
-        live.remove(&id);
-    }
-    for j in 0..40u32 {
-        let row = vec![(j % 25) as f32 + 0.5, (j / 25) as f32 + 0.5];
-        let id = writer.insert(&row);
-        assert!(id >= n, "fresh ids never collide with the initial rows");
-        live.insert(id, row);
-    }
-    for id in [1u32, 4, 7, 10] {
-        let row = vec![(id % 25) as f32 + 0.25, 30.0 + id as f32];
-        assert!(writer.upsert(id, &row));
-        live.insert(id, row);
+    for stage in 0..3 {
+        churn_stage(index, n, stage, &mut live);
     }
     live
 }
@@ -118,39 +137,80 @@ fn churned_index_returns_only_live_ids_and_exact_neighbors() {
 fn compaction_is_invisible_to_queries_for_every_strategy() {
     let data = grid(500);
     let model = Arc::new(model(&data));
-    // Same churn on two indexes; compact one, leave the other fragmented.
-    let fragmented = MutableIndex::builder(Arc::clone(&model))
-        .mih_blocks(3)
-        .compaction_threshold(usize::MAX)
-        .build(&data, 2);
-    let compacted = MutableIndex::builder(Arc::clone(&model))
-        .mih_blocks(3)
-        .compaction_threshold(usize::MAX)
-        .build(&data, 2);
-    let live = churn(&fragmented, &data);
-    let live2 = churn(&compacted, &data);
-    assert_eq!(
-        live.keys().collect::<std::collections::BTreeSet<_>>(),
-        live2.keys().collect::<std::collections::BTreeSet<_>>()
-    );
+    // Same churn on two indexes; one is compacted after every stage, the
+    // other stays fragmented throughout.
+    let build = || {
+        MutableIndex::builder(Arc::clone(&model))
+            .mih_blocks(3)
+            .compaction_threshold(usize::MAX)
+            .build(&data, 2)
+    };
+    let (fragmented, compacted) = (build(), build());
+    let (mut live, mut live2) = (initial_rows(&data), initial_rows(&data));
+    let k = 10;
 
-    compacted.compact();
-    let gen = compacted.pin();
-    assert_eq!(gen.delta_rows(), 0, "compaction folds the delta away");
-    assert_eq!(gen.n_tombstones(), 0, "compaction drops the tombstones");
-    assert_eq!(compacted.n_items(), fragmented.n_items());
+    for stage in 0..3 {
+        churn_stage(&fragmented, 500, stage, &mut live);
+        churn_stage(&compacted, 500, stage, &mut live2);
+        assert_eq!(
+            live.keys().collect::<std::collections::BTreeSet<_>>(),
+            live2.keys().collect::<std::collections::BTreeSet<_>>()
+        );
+        compacted.compact();
+        let gen = compacted.pin();
+        assert_eq!(gen.delta_rows(), 0, "compaction folds the delta away");
+        assert_eq!(gen.n_tombstones(), 0, "compaction drops the tombstones");
+        assert_eq!(compacted.n_items(), fragmented.n_items());
+        let gen = fragmented.pin();
+        assert!(
+            gen.delta_rows() + gen.n_tombstones() > 0,
+            "still fragmented"
+        );
 
-    for strategy in STRATEGIES {
-        let params = exhaustive(10, strategy);
-        for q in queries() {
-            let before = fragmented.run(SearchRequest::new(&q).params(params));
-            let after = compacted.run(SearchRequest::new(&q).params(params));
-            assert_eq!(
-                after.ranked(),
-                before.ranked(),
-                "strategy={} q={q:?}",
-                strategy.name()
+        // One prober, one global budget, filtered rows spend none of it: a
+        // fragmented index answers like a rebuild over its live rows at
+        // every budget, not only the exhaustive one. MIH searches each
+        // segment with the whole budget, so it is pinned where that cannot
+        // show.
+        for strategy in STRATEGIES {
+            let mih = matches!(strategy, ProbeStrategy::MultiIndexHashing { .. });
+            let generated = matches!(
+                strategy,
+                ProbeStrategy::GenerateHammingRanking | ProbeStrategy::GenerateQdRanking
             );
+            for budget in [k, 50, 200, usize::MAX] {
+                if mih && budget != usize::MAX {
+                    continue;
+                }
+                let params = SearchParams {
+                    n_candidates: budget,
+                    ..exhaustive(k, strategy)
+                };
+                for q in queries() {
+                    let before = fragmented.run(SearchRequest::new(&q).params(params));
+                    let after = compacted.run(SearchRequest::new(&q).params(params));
+                    let at = format!(
+                        "stage={stage} strategy={} budget={budget} q={q:?}",
+                        strategy.name()
+                    );
+                    assert_eq!(after.ranked(), before.ranked(), "{at}");
+                    if mih {
+                        continue;
+                    }
+                    assert_eq!(
+                        after.stats.items_evaluated, before.stats.items_evaluated,
+                        "{at}"
+                    );
+                    assert_eq!(after.stop_reason, before.stop_reason, "{at}");
+                    if generated {
+                        // HR/QR also rank buckets whose rows are all dead.
+                        assert_eq!(
+                            after.stats.buckets_probed, before.stats.buckets_probed,
+                            "{at}"
+                        );
+                    }
+                }
+            }
         }
     }
 }

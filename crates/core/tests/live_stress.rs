@@ -59,6 +59,12 @@ fn readers_see_consistent_pinned_generations_during_churn() {
                 let mut queries = 0usize;
                 let mut epochs_seen = HashSet::new();
                 let q = [7.0 + r as f32, 9.0 - r as f32];
+                // One reader on a tight budget: the global candidate budget
+                // is spent across base and delta under churn too.
+                let params = SearchParams {
+                    n_candidates: if r == 0 { 20 } else { usize::MAX },
+                    ..params
+                };
                 while !stop.load(Ordering::Relaxed) {
                     let gen = index.pin();
                     epochs_seen.insert(gen.epoch());

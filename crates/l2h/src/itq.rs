@@ -53,6 +53,18 @@ impl Itq {
         m: usize,
         opts: &ItqOptions,
     ) -> Result<Itq, TrainError> {
+        Self::train_accumulating(data, dim, m, opts, accumulate_vtb)
+    }
+
+    /// [`Itq::train_with`] over a given `(V, VR) → (VᵀB, error)` step, so the
+    /// bit-identity test can train through the loop this module used to run.
+    fn train_accumulating(
+        data: &[f32],
+        dim: usize,
+        m: usize,
+        opts: &ItqOptions,
+        accumulate: impl Fn(&Matrix, &Matrix) -> (Matrix, f64),
+    ) -> Result<Itq, TrainError> {
         let n = check_training_input(data, dim, m, dim, 2)?;
         let pca = Pca::fit(data, dim, m);
 
@@ -81,19 +93,7 @@ impl Itq {
             // Fix R: B = sgn(V·R), encoded ±1.
             let vr = v.matmul(&r);
             // Fix B: maximize tr(Rᵀ·VᵀB) ⇒ R = polar factor of VᵀB.
-            let mut vtb = Matrix::zeros(m, m);
-            let mut err = 0.0f64;
-            for row in 0..vr.rows() {
-                let vr_row = vr.row(row);
-                let v_row = v.row(row);
-                for j in 0..m {
-                    let b = if vr_row[j] >= 0.0 { 1.0 } else { -1.0 };
-                    err += (vr_row[j] - b) * (vr_row[j] - b);
-                    for i in 0..m {
-                        vtb[(i, j)] += v_row[i] * b;
-                    }
-                }
-            }
+            let (vtb, err) = accumulate(&v, &vr);
             quant_error = err / vr.rows().max(1) as f64;
             let s = svd(&vtb);
             // tr(Rᵀ·M) with M = VᵀB is maximized at R = U·Vᵀ of M's SVD.
@@ -127,6 +127,30 @@ impl Itq {
     pub fn hasher(&self) -> &LinearHasher {
         &self.hasher
     }
+}
+
+/// `VᵀB` for `B = sgn(VR)` (±1) and the summed squared quantization error
+/// `‖VR − B‖²`. The sign vector of a row is computed once, then every
+/// accumulator row is updated over contiguous `j`; each `vtb[(i, j)]` still
+/// sums its rows in ascending order with a separate multiply and add, so the
+/// result is bit-identical to the element-at-a-time loop it replaces.
+fn accumulate_vtb(v: &Matrix, vr: &Matrix) -> (Matrix, f64) {
+    let m = vr.cols();
+    let mut vtb = Matrix::zeros(m, m);
+    let mut signs = vec![0.0f64; m];
+    let mut err = 0.0f64;
+    for row in 0..vr.rows() {
+        for (b, &x) in signs.iter_mut().zip(vr.row(row)) {
+            *b = if x >= 0.0 { 1.0 } else { -1.0 };
+            err += (x - *b) * (x - *b);
+        }
+        for (i, &vi) in v.row(row).iter().enumerate() {
+            for (acc, &b) in vtb.row_mut(i).iter_mut().zip(&signs) {
+                *acc += vi * b;
+            }
+        }
+    }
+    (vtb, err)
 }
 
 impl HashModel for Itq {
@@ -204,6 +228,47 @@ mod tests {
             data.push(rng.gen::<f32>() * 0.1);
         }
         data
+    }
+
+    /// The element-at-a-time accumulation `accumulate_vtb` replaced: j-outer,
+    /// i-inner, stride-`m` writes through `Index`.
+    fn accumulate_vtb_reference(v: &Matrix, vr: &Matrix) -> (Matrix, f64) {
+        let m = vr.cols();
+        let mut vtb = Matrix::zeros(m, m);
+        let mut err = 0.0f64;
+        for row in 0..vr.rows() {
+            let vr_row = vr.row(row);
+            let v_row = v.row(row);
+            for j in 0..m {
+                let b = if vr_row[j] >= 0.0 { 1.0 } else { -1.0 };
+                err += (vr_row[j] - b) * (vr_row[j] - b);
+                for i in 0..m {
+                    vtb[(i, j)] += v_row[i] * b;
+                }
+            }
+        }
+        (vtb, err)
+    }
+
+    #[test]
+    fn vtb_accumulate_matches_reference_bits() {
+        let mut rng = ChaCha8Rng::seed_from_u64(2024);
+        let wide: Vec<f32> = (0..2_000 * 32)
+            .map(|i| rng.gen::<f32>() * (1 + i % 32) as f32 - 0.3 * (i % 7) as f32)
+            .collect();
+        for (data, dim, m) in [(blobs(), 4, 3), (wide, 32, 16)] {
+            let opts = ItqOptions::default();
+            let new = Itq::train_with(&data, dim, m, &opts).unwrap();
+            let old =
+                Itq::train_accumulating(&data, dim, m, &opts, accumulate_vtb_reference).unwrap();
+            let bits = |itq: &Itq| -> Vec<u64> {
+                let all = itq.hasher.w.as_slice().iter().chain(&itq.hasher.bias);
+                all.chain([&itq.final_quant_error])
+                    .map(|x| x.to_bits())
+                    .collect()
+            };
+            assert_eq!(bits(&new), bits(&old), "dim {dim}, m {m}");
+        }
     }
 
     #[test]
