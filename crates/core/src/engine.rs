@@ -10,10 +10,7 @@ use crate::attrs::AttributeStore;
 use crate::code::CodeWord;
 use crate::metrics::{metric_name, MetricsRegistry, PhaseSpans};
 use crate::probe::mih::MihIndex;
-use crate::probe_loop::{
-    drive, Evaluator, FlatRows, MihSource, ProbeCtx, StopPolicy, StopReason, SurvivorSource,
-    TableSource,
-};
+use crate::probe_loop::{drive, FlatRows, MihSource, ProbeCtx, TableSource, Target};
 use crate::recall::{RecallModel, RecallTarget};
 use crate::request::SearchRequest;
 pub use crate::response::{Checkpoint, SearchResponse};
@@ -471,8 +468,8 @@ impl<'a, M: HashModel + ?Sized, C: CodeWord> QueryEngine<'a, M, C> {
     /// Flush per-query spans under a custom metric family instead of the
     /// default `gqr_query_*` (builder style). `labels` are appended after
     /// the automatic `strategy` label — the sharded index uses this to emit
-    /// per-shard spans like
-    /// `gqr_shard_phase_ns{phase="evaluate",shard="3",strategy="GQR"}`.
+    /// its per-shard MIH spans like
+    /// `gqr_shard_phase_ns{phase="evaluate",shard="3",strategy="MIH"}`.
     pub fn with_span_scope(
         mut self,
         comp: impl Into<String>,
@@ -634,64 +631,31 @@ impl<'a, M: HashModel + ?Sized, C: CodeWord> QueryEngine<'a, M, C> {
         );
         let start = Instant::now();
         let mut ctx = ProbeCtx::new(&env);
-        // Plan the predicate. The arm decides how the filter composes with
-        // probing: a survivor set within the brute budget is evaluated
-        // outright, anything else gates the probed candidates.
-        let brute_budget = if params.n_candidates < usize::MAX {
-            params.n_candidates
-        } else {
-            4096usize.max(16 * params.k)
-        };
-        let predicate = req.predicate;
-        let (brute, mut filter) =
-            env.plan_filter(self.attrs, predicate.as_ref(), req.filter, brute_budget);
-        let tile_rows = scratch.capacity();
-        let sink = Evaluator {
-            query,
+        let target = Target {
+            model: self.model,
+            code_length: self.table.code_length(),
+            metric: self.metric,
+            recall: self.recall,
             rows: FlatRows {
                 data: self.data,
                 dim: self.dim,
             },
-            metric: self.metric,
-            filter: filter.as_deref_mut(),
-            scratch,
+            n_rows: self.data.len() / self.dim,
         };
-        let mut result = if let Some(survivors) = &brute {
-            // Survivors ascend; ids beyond the data buffer are not
-            // addressable and end the sweep.
-            let n_rows = self.data.len() / self.dim;
-            let ids = survivors.iter().take_while(|&id| (id as usize) < n_rows);
-            let tile = Vec::with_capacity(tile_rows);
-            let mut source = SurvivorSource {
-                survivors: ids,
-                tile,
-                tile_rows,
-            };
-            let policy = StopPolicy::new(&params, start);
-            let mut result = drive(&mut source, policy, sink, budgets, &mut ctx);
-            // The survivor set is exact — recall over the filtered universe
-            // is 1.0 by construction once it is fully evaluated. If a stop
-            // cut the sweep short, report the evaluated fraction instead.
-            result.predicted_recall = params.recall_target.map(|_| match result.stop_reason {
-                StopReason::Exhausted => 1.0,
-                _ => result.stats.items_evaluated as f32 / survivors.len().max(1) as f32,
-            });
-            result
-        } else {
-            let (model, cap, m) = (self.model, params.max_buckets, self.table.code_length());
-            let (metric, recall, metrics) = (self.metric, self.recall, &self.metrics);
-            let policy = StopPolicy::probing(&params, start, model, m, metric, recall, metrics);
+        let mut result = target.run(req, self.attrs, scratch, start, &mut ctx, |sink, ctx| {
+            let (model, cap) = (self.model, params.max_buckets);
+            let policy = target.policy(&params, start, &self.metrics);
             match params.strategy {
                 ProbeStrategy::MultiIndexHashing { .. } => {
-                    let mut source = MihSource::new(model, self.mih_index(), cap, query, &mut ctx);
-                    drive(&mut source, policy, sink, budgets, &mut ctx)
+                    let mut source = MihSource::new(model, self.mih_index(), cap, query, ctx);
+                    drive(&mut source, policy, sink, budgets, ctx)
                 }
                 strategy => {
-                    let mut source = TableSource::new(model, self.table, strategy, query, &mut ctx);
-                    drive(&mut source, policy, sink, budgets, &mut ctx)
+                    let mut source = TableSource::new(model, self.table, strategy, query, ctx);
+                    drive(&mut source, policy, sink, budgets, ctx)
                 }
             }
-        };
+        });
         self.flush_spans(&ctx.phases, strat, start.elapsed());
         result.trace_id = env.close();
         result

@@ -55,7 +55,7 @@ use crate::persist::{corrupt, PersistError, SectionKind, SnapshotFile, SnapshotW
 use crate::probe::mih::MihIndex;
 use crate::probe_loop::{
     drive, Evaluator, FlatRows, MihSource, ProbeCtx, SegmentRef, SegmentedRows, SegmentedTables,
-    StopPolicy,
+    Target,
 };
 use crate::recall::RecallModel;
 use crate::request::SearchRequest;
@@ -588,20 +588,32 @@ impl<M: HashModel + ?Sized + 'static, C: CodeWord> VersionedStore<M, C> {
             !tombstones.contains(&slot) && user.as_deref_mut().is_none_or(|f| f(gen.ext_id(slot)))
         };
         let mut gate: Option<&mut dyn FnMut(u32) -> bool> = gated.then_some(&mut gate);
-        let (m, recall, metrics) = (model.code_length(), self.recall.as_ref(), &self.metrics);
-        let policy = || StopPolicy::probing(&params, start, model, m, metric, recall, metrics);
+        let metrics = &self.metrics;
         let flush = |ctx: &ProbeCtx<'_>, segment: &str, since: Instant| {
             let labels = [("segment", segment), ("strategy", env.strategy)];
             let phases = &ctx.phases;
             phases.flush_labeled(metrics, "gqr_live", &labels, since.elapsed());
         };
-        let base_rows = gen.base.rows() as u32;
+        let (base, delta) = (&gen.base, &gen.delta);
+        let base_rows = base.rows() as u32;
+        let segments = &[
+            SegmentRef::new(&base.table, &base.data, 0),
+            SegmentRef::new(&delta.table, &delta.data, base_rows),
+        ];
+        let target = Target {
+            model,
+            code_length: model.code_length(),
+            metric,
+            recall: self.recall.as_ref(),
+            rows: SegmentedRows { segments, dim },
+            n_rows: base.rows() + delta.rows(),
+        };
         let mut out = match params.strategy {
             // The side index is per segment: search each with the whole
             // candidate budget and merge.
             ProbeStrategy::MultiIndexHashing { .. } => {
                 let mut answers = Vec::with_capacity(2);
-                let parts = [(&gen.base, 0, "base"), (&gen.delta, base_rows, "delta")];
+                let parts = [(base, 0, "base"), (delta, base_rows, "delta")];
                 for (seg, first, label) in parts.into_iter().filter(|p| p.0.rows() > 0) {
                     let began = Instant::now();
                     let mih = seg.mih.as_ref();
@@ -622,30 +634,20 @@ impl<M: HashModel + ?Sized + 'static, C: CodeWord> VersionedStore<M, C> {
                         filter,
                         scratch,
                     };
-                    let res = drive(&mut source, policy(), sink, &[], &mut ctx);
+                    let policy = target.policy(&params, start, metrics);
+                    let res = drive(&mut source, policy, sink, &[], &mut ctx);
                     flush(&ctx, label, began);
                     answers.push((res, first, seg.rows()));
                 }
                 SearchResponse::merged(params.k, answers)
             }
             strategy => {
-                let (base, delta) = (&gen.base, &gen.delta);
-                let segments = &[
-                    SegmentRef::new(&base.table, &base.data, 0),
-                    SegmentRef::new(&delta.table, &delta.data, base_rows),
-                ];
                 let mut ctx = ProbeCtx::new(&env);
                 let mut source =
                     SegmentedTables::new(model, segments, gen.n_live(), strategy, query, &mut ctx);
-                let (rows, filter, scratch) = (SegmentedRows { segments, dim }, gate, tile);
-                let sink = Evaluator {
-                    query,
-                    rows,
-                    metric,
-                    filter,
-                    scratch,
-                };
-                let res = drive(&mut source, policy(), sink, &[], &mut ctx);
+                let sink = target.sink(query, gate, tile);
+                let policy = target.policy(&params, start, metrics);
+                let res = drive(&mut source, policy, sink, &[], &mut ctx);
                 flush(&ctx, "all", start);
                 res
             }

@@ -2,21 +2,23 @@
 //! in ascending cost, evaluate it, stop when a criterion of §4.2 fires.
 //!
 //! GQR, QR, HR, GHR, MIH, the planner's brute arm, multi-table search and
-//! segmented (live) search differ only in *where the next unit comes from*
-//! — a `BucketSource` — and *where a candidate's vector lies* — a `Rows`.
+//! segmented (live and sharded) search differ only in *where the next unit
+//! comes from* — a `BucketSource` — and *where a candidate's vector lies* —
+//! a `Rows`.
 //! *When to stop* is a `StopPolicy`, asked once before and once after
 //! every unit, and *why it stopped* is the [`StopReason`] every response
 //! carries. `drive` owns everything in between: filter → gather →
 //! [`ScoreBlock`] flush → [`TopK`], checkpoints, phase spans, the per-step
 //! trace trajectory and the stop markers.
 
+use crate::attrs::AttributeStore;
 use crate::code::{typed_encoding, CodeWord};
 use crate::engine::{ProbeStrategy, SearchParams};
 use crate::metrics::{metric_name, MarkerKind, MetricsRegistry, Phase, PhaseSpans};
 use crate::probe::mih::{MihIndex, MihSearcher};
 use crate::probe::AnyProber;
 use crate::recall::{RecallController, RecallModel};
-use crate::request::Envelope;
+use crate::request::{Envelope, SearchRequest};
 use crate::response::{Checkpoint, SearchResponse};
 use crate::stats::ProbeStats;
 use crate::table::HashTable;
@@ -374,11 +376,11 @@ impl<'t, C: CodeWord> SegmentRef<'t, C> {
 }
 
 /// Several row-disjoint tables of **one** hash model (the base and delta of
-/// a live index) probed once — the dual of [`MergedTables`]. The bucket
-/// order is a function of the query alone, so one prober serves every
-/// segment, and a unit is the concatenation of each segment's bucket for
-/// the code, as global ids in segment order: exactly the bucket of one
-/// table built over all the rows.
+/// a live index, the shards of a sharded one) probed once — the dual of
+/// [`MergedTables`]. The bucket order is a function of the query alone, so
+/// one prober serves every segment, and a unit is the concatenation of each
+/// segment's bucket for the code, as global ids in segment order: exactly
+/// the bucket of one table built over all the rows.
 pub(crate) struct SegmentedTables<'t, C: CodeWord> {
     prober: AnyProber<'t, C>,
     segments: &'t [SegmentRef<'t, C>],
@@ -469,26 +471,6 @@ impl<'m> StopPolicy<'m> {
             start,
             mu: None,
             controller: None,
-        }
-    }
-
-    /// [`StopPolicy::new`] plus what probing the `code_length`-bit buckets
-    /// of one hash `model` may add: the Theorem-2 early stop (under
-    /// `metric`) and the recall target (against `recall`, with `metrics`
-    /// counting a target it cannot serve).
-    pub fn probing<M: HashModel + ?Sized>(
-        params: &SearchParams,
-        start: Instant,
-        model: &M,
-        code_length: usize,
-        metric: Metric,
-        recall: Option<&'m RecallModel>,
-        metrics: &MetricsRegistry,
-    ) -> StopPolicy<'m> {
-        StopPolicy {
-            mu: early_stop_mu(model, code_length, metric, params),
-            controller: recall_controller(recall, metrics, params),
-            ..StopPolicy::new(params, start)
         }
     }
 
@@ -644,6 +626,108 @@ impl<R: Rows> Evaluator<'_, '_, R> {
             self.scratch.push(id, rows.row(id));
         }
         evaluated + self.scratch.flush(query, metric, |id, d| topk.push(d, id))
+    }
+}
+
+/// What a query consults besides its bucket source, whatever the index
+/// layout: the hash model its tables were built with, where a candidate's
+/// row lies, and the calibration a recall target stops against. The engine,
+/// the sharded index and the live store each describe themselves as one.
+pub(crate) struct Target<'a, M: HashModel + ?Sized, R: Rows> {
+    pub model: &'a M,
+    pub code_length: usize,
+    pub metric: Metric,
+    pub recall: Option<&'a RecallModel>,
+    pub rows: R,
+    /// Ids `0..n_rows` are addressable through `rows`.
+    pub n_rows: usize,
+}
+
+impl<'a, M: HashModel + ?Sized, R: Rows> Target<'a, M, R> {
+    /// The stop policy of a search that probes this target's buckets:
+    /// [`StopPolicy::new`] plus the Theorem-2 early stop and the recall
+    /// target, `metrics` counting a target the recall model cannot serve.
+    pub fn policy(
+        &self,
+        params: &SearchParams,
+        start: Instant,
+        metrics: &MetricsRegistry,
+    ) -> StopPolicy<'a> {
+        let (model, m, metric) = (self.model, self.code_length, self.metric);
+        StopPolicy {
+            mu: early_stop_mu(model, m, metric, params),
+            controller: recall_controller(self.recall, metrics, params),
+            ..StopPolicy::new(params, start)
+        }
+    }
+
+    /// The evaluator that scores this target's rows against `query`.
+    pub fn sink<'s, 'f>(
+        &self,
+        query: &'s [f32],
+        filter: Option<&'s mut (dyn FnMut(u32) -> bool + 'f)>,
+        scratch: &'s mut ScoreBlock,
+    ) -> Evaluator<'s, 'f, R> {
+        let (rows, metric) = (self.rows, self.metric);
+        Evaluator {
+            query,
+            rows,
+            metric,
+            filter,
+            scratch,
+        }
+    }
+
+    /// Run `req`, opened as `ctx.env` at `start`. Its predicate is planned
+    /// once against `attrs` and the request's own candidate budget: an exact
+    /// survivor set that fits is evaluated outright — no hashing, no
+    /// probing — and anything else becomes the sink's gate, which `probe`
+    /// drives from the strategy's source.
+    pub fn run(
+        &self,
+        req: SearchRequest<'_>,
+        attrs: Option<&AttributeStore>,
+        scratch: &mut ScoreBlock,
+        start: Instant,
+        ctx: &mut ProbeCtx<'_>,
+        probe: impl FnOnce(Evaluator<'_, '_, R>, &mut ProbeCtx<'_>) -> SearchResponse,
+    ) -> SearchResponse {
+        let (query, params, budgets) = (req.query, req.params, req.budgets);
+        // Under a recall target the budget is unbounded; a survivor set of a
+        // few probes' worth of rows is still cheaper swept than probed for.
+        let brute_budget = match params.n_candidates {
+            usize::MAX => 4096usize.max(16 * params.k),
+            n => n,
+        };
+        let predicate = req.predicate;
+        let (brute, mut filter) =
+            ctx.env
+                .plan_filter(attrs, predicate.as_ref(), req.filter, brute_budget);
+        let tile_rows = scratch.capacity();
+        let sink = self.sink(query, filter.as_deref_mut(), scratch);
+        let Some(survivors) = brute else {
+            return probe(sink, ctx);
+        };
+        // Survivors ascend; ids beyond the rows are not addressable and end
+        // the sweep.
+        let n_rows = self.n_rows;
+        let ids = survivors.iter().take_while(|&id| (id as usize) < n_rows);
+        let tile = Vec::with_capacity(tile_rows);
+        let mut source = SurvivorSource {
+            survivors: ids,
+            tile,
+            tile_rows,
+        };
+        let policy = StopPolicy::new(&params, start);
+        let mut result = drive(&mut source, policy, sink, budgets, ctx);
+        // The survivor set is exact — recall over the filtered universe is
+        // 1.0 by construction once it is fully evaluated. If a stop cut the
+        // sweep short, report the evaluated fraction instead.
+        result.predicted_recall = params.recall_target.map(|_| match result.stop_reason {
+            StopReason::Exhausted => 1.0,
+            _ => result.stats.items_evaluated as f32 / survivors.len().max(1) as f32,
+        });
+        result
     }
 }
 

@@ -1,48 +1,62 @@
 //! Sharded serving index: one dataset, S hash tables, exact global top-k.
 //!
-//! A [`ShardedIndex`] partitions the item rows into `S` contiguous shards,
-//! builds one [`HashTable`] (and optionally one MIH side index) per shard,
-//! and answers a query by searching every shard and merging the per-shard
-//! top-k into a global top-k. Because each shard retains its *full* local
-//! top-k and [`TopK`](crate::topk::TopK)'s `(distance, id)` ordering is deterministic, the
-//! merged result is **bit-identical** to running the single unsharded engine
-//! over the same data — sharding changes the execution plan, never the
-//! answer (see `tests/sharded_equivalence.rs`).
+//! A [`ShardedIndex`] partitions the item rows into `S` contiguous shards
+//! and builds one [`HashTable`] (and optionally one MIH side index) per
+//! shard. The bucket order of HR/GHR/QR/GQR depends on the query alone, so
+//! one prober serves every shard: a query is **one** search whose probe
+//! unit is the concatenation of each shard's bucket for the code, shifted
+//! to global ids — exactly the bucket of one table over all the rows. One
+//! candidate budget, one stop policy, one top-k, no merge: the answer, its
+//! [`ProbeStats`](crate::stats::ProbeStats), stop reason and recall
+//! prediction are **bit-identical** to the unsharded engine's at every
+//! budget (see `tests/sharded_equivalence.rs`). A predicate is planned
+//! once, against that global budget.
 //!
-//! Shard fan-out runs either serially ([`ShardedIndex::run`]) or on a
-//! persistent [`Executor`] ([`ShardedIndex::run_on`]), which is the serving
-//! configuration: long-lived workers, bounded queue, one job per shard per
-//! query. Per-shard work is observable through the `gqr_shard_*` metric
-//! family (phase spans labelled `{shard, strategy}`) and the merge through
-//! `gqr_sharded_*`.
+//! MIH keeps one side index per shard, so an MIH query searches every
+//! shard with the whole budget and merges the per-shard top-k — serially
+//! ([`ShardedIndex::run`]) or as one job per shard on a persistent
+//! [`Executor`] ([`ShardedIndex::run_on`]). Its per-shard work is
+//! observable as `gqr_shard_*{shard="i",strategy="MIH"}` and the merge as
+//! `gqr_sharded_merge_ns`; the one search of every other strategy flushes
+//! its phase spans once as `gqr_shard_*{shard="all",strategy}`.
 
 use crate::attrs::AttributeStore;
-use crate::engine::{QueryEngine, SearchParams, SearchResponse};
+use crate::engine::{with_scratch, ProbeStrategy, QueryEngine, SearchParams, SearchResponse};
 use crate::executor::Executor;
 use crate::metrics::MetricsRegistry;
 use crate::persist::{LoadedIndex, PersistError, SnapshotWriter};
 use crate::probe::mih::MihIndex;
+use crate::probe_loop::{
+    drive, Evaluator, FlatRows, ProbeCtx, SegmentRef, SegmentedTables, Target,
+};
 use crate::recall::RecallModel;
 use crate::request::{Envelope, SearchRequest};
 use crate::table::HashTable;
 use gqr_l2h::HashModel;
 use gqr_linalg::vecops::Metric;
+use std::ops::Range;
 use std::time::Instant;
 
-/// One shard: a contiguous slice of the dataset with its own table.
-struct Shard<'a> {
+/// One shard: a contiguous range of the index's rows with its own table.
+struct Shard {
     table: HashTable,
-    /// This shard's rows (row-major, `dim` columns).
-    data: &'a [f32],
-    /// Global id of this shard's local id 0.
-    offset: u32,
+    /// Global ids of this shard's rows; local id `l` is global id
+    /// `rows.start + l`.
+    rows: Range<usize>,
     /// Prebuilt MIH side index, shared by every per-query engine so the
     /// substring tables are built once per shard, not once per search.
     mih: Option<MihIndex>,
 }
 
-/// A dataset partitioned across `S` shard-local hash tables, searched by
-/// fanning each query out and merging per-shard top-k exactly.
+impl Shard {
+    /// Global id of this shard's local id 0.
+    fn offset(&self) -> u32 {
+        self.rows.start as u32
+    }
+}
+
+/// A dataset partitioned across `S` shard-local hash tables, searched as
+/// one table (MIH: by fanning out and merging per-shard top-k exactly).
 ///
 /// ```
 /// use gqr_core::engine::SearchParams;
@@ -64,7 +78,10 @@ pub struct ShardedIndex<'a, M: HashModel + ?Sized> {
     model: &'a M,
     dim: usize,
     metric: Metric,
-    shards: Vec<Shard<'a>>,
+    /// Every shard's rows, row-major, `dim` columns: shards are contiguous
+    /// ranges of this one buffer.
+    data: &'a [f32],
+    shards: Vec<Shard>,
     metrics: MetricsRegistry,
     recall: Option<&'a RecallModel>,
     attrs: Option<&'a AttributeStore>,
@@ -144,8 +161,7 @@ impl ShardedIndexBuilder {
     }
 
     /// Prebuild each shard's MIH side index with this many substring blocks
-    /// (required before
-    /// [`ProbeStrategy::MultiIndexHashing`](crate::engine::ProbeStrategy::MultiIndexHashing)).
+    /// (required before [`ProbeStrategy::MultiIndexHashing`]).
     pub fn mih_blocks(mut self, blocks: usize) -> Self {
         assert!(blocks > 0, "MIH needs at least one block");
         self.mih_blocks = Some(blocks);
@@ -158,9 +174,7 @@ impl ShardedIndexBuilder {
         self
     }
 
-    /// Attach a metrics registry: per-shard spans flush as
-    /// `gqr_shard_*{shard="…",strategy="…"}` and the merge records
-    /// `gqr_sharded_{total_ns,merge_ns,queries_total}`.
+    /// Attach a metrics registry (see [`ShardedIndex::with_metrics`]).
     pub fn metrics(mut self, metrics: MetricsRegistry) -> Self {
         self.metrics = metrics;
         self
@@ -224,32 +238,33 @@ impl<'a, M: HashModel + ?Sized> ShardedIndex<'a, M> {
         // Contiguous partition: shard i gets base (+1 for the first n % S).
         let base = n / n_shards;
         let rem = n % n_shards;
-        let mut slices = Vec::with_capacity(n_shards);
+        let mut ranges = Vec::with_capacity(n_shards);
         let mut row = 0usize;
         for i in 0..n_shards {
             let len = base + usize::from(i < rem);
-            slices.push((row as u32, &data[row * dim..(row + len) * dim]));
+            ranges.push(row..row + len);
             row += len;
         }
+        let slice = |rows: &Range<usize>| &data[rows.start * dim..rows.end * dim];
 
         let mut tables: Vec<Option<HashTable>> = (0..n_shards).map(|_| None).collect();
         if n_shards == 1 {
-            tables[0] = Some(HashTable::build(model, slices[0].1, dim));
+            tables[0] = Some(HashTable::build(model, data, dim));
         } else {
             std::thread::scope(|s| {
-                for (slot, &(_, slice)) in tables.iter_mut().zip(&slices) {
-                    s.spawn(move || *slot = Some(HashTable::build(model, slice, dim)));
+                for (slot, rows) in tables.iter_mut().zip(&ranges) {
+                    let rows = slice(rows);
+                    s.spawn(move || *slot = Some(HashTable::build(model, rows, dim)));
                 }
             });
         }
 
         let shards = tables
             .into_iter()
-            .zip(slices)
-            .map(|(table, (offset, data))| Shard {
+            .zip(ranges)
+            .map(|(table, rows)| Shard {
                 table: table.expect("shard table built"),
-                data,
-                offset,
+                rows,
                 mih: None,
             })
             .collect();
@@ -257,6 +272,7 @@ impl<'a, M: HashModel + ?Sized> ShardedIndex<'a, M> {
             model,
             dim,
             metric: Metric::SquaredEuclidean,
+            data,
             shards,
             metrics: MetricsRegistry::disabled(),
             recall: None,
@@ -275,16 +291,10 @@ impl<'a, M: HashModel + ?Sized> ShardedIndex<'a, M> {
         let manifest: Vec<(usize, bool)> = self
             .shards
             .iter()
-            .map(|s| (s.data.len() / self.dim, s.mih.is_some()))
+            .map(|s| (s.rows.len(), s.mih.is_some()))
             .collect();
         w.add_manifest(self.metric, &manifest);
-        // Shards partition the dataset contiguously, so concatenating the
-        // per-shard slices reproduces the original row-major buffer.
-        let mut data = Vec::with_capacity(self.shards.iter().map(|s| s.data.len()).sum());
-        for shard in &self.shards {
-            data.extend_from_slice(shard.data);
-        }
-        w.add_vectors(&data, self.dim);
+        w.add_vectors(self.data, self.dim);
         for shard in &self.shards {
             w.add_table(&shard.table);
         }
@@ -302,26 +312,29 @@ impl<'a, M: HashModel + ?Sized> ShardedIndex<'a, M> {
         w.write(path)
     }
 
-    /// Attach a metrics registry (builder style): per-shard spans flush as
-    /// `gqr_shard_*{shard="…",strategy="…"}` and the merge records
-    /// `gqr_sharded_{total_ns,merge_ns,queries_total}`.
+    /// Attach a metrics registry (builder style): every query records
+    /// `gqr_sharded_{total_ns,queries_total}`; the one search of HR/GHR/QR/
+    /// GQR flushes its phase spans as `gqr_shard_*{shard="all",strategy="…"}`,
+    /// while MIH flushes them per shard (`shard="0"`, …) and records its
+    /// merge as `gqr_sharded_merge_ns`.
     pub fn with_metrics(mut self, metrics: MetricsRegistry) -> Self {
         self.metrics = metrics;
         self
     }
 
-    /// Switch the exact-evaluation metric (builder style); applies to every
-    /// shard engine.
+    /// Switch the exact-evaluation metric (builder style).
     pub fn with_metric(mut self, metric: Metric) -> Self {
         self.metric = metric;
         self
     }
 
-    /// Attach a calibrated [`RecallModel`] (builder style): every per-shard
-    /// engine consults it when a request sets
-    /// [`SearchParams::recall_target`](crate::engine::SearchParamsBuilder::recall_target),
-    /// and the merged response's `predicted_recall` is the shard-row-weighted
-    /// average of the per-shard predictions.
+    /// Attach a calibrated [`RecallModel`] (builder style), consulted when a
+    /// request sets
+    /// [`SearchParams::recall_target`](crate::engine::SearchParamsBuilder::recall_target).
+    /// The one search of HR/GHR/QR/GQR walks the trajectory of the unsharded
+    /// engine the model was calibrated on, so its `predicted_recall` is that
+    /// engine's. Only MIH, which searches each shard on its own, reports the
+    /// shard-row-weighted average of the per-shard predictions.
     pub fn with_recall_model(mut self, model: &'a RecallModel) -> Self {
         self.recall = Some(model);
         self
@@ -334,8 +347,9 @@ impl<'a, M: HashModel + ?Sized> ShardedIndex<'a, M> {
 
     /// Attach an attribute store keyed by **global** item ids (builder
     /// style): requests carrying a structured
-    /// [`Predicate`](crate::attrs::Predicate) are planned once at the
-    /// fan-out level and composed into the per-shard filters.
+    /// [`Predicate`](crate::attrs::Predicate) are planned once, against the
+    /// request's global candidate budget, exactly as the unsharded engine
+    /// plans them.
     pub fn with_attrs(mut self, attrs: &'a AttributeStore) -> Self {
         self.attrs = Some(attrs);
         self
@@ -347,7 +361,7 @@ impl<'a, M: HashModel + ?Sized> ShardedIndex<'a, M> {
     }
 
     /// Build each shard's multi-index-hashing side index (required before
-    /// [`ProbeStrategy::MultiIndexHashing`](crate::engine::ProbeStrategy::MultiIndexHashing)).
+    /// [`ProbeStrategy::MultiIndexHashing`]).
     /// Built once per shard and then lent to every per-query engine.
     pub fn enable_mih(&mut self, blocks: usize) {
         for shard in &mut self.shards {
@@ -381,11 +395,25 @@ impl<'a, M: HashModel + ?Sized> ShardedIndex<'a, M> {
         &self.metrics
     }
 
-    /// A short-lived engine over shard `i`. Engine construction is a few
-    /// asserts; the expensive per-shard state (table, MIH) is borrowed.
+    /// The vectors of `shard`'s rows.
+    fn rows_of(&self, shard: &Shard) -> &'a [f32] {
+        &self.data[shard.rows.start * self.dim..shard.rows.end * self.dim]
+    }
+
+    /// Every shard as one segment of a table over all the rows.
+    fn segments(&self) -> Vec<SegmentRef<'_, u64>> {
+        self.shards
+            .iter()
+            .map(|s| SegmentRef::new(&s.table, self.rows_of(s), s.offset()))
+            .collect()
+    }
+
+    /// A short-lived MIH engine over shard `i`. Engine construction is a
+    /// few asserts; the expensive per-shard state (table, MIH) is borrowed.
     fn shard_engine(&self, i: usize) -> QueryEngine<'_, M> {
         let shard = &self.shards[i];
-        let mut engine = QueryEngine::new(self.model, &shard.table, shard.data, self.dim)
+        let rows = self.rows_of(shard);
+        let mut engine = QueryEngine::new(self.model, &shard.table, rows, self.dim)
             .with_metric(self.metric)
             .with_metrics(self.metrics.clone())
             .with_span_scope("gqr_shard", vec![("shard".to_string(), i.to_string())]);
@@ -398,60 +426,92 @@ impl<'a, M: HashModel + ?Sized> ShardedIndex<'a, M> {
         engine
     }
 
-    /// Execute one request, searching the shards serially on the calling
-    /// thread. The result is bit-identical to the unsharded engine's on the
-    /// same data (same params, exhaustive or per-shard-equivalent budgets).
+    /// Execute one request on the calling thread. HR/GHR/QR/GQR run as one
+    /// search over every shard, bit-identical to the unsharded engine on
+    /// the same data at every budget; a predicate is planned once against
+    /// the global budget, and a survivor set that fits is evaluated outright
+    /// whatever the strategy. MIH searches the shards one after another and
+    /// merges their top-k.
     ///
     /// Requests with [checkpoints](SearchRequest::checkpoints) are rejected:
     /// per-shard snapshots cannot be merged into a global running top-k
     /// without the distances the snapshot discards. A request
-    /// [deadline](SearchParams::deadline) is folded into the per-shard soft
-    /// time limit and a late finish bumps
-    /// `gqr_request_deadline_missed_total`.
+    /// [deadline](SearchParams::deadline) is folded into the soft time limit
+    /// and a late finish bumps `gqr_request_deadline_missed_total`.
     pub fn run(&self, mut req: SearchRequest<'_>) -> SearchResponse {
         let env = req.open_merged(&self.metrics, "sharded");
         let (query, params) = (req.query, req.params);
-        // A predicate is planned once here, over global ids, and becomes
-        // part of the composed filter every shard engine sees.
-        let predicate = req.predicate;
-        let (_, mut keep) = env.plan_filter(self.attrs, predicate.as_ref(), req.filter, 0);
+        assert_eq!(query.len(), self.dim, "query dimensionality mismatch");
         let start = Instant::now();
-        let shard_results = env.fan_out(self.shards.len(), |i, lane, span| {
-            let offset = self.shards[i].offset;
-            let mut shard_req = SearchRequest::new(query)
-                .params(params)
-                .with_trace_parent(lane, span);
-            if let Some(f) = keep.as_deref_mut() {
-                // Shard engines see local ids; the caller's filter speaks
-                // global ids.
-                shard_req = shard_req.filter(move |local: u32| f(local + offset));
-            }
-            self.shard_engine(i).run(shard_req)
+        let mut ctx = ProbeCtx::new(&env);
+        let target = Target {
+            model: self.model,
+            code_length: self.model.code_length(),
+            metric: self.metric,
+            recall: self.recall,
+            rows: FlatRows {
+                data: self.data,
+                dim: self.dim,
+            },
+            n_rows: self.data.len() / self.dim,
+        };
+        let mut fanned_out = false;
+        let out = with_scratch(|scratch| {
+            scratch.ensure_dim(self.dim);
+            target.run(
+                req,
+                self.attrs,
+                scratch,
+                start,
+                &mut ctx,
+                |sink, ctx| match params.strategy {
+                    ProbeStrategy::MultiIndexHashing { .. } => {
+                        fanned_out = true;
+                        self.mih_serial(query, &params, sink, ctx.env)
+                    }
+                    strategy => {
+                        let (segments, model, n) = (self.segments(), self.model, self.n_items());
+                        let mut source =
+                            SegmentedTables::new(model, &segments, n, strategy, query, ctx);
+                        let policy = target.policy(&params, start, &self.metrics);
+                        drive(&mut source, policy, sink, &[], ctx)
+                    }
+                },
+            )
         });
-        self.finish(&params, start, shard_results, env)
+        if !fanned_out {
+            let labels = [("shard", "all"), ("strategy", env.strategy)];
+            let phases = &ctx.phases;
+            phases.flush_labeled(&self.metrics, "gqr_shard", &labels, start.elapsed());
+        }
+        self.finish(start, out, env)
     }
 
-    /// Execute one request, fanning the shards out as one job each on
-    /// `exec` and blocking until all complete. Exactly [`ShardedIndex::run`]
-    /// semantics (including the merged result), with the per-shard searches
-    /// running on the executor's persistent workers.
+    /// Execute one request, running MIH's per-shard searches as one job
+    /// each on `exec` and blocking until all complete. HR/GHR/QR/GQR are one
+    /// search at the global budget — as fast as the slowest of S parallel
+    /// per-shard searches would be, at 1/S of their work — so they run
+    /// on the calling thread exactly as [`ShardedIndex::run`] does, and the
+    /// two entry points agree at every budget.
     ///
-    /// Filtered requests (closure or predicate) fall back to the serial
-    /// path: a `FnMut` filter cannot be shared across
-    /// concurrently-searching shards.
+    /// Filtered MIH requests (closure or predicate) also take the serial
+    /// path: a `FnMut` filter cannot be shared across concurrently-searching
+    /// shards.
     pub fn run_on(&self, exec: &Executor, mut req: SearchRequest<'_>) -> SearchResponse {
-        if req.has_filter() || req.has_predicate() {
+        let mih = matches!(req.params.strategy, ProbeStrategy::MultiIndexHashing { .. });
+        if !mih || req.has_filter() || req.has_predicate() {
             return self.run(req);
         }
         let env = req.open_merged(&self.metrics, "sharded");
         let (query, params) = (req.query, req.params);
         let start = Instant::now();
-        let shard_results = env.fan_out_on(exec, self.shards.len(), |i, lane, span| {
+        let answers = env.fan_out_on(exec, self.shards.len(), |i, lane, span| {
             let shard_req = SearchRequest::new(query).params(params);
-            let shard_req = shard_req.with_trace_parent(lane, span);
-            self.shard_engine(i).run(shard_req)
+            self.shard_engine(i)
+                .run(shard_req.with_trace_parent(lane, span))
         });
-        self.finish(&params, start, shard_results, env)
+        let out = self.merge(params.k, answers, &env);
+        self.finish(start, out, env)
     }
 
     /// k-NN search across all shards, serially (thin wrapper over
@@ -460,24 +520,50 @@ impl<'a, M: HashModel + ?Sized> ShardedIndex<'a, M> {
         self.run(SearchRequest::new(query).params(*params))
     }
 
-    /// Merge per-shard results into the global result, flush the
-    /// sharded-level metrics and close the request envelope.
-    fn finish(
+    /// MIH on the calling thread: search each shard with the whole budget
+    /// under `sink`'s gate and scratch tile, then merge.
+    fn mih_serial(
         &self,
+        query: &[f32],
         params: &SearchParams,
-        start: Instant,
-        shard_results: Vec<SearchResponse>,
-        env: Envelope,
+        sink: Evaluator<'_, '_, FlatRows<'_>>,
+        env: &Envelope<'_>,
     ) -> SearchResponse {
+        let Evaluator {
+            mut filter,
+            scratch,
+            ..
+        } = sink;
+        let answers = env.fan_out(self.shards.len(), |i, lane, span| {
+            let offset = self.shards[i].offset();
+            let mut shard_req = SearchRequest::new(query)
+                .params(*params)
+                .with_trace_parent(lane, span);
+            if let Some(f) = filter.as_deref_mut() {
+                // Shard engines see local ids; the gate speaks global ids.
+                shard_req = shard_req.filter(move |local: u32| f(local + offset));
+            }
+            self.shard_engine(i).run_with_scratch(shard_req, scratch)
+        });
+        self.merge(params.k, answers, env)
+    }
+
+    /// Merge per-shard MIH answers into the global top-`k`.
+    fn merge(&self, k: usize, answers: Vec<SearchResponse>, env: &Envelope<'_>) -> SearchResponse {
         let merge_start = Instant::now();
         let merge_span = env.trace.begin_at(env.root, "merge", merge_start);
-        let parts = self.shards.iter().zip(shard_results);
-        let parts = parts.map(|(shard, res)| (res, shard.offset, shard.table.n_items()));
-        let mut out = SearchResponse::merged(params.k, parts);
+        let parts = self.shards.iter().zip(answers);
+        let parts = parts.map(|(shard, res)| (res, shard.offset(), shard.table.n_items()));
+        let out = SearchResponse::merged(k, parts);
         env.trace.end(merge_span);
+        self.metrics
+            .record_duration("gqr_sharded_merge_ns", merge_start.elapsed());
+        out
+    }
+
+    /// Flush the sharded-level metrics and close the request envelope.
+    fn finish(&self, start: Instant, mut out: SearchResponse, env: Envelope) -> SearchResponse {
         if self.metrics.is_enabled() {
-            self.metrics
-                .record_duration("gqr_sharded_merge_ns", merge_start.elapsed());
             self.metrics
                 .record_duration("gqr_sharded_total_ns", start.elapsed());
             self.metrics.incr("gqr_sharded_queries_total");
@@ -494,25 +580,20 @@ impl<'a> ShardedIndex<'a, dyn HashModel + 'a> {
     /// runs. Works for any shard count (a one-shard snapshot just yields a
     /// one-shard index).
     pub fn from_snapshot(snap: &'a LoadedIndex) -> Self {
-        let dim = snap.dim();
-        let data = snap.data();
         let shards = snap
             .shards()
             .iter()
-            .map(|s| {
-                let start = s.offset as usize * dim;
-                Shard {
-                    table: s.table.clone(),
-                    data: &data[start..start + s.rows * dim],
-                    offset: s.offset,
-                    mih: s.mih.clone(),
-                }
+            .map(|s| Shard {
+                table: s.table.clone(),
+                rows: s.offset as usize..s.offset as usize + s.rows,
+                mih: s.mih.clone(),
             })
             .collect();
         ShardedIndex {
             model: snap.model(),
-            dim,
+            dim: snap.dim(),
             metric: snap.metric(),
+            data: snap.data(),
             shards,
             metrics: MetricsRegistry::disabled(),
             recall: snap.recall_model(),
@@ -596,23 +677,47 @@ mod tests {
         let data = grid(200);
         let model = Pcah::train(&data, 2, 2).unwrap();
         let metrics = MetricsRegistry::enabled();
-        let index = ShardedIndex::build(&model, &data, 2, 2).with_metrics(metrics.clone());
+        let mut index = ShardedIndex::build(&model, &data, 2, 2).with_metrics(metrics.clone());
+        index.enable_mih(2);
         let params = SearchParams {
             k: 5,
             n_candidates: usize::MAX,
             ..Default::default()
         };
+        // A table strategy is one search: its spans flush once, for all
+        // shards, and nothing is merged.
         let _ = index.search(&[3.0, 3.0], &params);
         assert_eq!(metrics.counter_value("gqr_sharded_queries_total"), Some(1));
-        assert!(metrics.histogram("gqr_sharded_merge_ns").is_some());
+        let merged =
+            |m: &MetricsRegistry| m.histogram_names().contains(&"gqr_sharded_merge_ns".into());
         assert!(metrics.histogram("gqr_sharded_total_ns").is_some());
+        assert!(!merged(&metrics));
         assert_eq!(
-            metrics.counter_value("gqr_shard_queries_total{shard=\"0\",strategy=\"GQR\"}"),
+            metrics.counter_value("gqr_shard_queries_total{shard=\"all\",strategy=\"GQR\"}"),
             Some(1)
         );
+        let evaluate = "gqr_shard_phase_ns{phase=\"evaluate\",shard=\"all\",strategy=\"GQR\"}";
+        assert!(metrics.histogram(evaluate).is_some());
         assert_eq!(
-            metrics.counter_value("gqr_shard_queries_total{shard=\"1\",strategy=\"GQR\"}"),
-            Some(1)
+            metrics.counter_value("gqr_shard_queries_total{shard=\"0\",strategy=\"GQR\"}"),
+            None
+        );
+
+        // MIH searches every shard and merges.
+        let mih = SearchParams {
+            strategy: ProbeStrategy::MultiIndexHashing { blocks: 2 },
+            ..params
+        };
+        let _ = index.search(&[3.0, 3.0], &mih);
+        assert_eq!(metrics.counter_value("gqr_sharded_queries_total"), Some(2));
+        assert!(merged(&metrics));
+        for shard in ["0", "1"] {
+            let name = format!("gqr_shard_queries_total{{shard=\"{shard}\",strategy=\"MIH\"}}");
+            assert_eq!(metrics.counter_value(&name), Some(1), "{name}");
+        }
+        assert_eq!(
+            metrics.counter_value("gqr_shard_queries_total{shard=\"all\",strategy=\"MIH\"}"),
+            None
         );
     }
 }

@@ -2,7 +2,7 @@
 //! contract that every executor/shard metric appears under its pinned name
 //! in both the JSON and Prometheus exports.
 
-use gqr_core::engine::SearchParams;
+use gqr_core::engine::{ProbeStrategy, SearchParams};
 use gqr_core::executor::{Executor, JobError, SubmitError};
 use gqr_core::metrics::MetricsRegistry;
 use gqr_core::request::SearchRequest;
@@ -111,13 +111,20 @@ fn executor_and_shard_metrics_export_under_pinned_names() {
         data.push((i / 20) as f32);
     }
     let model = Pcah::train(&data, 2, 2).unwrap();
-    let index = ShardedIndex::build(&model, &data, 2, 2).with_metrics(metrics.clone());
+    let mut index = ShardedIndex::build(&model, &data, 2, 2).with_metrics(metrics.clone());
+    index.enable_mih(2);
     let params = SearchParams {
         k: 5,
         n_candidates: usize::MAX,
         ..Default::default()
     };
+    // A table strategy is one search over every shard; MIH fans out.
     let _ = index.run_on(&exec, SearchRequest::new(&[3.0, 4.0]).params(params));
+    let mih = SearchParams {
+        strategy: ProbeStrategy::MultiIndexHashing { blocks: 2 },
+        ..params
+    };
+    let _ = index.run_on(&exec, SearchRequest::new(&[3.0, 4.0]).params(mih));
 
     let snap = metrics.snapshot();
     let json = snap.to_json();
@@ -147,19 +154,21 @@ fn executor_and_shard_metrics_export_under_pinned_names() {
         assert!(json.contains(name), "JSON export is missing {name}");
         assert!(prom.contains(name), "Prometheus export is missing {name}");
     }
-    // Shard spans carry both labels; the exhaustive search above evaluates
-    // items on every shard, so the evaluate phase must have fired.
-    assert!(
-        metrics
-            .histogram_names()
-            .iter()
-            .any(|n| n.starts_with("gqr_shard_phase_ns{phase=\"evaluate\"")
-                && n.contains("shard=\"0\"")
-                && n.contains("strategy=\"GQR\"")),
-        "per-shard phase spans missing: {:?}",
-        metrics.histogram_names()
-    );
+    // Shard spans carry both labels; the exhaustive searches above evaluate
+    // items on every shard, so the evaluate phase must have fired — once for
+    // all shards under GQR, per shard under MIH.
+    for (shard, strategy) in [("all", "GQR"), ("0", "MIH"), ("1", "MIH")] {
+        let name = format!(
+            "gqr_shard_phase_ns{{phase=\"evaluate\",shard=\"{shard}\",strategy=\"{strategy}\"}}"
+        );
+        assert!(
+            metrics.histogram(&name).is_some(),
+            "{name} missing: {:?}",
+            metrics.histogram_names()
+        );
+    }
     // Prometheus exposition carries the shard label through.
+    assert!(prom.contains("shard=\"all\""), "{prom}");
     assert!(prom.contains("shard=\"0\""), "{prom}");
     assert!(prom.contains("shard=\"1\""));
 }

@@ -9,7 +9,9 @@
 use gqr_core::attrs::{AttrValue, AttributeStore, FilterPlan, Predicate, POSTINGS_MAX_DISTINCT};
 use gqr_core::code::CodeWord;
 use gqr_core::engine::{ProbeStrategy, QueryEngine, SearchParams};
+use gqr_core::metrics::MetricsRegistry;
 use gqr_core::request::SearchRequest;
+use gqr_core::shard::ShardedIndex;
 use gqr_core::table::HashTable;
 use gqr_l2h::lsh::Lsh;
 
@@ -209,6 +211,61 @@ fn planner_picks_the_documented_arms() {
             (0.0..=1.0).contains(&choice.selectivity),
             "{label}: selectivity out of range: {}",
             choice.selectivity
+        );
+    }
+}
+
+/// A sharded index plans a predicate once, against the global candidate
+/// budget, exactly as the engine holding the same store does — so at a
+/// finite budget every planner arm (the brute sweep included) answers like
+/// that engine, down to the probe counters and the stop reason.
+#[test]
+fn sharded_index_plans_like_the_engine() {
+    let data = fixture_data();
+    let model = Lsh::train(&data, DIM, 9, 5).unwrap();
+    let table: HashTable = HashTable::build(&model, &data, DIM);
+    let attrs = fixture_attrs();
+    let mut engine = QueryEngine::new(&model, &table, &data, DIM);
+    engine.enable_mih(3);
+    let engine = engine.with_attrs(&attrs);
+    let metrics = MetricsRegistry::enabled();
+    let mut index = ShardedIndex::build(&model, &data, DIM, 3)
+        .with_attrs(&attrs)
+        .with_metrics(metrics.clone());
+    index.enable_mih(3);
+    let queries = [[20.0f32, 25.0], [13.0, 29.0], [0.5, 0.5]];
+
+    for strat in strategies() {
+        let params = SearchParams {
+            k: 10,
+            n_candidates: 300,
+            strategy: strat,
+            early_stop: false,
+            ..Default::default()
+        };
+        for (label, pred, arm) in fixture_predicates() {
+            // MIH searches shard by shard once it probes; only the brute
+            // sweep, which never probes, is one search for it too.
+            let mih = matches!(strat, ProbeStrategy::MultiIndexHashing { .. });
+            if mih && arm != Some("brute") {
+                continue;
+            }
+            for q in &queries {
+                let req = || SearchRequest::new(q).params(params).predicate(pred.clone());
+                let want = engine.run(req());
+                let got = index.run(req());
+                let at = format!("{label} ({}, budget 300)", strat.name());
+                assert_eq!(got.ranked(), want.ranked(), "{at}");
+                assert_eq!(got.stats, want.stats, "{at}");
+                assert_eq!(got.stop_reason, want.stop_reason, "{at}");
+            }
+        }
+    }
+    for plan in ["brute", "pre", "post"] {
+        let name = format!("gqr_filter_plans_total{{plan=\"{plan}\"}}");
+        assert!(
+            metrics.counter_value(&name).is_some_and(|n| n > 0),
+            "the sharded index never planned {plan}"
         );
     }
 }

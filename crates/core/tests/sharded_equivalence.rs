@@ -1,7 +1,9 @@
 //! Sharding is an execution plan, not an approximation: for every probe
 //! strategy and shard count, [`ShardedIndex`] must return *bit-identical*
 //! neighbors (ids and distances) to the single unsharded engine over the
-//! same data when both probe exhaustively.
+//! same data when both probe exhaustively — and HR/GHR/QR/GQR, which search
+//! every shard as one table, must agree with it at every budget, down to
+//! the probe counters, the stop reason and the recall prediction.
 //!
 //! Written as plain `#[test]` loops over shard counts, strategies, and
 //! queries rather than a property-test macro so every combination runs on
@@ -9,6 +11,7 @@
 
 use gqr_core::engine::{ProbeStrategy, QueryEngine, SearchParams};
 use gqr_core::executor::Executor;
+use gqr_core::recall::{Calibrator, RecallModel};
 use gqr_core::request::SearchRequest;
 use gqr_core::shard::ShardedIndex;
 use gqr_core::table::HashTable;
@@ -22,6 +25,9 @@ const STRATEGIES: [ProbeStrategy; 5] = [
     ProbeStrategy::GenerateQdRanking,
     ProbeStrategy::MultiIndexHashing { blocks: 2 },
 ];
+/// `k` of every request here, and the budgets a search is held to.
+const K: usize = 10;
+const BUDGETS: [usize; 4] = [K, 50, 200, usize::MAX];
 
 /// 403 4-D rows (indivisible by every shard count above) with deterministic
 /// jitter so exact distances are informative.
@@ -50,13 +56,43 @@ fn queries() -> Vec<Vec<f32>> {
 }
 
 fn exhaustive(strategy: ProbeStrategy) -> SearchParams {
+    budgeted(strategy, usize::MAX)
+}
+
+fn budgeted(strategy: ProbeStrategy, n_candidates: usize) -> SearchParams {
     SearchParams {
-        k: 10,
-        n_candidates: usize::MAX,
+        k: K,
+        n_candidates,
         strategy,
         early_stop: false,
         ..Default::default()
     }
+}
+
+/// A recall model calibrated on `engine` for every table strategy, with
+/// the first 60 rows as queries against exact truth.
+fn calibrate(engine: &QueryEngine<'_, Pcah>, data: &[f32], dim: usize) -> RecallModel {
+    let queries = &data[..60 * dim];
+    let truth: Vec<Vec<u32>> = queries
+        .chunks_exact(dim)
+        .map(|q| {
+            let mut by_dist: Vec<(f32, u32)> = data
+                .chunks_exact(dim)
+                .enumerate()
+                .map(|(i, row)| {
+                    let d = row.iter().zip(q).map(|(a, b)| (a - b) * (a - b)).sum();
+                    (d, i as u32)
+                })
+                .collect();
+            by_dist.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            by_dist[..K].iter().map(|&(_, id)| id).collect()
+        })
+        .collect();
+    let mut calibrator = Calibrator::new(K).min_count(1);
+    for strategy in &STRATEGIES[..4] {
+        calibrator.observe(engine, *strategy, queries, &truth);
+    }
+    calibrator.finalize()
 }
 
 #[test]
@@ -102,16 +138,16 @@ fn executor_fanout_matches_serial_sharded_path() {
         let mut index = ShardedIndex::build(&model, &data, dim, s);
         index.enable_mih(2);
         for strategy in STRATEGIES {
-            let params = exhaustive(strategy);
-            for q in queries() {
-                let serial = index.search(&q, &params);
-                let pooled = index.run_on(&exec, SearchRequest::new(&q).params(params));
-                assert_eq!(
-                    pooled.ranked(),
-                    serial.ranked(),
-                    "S={s} strategy={}",
-                    strategy.name()
-                );
+            for budget in BUDGETS {
+                let params = budgeted(strategy, budget);
+                for q in queries() {
+                    let serial = index.search(&q, &params);
+                    let pooled = index.run_on(&exec, SearchRequest::new(&q).params(params));
+                    let at = format!("S={s} strategy={} budget={budget}", strategy.name());
+                    assert_eq!(pooled.ranked(), serial.ranked(), "{at}");
+                    assert_eq!(pooled.stats, serial.stats, "{at}");
+                    assert_eq!(pooled.stop_reason, serial.stop_reason, "{at}");
+                }
             }
         }
     }
@@ -147,28 +183,66 @@ fn filtered_sharded_matches_filtered_engine() {
 }
 
 #[test]
-fn tight_budgets_still_return_full_result_sets() {
-    // Under a finite per-shard budget the sharded result need not match the
-    // unsharded engine bucket-for-bucket, but it must still return k
-    // well-formed, sorted neighbors.
+fn sharded_matches_unsharded_engine_at_every_budget() {
+    // One search over every shard is one search over one table: the same
+    // units in the same order under the same budget, so everything the
+    // engine reports must agree — not just the neighbors.
     let (data, dim) = dataset();
     let model = Pcah::train(&data, dim, 4).unwrap();
-    let index = ShardedIndex::build(&model, &data, dim, 3);
-    let params = SearchParams {
-        k: 10,
-        n_candidates: 50,
-        ..Default::default()
-    };
-    for q in queries() {
-        let res = index.search(&q, &params);
-        assert_eq!(res.len(), 10);
-        assert!(
-            res.distances.windows(2).all(|w| w[0] <= w[1]),
-            "sorted by distance"
-        );
-        assert!(
-            res.stats.items_evaluated >= 50,
-            "each shard honors its budget"
-        );
+    let table: HashTable = HashTable::build(&model, &data, dim);
+    let engine = QueryEngine::new(&model, &table, &data, dim);
+    let recall = calibrate(&engine, &data, dim);
+    let reference = engine.with_recall_model(&recall);
+
+    let mut requests = Vec::new();
+    for strategy in &STRATEGIES[..4] {
+        for budget in BUDGETS {
+            for early_stop in [false, true] {
+                let params = budgeted(*strategy, budget);
+                requests.push(SearchParams {
+                    early_stop,
+                    ..params
+                });
+            }
+        }
+        let adaptive = SearchParams::for_k(K)
+            .strategy(*strategy)
+            .recall_target(0.9);
+        requests.push(adaptive.build().unwrap());
     }
+    let (mut early_stops, mut predictions) = (0, 0);
+    for s in SHARD_COUNTS {
+        let index = ShardedIndex::build(&model, &data, dim, s).with_recall_model(&recall);
+        for params in &requests {
+            for q in queries() {
+                let want = reference.search(&q, params);
+                let got = index.search(&q, params);
+                let at = format!(
+                    "S={s} {} budget={} early_stop={} target={:?}",
+                    params.strategy.name(),
+                    params.n_candidates,
+                    params.early_stop,
+                    params.recall_target.map(|t| t.target)
+                );
+                assert_eq!(got.ranked(), want.ranked(), "{at}");
+                assert_eq!(got.stats, want.stats, "{at}");
+                assert_eq!(got.stop_reason, want.stop_reason, "{at}");
+                assert_eq!(
+                    got.predicted_recall.map(f32::to_bits),
+                    want.predicted_recall.map(f32::to_bits),
+                    "{at}"
+                );
+                early_stops += usize::from(got.stop_reason == gqr_core::StopReason::EarlyStop);
+                predictions += usize::from(got.predicted_recall.is_some());
+            }
+        }
+    }
+    assert!(
+        early_stops > 0,
+        "the fixture must exercise the Theorem-2 stop"
+    );
+    assert!(
+        predictions > 0,
+        "the fixture must exercise the recall target"
+    );
 }

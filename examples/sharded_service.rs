@@ -8,13 +8,14 @@
 //! 2. start a persistent worker pool ([`Executor`]) — long-lived threads, a
 //!    bounded queue with backpressure, per-request deadlines;
 //! 3. drive a query stream through the single front door
-//!    ([`SearchRequest`]), fanning each request across the shards and
-//!    merging per-shard top-k into the exact global top-k;
-//! 4. read the serving metrics (queue wait, per-shard spans, deadline
-//!    misses) off the shared [`MetricsRegistry`].
+//!    ([`SearchRequest`]): a GQR request is one search over every shard's
+//!    table at one global budget, while MIH fans out one job per shard and
+//!    merges per-shard top-k into the exact global top-k;
+//! 4. read the serving metrics (shard spans, deadline misses) off the
+//!    shared [`MetricsRegistry`].
 //!
-//! The merged results are bit-identical to an unsharded engine over the
-//! same data — sharding changes the execution plan, never the answer.
+//! The results are bit-identical to an unsharded engine over the same
+//! data — sharding changes the execution plan, never the answer.
 //!
 //! ```sh
 //! cargo run --release --example sharded_service
@@ -93,7 +94,7 @@ fn main() {
     );
 
     // -- One filtered request (e.g. a tenant/visibility predicate) --------
-    // Filters speak global ids; the sharded path translates them per shard.
+    // Filters speak global ids, like the neighbor lists.
     let res = index.run(
         SearchRequest::new(&queries[0])
             .params(params)
@@ -120,5 +121,5 @@ fn main() {
         .lines()
         .filter(|l| l.starts_with("gqr_shard_total_ns") && l.contains("_count"))
         .count();
-    println!("  per-shard span series (gqr_shard_total_ns *_count lines): {shard_lines}");
+    println!("  shard span series (gqr_shard_total_ns *_count lines): {shard_lines}");
 }

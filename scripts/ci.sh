@@ -20,8 +20,11 @@ echo "==> kernel suites under GQR_FORCE_SCALAR=1"
 GQR_FORCE_SCALAR=1 cargo test -q -p gqr-linalg --test kernel_equivalence
 GQR_FORCE_SCALAR=1 cargo test -q -p gqr-eval --test exact_oracle
 GQR_FORCE_SCALAR=1 cargo test -q -p gqr-core --test blocked_eval
-# Fragmented == compacted at tight budgets compares distance bits.
+# Fragmented == compacted and sharded == unsharded at tight budgets compare
+# distance bits.
 GQR_FORCE_SCALAR=1 cargo test -q -p gqr-core --test live_mutations
+GQR_FORCE_SCALAR=1 cargo test -q -p gqr-core --test sharded_equivalence
+GQR_FORCE_SCALAR=1 cargo test -q -p gqr-core --test predicate_equivalence
 
 echo "==> cargo doc (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q

@@ -440,6 +440,80 @@ fn sharded_attrs_roundtrip_preserves_filtering() {
     }
 }
 
+/// A snapshot-loaded 2-shard index carrying an attribute store and a recall
+/// model answers like the unsharded engine holding the same store and
+/// model: the response shapes of a mixed serving load — a recall target,
+/// HR and QR at a budget, a common and a rare predicate — agree down to the
+/// probe counters, the stop reason and the recall prediction.
+#[test]
+fn sharded_snapshot_answers_like_the_engine() {
+    use ProbeStrategy::{GenerateQdRanking as Gqr, HammingRanking as Hr, QdRanking as Qr};
+    let ds = fixture();
+    let (data, dim, n) = (ds.as_slice(), ds.dim(), ds.n());
+    let model = Itq::train(data, dim, 10).unwrap();
+    let table: HashTable = HashTable::build(&model, data, dim);
+    let tenant: Vec<i64> = (0..n).map(|i| (i * 37 % 100) as i64).collect();
+    let color: Vec<&str> = (0..n)
+        .map(|i| ["red", "green", "blue"][i * 7 % 3])
+        .collect();
+    let attrs = AttributeStore::builder(n)
+        .int_column("tenant", tenant)
+        .unwrap()
+        .tag_column("color", color)
+        .unwrap()
+        .build();
+    let mut engine = QueryEngine::new(&model, &table, data, dim);
+    engine.enable_mih(2);
+    let recall = calibrate_small(&engine, &ds);
+    let engine = engine.with_recall_model(&recall).with_attrs(&attrs);
+    let index = ShardedIndexBuilder::new()
+        .shards(2)
+        .mih_blocks(2)
+        .build(&model, data, dim)
+        .unwrap()
+        .with_recall_model(&recall)
+        .with_attrs(&attrs);
+    let path = tmpdir("shard_like_engine").join("sharded.gqr");
+    index.save_snapshot(&path).unwrap();
+    let loaded: LoadedIndex = load_index(&path).unwrap();
+    let index = ShardedIndex::from_snapshot(&loaded);
+    assert_eq!(index.n_shards(), 2);
+
+    let budget = |strategy, n| {
+        let params = SearchParams::for_k(10).strategy(strategy);
+        params.candidates(n).build().unwrap()
+    };
+    let adaptive = SearchParams::for_k(10).strategy(Gqr).recall_target(0.9);
+    let shapes = [
+        ("gqr-rt", adaptive.build().unwrap(), None),
+        ("hr", budget(Hr, 400), None),
+        ("qr", budget(Qr, 200), None),
+        ("f33", budget(Gqr, 200), Some(Predicate::eq("color", "red"))),
+        ("f01", budget(Gqr, 200), Some(Predicate::eq("tenant", 7i64))),
+    ];
+    for q in ds.sample_queries(10, 41) {
+        for (label, params, pred) in &shapes {
+            let req = || {
+                let req = SearchRequest::new(&q).params(*params);
+                match pred {
+                    Some(pred) => req.predicate(pred.clone()),
+                    None => req,
+                }
+            };
+            let want = engine.run(req());
+            let got = index.run(req());
+            assert_eq!(got.ranked(), want.ranked(), "{label}");
+            assert_eq!(got.stats, want.stats, "{label}");
+            assert_eq!(got.stop_reason, want.stop_reason, "{label}");
+            assert_eq!(
+                got.predicted_recall.map(f32::to_bits),
+                want.predicted_recall.map(f32::to_bits),
+                "{label}"
+            );
+        }
+    }
+}
+
 #[test]
 fn oversized_attrs_are_rejected_at_load() {
     // A snapshot whose attribute store covers more rows than the vectors

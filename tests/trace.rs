@@ -1,9 +1,10 @@
 //! End-to-end tracing integration: a sampled query on every execution
 //! surface must produce a well-formed span tree covering the five query
-//! phases, the sharded path must add fanout/shard/queue-wait/run lanes, QD
-//! trajectories must be present, and the Chrome trace-event export must
-//! match the golden schema (hand-checked structure — the offline CI image
-//! stubs serde_json's parser).
+//! phases, a sharded table-strategy query must be one search (no lanes),
+//! sharded MIH must add fanout/shard/queue-wait/run lanes, QD trajectories
+//! must be present, and the Chrome trace-event export must match the golden
+//! schema (hand-checked structure — the offline CI image stubs serde_json's
+//! parser).
 
 use gqr::core::engine::{ProbeStrategy, QueryEngine, SearchParams};
 use gqr::core::executor::Executor;
@@ -22,6 +23,15 @@ fn fixture() -> (Dataset, SearchParams) {
         ..Default::default()
     };
     (ds, params)
+}
+
+/// The fixture's parameters under MIH, the one sharded strategy that fans
+/// out per shard.
+fn mih(params: SearchParams) -> SearchParams {
+    SearchParams {
+        strategy: ProbeStrategy::MultiIndexHashing { blocks: 2 },
+        ..params
+    }
 }
 
 fn traced_metrics() -> MetricsRegistry {
@@ -92,7 +102,7 @@ fn single_engine_trace_covers_all_phases_with_qd_trajectory() {
 }
 
 #[test]
-fn sharded_trace_has_fanout_and_per_shard_lanes() {
+fn sharded_table_strategy_trace_is_one_search() {
     let (ds, params) = fixture();
     let model = Itq::train(ds.as_slice(), ds.dim(), 10).unwrap();
     let metrics = traced_metrics();
@@ -100,6 +110,39 @@ fn sharded_trace_has_fanout_and_per_shard_lanes() {
         ShardedIndex::build(&model, ds.as_slice(), ds.dim(), 3).with_metrics(metrics.clone());
     let q = ds.sample_queries(1, 5).remove(0);
     index.run(SearchRequest::new(&q).params(params));
+
+    let tracing = metrics.tracing().unwrap();
+    let traces = tracing.store().recent();
+    assert_eq!(traces.len(), 1);
+    let t = &traces[0];
+    t.check_well_formed().unwrap();
+    assert_eq!(t.name, "sharded");
+    let names = span_names(t);
+    for lane in ["fanout", "shard", "merge"] {
+        assert!(
+            !names.contains(&lane),
+            "one search has no {lane}: {names:?}"
+        );
+    }
+    // One set of phase spans, all on the parent's track.
+    assert_eq!(names.iter().filter(|n| **n == "hash_query").count(), 1);
+    assert!(names.contains(&"evaluate"), "{names:?}");
+    assert!(t.events.iter().all(|e| match e.data {
+        EventData::Begin { track, .. } => track == 0,
+        _ => true,
+    }));
+}
+
+#[test]
+fn sharded_trace_has_fanout_and_per_shard_lanes() {
+    let (ds, params) = fixture();
+    let model = Itq::train(ds.as_slice(), ds.dim(), 10).unwrap();
+    let metrics = traced_metrics();
+    let mut index =
+        ShardedIndex::build(&model, ds.as_slice(), ds.dim(), 3).with_metrics(metrics.clone());
+    index.enable_mih(2);
+    let q = ds.sample_queries(1, 5).remove(0);
+    index.run(SearchRequest::new(&q).params(mih(params)));
 
     let tracing = metrics.tracing().unwrap();
     let traces = tracing.store().recent();
@@ -138,11 +181,12 @@ fn executor_sharded_trace_records_queue_wait_and_worker() {
     let (ds, params) = fixture();
     let model = Itq::train(ds.as_slice(), ds.dim(), 10).unwrap();
     let metrics = traced_metrics();
-    let index =
+    let mut index =
         ShardedIndex::build(&model, ds.as_slice(), ds.dim(), 2).with_metrics(metrics.clone());
+    index.enable_mih(2);
     let exec = Executor::builder().workers(2).build();
     let q = ds.sample_queries(1, 5).remove(0);
-    index.run_on(&exec, SearchRequest::new(&q).params(params));
+    index.run_on(&exec, SearchRequest::new(&q).params(mih(params)));
 
     let tracing = metrics.tracing().unwrap();
     let traces = tracing.store().recent();
@@ -169,10 +213,11 @@ fn chrome_export_matches_golden_schema() {
     let (ds, params) = fixture();
     let model = Itq::train(ds.as_slice(), ds.dim(), 10).unwrap();
     let metrics = traced_metrics();
-    let index =
+    let mut index =
         ShardedIndex::build(&model, ds.as_slice(), ds.dim(), 2).with_metrics(metrics.clone());
+    index.enable_mih(2);
     let q = ds.sample_queries(1, 5).remove(0);
-    index.run(SearchRequest::new(&q).params(params));
+    index.run(SearchRequest::new(&q).params(mih(params)));
 
     let tracing = metrics.tracing().unwrap();
     let doc = to_chrome_trace(&tracing.store().all());
@@ -196,7 +241,7 @@ fn chrome_export_matches_golden_schema() {
         doc.contains("\"ph\":\"C\"") || doc.contains("\"ph\":\"i\""),
         "{doc}"
     );
-    // Shard lanes become named threads.
+    // MIH's shard lanes become named threads.
     assert!(doc.contains("\"shard 0\""), "{doc}");
     assert!(doc.contains("\"shard 1\""), "{doc}");
     // Balanced braces/brackets: structurally parseable JSON.
