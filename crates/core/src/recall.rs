@@ -40,7 +40,6 @@ use crate::request::SearchRequest;
 use crate::stats::ProbeStats;
 use gqr_l2h::HashModel;
 use gqr_linalg::wire::{ByteReader, ByteWriter, WireError};
-use std::collections::HashSet;
 use std::time::Instant;
 
 /// A recall SLA: stop probing when predicted recall@k clears
@@ -455,7 +454,11 @@ pub struct Calibrator {
     min_count: usize,
     bucket_cap: usize,
     m: Option<u32>,
-    samples: Vec<Vec<Vec<f32>>>,
+    /// Per strategy slot, per trajectory state: the recalls observed
+    /// there, one chunk per replay run. Runs' chunks are moved in whole,
+    /// never copied, so a parallel replay holds no more samples than a
+    /// serial one.
+    samples: Vec<Vec<Vec<Vec<f32>>>>,
 }
 
 impl Calibrator {
@@ -500,6 +503,11 @@ impl Calibrator {
     /// columns) and record its trajectory against `ground_truth` (one exact
     /// id list per query, parallel to the rows).
     ///
+    /// The queries are split into contiguous runs over
+    /// [`std::thread::available_parallelism`] scoped threads; each run
+    /// replays into its own bins, which are appended in run order, so the
+    /// samples are exactly those of one serial replay.
+    ///
     /// # Panics
     ///
     /// Panics when the query buffer is ragged, `ground_truth` is not
@@ -528,13 +536,58 @@ impl Calibrator {
             "calibration mixes code lengths"
         );
         self.m = Some(m);
-        let slot = StrategySlot::of(strategy);
+        let n = ground_truth.len();
+        if n == 0 {
+            return;
+        }
+        let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
+        let run = n.div_ceil(threads.clamp(1, n));
+        let this = &*self;
+        let parts: Vec<Vec<Vec<f32>>> = std::thread::scope(|s| {
+            let mut runs = queries.chunks(run * dim).zip(ground_truth.chunks(run));
+            let (qs, gts) = runs.next().expect("at least one query");
+            let spawned: Vec<_> = runs
+                .map(|(qs, gts)| s.spawn(move || this.replay_run(engine, strategy, qs, gts)))
+                .collect();
+            // The calling thread replays the first run while the rest spawn.
+            let mut parts = vec![this.replay_run(engine, strategy, qs, gts)];
+            for handle in spawned {
+                let part = handle.join();
+                parts.push(part.unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
+            }
+            parts
+        });
+        let slot = StrategySlot::of(strategy) as usize;
+        for part in parts {
+            for (bin, samples) in self.samples[slot].iter_mut().zip(part) {
+                if !samples.is_empty() {
+                    bin.push(samples);
+                }
+            }
+        }
+    }
+
+    /// Replay `strategy` over a run of queries into fresh bins (one per
+    /// trajectory state).
+    fn replay_run<M: HashModel + ?Sized, C: CodeWord>(
+        &self,
+        engine: &QueryEngine<'_, M, C>,
+        strategy: ProbeStrategy,
+        queries: &[f32],
+        ground_truth: &[Vec<u32>],
+    ) -> Vec<Vec<f32>> {
+        let family = StrategySlot::of(strategy).family();
+        let mut bins = vec![Vec::new(); MODEL_BINS];
         // Replays are neither timed nor traced.
         let metrics = MetricsRegistry::disabled();
         let env = SearchRequest::new(&[]).open(&metrics, "calibrate");
         let mut ctx = ProbeCtx::new(&env);
-        for (query, gt) in queries.chunks_exact(dim).zip(ground_truth) {
-            let gt: HashSet<u32> = gt.iter().copied().collect();
+        let mut gt = Vec::new();
+        for (query, truth) in queries.chunks_exact(engine.dim()).zip(ground_truth) {
+            gt.clear();
+            gt.extend_from_slice(truth);
+            gt.sort_unstable();
+            gt.dedup();
             if gt.is_empty() {
                 continue;
             }
@@ -542,25 +595,27 @@ impl Calibrator {
                 ProbeStrategy::MultiIndexHashing { .. } => {
                     let (mih, cap) = (engine.mih_index(), Some(self.bucket_cap));
                     let mut source = MihSource::new(engine.model(), mih, cap, query, &mut ctx);
-                    self.replay(&mut source, slot, &gt, &mut ctx)
+                    self.replay(&mut source, family, &gt, &mut bins, &mut ctx)
                 }
                 _ => {
                     let (model, table) = (engine.model(), engine.table());
                     let mut source = TableSource::new(model, table, strategy, query, &mut ctx);
-                    self.replay(&mut source, slot, &gt, &mut ctx)
+                    self.replay(&mut source, family, &gt, &mut bins, &mut ctx)
                 }
             }
         }
+        bins
     }
 
     /// Walk `source` exactly as the query loop would — same units, ranks
-    /// and costs — recording recall-so-far per trajectory state instead of
-    /// evaluating distances.
+    /// and costs — recording recall-so-far per trajectory state into `bins`
+    /// instead of evaluating distances. `gt` is sorted and deduplicated.
     fn replay<S: BucketSource>(
-        &mut self,
+        &self,
         source: &mut S,
-        slot: StrategySlot,
-        gt: &HashSet<u32>,
+        family: CostFamily,
+        gt: &[u32],
+        bins: &mut [Vec<f32>],
         ctx: &mut ProbeCtx<'_>,
     ) {
         // Replay the FULL trajectory, even long after this query reached
@@ -587,11 +642,15 @@ impl Calibrator {
             };
             // Unfiltered, everything collected would be evaluated.
             stats.items_evaluated = stats.items_collected;
-            hits += unit.items.iter().filter(|id| gt.contains(id)).count();
+            hits += unit
+                .items
+                .iter()
+                .filter(|id| gt.binary_search(id).is_ok())
+                .count();
             let recall = (hits as f32 / denom).clamp(0.0, 1.0);
-            let cost_norm = normalize_cost(slot.family(), unit.cost, &mut qd0, m);
+            let cost_norm = normalize_cost(family, unit.cost, &mut qd0, m);
             let state = bin_index(unit.rank, stats.items_evaluated, self.k, cost_norm);
-            self.samples[slot as usize][state].push(recall);
+            bins[state].push(recall);
         }
     }
 
@@ -611,22 +670,27 @@ impl Calibrator {
             let mut values = vec![0.0f32; MODEL_BINS];
             // Ratio-marginal fallback: pool every sample at one ratio bin.
             let mut by_ratio: Vec<Vec<f32>> = vec![Vec::new(); RATIO_BINS];
-            for (idx, samples) in bins.iter().enumerate() {
+            for (idx, chunks) in bins.iter().enumerate() {
                 let ratio = (idx / COST_BINS) % RATIO_BINS;
-                by_ratio[ratio].extend_from_slice(samples);
+                for chunk in chunks {
+                    by_ratio[ratio].extend_from_slice(chunk);
+                }
             }
             let ratio_marginal: Vec<Option<f32>> =
-                by_ratio.iter().map(|s| self.quantile_of(s)).collect();
+                by_ratio.into_iter().map(|s| self.quantile_of(s)).collect();
             for rank in 0..RANK_BINS {
                 for (ratio, ratio_fb) in ratio_marginal.iter().enumerate() {
                     let base = (rank * RATIO_BINS + ratio) * COST_BINS;
                     // Cost-marginal at this (rank, ratio).
-                    let pooled: Vec<f32> = (0..COST_BINS)
-                        .flat_map(|c| bins[base + c].iter().copied())
+                    let pooled: Vec<f32> = bins[base..base + COST_BINS]
+                        .iter()
+                        .flatten()
+                        .flatten()
+                        .copied()
                         .collect();
-                    let cost_marginal = self.quantile_of(&pooled);
+                    let cost_marginal = self.quantile_of(pooled);
                     for cost in 0..COST_BINS {
-                        let own = self.quantile_of(&bins[base + cost]);
+                        let own = self.quantile_of(bins[base + cost].concat());
                         values[base + cost] = own
                             .or(cost_marginal)
                             .or(*ratio_fb)
@@ -645,14 +709,13 @@ impl Calibrator {
     }
 
     /// Conservative quantile of `samples`, or `None` below `min_count`.
-    fn quantile_of(&self, samples: &[f32]) -> Option<f32> {
+    fn quantile_of(&self, mut samples: Vec<f32>) -> Option<f32> {
         if samples.len() < self.min_count {
             return None;
         }
-        let mut sorted = samples.to_vec();
-        sorted.sort_by(|a, b| a.total_cmp(b));
-        let idx = ((sorted.len() - 1) as f32 * self.quantile).floor() as usize;
-        Some(sorted[idx])
+        samples.sort_by(|a, b| a.total_cmp(b));
+        let idx = ((samples.len() - 1) as f32 * self.quantile).floor() as usize;
+        Some(samples[idx])
     }
 }
 
@@ -702,7 +765,11 @@ mod tests {
         d.into_iter().take(k).map(|(_, i)| i).collect()
     }
 
-    fn calibrated_model(strategies: &[ProbeStrategy]) -> RecallModel {
+    /// Run `f` over an MIH-enabled engine on the grid, 40 off-grid queries
+    /// and their exact 10-NN.
+    fn with_calibration_fixture<R>(
+        f: impl FnOnce(&QueryEngine<'_, Lsh>, &[f32], &[Vec<u32>]) -> R,
+    ) -> R {
         let (data, dim) = grid();
         let model = Lsh::train(&data, dim, 6, 42).unwrap();
         let table: HashTable = HashTable::build(&model, &data, dim);
@@ -718,11 +785,17 @@ mod tests {
             .chunks_exact(dim)
             .map(|q| brute_force(&data, dim, q, 10))
             .collect();
-        let mut cal = Calibrator::new(10);
-        for &s in strategies {
-            cal.observe(&engine, s, &queries, &gt);
-        }
-        cal.finalize()
+        f(&engine, &queries, &gt)
+    }
+
+    fn calibrated_model(strategies: &[ProbeStrategy]) -> RecallModel {
+        with_calibration_fixture(|engine, queries, gt| {
+            let mut cal = Calibrator::new(10);
+            for &s in strategies {
+                cal.observe(engine, s, queries, gt);
+            }
+            cal.finalize()
+        })
     }
 
     /// FNV-1a over the table's f32 bit patterns.
@@ -753,6 +826,37 @@ mod tests {
             let got = table_digest(&model, strategy);
             assert_eq!(got, digest, "{}: {got:#018x}", strategy.name());
         }
+    }
+
+    #[test]
+    fn observing_in_two_parts_equals_observing_at_once() {
+        // The parallel replay appends per-run bins; the model must not
+        // depend on how the queries were split.
+        let strategies = [
+            ProbeStrategy::GenerateQdRanking,
+            ProbeStrategy::HammingRanking,
+            ProbeStrategy::MultiIndexHashing { blocks: 2 },
+        ];
+        with_calibration_fixture(|engine, queries, gt| {
+            let split = 17;
+            let (mut whole, mut parts) = (Calibrator::new(10), Calibrator::new(10));
+            for s in strategies {
+                whole.observe(engine, s, queries, gt);
+                parts.observe(engine, s, &queries[..split * 2], &gt[..split]);
+                parts.observe(engine, s, &queries[split * 2..], &gt[split..]);
+            }
+            let (whole, parts) = (whole.finalize(), parts.finalize());
+            for s in strategies {
+                let bits = |m: &RecallModel| -> Vec<u32> {
+                    m.raw_table(s)
+                        .unwrap()
+                        .iter()
+                        .map(|v| v.to_bits())
+                        .collect()
+                };
+                assert_eq!(bits(&whole), bits(&parts), "{}", s.name());
+            }
+        });
     }
 
     #[test]

@@ -13,7 +13,7 @@ use gqr_core::engine::{ProbeStrategy, QueryEngine};
 use gqr_core::recall::{Calibrator, RecallModel};
 use gqr_l2h::HashModel;
 
-use crate::oracle::exact_knn;
+use crate::oracle::exact_knn_rows;
 
 /// Calibrate a recall model for `engine` over `strategies`, computing
 /// exact ground truth with the brute-force oracle.
@@ -57,14 +57,7 @@ pub fn calibrate_with_oracle<M: HashModel + ?Sized, C: CodeWord>(
     k: usize,
     strategies: &[ProbeStrategy],
 ) -> RecallModel {
-    assert!(
-        dim > 0 && queries.len().is_multiple_of(dim),
-        "queries must be n×dim"
-    );
-    let ground_truth: Vec<Vec<u32>> = queries
-        .chunks_exact(dim)
-        .map(|q| exact_knn(data, dim, q, k))
-        .collect();
+    let ground_truth = exact_knn_rows(data, dim, queries, k);
     let mut calibrator = Calibrator::new(k);
     for &strategy in strategies {
         calibrator.observe(engine, strategy, queries, &ground_truth);

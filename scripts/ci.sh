@@ -48,6 +48,12 @@ cargo run -q --release --bin gqr -- load-index --snapshot "$SNAPDIR/index.gqr" \
     --row 3 --k 4 --strategy gqr
 cargo run -q --release --bin gqr -- load-index --snapshot "$SNAPDIR/index.gqr" \
     --queries 10 --k 5 --strategy mih
+# Calibrates every strategy, MIH included, into a copy; index.gqr stays
+# uncalibrated for the mutation steps below.
+cargo run -q --release --bin gqr -- calibrate --snapshot "$SNAPDIR/index.gqr" \
+    --k 5 --sample 50 --out "$SNAPDIR/calibrated.gqr"
+cargo run -q --release --bin gqr -- load-index --snapshot "$SNAPDIR/calibrated.gqr" \
+    --queries 10 --k 5 --strategy gqr --recall-target 0.9
 
 echo "==> live mutation smoke (CLI insert/delete on a snapshot)"
 VEC="$(printf '0.5,%.0s' $(seq 1 16))"  # smoke-scale cifar60k is 16-dim

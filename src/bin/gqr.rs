@@ -1083,7 +1083,7 @@ fn run_calibrate<C: CodeWord>(
     flags: &HashMap<String, String>,
 ) -> Result<(), String> {
     use gqr::core::recall::Calibrator;
-    use gqr::eval::exact_knn;
+    use gqr::eval::exact_knn_batch;
 
     if loaded.shards().len() != 1 {
         return Err("calibrate currently supports single-shard snapshots only".into());
@@ -1103,10 +1103,7 @@ fn run_calibrate<C: CodeWord>(
     let ds = Dataset::new("snapshot", dim, loaded.data().to_vec());
     let sample_rows = ds.sample_queries(sample, 7);
     let queries: Vec<f32> = sample_rows.iter().flat_map(|q| q.iter().copied()).collect();
-    let ground_truth: Vec<Vec<u32>> = sample_rows
-        .iter()
-        .map(|q| exact_knn(loaded.data(), dim, q, k))
-        .collect();
+    let ground_truth = exact_knn_batch(loaded.data(), dim, &sample_rows, k);
 
     let mut strategies = vec![
         ProbeStrategy::GenerateQdRanking,
