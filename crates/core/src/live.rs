@@ -932,10 +932,7 @@ impl<M: HashModel + ?Sized + 'static, C: CodeWord> MutableIndexBuilder<M, C> {
             self.model.code_length(),
             C::BITS
         );
-        let codes: Vec<C> = data
-            .chunks_exact(dim)
-            .map(|row| C::from_blocks(self.model.encode_wide(row).blocks()))
-            .collect();
+        let codes: Vec<C> = crate::table::encode_rows(&*self.model, data, dim);
         let table = HashTable::from_codes(self.model.code_length(), &codes);
         let mut base = Segment {
             data: data.to_vec(),

@@ -31,7 +31,7 @@ use crate::probe_loop::{
 };
 use crate::recall::RecallModel;
 use crate::request::{Envelope, SearchRequest};
-use crate::table::HashTable;
+use crate::table::{encode_rows, HashTable};
 use gqr_l2h::HashModel;
 use gqr_linalg::vecops::Metric;
 use std::ops::Range;
@@ -223,8 +223,10 @@ impl Default for ShardedIndexBuilder {
 
 impl<'a, M: HashModel + ?Sized> ShardedIndex<'a, M> {
     /// Partition `data` (row-major, `dim` columns) into `n_shards`
-    /// contiguous shards and build each shard's hash table (in parallel when
-    /// `n_shards > 1`). Shard sizes differ by at most one row.
+    /// contiguous shards and build each shard's hash table. Every row is
+    /// encoded once by [`encode_rows`]; each shard buckets its slice of the
+    /// codes (in parallel when `n_shards > 1`). Shard sizes differ by at most
+    /// one row.
     pub fn build(model: &'a M, data: &'a [f32], dim: usize, n_shards: usize) -> Self {
         assert!(n_shards > 0, "need at least one shard");
         assert_eq!(model.dim(), dim, "model and data dimensionality differ");
@@ -245,29 +247,12 @@ impl<'a, M: HashModel + ?Sized> ShardedIndex<'a, M> {
             ranges.push(row..row + len);
             row += len;
         }
-        let slice = |rows: &Range<usize>| &data[rows.start * dim..rows.end * dim];
-
-        let mut tables: Vec<Option<HashTable>> = (0..n_shards).map(|_| None).collect();
-        if n_shards == 1 {
-            tables[0] = Some(HashTable::build(model, data, dim));
-        } else {
-            std::thread::scope(|s| {
-                for (slot, rows) in tables.iter_mut().zip(&ranges) {
-                    let rows = slice(rows);
-                    s.spawn(move || *slot = Some(HashTable::build(model, rows, dim)));
-                }
-            });
-        }
-
-        let shards = tables
-            .into_iter()
-            .zip(ranges)
-            .map(|(table, rows)| Shard {
-                table: table.expect("shard table built"),
-                rows,
-                mih: None,
-            })
-            .collect();
+        let codes: Vec<u64> = encode_rows(model, data, dim);
+        let shards = gqr_linalg::scoped_map(ranges, |rows| Shard {
+            table: HashTable::from_codes(model.code_length(), &codes[rows.clone()]),
+            rows,
+            mih: None,
+        });
         ShardedIndex {
             model,
             dim,

@@ -1,7 +1,7 @@
 //! The hash table: bucket code → item ids.
 
 use crate::code::CodeWord;
-use gqr_l2h::HashModel;
+use gqr_l2h::{CodeBlocks, HashModel};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -44,6 +44,71 @@ impl Hasher for CodeHasher {
 
 type CodeMap<C, V> = HashMap<C, V, BuildHasherDefault<CodeHasher>>;
 
+/// Rows per [`HashModel::encode_rows`] call inside [`encode_rows`]: bounds
+/// the `CodeBlocks` scratch (40 bytes a row) to 40 KiB per thread.
+const ENCODE_CHUNK: usize = 1024;
+/// Below this many rows [`encode_rows`] stays on the calling thread.
+const ENCODE_PARALLEL_MIN: usize = 1 << 14;
+
+/// The code of every row of `data` (row-major, `dim` columns) at width `C`:
+/// the one bulk encoder behind every table build ([`HashTable::build`],
+/// the sharded build, the live base segment).
+///
+/// The rows are split into contiguous runs, one per
+/// `available_parallelism` scoped thread (small inputs stay on the calling
+/// thread), and each run goes through the model's
+/// [`HashModel::encode_rows`]. So `codes[i]` is exactly
+/// `C::from_blocks(model.encode_wide(row_i).blocks())`, whatever the split.
+/// Panics if the dimensionality or the code width does not fit.
+pub fn encode_rows<C: CodeWord, M: HashModel + ?Sized>(
+    model: &M,
+    data: &[f32],
+    dim: usize,
+) -> Vec<C> {
+    assert_eq!(model.dim(), dim, "model and data dimensionality differ");
+    assert!(data.len().is_multiple_of(dim), "data must be n×dim");
+    assert!(
+        model.code_length() <= C::BITS,
+        "model code length {} exceeds the {}-bit code width",
+        model.code_length(),
+        C::BITS
+    );
+    let threads = if data.len() / dim < ENCODE_PARALLEL_MIN {
+        1
+    } else {
+        std::thread::available_parallelism().map_or(1, |t| t.get())
+    };
+    encode_runs(model, data, dim, threads)
+}
+
+/// [`encode_rows`] split into `threads` contiguous runs.
+fn encode_runs<C: CodeWord, M: HashModel + ?Sized>(
+    model: &M,
+    data: &[f32],
+    dim: usize,
+    threads: usize,
+) -> Vec<C> {
+    let n = data.len() / dim;
+    let run = n.div_ceil(threads.max(1)).max(1);
+    let mut codes = vec![C::zero(); n];
+    let runs: Vec<(&[f32], &mut [C])> = data.chunks(run * dim).zip(codes.chunks_mut(run)).collect();
+    gqr_linalg::scoped_map(runs, |(rows, codes)| {
+        let mut scratch =
+            vec![CodeBlocks::zero(model.code_length()); ENCODE_CHUNK.min(codes.len())];
+        for (rows, codes) in rows
+            .chunks(ENCODE_CHUNK * dim)
+            .zip(codes.chunks_mut(ENCODE_CHUNK))
+        {
+            let scratch = &mut scratch[..codes.len()];
+            model.encode_rows(rows, scratch);
+            for (code, blocks) in codes.iter_mut().zip(scratch.iter()) {
+                *code = C::from_blocks(blocks.blocks());
+            }
+        }
+    });
+    codes
+}
+
 /// A single hash table: every item is stored in the bucket of its binary
 /// code. Item payloads (the vectors) stay outside; buckets hold `u32` ids.
 /// Generic over the code width (default `u64`, the narrow path).
@@ -58,30 +123,11 @@ pub struct HashTable<C: CodeWord = u64> {
 }
 
 impl<C: CodeWord> HashTable<C> {
-    /// Hash every row of `data` (row-major, `dim` columns) with `model`.
-    /// Panics if the model's code length exceeds the table's code width.
+    /// Hash every row of `data` (row-major, `dim` columns) with `model`,
+    /// through [`encode_rows`]. Panics if the model's code length exceeds
+    /// the table's code width.
     pub fn build<M: HashModel + ?Sized>(model: &M, data: &[f32], dim: usize) -> HashTable<C> {
-        assert_eq!(model.dim(), dim, "model and data dimensionality differ");
-        assert!(data.len().is_multiple_of(dim), "data must be n×dim");
-        assert!(
-            model.code_length() <= C::BITS,
-            "model code length {} exceeds the {}-bit code width",
-            model.code_length(),
-            C::BITS
-        );
-        let n = data.len() / dim;
-        let mut buckets: CodeMap<C, Vec<u32>> = HashMap::default();
-        for (i, row) in data.chunks_exact(dim).enumerate() {
-            let code = C::from_blocks(model.encode_wide(row).blocks());
-            buckets.entry(code).or_default().push(i as u32);
-        }
-        let max_id = n.checked_sub(1).map(|i| i as u32);
-        HashTable {
-            code_length: model.code_length(),
-            buckets,
-            n_items: n,
-            max_id,
-        }
+        HashTable::from_codes(model.code_length(), &encode_rows(model, data, dim))
     }
 
     /// Build from precomputed codes (one per item).
@@ -371,6 +417,50 @@ mod tests {
             data.push((i / 10) as f32 - 4.5);
         }
         data
+    }
+
+    #[test]
+    fn bulk_encoding_equals_per_row_encoding_at_every_split() {
+        use crate::code::U256;
+        use gqr_l2h::lsh::Lsh;
+        use gqr_l2h::sh::SpectralHashing;
+        // More rows than one encode chunk, so runs split mid-chunk too.
+        let dim = 3;
+        let data: Vec<f32> = (0..2_100 * dim)
+            .map(|i| ((i * 7919) % 613) as f32 / 61.0 - 5.0)
+            .collect();
+        let pcah = Pcah::train(&data, dim, 3).unwrap();
+        let sh = SpectralHashing::train(&data, dim, 9).unwrap();
+        let lsh = Lsh::train(&data, dim, 200, 5).unwrap();
+        let rows = || data.chunks_exact(dim);
+        for threads in [1, 2, 3, 7] {
+            for model in [&pcah as &dyn HashModel, &sh] {
+                let got: Vec<u64> = encode_runs(model, &data, dim, threads);
+                let want: Vec<u64> = rows().map(|r| model.encode(r)).collect();
+                assert_eq!(got, want, "{}, {threads} threads", model.name());
+                let got: Vec<u128> = encode_runs(model, &data, dim, threads);
+                assert!(got.iter().zip(&want).all(|(&g, &w)| g == u128::from(w)));
+            }
+            let got: Vec<U256> = encode_runs(&lsh, &data, dim, threads);
+            let want: Vec<U256> = rows()
+                .map(|r| U256::from_blocks(lsh.encode_wide(r).blocks()))
+                .collect();
+            assert_eq!(got, want, "wide LSH, {threads} threads");
+        }
+        // The table holds each bucket's ids in ascending order, as when rows
+        // were inserted one at a time.
+        let table: HashTable = HashTable::build(&pcah, &data, dim);
+        let mut reference: HashMap<u64, Vec<u32>> = HashMap::new();
+        for (i, row) in rows().enumerate() {
+            reference
+                .entry(pcah.encode(row))
+                .or_default()
+                .push(i as u32);
+        }
+        assert_eq!(table.n_buckets(), reference.len());
+        for (code, ids) in &reference {
+            assert_eq!(table.bucket(*code), &ids[..]);
+        }
     }
 
     #[test]

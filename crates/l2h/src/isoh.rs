@@ -166,6 +166,10 @@ impl HashModel for IsoHash {
         self.hasher.encode_wide(x)
     }
 
+    fn encode_rows(&self, rows: &[f32], out: &mut [crate::CodeBlocks]) {
+        self.hasher.encode_rows(rows, out)
+    }
+
     fn encode_query_wide(&self, q: &[f32]) -> crate::WideQueryEncoding {
         self.hasher.encode_query_wide(q)
     }

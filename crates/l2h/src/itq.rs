@@ -2,8 +2,9 @@
 //! rotation learned to minimize binary quantization error.
 
 use crate::{check_training_input, HashModel, LinearHasher, QueryEncoding, TrainError};
+use gqr_linalg::matrix::LANES;
 use gqr_linalg::svd::svd;
-use gqr_linalg::{random_rotation, Matrix, Pca};
+use gqr_linalg::{random_rotation, training_threads, Matrix, Pca};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -46,55 +47,65 @@ impl Itq {
         Self::train_with(data, dim, m, &ItqOptions::default())
     }
 
-    /// Train with explicit options.
+    /// Train with explicit options. The PCA scatter and the alternating
+    /// minimization run on [`training_threads`]; the model is bit-identical
+    /// whatever the thread count.
     pub fn train_with(
         data: &[f32],
         dim: usize,
         m: usize,
         opts: &ItqOptions,
     ) -> Result<Itq, TrainError> {
-        Self::train_accumulating(data, dim, m, opts, accumulate_vtb)
+        let cap = match opts.max_train_rows {
+            0 => usize::MAX,
+            cap => cap,
+        };
+        let rows = (data.len() / dim.max(1)).min(cap);
+        let threads = if rows * m * m < ALTERNATION_PARALLEL_MIN {
+            1
+        } else {
+            training_threads()
+        };
+        Self::train_threaded(data, dim, m, opts, threads)
     }
 
-    /// [`Itq::train_with`] over a given `(V, VR) → (VᵀB, error)` step, so the
-    /// bit-identity test can train through the loop this module used to run.
-    fn train_accumulating(
+    /// [`Itq::train_with`] with the alternating minimization split over
+    /// `threads`.
+    fn train_threaded(
         data: &[f32],
         dim: usize,
         m: usize,
         opts: &ItqOptions,
-        accumulate: impl Fn(&Matrix, &Matrix) -> (Matrix, f64),
+        threads: usize,
     ) -> Result<Itq, TrainError> {
         let n = check_training_input(data, dim, m, dim, 2)?;
         let pca = Pca::fit(data, dim, m);
 
         // Rows used for rotation refinement (deterministic stride subsample).
-        let train_rows: Vec<usize> = if opts.max_train_rows > 0 && n > opts.max_train_rows {
+        let train_rows: Vec<&[f32]> = if opts.max_train_rows > 0 && n > opts.max_train_rows {
             let stride = n as f64 / opts.max_train_rows as f64;
             (0..opts.max_train_rows)
                 .map(|i| (i as f64 * stride) as usize)
+                .map(|row| &data[row * dim..(row + 1) * dim])
                 .collect()
         } else {
-            (0..n).collect()
+            data.chunks_exact(dim).collect()
         };
-
         // V: projected (mean-centered) training rows, t×m.
-        let mut v = Matrix::zeros(train_rows.len(), m);
-        for (vi, &row) in train_rows.iter().enumerate() {
-            let p = pca.project(&data[row * dim..(row + 1) * dim]);
-            v.row_mut(vi).copy_from_slice(&p);
-        }
+        let mut alternation = Alternation::new(&pca.project_rows(&train_rows), threads);
 
         let mut rng = ChaCha8Rng::seed_from_u64(opts.seed ^ 0x17_c0de);
         let mut r = random_rotation(m, &mut rng);
         let mut quant_error = f64::INFINITY;
 
-        for _ in 0..opts.iterations.max(1) {
-            // Fix R: B = sgn(V·R), encoded ±1.
-            let vr = v.matmul(&r);
-            // Fix B: maximize tr(Rᵀ·VᵀB) ⇒ R = polar factor of VᵀB.
-            let (vtb, err) = accumulate(&v, &vr);
-            quant_error = err / vr.rows().max(1) as f64;
+        let iterations = opts.iterations.max(1);
+        for iteration in 1..=iterations {
+            // Fix R: B = sgn(V·R). Fix B: maximize tr(Rᵀ·VᵀB) ⇒ R = polar
+            // factor of VᵀB.
+            let vtb = alternation.vtb(&r);
+            if iteration == iterations {
+                quant_error = alternation.error(&r) / alternation.rows() as f64;
+            }
             let s = svd(&vtb);
             // tr(Rᵀ·M) with M = VᵀB is maximized at R = U·Vᵀ of M's SVD.
             r = s.u.matmul(&s.v.transpose());
@@ -129,28 +140,176 @@ impl Itq {
     }
 }
 
-/// `VᵀB` for `B = sgn(VR)` (±1) and the summed squared quantization error
-/// `‖VR − B‖²`. The sign vector of a row is computed once, then every
-/// accumulator row is updated over contiguous `j`; each `vtb[(i, j)]` still
-/// sums its rows in ascending order with a separate multiply and add, so the
-/// result is bit-identical to the element-at-a-time loop it replaces.
-fn accumulate_vtb(v: &Matrix, vr: &Matrix) -> (Matrix, f64) {
-    let m = vr.cols();
-    let mut vtb = Matrix::zeros(m, m);
-    let mut signs = vec![0.0f64; m];
-    let mut err = 0.0f64;
-    for row in 0..vr.rows() {
-        for (b, &x) in signs.iter_mut().zip(vr.row(row)) {
-            *b = if x >= 0.0 { 1.0 } else { -1.0 };
-            err += (x - *b) * (x - *b);
+/// `B` columns per `VᵀB` tile: `B` is held row-major, zero-padded to whole
+/// groups of `COLS` `f64`.
+const COLS: usize = 8;
+/// `VᵀB` rows per tile; a tile's `VTB_ROWS × COLS` sums stay in registers.
+const VTB_ROWS: usize = 4;
+/// Lane blocks (of [`LANES`] rows) streamed past every `VᵀB` tile per pass,
+/// so the pass stays cache-resident.
+const VTB_BLOCKS: usize = 16;
+/// Below this many multiply-adds per step (`t·m²`) the alternation runs on
+/// one thread: spawning would cost more than it saves.
+const ALTERNATION_PARALLEL_MIN: usize = 1 << 18;
+
+type VtbTile = [[f64; COLS]; VTB_ROWS];
+
+/// ITQ's alternating minimization over the fixed projected rows `V` (t×m).
+///
+/// `V` is held in lane blocks of [`LANES`] rows, transposed, so a step
+/// computes `V·R` for sixteen rows at once through
+/// [`Matrix::lane_products`] and writes `B = sgn(V·R)` row-major, with the
+/// blocks split over the threads. It then sums `VᵀB` in `VTB_ROWS × COLS`
+/// tiles dealt round-robin to the threads. Every `V·R` entry sums `k` in
+/// ascending order from `0.0` and every `VᵀB` entry sums the rows in
+/// ascending order, each multiply and add separate, so the model does not
+/// depend on the thread count and equals what [`Matrix::matmul`] and a
+/// row-at-a-time `VᵀB` give.
+///
+/// `Matrix::matmul` skips a zero `V` entry; here it adds a `±0` product,
+/// which leaves the sum unchanged: `R` is finite (the trainer rejects
+/// non-finite data), and a sum that starts at `+0.0` is never `−0.0`.
+struct Alternation {
+    m: usize,
+    rows: usize,
+    /// Floats per lane block: `m` rounded up to whole tiles, times `LANES`.
+    block: usize,
+    /// `V` in lane blocks: entry `k` of the block's row `l` at `k·LANES + l`,
+    /// zero-padded past `m` and past the last row.
+    v: Vec<f64>,
+    /// `m` rounded up to whole [`COLS`] groups: the row stride of `b`.
+    width: usize,
+    /// `B = sgn(V·R)` of the last step (±1), row-major.
+    b: Vec<f64>,
+    threads: usize,
+}
+
+impl Alternation {
+    fn new(v: &Matrix, threads: usize) -> Alternation {
+        let (rows, m) = v.shape();
+        let block = m.next_multiple_of(VTB_ROWS) * LANES;
+        let mut lanes = vec![0.0f64; rows.div_ceil(LANES) * block];
+        for (r, row) in v.as_slice().chunks_exact(m).enumerate() {
+            let (at, l) = (r / LANES * block, r % LANES);
+            for (k, &x) in row.iter().enumerate() {
+                lanes[at + k * LANES + l] = x;
+            }
         }
-        for (i, &vi) in v.row(row).iter().enumerate() {
-            for (acc, &b) in vtb.row_mut(i).iter_mut().zip(&signs) {
-                *acc += vi * b;
+        let width = m.next_multiple_of(COLS);
+        Alternation {
+            m,
+            rows,
+            block,
+            v: lanes,
+            width,
+            b: vec![0.0; rows * width],
+            threads: threads.max(1),
+        }
+    }
+
+    fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// `VᵀB` for `B = sgn(V·R)` (±1).
+    fn vtb(&mut self, r: &Matrix) -> Matrix {
+        let (m, block, width) = (self.m, self.block, self.width);
+        let rt = r.transpose();
+        let part = self.rows.div_ceil(LANES).div_ceil(self.threads).max(1);
+        let parts: Vec<_> = self
+            .v
+            .chunks(part * block)
+            .zip(self.b.chunks_mut(part * LANES * width))
+            .collect();
+        gqr_linalg::scoped_map(parts, |(v, b)| sign_blocks(v, &rt, block, width, b));
+
+        let tiles: Vec<(usize, usize)> = (0..m)
+            .step_by(VTB_ROWS)
+            .flat_map(|i0| (0..m).step_by(COLS).map(move |j0| (i0, j0)))
+            .collect();
+        let threads = self.threads.min(tiles.len());
+        let parts: Vec<Vec<(usize, usize)>> = (0..threads)
+            .map(|t| tiles.iter().copied().skip(t).step_by(threads).collect())
+            .collect();
+        let (v, b) = (&self.v[..], &self.b[..]);
+        let sums = gqr_linalg::scoped_map(parts.iter().collect(), |part| {
+            vtb_tiles(v, b, block, width, part)
+        });
+
+        let mut vtb = Matrix::zeros(m, m);
+        for (part, sums) in parts.iter().zip(&sums) {
+            for (&(i0, j0), tile) in part.iter().zip(sums) {
+                for (i, row) in (i0..m.min(i0 + VTB_ROWS)).zip(tile) {
+                    for (j, &s) in (j0..m.min(j0 + COLS)).zip(row) {
+                        vtb[(i, j)] = s;
+                    }
+                }
+            }
+        }
+        vtb
+    }
+
+    /// The summed squared quantization error `‖V·R − sgn(V·R)‖²`, one chain
+    /// over the entries in row-major order (only the last step's is kept).
+    fn error(&self, r: &Matrix) -> f64 {
+        let rt = r.transpose();
+        let mut p = vec![[0.0f64; LANES]; self.m];
+        let mut err = 0.0f64;
+        for (first, v) in self.v.chunks(self.block).enumerate() {
+            rt.lane_products(&v[..self.m * LANES], 0.0, &mut p);
+            for l in 0..LANES.min(self.rows - first * LANES) {
+                for p in &p {
+                    let b = if p[l] >= 0.0 { 1.0 } else { -1.0 };
+                    err += (p[l] - b) * (p[l] - b);
+                }
+            }
+        }
+        err
+    }
+}
+
+gqr_linalg::lane_kernel! {
+    /// `B = sgn(V·R)` (±1) for a run of lane blocks, written row-major.
+    fn sign_blocks(v: &[f64], rt: &Matrix, block: usize, width: usize, b: &mut [f64]) {
+        let m = rt.rows();
+        let mut p = vec![[0.0f64; LANES]; m];
+        for (v, b) in v.chunks(block).zip(b.chunks_mut(LANES * width)) {
+            rt.lane_products(&v[..m * LANES], 0.0, &mut p);
+            for (l, b) in b.chunks_exact_mut(width).enumerate() {
+                for (b, p) in b.iter_mut().zip(&p) {
+                    *b = if p[l] >= 0.0 { 1.0 } else { -1.0 };
+                }
             }
         }
     }
-    (vtb, err)
+}
+
+gqr_linalg::lane_kernel! {
+    /// One thread's `VᵀB` tiles: the tile at `(i0, j0)` sums
+    /// `V[row][i0 + ii] · B[row][j0 + jj]` over every row, in order.
+    fn vtb_tiles(v: &[f64], b: &[f64], block: usize, width: usize, tiles: &[(usize, usize)]) -> Vec<VtbTile> {
+        let mut sums = vec![[[0.0f64; COLS]; VTB_ROWS]; tiles.len()];
+        let rows = LANES * width;
+        for (v, b) in v.chunks(VTB_BLOCKS * block).zip(b.chunks(VTB_BLOCKS * rows)) {
+            for (&(i0, j0), sum) in tiles.iter().zip(&mut sums) {
+                let mut s = *sum;
+                for (v, b) in v.chunks(block).zip(b.chunks(rows)) {
+                    let v = &v[i0 * LANES..(i0 + VTB_ROWS) * LANES];
+                    for (l, b) in b.chunks_exact(width).enumerate() {
+                        let b: &[f64; COLS] = b[j0..j0 + COLS].try_into().expect("padded row");
+                        for (ii, s) in s.iter_mut().enumerate() {
+                            let vi = v[ii * LANES + l];
+                            for (s, &b) in s.iter_mut().zip(b) {
+                                *s += vi * b;
+                            }
+                        }
+                    }
+                }
+                *sum = s;
+            }
+        }
+        sums
+    }
 }
 
 impl HashModel for Itq {
@@ -172,6 +331,10 @@ impl HashModel for Itq {
 
     fn encode_wide(&self, x: &[f32]) -> crate::CodeBlocks {
         self.hasher.encode_wide(x)
+    }
+
+    fn encode_rows(&self, rows: &[f32], out: &mut [crate::CodeBlocks]) {
+        self.hasher.encode_rows(rows, out)
     }
 
     fn encode_query_wide(&self, q: &[f32]) -> crate::WideQueryEncoding {
@@ -230,44 +393,150 @@ mod tests {
         data
     }
 
-    /// The element-at-a-time accumulation `accumulate_vtb` replaced: j-outer,
-    /// i-inner, stride-`m` writes through `Index`.
-    fn accumulate_vtb_reference(v: &Matrix, vr: &Matrix) -> (Matrix, f64) {
-        let m = vr.cols();
-        let mut vtb = Matrix::zeros(m, m);
-        let mut err = 0.0f64;
-        for row in 0..vr.rows() {
-            let vr_row = vr.row(row);
-            let v_row = v.row(row);
-            for j in 0..m {
-                let b = if vr_row[j] >= 0.0 { 1.0 } else { -1.0 };
-                err += (vr_row[j] - b) * (vr_row[j] - b);
-                for i in 0..m {
-                    vtb[(i, j)] += v_row[i] * b;
+    /// ITQ training as it ran one row at a time, before the alternation was
+    /// tiled and threaded: per-row projection, `Matrix::matmul`, and an
+    /// element-at-a-time `VᵀB` with the error summed on every iteration.
+    fn train_reference(data: &[f32], dim: usize, m: usize, opts: &ItqOptions) -> Itq {
+        let n = data.len() / dim;
+        let pca = Pca::fit(data, dim, m);
+        let train_rows: Vec<usize> = if opts.max_train_rows > 0 && n > opts.max_train_rows {
+            let stride = n as f64 / opts.max_train_rows as f64;
+            (0..opts.max_train_rows)
+                .map(|i| (i as f64 * stride) as usize)
+                .collect()
+        } else {
+            (0..n).collect()
+        };
+        let mut v = Matrix::zeros(train_rows.len(), m);
+        for (vi, &row) in train_rows.iter().enumerate() {
+            let p = pca.project(&data[row * dim..(row + 1) * dim]);
+            v.row_mut(vi).copy_from_slice(&p);
+        }
+        let mut rng = ChaCha8Rng::seed_from_u64(opts.seed ^ 0x17_c0de);
+        let mut r = random_rotation(m, &mut rng);
+        let mut quant_error = f64::INFINITY;
+        for _ in 0..opts.iterations.max(1) {
+            let vr = v.matmul(&r);
+            let mut vtb = Matrix::zeros(m, m);
+            let mut err = 0.0f64;
+            for row in 0..vr.rows() {
+                let (vr_row, v_row) = (vr.row(row), v.row(row));
+                for j in 0..m {
+                    let b = if vr_row[j] >= 0.0 { 1.0 } else { -1.0 };
+                    err += (vr_row[j] - b) * (vr_row[j] - b);
+                    for i in 0..m {
+                        vtb[(i, j)] += v_row[i] * b;
+                    }
                 }
             }
+            quant_error = err / vr.rows().max(1) as f64;
+            let s = svd(&vtb);
+            r = s.u.matmul(&s.v.transpose());
         }
-        (vtb, err)
+        let w = r.transpose().matmul(&pca.components);
+        let bias: Vec<f64> = (0..m)
+            .map(|row| {
+                -w.row(row)
+                    .iter()
+                    .zip(&pca.mean)
+                    .map(|(wi, mu)| wi * mu)
+                    .sum::<f64>()
+            })
+            .collect();
+        Itq {
+            hasher: LinearHasher::new(w, bias),
+            final_quant_error: quant_error,
+        }
+    }
+
+    fn model_bits(itq: &Itq) -> Vec<u64> {
+        let all = itq.hasher.w.as_slice().iter().chain(&itq.hasher.bias);
+        all.chain([&itq.final_quant_error])
+            .map(|x| x.to_bits())
+            .collect()
     }
 
     #[test]
-    fn vtb_accumulate_matches_reference_bits() {
+    fn alternation_step_matches_matmul_with_zero_entries() {
+        // `Matrix::matmul` skips zero V entries, the lane products add
+        // them; row counts straddle the 16-row lane blocks and the 256-row
+        // passes.
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        for (rows, m) in [(1usize, 1usize), (17, 3), (40, 8), (300, 13), (33, 17)] {
+            let mut v = Matrix::zeros(rows, m);
+            for (i, x) in v.as_mut_slice().iter_mut().enumerate() {
+                *x = if i % 11 == 3 {
+                    0.0
+                } else {
+                    rng.gen::<f64>() - 0.5
+                };
+            }
+            let r = random_rotation(m, &mut rng);
+            let vr = v.matmul(&r);
+            let mut want = Matrix::zeros(m, m);
+            let mut err = 0.0f64;
+            for row in 0..rows {
+                for j in 0..m {
+                    let x = vr[(row, j)];
+                    let b = if x >= 0.0 { 1.0 } else { -1.0 };
+                    err += (x - b) * (x - b);
+                    for i in 0..m {
+                        want[(i, j)] += v[(row, i)] * b;
+                    }
+                }
+            }
+            for threads in [1, 2, 3] {
+                let mut alternation = Alternation::new(&v, threads);
+                let got = alternation.vtb(&r);
+                let bits =
+                    |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "{rows}×{m}, {threads} threads");
+                assert_eq!(alternation.error(&r).to_bits(), err.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn tiled_threaded_training_matches_the_row_at_a_time_loop() {
         let mut rng = ChaCha8Rng::seed_from_u64(2024);
-        let wide: Vec<f32> = (0..2_000 * 32)
+        let mut wide: Vec<f32> = (0..2_000 * 32)
             .map(|i| rng.gen::<f32>() * (1 + i % 32) as f32 - 0.3 * (i % 7) as f32)
             .collect();
-        for (data, dim, m) in [(blobs(), 4, 3), (wide, 32, 16)] {
-            let opts = ItqOptions::default();
-            let new = Itq::train_with(&data, dim, m, &opts).unwrap();
-            let old =
-                Itq::train_accumulating(&data, dim, m, &opts, accumulate_vtb_reference).unwrap();
-            let bits = |itq: &Itq| -> Vec<u64> {
-                let all = itq.hasher.w.as_slice().iter().chain(&itq.hasher.bias);
-                all.chain([&itq.final_quant_error])
-                    .map(|x| x.to_bits())
-                    .collect()
-            };
-            assert_eq!(bits(&new), bits(&old), "dim {dim}, m {m}");
+        // Exact zeros in the input and a repeated block (exact ties).
+        for x in wide.iter_mut().step_by(13) {
+            *x = 0.0;
+        }
+        wide.copy_within(0..320, 640);
+        let grid: Vec<f32> = (0..300 * 3).map(|i| ((i * 7) % 5) as f32).collect();
+        let cases: [(&[f32], usize, &[usize]); 3] = [
+            (&blobs(), 4, &[1, 2, 3, 4]),
+            (&wide, 32, &[1, 7, 8, 9, 13, 16, 17, 32]),
+            (&grid, 3, &[1, 2, 3]),
+        ];
+        for (data, dim, ms) in cases {
+            for &m in ms {
+                for opts in [
+                    ItqOptions {
+                        iterations: 7,
+                        ..Default::default()
+                    },
+                    ItqOptions {
+                        iterations: 3,
+                        seed: 9,
+                        max_train_rows: 37,
+                    },
+                ] {
+                    let want = model_bits(&train_reference(data, dim, m, &opts));
+                    for threads in [1, 2, 3] {
+                        let got = Itq::train_threaded(data, dim, m, &opts, threads).unwrap();
+                        assert_eq!(
+                            model_bits(&got),
+                            want,
+                            "dim {dim}, m {m}, {threads} threads"
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -45,6 +45,7 @@ pub mod persist;
 pub mod sh;
 pub mod ssh;
 
+use gqr_linalg::matrix::LANES;
 use gqr_linalg::Matrix;
 
 /// Maximum supported code length: codes are packed into up to
@@ -174,6 +175,12 @@ pub enum TrainError {
     },
     /// Input buffer is not `n × dim`.
     RaggedData,
+    /// A training row holds a NaN or an infinity; covariance, eigen and
+    /// k-means steps have no meaning on it.
+    NonFiniteData {
+        /// The first such row.
+        row: usize,
+    },
 }
 
 impl std::fmt::Display for TrainError {
@@ -186,6 +193,9 @@ impl std::fmt::Display for TrainError {
                 write!(f, "bad code length {requested} (max {max})")
             }
             TrainError::RaggedData => write!(f, "training buffer is not a multiple of dim"),
+            TrainError::NonFiniteData { row } => {
+                write!(f, "training row {row} holds a NaN or an infinity")
+            }
         }
     }
 }
@@ -238,6 +248,19 @@ pub trait HashModel: Send + Sync {
     /// `code_length ≤ 64`; models supporting longer codes must override.
     fn encode_wide(&self, x: &[f32]) -> CodeBlocks {
         CodeBlocks::from_u64(self.encode(x), self.code_length())
+    }
+
+    /// Codes of consecutive rows (`rows` is row-major with
+    /// [`dim`](HashModel::dim) columns), one per entry of `out`: the bulk
+    /// indexing path. It must equal [`encode_wide`](HashModel::encode_wide)
+    /// on each row, code for code. The default does exactly that; linear
+    /// models override it with [`LinearHasher::encode_rows`]. Panics unless
+    /// `rows` holds `out.len()` rows.
+    fn encode_rows(&self, rows: &[f32], out: &mut [CodeBlocks]) {
+        assert_eq!(rows.len(), out.len() * self.dim(), "one code per row");
+        for (row, code) in rows.chunks_exact(self.dim()).zip(out) {
+            *code = self.encode_wide(row);
+        }
     }
 
     /// Width-agnostic query encoding. Same default/override contract as
@@ -390,9 +413,49 @@ impl LinearHasher {
         let flip_costs = p.into_iter().map(f64::abs).collect();
         QueryEncoding { code, flip_costs }
     }
+
+    /// Item codes of consecutive rows, one per entry of `out`; code for code
+    /// equal to [`LinearHasher::encode_wide`] on each row. Rows go through
+    /// [`Matrix::lane_products`] [`LANES`] at a time, so each projection is
+    /// the same `0.0`-started sum over the input in order, plus the bias,
+    /// but sixteen rows' sums run side by side instead of one latency-bound
+    /// chain. Panics unless `rows` holds `out.len()` rows.
+    pub fn encode_rows(&self, rows: &[f32], out: &mut [CodeBlocks]) {
+        assert_eq!(rows.len(), out.len() * self.dim(), "one code per row");
+        encode_lanes(&self.w, &self.bias, rows, out);
+    }
 }
 
-/// Validate an `n×dim` training buffer and code length; returns `n`.
+gqr_linalg::lane_kernel! {
+    /// [`LinearHasher::encode_rows`] over `W` and the bias.
+    fn encode_lanes(w: &Matrix, bias: &[f64], rows: &[f32], out: &mut [CodeBlocks]) {
+        let (m, d) = w.shape();
+        let mut xt = vec![0.0f64; d * LANES];
+        let mut p = vec![[0.0f64; LANES]; m];
+        for (block, codes) in rows.chunks(d * LANES).zip(out.chunks_mut(LANES)) {
+            for (l, row) in block.chunks_exact(d).enumerate() {
+                for (j, &x) in row.iter().enumerate() {
+                    xt[j * LANES + l] = x as f64;
+                }
+            }
+            // Lanes past a short last block hold stale rows; their codes
+            // are never written.
+            w.lane_products(&xt, 0.0, &mut p);
+            for (l, code) in codes.iter_mut().enumerate() {
+                let mut c = CodeBlocks::zero(m);
+                for (i, (p, b)) in p.iter().zip(bias).enumerate() {
+                    if b + p[l] >= 0.0 {
+                        c.set_bit(i);
+                    }
+                }
+                *code = c;
+            }
+        }
+    }
+}
+
+/// Validate an `n×dim` training buffer of finite values and a code length;
+/// returns `n`.
 pub(crate) fn check_training_input(
     data: &[f32],
     dim: usize,
@@ -415,6 +478,13 @@ pub(crate) fn check_training_input(
             needed: min_rows,
             got: n,
         });
+    }
+    // One branch-free pass per block (it vectorizes); the row is located
+    // only on failure.
+    let finite = |block: &[f32]| block.iter().fold(true, |ok, x| ok & x.is_finite());
+    if !data.chunks(4096).all(finite) {
+        let at = data.iter().position(|x| !x.is_finite()).unwrap_or(0);
+        return Err(TrainError::NonFiniteData { row: at / dim });
     }
     Ok(n)
 }
@@ -474,6 +544,39 @@ mod tests {
             check_training_input(&[1.0, 2.0, 3.0, 4.0], 2, 2, 8, 2),
             Ok(2)
         );
+        assert_eq!(
+            check_training_input(&[1.0, 2.0, 3.0, f32::NEG_INFINITY], 2, 2, 8, 2),
+            Err(TrainError::NonFiniteData { row: 1 })
+        );
+    }
+
+    #[test]
+    fn linear_bulk_encoding_equals_per_row_encoding() {
+        // Lane blocks are 16 rows: counts straddle one and two blocks, and
+        // code lengths cross the one-, two- and four-block widths.
+        let dim = 5;
+        let data: Vec<f32> = (0..40 * dim)
+            .map(|i| ((i * 37) % 23) as f32 * 0.25 - 2.5)
+            .collect();
+        for m in [1usize, 13, 64, 65, 130, 256] {
+            let w = Matrix::from_vec(
+                m,
+                dim,
+                (0..m * dim)
+                    .map(|i| ((i * 11) % 17) as f64 / 8.0 - 1.0)
+                    .collect(),
+            );
+            let bias = (0..m).map(|i| (i % 5) as f64 * 0.5 - 1.0).collect();
+            let h = LinearHasher::new(w, bias);
+            for n in [0usize, 1, 15, 16, 17, 33, 40] {
+                let rows = &data[..n * dim];
+                let mut got = vec![CodeBlocks::zero(m); n];
+                h.encode_rows(rows, &mut got);
+                let want: Vec<CodeBlocks> =
+                    rows.chunks_exact(dim).map(|r| h.encode_wide(r)).collect();
+                assert_eq!(got, want, "m {m}, {n} rows");
+            }
+        }
     }
 
     #[test]

@@ -56,6 +56,74 @@ fn out_of_range_code_lengths_are_typed_errors() {
     }
 }
 
+/// Deterministic `n × dim` rows with repeated values (exact ties).
+fn grid_rows(n: usize, dim: usize) -> Vec<f32> {
+    (0..n * dim)
+        .map(|i| ((i * 37 + i / dim) % 29) as f32 * 0.4 - 5.0)
+        .collect()
+}
+
+#[test]
+fn non_finite_training_rows_are_typed_errors() {
+    // A NaN or an infinity used to reach the covariance: the eigen solver
+    // then ran all its sweeps on NaNs and panicked sorting the eigenvalues.
+    let dim = 4;
+    for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        let mut data = grid_rows(60, dim);
+        data[7 * dim + 2] = bad;
+        data[20 * dim] = bad;
+        let pairs = pairs_from_labels(&(0..60).map(|i| i % 3).collect::<Vec<u32>>(), 5);
+        let results: [(&str, Result<(), TrainError>); 7] = [
+            ("LSH", Lsh::train(&data, dim, 3, 1).map(drop)),
+            ("PCAH", Pcah::train(&data, dim, 3).map(drop)),
+            ("ITQ", Itq::train(&data, dim, 3).map(drop)),
+            ("SH", SpectralHashing::train(&data, dim, 3).map(drop)),
+            ("KMH", KmeansHashing::train(&data, dim, 3).map(drop)),
+            ("SSH", Ssh::train(&data, dim, 3, &pairs).map(drop)),
+            ("IsoHash", IsoHash::train(&data, dim, 3).map(drop)),
+        ];
+        for (name, result) in results {
+            assert_eq!(
+                result,
+                Err(TrainError::NonFiniteData { row: 7 }),
+                "{name} on a {bad} row"
+            );
+        }
+    }
+}
+
+#[test]
+fn bulk_encoding_equals_per_row_encoding_for_every_model() {
+    // `encode_rows` is the indexing path of every table build; it must give
+    // each row the code `encode_wide` gives it. Row counts straddle the
+    // 16-row lane blocks of the linear models.
+    let dim = 6;
+    let data = grid_rows(70, dim);
+    let mut models = train_all(&data, dim, 5);
+    models.push(Box::new(Lsh::train(&data, dim, 100, 3).unwrap()));
+    models.push(Box::new(
+        Lsh::train(&data, dim, MAX_CODE_LENGTH, 4).unwrap(),
+    ));
+    for model in &models {
+        for n in [0usize, 1, 15, 16, 17, 33, 70] {
+            let rows = &data[..n * dim];
+            let mut got = vec![gqr_l2h::CodeBlocks::zero(model.code_length()); n];
+            model.encode_rows(rows, &mut got);
+            let want: Vec<_> = rows
+                .chunks_exact(dim)
+                .map(|r| model.encode_wide(r))
+                .collect();
+            assert_eq!(
+                got,
+                want,
+                "{} ({} bits), {n} rows",
+                model.name(),
+                model.code_length()
+            );
+        }
+    }
+}
+
 fn data_strategy() -> impl Strategy<Value = (usize, Vec<f32>)> {
     (3usize..6, 40usize..90)
         .prop_flat_map(|(dim, n)| (Just(dim), prop::collection::vec(-6.0f32..6.0, dim * n)))

@@ -31,7 +31,10 @@ pub fn symmetric_eigen(a: &Matrix) -> Eigen {
             m[(i, j)] = 0.5 * (a[(i, j)] + a[(j, i)]);
         }
     }
-    let mut v = Matrix::identity(n);
+    // Eigenvectors accumulate transposed (`vt` row p is column p of V), so
+    // each rotation updates two contiguous rows instead of two strided
+    // columns; the arithmetic per entry is unchanged.
+    let mut vt = Matrix::identity(n);
 
     let off = |m: &Matrix| -> f64 {
         let mut s = 0.0;
@@ -77,18 +80,19 @@ pub fn symmetric_eigen(a: &Matrix) -> Eigen {
                     m[(k, p)] = c * mkp - s * mkq;
                     m[(k, q)] = s * mkp + c * mkq;
                 }
-                for k in 0..n {
-                    let mpk = m[(p, k)];
-                    let mqk = m[(q, k)];
-                    m[(p, k)] = c * mpk - s * mqk;
-                    m[(q, k)] = s * mpk + c * mqk;
+                let (head, tail) = m.as_mut_slice().split_at_mut(q * n);
+                for (mpk, mqk) in head[p * n..(p + 1) * n].iter_mut().zip(&mut tail[..n]) {
+                    let (pk, qk) = (*mpk, *mqk);
+                    *mpk = c * pk - s * qk;
+                    *mqk = s * pk + c * qk;
                 }
                 // Accumulate eigenvectors: V ← V J.
-                for k in 0..n {
-                    let vkp = v[(k, p)];
-                    let vkq = v[(k, q)];
-                    v[(k, p)] = c * vkp - s * vkq;
-                    v[(k, q)] = s * vkp + c * vkq;
+                let (head, tail) = vt.as_mut_slice().split_at_mut(q * n);
+                let vp = &mut head[p * n..(p + 1) * n];
+                for (vkp, vkq) in vp.iter_mut().zip(&mut tail[..n]) {
+                    let (kp, kq) = (*vkp, *vkq);
+                    *vkp = c * kp - s * kq;
+                    *vkq = s * kp + c * kq;
                 }
             }
         }
@@ -107,7 +111,7 @@ pub fn symmetric_eigen(a: &Matrix) -> Eigen {
     let mut vectors = Matrix::zeros(n, n);
     for (new_c, &old_c) in order.iter().enumerate() {
         for r in 0..n {
-            vectors[(r, new_c)] = v[(r, old_c)];
+            vectors[(r, new_c)] = vt[(old_c, r)];
         }
     }
     Eigen { values, vectors }
@@ -124,6 +128,103 @@ mod tests {
             lam[(i, i)] = e.values[i];
         }
         e.vectors.matmul(&lam).matmul(&e.vectors.transpose())
+    }
+
+    /// The eigenvector accumulation before `V` was kept transposed: two
+    /// strided columns per rotation, through `Index`.
+    fn eigen_reference(a: &Matrix) -> Eigen {
+        let n = a.rows();
+        let mut m = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..n {
+                m[(i, j)] = 0.5 * (a[(i, j)] + a[(j, i)]);
+            }
+        }
+        let mut v = Matrix::identity(n);
+        let off = |m: &Matrix| -> f64 {
+            let mut s = 0.0;
+            for i in 0..n {
+                for j in 0..n {
+                    if i != j {
+                        s += m[(i, j)] * m[(i, j)];
+                    }
+                }
+            }
+            s.sqrt()
+        };
+        let tol = 1e-14 * m.frobenius_norm().max(1e-300);
+        for _ in 0..64 {
+            if off(&m) <= tol {
+                break;
+            }
+            for p in 0..n {
+                for q in (p + 1)..n {
+                    let apq = m[(p, q)];
+                    if apq.abs() <= 1e-300 {
+                        continue;
+                    }
+                    let (app, aqq) = (m[(p, p)], m[(q, q)]);
+                    let theta = (aqq - app) / (2.0 * apq);
+                    let t = if theta >= 0.0 {
+                        1.0 / (theta + (1.0 + theta * theta).sqrt())
+                    } else {
+                        1.0 / (theta - (1.0 + theta * theta).sqrt())
+                    };
+                    let c = 1.0 / (1.0 + t * t).sqrt();
+                    let s = t * c;
+                    for k in 0..n {
+                        let (mkp, mkq) = (m[(k, p)], m[(k, q)]);
+                        m[(k, p)] = c * mkp - s * mkq;
+                        m[(k, q)] = s * mkp + c * mkq;
+                    }
+                    for k in 0..n {
+                        let (mpk, mqk) = (m[(p, k)], m[(q, k)]);
+                        m[(p, k)] = c * mpk - s * mqk;
+                        m[(q, k)] = s * mpk + c * mqk;
+                    }
+                    for k in 0..n {
+                        let (vkp, vkq) = (v[(k, p)], v[(k, q)]);
+                        v[(k, p)] = c * vkp - s * vkq;
+                        v[(k, q)] = s * vkp + c * vkq;
+                    }
+                }
+            }
+        }
+        let mut order: Vec<usize> = (0..n).collect();
+        let diag: Vec<f64> = (0..n).map(|i| m[(i, i)]).collect();
+        order.sort_by(|&i, &j| diag[j].partial_cmp(&diag[i]).unwrap());
+        let mut vectors = Matrix::zeros(n, n);
+        for (new_c, &old_c) in order.iter().enumerate() {
+            for r in 0..n {
+                vectors[(r, new_c)] = v[(r, old_c)];
+            }
+        }
+        Eigen {
+            values: order.iter().map(|&i| diag[i]).collect(),
+            vectors,
+        }
+    }
+
+    #[test]
+    fn transposed_accumulation_matches_the_column_loop() {
+        for n in [1usize, 2, 3, 5, 8, 13, 24] {
+            let mut a = Matrix::zeros(n, n);
+            for i in 0..n {
+                for j in 0..n {
+                    let (lo, hi) = (i.min(j), i.max(j));
+                    a[(i, j)] = ((lo * 31 + hi * 17) % 11) as f64 / 3.0 - 1.5;
+                }
+            }
+            let (got, want) = (symmetric_eigen(&a), eigen_reference(&a));
+            let bits = |e: &Eigen| -> Vec<u64> {
+                e.values
+                    .iter()
+                    .chain(e.vectors.as_slice())
+                    .map(|x| x.to_bits())
+                    .collect()
+            };
+            assert_eq!(bits(&got), bits(&want), "n {n}");
+        }
     }
 
     #[test]

@@ -491,6 +491,49 @@ pub mod scalar {
 }
 
 // ---------------------------------------------------------------------------
+// Lane-width dispatch for portable build-time loops
+// ---------------------------------------------------------------------------
+
+/// Define a function whose portable loop body is compiled twice: as
+/// written, and inside an AVX2-enabled copy that runs when
+/// [`active_kernel`] picked the SIMD path. The lane loops of the build-time
+/// kernels (PCA scatter, ITQ's alternating minimization, bulk row encoding)
+/// then vectorize four `f64` lanes wide instead of SSE2's two.
+///
+/// Only the width changes. FMA stays disabled and Rust never contracts a
+/// multiply and an add, so every lane does the same separate multiply and
+/// add in the same order on either path: results are bit-identical with and
+/// without `GQR_FORCE_SCALAR=1`. The function may not be generic or take
+/// `self`.
+#[macro_export]
+macro_rules! lane_kernel {
+    (
+        $(#[$meta:meta])*
+        $vis:vis fn $name:ident($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)? $body:block
+    ) => {
+        $(#[$meta])*
+        $vis fn $name($($arg: $ty),*) $(-> $ret)? {
+            #[inline(always)]
+            fn portable($($arg: $ty),*) $(-> $ret)? $body
+
+            #[cfg(target_arch = "x86_64")]
+            #[target_feature(enable = "avx2")]
+            unsafe fn avx2($($arg: $ty),*) $(-> $ret)? {
+                portable($($arg),*)
+            }
+
+            #[cfg(target_arch = "x86_64")]
+            if $crate::kernels::active_kernel() == $crate::kernels::KernelKind::Avx2Fma {
+                // SAFETY: `active_kernel` reports AVX2 only after runtime
+                // detection found it.
+                return unsafe { avx2($($arg),*) };
+            }
+            portable($($arg),*)
+        }
+    };
+}
+
+// ---------------------------------------------------------------------------
 // AVX2 + FMA kernels
 // ---------------------------------------------------------------------------
 

@@ -45,3 +45,37 @@ pub use pca::Pca;
 pub use qr::{qr, random_orthonormal, random_rotation};
 pub use svd::{svd, Svd};
 pub use wire::{crc32, ByteReader, ByteWriter, WireError};
+
+/// Threads a one-off training pass (PCA scatter, ITQ's alternating
+/// minimization) splits its work over: the machine's parallelism, capped at
+/// two. Each pass is a few milliseconds, and a PCA thread streams the whole
+/// dataset, so beyond two the spawn and memory traffic outgrow the gain.
+/// The split never changes a result: threads own disjoint outputs, and each
+/// output is summed in the single-threaded order.
+pub fn training_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get().min(2))
+}
+
+/// `work` applied to every item, the first on the calling thread and each
+/// other on its own scoped thread; results come back in item order. A
+/// worker's panic resumes on the caller.
+pub fn scoped_map<I: Send, T: Send>(items: Vec<I>, work: impl Fn(I) -> T + Sync) -> Vec<T> {
+    let mut items = items.into_iter();
+    let Some(first) = items.next() else {
+        return Vec::new();
+    };
+    let work = &work;
+    std::thread::scope(|s| {
+        let spawned: Vec<_> = items.map(|item| s.spawn(move || work(item))).collect();
+        let mut out = Vec::with_capacity(spawned.len() + 1);
+        out.push(work(first));
+        for handle in spawned {
+            out.push(
+                handle
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+            );
+        }
+        out
+    })
+}

@@ -3,6 +3,11 @@
 use std::fmt;
 use std::ops::{Add, Mul, Sub};
 
+/// Vectors per block of [`Matrix::lane_products`]: sixteen `f64` lanes are
+/// eight SSE2 or four AVX2 registers per output, enough independent add
+/// chains to hide add latency.
+pub const LANES: usize = 16;
+
 /// Dense row-major `f64` matrix.
 ///
 /// Sized for training-time math: covariance matrices (`d×d`), rotation
@@ -113,6 +118,12 @@ impl Matrix {
         &self.data
     }
 
+    /// Flat row-major mutable view of the backing buffer.
+    #[inline]
+    pub fn as_mut_slice(&mut self) -> &mut [f64] {
+        &mut self.data
+    }
+
     /// Transpose.
     pub fn transpose(&self) -> Matrix {
         let mut t = Matrix::zeros(self.cols, self.rows);
@@ -157,6 +168,36 @@ impl Matrix {
         (0..self.rows)
             .map(|r| self.row(r).iter().zip(v).map(|(a, b)| a * b).sum())
             .collect()
+    }
+
+    /// `self` times a block of [`LANES`] vectors stored transposed
+    /// (`xt[j·LANES + l]` is entry `j` of vector `l`):
+    /// `out[o][l] = init + self[(o, 0)]·xt[l] + self[(o, 1)]·xt[LANES + l] + …`,
+    /// summed over `j` in ascending order with a separate multiply and add.
+    ///
+    /// Lane `l` thus gets exactly the bits of a one-vector dot-product loop
+    /// whose accumulator starts at `init`: `0.0` for an explicit loop,
+    /// `-0.0` for `Iterator::sum` (as in [`Matrix::matvec`]). The lanes are
+    /// independent add chains, so the loop vectorizes and is not bound by
+    /// add latency the way one dot product is.
+    #[inline(always)]
+    pub fn lane_products(&self, xt: &[f64], init: f64, out: &mut [[f64; LANES]]) {
+        assert_eq!(
+            xt.len(),
+            self.cols * LANES,
+            "one LANES-wide column per input entry"
+        );
+        assert_eq!(out.len(), self.rows, "one output block per matrix row");
+        for (o, acc) in out.iter_mut().enumerate() {
+            let mut a = [init; LANES];
+            for (&w, x) in self.row(o).iter().zip(xt.chunks_exact(LANES)) {
+                let x: &[f64; LANES] = x.try_into().expect("exact chunk");
+                for (a, &x) in a.iter_mut().zip(x) {
+                    *a += w * x;
+                }
+            }
+            *acc = a;
+        }
     }
 
     /// `selfᵀ * v` without materializing the transpose.

@@ -25,6 +25,11 @@ GQR_FORCE_SCALAR=1 cargo test -q -p gqr-core --test blocked_eval
 GQR_FORCE_SCALAR=1 cargo test -q -p gqr-core --test live_mutations
 GQR_FORCE_SCALAR=1 cargo test -q -p gqr-core --test sharded_equivalence
 GQR_FORCE_SCALAR=1 cargo test -q -p gqr-core --test predicate_equivalence
+# Training and bulk encoding run AVX2-wide or portable lane loops; both must
+# reproduce the pre-threading goldens and the row-at-a-time references.
+GQR_FORCE_SCALAR=1 cargo test -q --test build_golden
+GQR_FORCE_SCALAR=1 cargo test -q -p gqr-linalg --lib
+GQR_FORCE_SCALAR=1 cargo test -q -p gqr-l2h
 
 echo "==> cargo doc (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
@@ -54,6 +59,18 @@ cargo run -q --release --bin gqr -- calibrate --snapshot "$SNAPDIR/index.gqr" \
     --k 5 --sample 50 --out "$SNAPDIR/calibrated.gqr"
 cargo run -q --release --bin gqr -- load-index --snapshot "$SNAPDIR/calibrated.gqr" \
     --queries 10 --k 5 --strategy gqr --recall-target 0.9
+# Cold start is deterministic: a sharded ITQ snapshot (threaded training and
+# encoding) is byte-identical run to run and on the portable lane loops.
+for run in a b; do
+    cargo run -q --release --bin gqr -- save-index --data "$SNAPDIR/vecs.fvecs" \
+        --snapshot "$SNAPDIR/itq-$run.gqr" --algo itq --bits 10 --shards 2 --mih-blocks 2
+done
+GQR_FORCE_SCALAR=1 cargo run -q --release --bin gqr -- save-index --data "$SNAPDIR/vecs.fvecs" \
+    --snapshot "$SNAPDIR/itq-scalar.gqr" --algo itq --bits 10 --shards 2 --mih-blocks 2
+cmp "$SNAPDIR/itq-a.gqr" "$SNAPDIR/itq-b.gqr" \
+    || { echo "cold-start determinism FAILED: two ITQ snapshots differ"; exit 1; }
+cmp "$SNAPDIR/itq-a.gqr" "$SNAPDIR/itq-scalar.gqr" \
+    || { echo "cold-start determinism FAILED: GQR_FORCE_SCALAR changed the snapshot"; exit 1; }
 
 echo "==> live mutation smoke (CLI insert/delete on a snapshot)"
 VEC="$(printf '0.5,%.0s' $(seq 1 16))"  # smoke-scale cifar60k is 16-dim
