@@ -34,10 +34,10 @@ fn smoke() -> bool {
     std::env::var_os("GQR_BENCH_SMOKE").is_some()
 }
 
-/// Workers are kept low and the executor queue short on purpose: the bench
+/// Run slots are kept low and the wait line short on purpose: the bench
 /// wants saturation to be *reachable* by the load generator so the 2x
-/// overload step genuinely overloads, and a short queue is what bounds the
-/// latency of admitted queries under that overload.
+/// overload step genuinely overloads, and a short wait line is what bounds
+/// the latency of admitted queries under that overload.
 const WORKERS: usize = 2;
 const QUEUE: usize = 2;
 const HANDLERS: usize = 32;

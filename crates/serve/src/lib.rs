@@ -5,9 +5,9 @@
 //! hand-rolled wire schema ([`wire`]), serves the metrics registry's
 //! Prometheus exporter at `GET /metrics`, and answers `GET /healthz` for
 //! load balancers. The server ([`server::Server`]) is a fixed-size
-//! connection-handler pool feeding the persistent
-//! [`Executor`](gqr_core::executor::Executor); overload is shed immediately
-//! with `429`/`503` + `Retry-After` instead of queueing into collapse, and
+//! connection-handler pool whose threads run the searches themselves,
+//! behind a bounded run gate. Overload is shed immediately with
+//! `429`/`503` + `Retry-After` instead of queueing into collapse, and
 //! shutdown is a graceful drain (stop accepting, finish everything
 //! admitted, then stop).
 //!

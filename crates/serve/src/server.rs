@@ -1,16 +1,20 @@
-//! The HTTP front door: a fixed-size handler pool feeding the persistent
-//! [`Executor`], with admission control at every layer.
+//! The HTTP front door: a fixed-size handler pool that runs the admitted
+//! searches itself, behind a bounded run gate, with admission control at
+//! every layer.
 //!
 //! # Threading model
 //!
 //! One **accept thread** owns the listener and pushes accepted sockets into
 //! a bounded connection queue. A fixed pool of **handler threads** pops
 //! connections and speaks HTTP on them (keep-alive: one connection may
-//! carry many requests). Handlers never run searches inline — each admitted
-//! `/search` is submitted to the server's [`Executor`] with the request's
-//! absolute deadline and the handler blocks on the ticket, so search
-//! parallelism and queue policy live in one place regardless of how many
-//! connections are open.
+//! carry many requests). When one of the `workers` run slots is free, the
+//! handler that parsed a `/search` takes it, calls [`Index::run`] on its own
+//! thread and writes the answer, so the request costs no thread hand-off.
+//! When every slot is busy the search parks in the run gate, and the
+//! handler that frees the next slot runs it and swaps connections with the
+//! parked handler, which writes the freeing handler's answer and carries on
+//! with its connection. The gate alone bounds how many searches run at
+//! once, however many connections are open.
 //!
 //! # Admission control
 //!
@@ -21,31 +25,39 @@
 //!    `Retry-After` on the raw socket and closes it;
 //! 2. per-client token bucket empty → `429` + `Retry-After` before the body
 //!    is even parsed into params;
-//! 3. executor queue full → `503` + `Retry-After`;
-//! 4. deadline already spent by queue wait → the executor drops the job
-//!    unrun and the client gets `504`.
+//! 3. every run slot busy and `queue_capacity` searches already parked →
+//!    `503` + `Retry-After`;
+//! 4. deadline already spent by the time a slot is free for the search → it
+//!    is not run and the client gets `504`.
+//!
+//! A search that panics is caught where it runs: its client gets `500` and
+//! the handler keeps serving.
 //!
 //! # Graceful drain
 //!
 //! [`Server::shutdown`] stops accepting, lets every admitted request finish
 //! (handlers drain the connection queue, each keep-alive connection closes
-//! after its in-flight exchange), then shuts the executor down. No admitted
-//! request is lost; `/healthz` flips to `503 draining` immediately so load
+//! after its in-flight exchange), then joins the handlers. Searches run on
+//! handlers, and a handler that frees a slot runs every parked search
+//! before it moves on, so once every handler has returned no admitted
+//! request is left; `/healthz` flips to `503 draining` immediately so load
 //! balancers stop routing here.
 
 use crate::http::{self, HttpError, Request};
 use crate::quota::{Admission, ClientQuotas, QuotaConfig};
 use crate::wire;
-use gqr_core::engine::ClientId;
-use gqr_core::executor::{Executor, JobError, SubmitError};
+use gqr_core::attrs::Predicate;
+use gqr_core::engine::{ClientId, SearchParams};
 use gqr_core::index::Index;
 use gqr_core::metrics::{metric_name, MetricsRegistry};
 use gqr_core::request::SearchRequest;
 use std::collections::VecDeque;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::{self, SyncSender};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -57,9 +69,11 @@ pub struct ServerConfig {
     pub addr: String,
     /// Connection-handler threads.
     pub handlers: usize,
-    /// Executor workers running searches (`0` → same as `handlers`).
+    /// Searches running at once, each on a connection-handler thread
+    /// (`0` → same as `handlers`).
     pub workers: usize,
-    /// Executor queue capacity: admitted-but-not-running searches.
+    /// Admitted searches allowed to wait for a run slot; one more is shed
+    /// with `503`.
     pub queue_capacity: usize,
     /// Accepted connections waiting for a handler before the accept thread
     /// starts shedding with `503`.
@@ -141,9 +155,122 @@ impl ConnQueue {
     }
 }
 
+/// At most `slots` searches run at once; at most `capacity` more are parked
+/// waiting for a slot, in arrival order.
+///
+/// A parked search is not run by the handler that parked it. The handler
+/// that next frees a slot runs it instead and swaps connections with the
+/// parked handler: it passes over its own connection with the response it
+/// just rendered, and takes the parked connection to answer. Searches
+/// therefore run back to back on a thread that is already on a CPU, while
+/// the woken handler only writes a response; waking each parked handler
+/// to run its own search would land it, often enough to show in the tail,
+/// on the core already running another search.
+struct RunGate {
+    state: Mutex<GateState>,
+    slots: usize,
+    capacity: usize,
+}
+
+#[derive(Default)]
+struct GateState {
+    /// Slots held.
+    running: usize,
+    /// Searches waiting for a slot, oldest first.
+    parked: VecDeque<Parked>,
+}
+
+/// One admitted `/search`, owned, so that any slot holder can run it.
+struct Search {
+    query: Vec<f32>,
+    params: SearchParams,
+    filter: Option<Predicate>,
+    started: Instant,
+    deadline: Instant,
+}
+
+/// A search waiting for a slot, with the connection its answer goes to.
+struct Parked {
+    search: Search,
+    stream: TcpStream,
+    close: bool,
+    handoff: SyncSender<Handoff>,
+}
+
+/// What a parked handler is woken with.
+enum Handoff {
+    /// Write `response` on `stream`, then keep serving that connection, or
+    /// close it when `close` is set.
+    Connection {
+        stream: TcpStream,
+        response: Vec<u8>,
+        close: bool,
+    },
+    /// Every slot holder is gone (one unwound); answer `503`.
+    Shed,
+}
+
+/// One held run slot; dropping it (on unwind too) releases the slot.
+struct Slot<'a>(&'a RunGate);
+
+impl RunGate {
+    fn new(slots: usize, capacity: usize) -> RunGate {
+        RunGate {
+            state: Mutex::new(GateState::default()),
+            slots,
+            capacity,
+        }
+    }
+
+    /// Searches holding or waiting for a slot.
+    fn inflight(&self) -> usize {
+        let state = self.lock();
+        state.running + state.parked.len()
+    }
+
+    /// Every update to the state is a single step that leaves it valid, so a
+    /// poisoned lock still guards consistent state.
+    fn lock(&self) -> MutexGuard<'_, GateState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl Slot<'_> {
+    /// The oldest parked search, which the slot passes to; with none parked
+    /// the slot is released and `None` returned.
+    fn pass(self) -> Option<Parked> {
+        let mut state = self.0.lock();
+        let next = state.parked.pop_front();
+        if next.is_none() {
+            state.running -= 1;
+        }
+        drop(state);
+        std::mem::forget(self);
+        next
+    }
+}
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        let mut state = self.0.lock();
+        state.running -= 1;
+        // Only an unwind gets here; parked searches left without any slot
+        // holder to run them would wait forever.
+        let orphans = if state.running == 0 {
+            std::mem::take(&mut state.parked)
+        } else {
+            VecDeque::new()
+        };
+        drop(state);
+        for parked in orphans {
+            let _ = parked.handoff.send(Handoff::Shed);
+        }
+    }
+}
+
 struct Shared {
     index: &'static (dyn Index + Sync),
-    exec: Executor,
+    gate: RunGate,
     quotas: Option<ClientQuotas>,
     metrics: MetricsRegistry,
     conns: ConnQueue,
@@ -151,7 +278,6 @@ struct Shared {
     config: ServerConfig,
     served: AtomicU64,
     shed: AtomicU64,
-    inflight: AtomicU64,
 }
 
 /// A running query server. Dropping it without [`Server::shutdown`] aborts
@@ -178,18 +304,13 @@ impl Server {
             metrics = MetricsRegistry::enabled();
         }
         let workers = if config.workers == 0 {
-            config.handlers
+            config.handlers.max(1)
         } else {
             config.workers
         };
-        let exec = Executor::builder()
-            .workers(workers)
-            .queue_capacity(config.queue_capacity)
-            .metrics(metrics.clone())
-            .build();
         let shared = Arc::new(Shared {
             index,
-            exec,
+            gate: RunGate::new(workers, config.queue_capacity),
             quotas: config.quota.map(ClientQuotas::new),
             metrics,
             conns: ConnQueue {
@@ -201,7 +322,6 @@ impl Server {
             config: config.clone(),
             served: AtomicU64::new(0),
             shed: AtomicU64::new(0),
-            inflight: AtomicU64::new(0),
         });
 
         let accept_shared = Arc::clone(&shared);
@@ -242,24 +362,22 @@ impl Server {
         self.shared.shed.load(Ordering::Relaxed)
     }
 
-    /// Graceful drain: stop accepting, finish everything admitted, stop the
-    /// executor, join all threads.
+    /// Graceful drain: stop accepting, finish everything admitted, join all
+    /// threads.
     pub fn shutdown(self) -> DrainReport {
-        let inflight_at_drain = self.shared.inflight.load(Ordering::Relaxed);
+        let inflight_at_drain = self.shared.gate.inflight() as u64;
         self.shared.draining.store(true, Ordering::Release);
         // Unblock the accept thread with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
         if let Some(t) = self.accept_thread {
             let _ = t.join();
         }
-        // Handlers drain the connection queue, then exit.
+        // Handlers drain the connection queue, finishing every search they
+        // admitted, then exit.
         self.shared.conns.notify_all();
         for t in self.handler_threads {
             let _ = t.join();
         }
-        // Every admitted search has now been waited on by its handler;
-        // stopping the executor loses nothing.
-        self.shared.exec.shutdown();
         self.shared.metrics.incr("gqr_http_drains_completed_total");
         DrainReport {
             served: self.shared.served.load(Ordering::Relaxed),
@@ -357,8 +475,10 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
             }
             Err(HttpError::Io(_)) => return,
         };
-        let close = req.wants_close() || shared.draining.load(Ordering::Acquire);
-        let served = handle_request(shared, &mut stream, &req, close);
+        // A search that waited for a run slot comes back holding another
+        // handler's connection, and `close` then describes that one.
+        let mut close = req.wants_close() || shared.draining.load(Ordering::Acquire);
+        let served = handle_request(shared, &mut stream, &req, &mut close);
         if served.is_err() || close {
             return;
         }
@@ -369,7 +489,7 @@ fn handle_request(
     shared: &Shared,
     stream: &mut TcpStream,
     req: &Request,
-    close: bool,
+    close: &mut bool,
 ) -> io::Result<()> {
     match (req.method.as_str(), req.path.as_str()) {
         ("POST", "/search") => handle_search(shared, stream, req, close),
@@ -377,7 +497,7 @@ fn handle_request(
             if shared.draining.load(Ordering::Acquire) {
                 respond(shared, stream, 503, "text/plain", b"draining\n", &[], true)
             } else {
-                respond(shared, stream, 200, "text/plain", b"ok\n", &[], close)
+                respond(shared, stream, 200, "text/plain", b"ok\n", &[], *close)
             }
         }
         ("GET", "/metrics") => {
@@ -389,13 +509,13 @@ fn handle_request(
                 "text/plain; version=0.0.4",
                 text.as_bytes(),
                 &[],
-                close,
+                *close,
             )
         }
         ("POST" | "GET", "/search" | "/healthz" | "/metrics") => {
-            respond_error(shared, stream, 405, "method not allowed", None, close)
+            respond_error(shared, stream, 405, "method not allowed", None, *close)
         }
-        _ => respond_error(shared, stream, 404, "no such route", None, close),
+        _ => respond_error(shared, stream, 404, "no such route", None, *close),
     }
 }
 
@@ -403,7 +523,7 @@ fn handle_search(
     shared: &Shared,
     stream: &mut TcpStream,
     req: &Request,
-    close: bool,
+    close: &mut bool,
 ) -> io::Result<()> {
     let started = Instant::now();
     shared.metrics.incr(&metric_name(
@@ -429,18 +549,18 @@ fn handle_search(
                 429,
                 "client quota exhausted",
                 Some(secs),
-                close,
+                *close,
             );
         }
     }
 
     let decoded = match wire::decode_search(&req.body) {
         Ok(d) => d,
-        Err(e) => return respond_error(shared, stream, 400, &e.message, None, close),
+        Err(e) => return respond_error(shared, stream, 400, &e.message, None, *close),
     };
     let mut params = match decoded.to_params() {
         Ok(p) => p,
-        Err(e) => return respond_error(shared, stream, 400, &e.to_string(), None, close),
+        Err(e) => return respond_error(shared, stream, 400, &e.to_string(), None, *close),
     };
     let deadline = started + decoded.timeout.unwrap_or(shared.config.default_timeout);
     params.deadline = Some(deadline);
@@ -448,14 +568,14 @@ fn handle_search(
 
     let index = shared.index;
     // A query of the wrong length would trip the engine's dimensionality
-    // assert on a worker; it is the client's error, so say so here.
+    // assert mid-search; it is the client's error, so say so here.
     if decoded.query.len() != index.dim() {
         let msg = format!(
             "\"query\" has {} dimensions; this index serves {}",
             decoded.query.len(),
             index.dim()
         );
-        return respond_error(shared, stream, 400, &msg, None, close);
+        return respond_error(shared, stream, 400, &msg, None, *close);
     }
     // Validate the filter against the served schema before admitting any
     // work: unknown columns, type mismatches, and filters against an index
@@ -468,77 +588,137 @@ fn handle_search(
                 400,
                 "this index has no attribute store; \"filter\" is not supported",
                 None,
-                close,
+                *close,
             );
         };
         if let Err(e) = store.validate(pred) {
             let msg = format!("invalid \"filter\": {e}");
-            return respond_error(shared, stream, 400, &msg, None, close);
+            return respond_error(shared, stream, 400, &msg, None, *close);
         }
     }
-    let query = decoded.query;
-    let filter = decoded.filter;
-    let ticket = match shared.exec.try_submit_with_deadline(deadline, move || {
-        let mut req = SearchRequest::new(&query).params(params);
-        if let Some(pred) = filter {
-            req = req.predicate(pred);
+    let search = Search {
+        query: decoded.query,
+        params,
+        filter: decoded.filter,
+        started,
+        deadline,
+    };
+    let gate = &shared.gate;
+    let mut state = gate.lock();
+    if state.running < gate.slots {
+        state.running += 1;
+        drop(state);
+        return run_searches(shared, stream, search, close);
+    }
+    if state.parked.len() >= gate.capacity {
+        drop(state);
+        shared.shed.fetch_add(1, Ordering::Relaxed);
+        shared.metrics.incr(&metric_name(
+            "gqr_http_shed_total",
+            &[("reason", "queue_full")],
+        ));
+        return respond_error(shared, stream, 503, "search queue full", Some(1), *close);
+    }
+    let (handoff, woken) = mpsc::sync_channel(1);
+    state.parked.push_back(Parked {
+        search,
+        stream: stream.try_clone()?,
+        close: *close,
+        handoff,
+    });
+    drop(state);
+    match woken.recv() {
+        Ok(Handoff::Connection {
+            stream: other,
+            response,
+            close: other_close,
+        }) => {
+            *stream = other;
+            *close = other_close;
+            stream.write_all(&response)
         }
-        index.run(req)
-    }) {
-        Ok(t) => t,
-        Err(SubmitError::QueueFull) => {
+        Ok(Handoff::Shed) | Err(_) => {
             shared.shed.fetch_add(1, Ordering::Relaxed);
-            shared.metrics.incr(&metric_name(
-                "gqr_http_shed_total",
-                &[("reason", "queue_full")],
-            ));
-            return respond_error(shared, stream, 503, "search queue full", Some(1), close);
+            respond_error(shared, stream, 503, "search was not run", Some(1), *close)
         }
-        Err(SubmitError::ShutDown) => {
-            shared.shed.fetch_add(1, Ordering::Relaxed);
-            return respond_error(shared, stream, 503, "draining", Some(1), close);
+    }
+}
+
+/// Run `search`, then every search parked behind it, on one run slot (see
+/// [`RunGate`]). Each answer but the last leaves with its connection for
+/// the handler whose search runs next; the last is written here, after the
+/// slot is released.
+fn run_searches(
+    shared: &Shared,
+    stream: &mut TcpStream,
+    mut search: Search,
+    close: &mut bool,
+) -> io::Result<()> {
+    loop {
+        let slot = Slot(&shared.gate);
+        let response = answer(shared, search, *close);
+        let Some(parked) = slot.pass() else {
+            return stream.write_all(&response);
+        };
+        let mine = std::mem::replace(stream, parked.stream);
+        let _ = parked.handoff.send(Handoff::Connection {
+            stream: mine,
+            response,
+            close: *close,
+        });
+        *close = parked.close;
+        search = parked.search;
+    }
+}
+
+/// Run `search` unless its deadline has passed, and render the response.
+fn answer(shared: &Shared, search: Search, close: bool) -> Vec<u8> {
+    let mut response = Vec::new();
+    // Writing into a `Vec` cannot fail.
+    let _ = if Instant::now() > search.deadline {
+        shared.shed.fetch_add(1, Ordering::Relaxed);
+        shared.metrics.incr(&metric_name(
+            "gqr_http_shed_total",
+            &[("reason", "deadline")],
+        ));
+        respond_error(
+            shared,
+            &mut response,
+            504,
+            "deadline passed before execution",
+            None,
+            close,
+        )
+    } else {
+        let index = shared.index;
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let mut req = SearchRequest::new(&search.query).params(search.params);
+            if let Some(pred) = search.filter {
+                req = req.predicate(pred);
+            }
+            index.run(req)
+        }));
+        match outcome {
+            Ok(res) => {
+                let body = wire::encode_response(&res);
+                shared.served.fetch_add(1, Ordering::Relaxed);
+                shared
+                    .metrics
+                    .record_duration("gqr_http_request_ns", search.started.elapsed());
+                respond(
+                    shared,
+                    &mut response,
+                    200,
+                    "application/json",
+                    body.as_bytes(),
+                    &[],
+                    close,
+                )
+            }
+            Err(_) => respond_error(shared, &mut response, 500, "search panicked", None, close),
         }
     };
-
-    shared.inflight.fetch_add(1, Ordering::Relaxed);
-    let outcome = ticket.wait();
-    shared.inflight.fetch_sub(1, Ordering::Relaxed);
-    match outcome {
-        Ok(res) => {
-            let body = wire::encode_response(&res);
-            shared.served.fetch_add(1, Ordering::Relaxed);
-            shared
-                .metrics
-                .record_duration("gqr_http_request_ns", started.elapsed());
-            respond(
-                shared,
-                stream,
-                200,
-                "application/json",
-                body.as_bytes(),
-                &[],
-                close,
-            )
-        }
-        Err(JobError::DeadlineMissed) => {
-            shared.metrics.incr(&metric_name(
-                "gqr_http_shed_total",
-                &[("reason", "deadline")],
-            ));
-            shared.shed.fetch_add(1, Ordering::Relaxed);
-            respond_error(
-                shared,
-                stream,
-                504,
-                "deadline passed before execution",
-                None,
-                close,
-            )
-        }
-        Err(JobError::Panicked(_)) => {
-            respond_error(shared, stream, 500, "search panicked", None, close)
-        }
-    }
+    response
 }
 
 fn respond(

@@ -1,16 +1,21 @@
 //! End-to-end wire tests: a real server on an ephemeral port, raw TCP
 //! clients, every rejection path, and graceful drain under in-flight load.
 
+use gqr_core::attrs::AttributeStore;
 use gqr_core::engine::QueryEngine;
 use gqr_core::index::Index;
 use gqr_core::metrics::MetricsRegistry;
+use gqr_core::request::SearchRequest;
+use gqr_core::response::SearchResponse;
 use gqr_core::table::HashTable;
 use gqr_l2h::pcah::Pcah;
 use gqr_serve::quota::QuotaConfig;
 use gqr_serve::server::{Server, ServerConfig};
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 /// A leaked, process-lifetime engine over a noisy grid. Servers need
 /// `'static` indexes; tests leak a fresh one each (they are small).
@@ -342,4 +347,334 @@ fn loadgen_drives_a_live_server() {
     assert!(report.p99_us >= report.p50_us, "{report:?}");
     let drain = server.shutdown();
     assert!(drain.served >= report.completed);
+}
+
+/// The test engine behind a gate: every `run` counts itself, then blocks
+/// until [`GatedIndex::release`], so a test can hold a run slot for as long
+/// as it needs one held.
+struct GatedIndex {
+    inner: &'static (dyn Index + Sync),
+    released: Mutex<bool>,
+    opened: Condvar,
+    runs: AtomicUsize,
+}
+
+impl GatedIndex {
+    fn leak() -> &'static GatedIndex {
+        Box::leak(Box::new(GatedIndex {
+            inner: static_index(2500, MetricsRegistry::enabled()),
+            released: Mutex::new(false),
+            opened: Condvar::new(),
+            runs: AtomicUsize::new(0),
+        }))
+    }
+
+    fn release(&self) {
+        *self.released.lock().unwrap() = true;
+        self.opened.notify_all();
+    }
+
+    fn runs(&self) -> usize {
+        self.runs.load(Ordering::SeqCst)
+    }
+}
+
+impl Index for GatedIndex {
+    fn run(&self, req: SearchRequest<'_>) -> SearchResponse {
+        self.runs.fetch_add(1, Ordering::SeqCst);
+        let mut released = self.released.lock().unwrap();
+        while !*released {
+            released = self.opened.wait(released).unwrap();
+        }
+        drop(released);
+        self.inner.run(req)
+    }
+    fn n_items(&self) -> usize {
+        self.inner.n_items()
+    }
+    fn dim(&self) -> usize {
+        self.inner.dim()
+    }
+    fn metrics(&self) -> &MetricsRegistry {
+        self.inner.metrics()
+    }
+    fn attrs(&self) -> Option<&AttributeStore> {
+        self.inner.attrs()
+    }
+}
+
+fn metrics_text(addr: std::net::SocketAddr) -> String {
+    exchange(addr, b"GET /metrics HTTP/1.1\r\nconnection: close\r\n\r\n").2
+}
+
+/// Poll until `ready` holds, failing the test after ten seconds.
+fn wait_until(what: &str, mut ready: impl FnMut() -> bool) {
+    let give_up = Instant::now() + Duration::from_secs(10);
+    while !ready() {
+        assert!(Instant::now() < give_up, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+#[test]
+fn full_run_gate_sheds_with_503_queue_full() {
+    let index = GatedIndex::leak();
+    let server = Server::start(
+        index,
+        ServerConfig {
+            handlers: 3,
+            workers: 1,
+            queue_capacity: 0,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind");
+    let addr = server.addr();
+    let body = r#"{"query":[3.0,4.0],"k":5,"timeout_ms":10000}"#;
+    let first = std::thread::spawn(move || post_search(addr, body, None));
+    wait_until("the first search to hold the slot", || index.runs() == 1);
+
+    let (status, head, resp) = post_search(addr, body, None);
+    assert_eq!(status, 503, "{resp}");
+    assert!(
+        head.to_lowercase().contains("retry-after:"),
+        "missing retry-after: {head}"
+    );
+    let metrics = metrics_text(addr);
+    assert!(
+        metrics.contains("gqr_http_shed_total{reason=\"queue_full\"} 1"),
+        "{metrics}"
+    );
+
+    index.release();
+    let (status, _, resp) = first.join().unwrap();
+    assert_eq!(status, 200, "{resp}");
+    assert_eq!(index.runs(), 1, "the shed search must never run");
+    let report = server.shutdown();
+    assert_eq!((report.served, report.shed), (1, 1));
+}
+
+#[test]
+fn deadline_spent_waiting_for_a_slot_is_a_504_and_never_runs() {
+    let index = GatedIndex::leak();
+    let server = Server::start(
+        index,
+        ServerConfig {
+            handlers: 3,
+            workers: 1,
+            queue_capacity: 1,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind");
+    let addr = server.addr();
+    let first = std::thread::spawn(move || {
+        post_search(
+            addr,
+            r#"{"query":[3.0,4.0],"k":5,"timeout_ms":10000}"#,
+            None,
+        )
+    });
+    wait_until("the first search to hold the slot", || index.runs() == 1);
+
+    let late = std::thread::spawn(move || {
+        post_search(addr, r#"{"query":[3.0,4.0],"k":5,"timeout_ms":1}"#, None)
+    });
+    // Once the server has counted the second request its 1 ms budget has
+    // started, and the only slot stays held until the release below.
+    wait_until("the second search to arrive", || {
+        metrics_text(addr).contains("gqr_http_requests_total{route=\"search\"} 2")
+    });
+    std::thread::sleep(Duration::from_millis(20));
+    index.release();
+
+    let (status, _, resp) = late.join().unwrap();
+    assert_eq!(status, 504, "{resp}");
+    assert_eq!(first.join().unwrap().0, 200);
+    assert_eq!(index.runs(), 1, "the late search must never run");
+    assert!(metrics_text(addr).contains("gqr_http_shed_total{reason=\"deadline\"} 1"));
+    server.shutdown();
+}
+
+#[test]
+fn panicking_search_is_a_500_and_releases_its_slot() {
+    // No MIH side index is attached, so an MIH search panics mid-run.
+    let server = start(ServerConfig {
+        handlers: 2,
+        workers: 1,
+        queue_capacity: 0,
+        ..ServerConfig::default()
+    });
+    let addr = server.addr();
+    let (status, _, resp) =
+        post_search(addr, r#"{"query":[3.0,4.0],"k":5,"strategy":"MIH"}"#, None);
+    assert_eq!(status, 500, "{resp}");
+    // With one slot and no wait line, a leaked slot would shed this as 503.
+    let (status, _, resp) = post_search(addr, r#"{"query":[3.0,4.0],"k":5}"#, None);
+    assert_eq!(status, 200, "{resp}");
+    let report = server.shutdown();
+    assert_eq!(report.inflight_at_drain, 0);
+    assert_eq!(report.served, 1);
+}
+
+fn keep_alive_conn(addr: std::net::SocketAddr) -> BufReader<TcpStream> {
+    let stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    BufReader::new(stream)
+}
+
+/// Send one `/search` on `conn` without waiting for the answer; `close`
+/// asks the server to close the connection after answering.
+fn send_search(conn: &mut BufReader<TcpStream>, body: &str, close: bool) {
+    let raw = format!(
+        "POST /search HTTP/1.1\r\nhost: t\r\ncontent-type: application/json\r\ncontent-length: {}\r\n{}\r\n{}",
+        body.len(),
+        if close { "connection: close\r\n" } else { "" },
+        body
+    );
+    conn.get_mut().write_all(raw.as_bytes()).unwrap();
+}
+
+/// Read exactly one response off `conn`: status and body.
+fn read_response(conn: &mut BufReader<TcpStream>) -> (u16, String) {
+    let mut status_line = String::new();
+    conn.read_line(&mut status_line).unwrap();
+    let status = status_line
+        .split(' ')
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(0);
+    let mut length = 0;
+    loop {
+        let mut line = String::new();
+        conn.read_line(&mut line).unwrap();
+        let line = line.trim_end();
+        if line.is_empty() {
+            break;
+        }
+        if let Some((name, value)) = line.split_once(':') {
+            if name.eq_ignore_ascii_case("content-length") {
+                length = value.trim().parse().unwrap();
+            }
+        }
+    }
+    let mut body = vec![0; length];
+    conn.read_exact(&mut body).unwrap();
+    (status, String::from_utf8(body).unwrap())
+}
+
+/// Assert that `resp` is a 200 whose ids and distance bits equal what
+/// `index.run` answers for the request `body` called directly.
+fn assert_matches_engine(index: &dyn Index, body: &str, (status, resp): (u16, String)) {
+    assert_eq!(status, 200, "{body} -> {resp}");
+    let wire = gqr_serve::decode_search(body.as_bytes()).unwrap();
+    let params = wire.to_params().unwrap();
+    let want = index.run(SearchRequest::new(&wire.query).params(params));
+    let doc = gqr_serve::json::parse(resp.as_bytes()).unwrap();
+    let column = |name: &str| doc.get(name).unwrap().as_array().unwrap().to_vec();
+    let ids: Vec<u32> = column("ids")
+        .iter()
+        .map(|v| v.as_u64().unwrap() as u32)
+        .collect();
+    let bits: Vec<u32> = column("distances")
+        .iter()
+        .map(|v| (v.as_f64().unwrap() as f32).to_bits())
+        .collect();
+    let want_bits: Vec<u32> = want.distances.iter().map(|d| d.to_bits()).collect();
+    assert_eq!(ids, want.ids, "{body}");
+    assert_eq!(bits, want_bits, "{body}");
+}
+
+#[test]
+fn keep_alive_answers_match_the_engine_bit_for_bit() {
+    keep_alive_clients_match_the_engine(ServerConfig::default());
+}
+
+/// With one run slot the two connections contend: searches park, and the
+/// handler that frees the slot runs them and swaps connections with their
+/// handlers, so every answer must still reach its own connection.
+#[test]
+fn keep_alive_answers_survive_parked_searches() {
+    keep_alive_clients_match_the_engine(ServerConfig {
+        handlers: 2,
+        workers: 1,
+        ..ServerConfig::default()
+    });
+}
+
+/// 2 threads × 100 requests, each thread on one persistent connection.
+fn keep_alive_clients_match_the_engine(config: ServerConfig) {
+    let index = static_index(2500, MetricsRegistry::enabled());
+    let server = Server::start(index, config).expect("bind");
+    let addr = server.addr();
+    let clients: Vec<_> = (0..2)
+        .map(|t| {
+            std::thread::spawn(move || {
+                let mut conn = keep_alive_conn(addr);
+                for i in 0..100 {
+                    let x = (7 * i + 13 * t) % 50;
+                    let body = format!(
+                        r#"{{"query":[{x}.25,{}.5],"k":10,"candidates":200}}"#,
+                        i % 50
+                    );
+                    send_search(&mut conn, &body, false);
+                    assert_matches_engine(index, &body, read_response(&mut conn));
+                }
+            })
+        })
+        .collect();
+    for c in clients {
+        c.join().unwrap();
+    }
+    let report = server.shutdown();
+    assert_eq!(report.served, 200);
+    assert_eq!(report.inflight_at_drain, 0);
+}
+
+#[test]
+fn parked_search_swaps_keep_alive_connections_cleanly() {
+    let index = GatedIndex::leak();
+    let server = Server::start(
+        index,
+        ServerConfig {
+            handlers: 2,
+            workers: 1,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind");
+    let addr = server.addr();
+    let (mut a, mut b) = (keep_alive_conn(addr), keep_alive_conn(addr));
+    let body_a = r#"{"query":[3.0,4.0],"k":5,"timeout_ms":10000}"#;
+    let body_b = r#"{"query":[40.0,20.0],"k":5,"timeout_ms":10000}"#;
+    send_search(&mut a, body_a, true);
+    wait_until("the first search to hold the slot", || index.runs() == 1);
+    // B's search parks behind A's; A's handler runs it and answers on B's
+    // connection, which it keeps serving, while B's handler writes A's
+    // answer and closes A's connection as A asked.
+    send_search(&mut b, body_b, false);
+    std::thread::sleep(Duration::from_millis(20));
+    index.release();
+    assert_matches_engine(index.inner, body_a, read_response(&mut a));
+    let mut rest = Vec::new();
+    a.read_to_end(&mut rest).unwrap();
+    assert!(
+        rest.is_empty(),
+        "A's connection must close after its answer"
+    );
+    assert_matches_engine(index.inner, body_b, read_response(&mut b));
+    let mut a = keep_alive_conn(addr);
+    for _ in 0..3 {
+        send_search(&mut a, body_b, false);
+        send_search(&mut b, body_a, false);
+        assert_matches_engine(index.inner, body_b, read_response(&mut a));
+        assert_matches_engine(index.inner, body_a, read_response(&mut b));
+    }
+    assert_eq!(index.runs(), 8);
+    // Idle keep-alive connections would hold the drain for a read timeout.
+    drop((a, b));
+    let report = server.shutdown();
+    assert_eq!((report.served, report.inflight_at_drain), (8, 0));
 }

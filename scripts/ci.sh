@@ -91,8 +91,13 @@ ADDR="$(cat "$SNAPDIR/addr")"
     --qps 200 --duration-s 1 --out "$SNAPDIR/loadgen.json"
 grep -q '"errors":0' "$SNAPDIR/loadgen.json" \
     || { echo "serve smoke FAILED: loadgen saw errors ($SNAPDIR/loadgen.json)"; exit 1; }
-curl -sf "http://$ADDR/metrics" | grep -q 'gqr_http_requests_total' \
+METRICS="$(curl -sf "http://$ADDR/metrics")" \
+    || { echo "serve smoke FAILED: /metrics unreachable"; exit 1; }
+grep -q 'gqr_http_requests_total' <<<"$METRICS" \
     || { echo "serve smoke FAILED: /metrics missing serving counters"; exit 1; }
+if grep -qF 'gqr_http_responses_total{status="500"}' <<<"$METRICS"; then
+    echo "serve smoke FAILED: a search panicked (500 in /metrics)"; exit 1
+fi
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID" || { echo "serve smoke FAILED: drain exited non-zero"; exit 1; }
 

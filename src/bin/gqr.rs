@@ -173,7 +173,9 @@ fn usage_and_exit(err: Option<&str>) -> ! {
          \x20          [--out FILE]   (chrome output opens in Perfetto / chrome://tracing)\n\
          \x20 serve    --snapshot FILE [--addr HOST:PORT] [--handlers N] [--workers N]\n\
          \x20          [--queue N] [--backlog N] [--timeout-ms T] [--quota-rate R]\n\
-         \x20          [--quota-burst B] [--addr-file FILE]   (SIGTERM drains gracefully)\n\
+         \x20          [--quota-burst B] [--addr-file FILE]   (SIGTERM drains gracefully;\n\
+         \x20          --workers: searches running at once, 0 = one per handler;\n\
+         \x20          --queue: searches that may wait for one before a 503)\n\
          \x20 loadgen  --addr HOST:PORT --qps Q [--duration-s S] [--warmup-s S]\n\
          \x20          [--senders N] [--k K] [--candidates N] [--query \"x1,x2,...\"]\n\
          \x20          [--dim D] [--client NAME] [--sweep \"q1,q2,...\"] [--out FILE]\n\
