@@ -25,21 +25,34 @@ fn smoke() -> bool {
     std::env::var_os("GQR_BENCH_SMOKE").is_some()
 }
 
-/// Mean per-query microseconds over the batch, best of `repeats` passes
-/// (min is robust to scheduler noise in a way the mean is not).
-fn best_pass_us<M: gqr_l2h::HashModel + ?Sized>(
+/// Mean per-query microseconds over one pass of the batch.
+fn pass_us<M: gqr_l2h::HashModel + ?Sized>(
     engine: &QueryEngine<'_, M>,
     queries: &[Vec<f32>],
     params: &SearchParams,
-    repeats: usize,
 ) -> f64 {
-    let mut best = f64::INFINITY;
+    let t = Instant::now();
+    for q in queries {
+        black_box(engine.search(black_box(q), params));
+    }
+    t.elapsed().as_secs_f64() / queries.len() as f64 * 1e6
+}
+
+/// Mean per-query microseconds of each engine, best of `repeats` passes
+/// (min is robust to scheduler noise in a way the mean is not). The
+/// engines take turns pass by pass, so drift of the machine over the run
+/// lands on every mode alike instead of reading as one mode's overhead.
+fn best_pass_us<M: gqr_l2h::HashModel + ?Sized, const N: usize>(
+    engines: [&QueryEngine<'_, M>; N],
+    queries: &[Vec<f32>],
+    params: &SearchParams,
+    repeats: usize,
+) -> [f64; N] {
+    let mut best = [f64::INFINITY; N];
     for _ in 0..repeats {
-        let t = Instant::now();
-        for q in queries {
-            black_box(engine.search(black_box(q), params));
+        for (engine, best) in engines.iter().zip(&mut best) {
+            *best = best.min(pass_us(engine, queries, params));
         }
-        best = best.min(t.elapsed().as_secs_f64() / queries.len() as f64 * 1e6);
     }
     best
 }
@@ -61,10 +74,8 @@ fn bench_trace_overhead(c: &mut Criterion) {
     // Tracing off: the registry records aggregates, every trace_begin
     // returns the disabled context, span calls are a single branch.
     let metrics_off = MetricsRegistry::enabled();
-    let engine = QueryEngine::new(model.as_ref(), &table, ds.as_slice(), ds.dim())
+    let engine_off = QueryEngine::new(model.as_ref(), &table, ds.as_slice(), ds.dim())
         .with_metrics(metrics_off.clone());
-    best_pass_us(&engine, &queries, &params, 2); // warm-up
-    let off_us = best_pass_us(&engine, &queries, &params, repeats);
 
     // Tracing enabled, queries unsampled: one fetch-add per query at
     // admission decides "not sampled"; everything downstream stays
@@ -75,11 +86,14 @@ fn bench_trace_overhead(c: &mut Criterion) {
         sample_every: u64::MAX,
         ..TraceConfig::default()
     });
-    let engine = QueryEngine::new(model.as_ref(), &table, ds.as_slice(), ds.dim())
+    let engine_unsampled = QueryEngine::new(model.as_ref(), &table, ds.as_slice(), ds.dim())
         .with_metrics(metrics_unsampled.clone());
-    black_box(engine.search(&queries[0], &params));
-    best_pass_us(&engine, &queries, &params, 2); // warm-up
-    let unsampled_us = best_pass_us(&engine, &queries, &params, repeats);
+    black_box(engine_unsampled.search(&queries[0], &params));
+
+    // The gated pair is timed in alternation, off first in every round.
+    let pair = [&engine_off, &engine_unsampled];
+    best_pass_us(pair, &queries, &params, 2); // warm-up
+    let [off_us, unsampled_us] = best_pass_us(pair, &queries, &params, repeats);
 
     // Every query sampled: full span tree, per-probe QD steps, ring push.
     let metrics_sampled = MetricsRegistry::enabled();
@@ -89,8 +103,8 @@ fn bench_trace_overhead(c: &mut Criterion) {
     });
     let engine = QueryEngine::new(model.as_ref(), &table, ds.as_slice(), ds.dim())
         .with_metrics(metrics_sampled.clone());
-    best_pass_us(&engine, &queries, &params, 2); // warm-up
-    let sampled_us = best_pass_us(&engine, &queries, &params, repeats);
+    best_pass_us([&engine], &queries, &params, 2); // warm-up
+    let [sampled_us] = best_pass_us([&engine], &queries, &params, repeats);
 
     let pct = |mode_us: f64| ((mode_us - off_us) / off_us * 100.0).max(0.0);
     let unsampled_pct = pct(unsampled_us);

@@ -13,7 +13,6 @@ use crate::metrics::metric_name;
 use crate::request::SearchRequest;
 use crate::table::HashTable;
 use gqr_l2h::HashModel;
-use gqr_linalg::kernels::ScoreBlock;
 use std::time::Instant;
 
 impl<M: HashModel + ?Sized> QueryEngine<'_, M> {
@@ -82,14 +81,8 @@ impl<M: HashModel + ?Sized> QueryEngine<'_, M> {
             exec.run_scoped(queries.chunks(chunk).zip(results.chunks_mut(chunk)).map(
                 |(qs, out)| {
                     Box::new(move || {
-                        // One gather/score tile per chunk job: every query
-                        // in the chunk reuses the same scratch buffers.
-                        let mut scratch = ScoreBlock::new(self.dim());
                         for (q, slot) in qs.iter().zip(out.iter_mut()) {
-                            *slot = Some(self.run_with_scratch(
-                                SearchRequest::new(q).params(*params),
-                                &mut scratch,
-                            ));
+                            *slot = Some(self.run(SearchRequest::new(q).params(*params)));
                         }
                     }) as Box<dyn FnOnce() + Send + '_>
                 },

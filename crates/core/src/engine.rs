@@ -16,24 +16,10 @@ use crate::request::SearchRequest;
 pub use crate::response::{Checkpoint, SearchResponse};
 use crate::table::HashTable;
 use gqr_l2h::HashModel;
-use gqr_linalg::kernels::{kernel_name, ScoreBlock};
+use gqr_linalg::kernels::kernel_name;
 use gqr_linalg::vecops::Metric;
 use std::borrow::Cow;
-use std::cell::RefCell;
 use std::time::{Duration, Instant};
-
-thread_local! {
-    /// Per-thread gather/score tile reused across every search this thread
-    /// runs (batch workers each get their own). Re-targeted per query via
-    /// [`ScoreBlock::ensure_dim`], so steady-state evaluation is
-    /// allocation-free.
-    static SCRATCH: RefCell<ScoreBlock> = RefCell::new(ScoreBlock::new(1));
-}
-
-/// Run `f` with this thread's score tile.
-pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut ScoreBlock) -> R) -> R {
-    SCRATCH.with_borrow_mut(f)
-}
 
 /// Which querying method to use (paper §3–§5 and appendix).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -606,24 +592,10 @@ impl<'a, M: HashModel + ?Sized, C: CodeWord> QueryEngine<'a, M, C> {
     /// tighter wins); a request whose deadline already passed returns an
     /// empty result immediately. When the engine finishes past the deadline
     /// the `gqr_request_deadline_missed_total` counter is bumped.
-    pub fn run(&self, req: SearchRequest<'_>) -> SearchResponse {
-        with_scratch(|scratch| self.run_with_scratch(req, scratch))
-    }
-
-    /// [`QueryEngine::run`] with a caller-owned gather/score tile. The
-    /// default entry points reuse a thread-local [`ScoreBlock`]; callers
-    /// that manage their own evaluation scratch (the batch executor, tests
-    /// pinning tile shapes) pass it here. The block is re-targeted to this
-    /// engine's dimensionality and left empty on return.
-    pub fn run_with_scratch(
-        &self,
-        mut req: SearchRequest<'_>,
-        scratch: &mut ScoreBlock,
-    ) -> SearchResponse {
+    pub fn run(&self, mut req: SearchRequest<'_>) -> SearchResponse {
         let strat = req.params.strategy.name();
         let env = req.open(&self.metrics, strat);
         let (query, params, budgets) = (req.query, req.params, req.budgets);
-        scratch.ensure_dim(self.dim);
         assert_eq!(query.len(), self.dim, "query dimensionality mismatch");
         debug_assert!(
             budgets.windows(2).all(|w| w[0] <= w[1]),
@@ -642,7 +614,7 @@ impl<'a, M: HashModel + ?Sized, C: CodeWord> QueryEngine<'a, M, C> {
             },
             n_rows: self.data.len() / self.dim,
         };
-        let mut result = target.run(req, self.attrs, scratch, start, &mut ctx, |sink, ctx| {
+        let mut result = target.run(req, self.attrs, start, &mut ctx, |sink, ctx| {
             let (model, cap) = (self.model, params.max_buckets);
             let policy = target.policy(&params, start, &self.metrics);
             match params.strategy {

@@ -48,7 +48,7 @@
 
 use crate::attrs::AttributeStore;
 use crate::code::CodeWord;
-use crate::engine::{with_scratch, ProbeStrategy, SearchResponse};
+use crate::engine::{ProbeStrategy, SearchResponse};
 use crate::executor::Executor;
 use crate::metrics::{metric_name, MarkerKind, MetricsRegistry, SpanId};
 use crate::persist::{corrupt, PersistError, SectionKind, SnapshotFile, SnapshotWriter};
@@ -61,7 +61,6 @@ use crate::recall::RecallModel;
 use crate::request::SearchRequest;
 use crate::table::{CodeHasher, HashTable};
 use gqr_l2h::HashModel;
-use gqr_linalg::kernels::ScoreBlock;
 use gqr_linalg::vecops::Metric;
 use gqr_linalg::wire::{ByteReader, ByteWriter, WireError};
 use parking_lot::{Mutex, RwLock};
@@ -559,18 +558,12 @@ impl<M: HashModel + ?Sized + 'static, C: CodeWord> VersionedStore<M, C> {
             .record_duration("gqr_compaction_ns", started.elapsed());
     }
 
-    /// See [`MutableIndex::run_pinned`]; `tile` is this thread's score tile.
-    fn run_pinned(
-        &self,
-        gen: &Generation<C>,
-        mut req: SearchRequest<'_>,
-        tile: &mut ScoreBlock,
-    ) -> SearchResponse {
+    /// See [`MutableIndex::run_pinned`].
+    fn run_pinned(&self, gen: &Generation<C>, mut req: SearchRequest<'_>) -> SearchResponse {
         let env = req.open_merged(&self.metrics, "live");
         let (query, params, model) = (req.query, req.params, &*self.model);
         let (dim, metric) = (self.dim, self.metric);
         assert_eq!(query.len(), dim, "query dimensionality mismatch");
-        tile.ensure_dim(dim);
         // Predicate → composed filter over **external** ids (the attribute
         // store outlives mutations; appended rows have no attributes and
         // match nothing). No brute arm on the mutable path — the survivor
@@ -625,14 +618,15 @@ impl<M: HashModel + ?Sized + 'static, C: CodeWord> VersionedStore<M, C> {
                         .as_deref_mut()
                         .map(|gate| move |local: u32| gate(first + local));
                     let filter = shifted.as_mut().map(|f| f as &mut dyn FnMut(u32) -> bool);
-                    let (data, scratch) = (&seg.data[..], &mut *tile);
-                    let rows = FlatRows { data, dim };
+                    let rows = FlatRows {
+                        data: &seg.data,
+                        dim,
+                    };
                     let sink = Evaluator {
                         query,
                         rows,
                         metric,
                         filter,
-                        scratch,
                     };
                     let policy = target.policy(&params, start, metrics);
                     let res = drive(&mut source, policy, sink, &[], &mut ctx);
@@ -645,7 +639,7 @@ impl<M: HashModel + ?Sized + 'static, C: CodeWord> VersionedStore<M, C> {
                 let mut ctx = ProbeCtx::new(&env);
                 let mut source =
                     SegmentedTables::new(model, segments, gen.n_live(), strategy, query, &mut ctx);
-                let sink = target.sink(query, gate, tile);
+                let sink = target.sink(query, gate);
                 let policy = target.policy(&params, start, metrics);
                 let res = drive(&mut source, policy, sink, &[], &mut ctx);
                 flush(&ctx, "all", start);
@@ -1072,7 +1066,7 @@ impl<M: HashModel + ?Sized + 'static, C: CodeWord> MutableIndex<M, C> {
     /// index with the whole budget and merges the per-segment top-k.
     /// Neighbor ids are external ids. Checkpoints are rejected.
     pub fn run_pinned(&self, gen: &Generation<C>, req: SearchRequest<'_>) -> SearchResponse {
-        with_scratch(|tile| self.store.run_pinned(gen, req, tile))
+        self.store.run_pinned(gen, req)
     }
 
     /// Live rows in the current generation.

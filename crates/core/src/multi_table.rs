@@ -10,7 +10,7 @@
 //! multi-table setups trade memory for recall.
 
 use crate::attrs::AttributeStore;
-use crate::engine::{with_scratch, ProbeStrategy, SearchParams, SearchResponse};
+use crate::engine::{ProbeStrategy, SearchParams, SearchResponse};
 use crate::metrics::MetricsRegistry;
 use crate::probe_loop::{drive, Evaluator, FlatRows, MergedTables, ProbeCtx, StopPolicy};
 use crate::request::SearchRequest;
@@ -135,21 +135,17 @@ impl<'a> MultiTableIndex<'a> {
             query,
             &mut ctx,
         );
-        let mut out = with_scratch(|scratch| {
-            scratch.ensure_dim(self.dim);
-            let sink = Evaluator {
-                query,
-                rows: FlatRows {
-                    data: self.data,
-                    dim: self.dim,
-                },
-                metric: Metric::SquaredEuclidean,
-                filter: filter.as_deref_mut(),
-                scratch,
-            };
-            let policy = StopPolicy::new(&params, start);
-            drive(&mut source, policy, sink, req.budgets, &mut ctx)
-        });
+        let sink = Evaluator {
+            query,
+            rows: FlatRows {
+                data: self.data,
+                dim: self.dim,
+            },
+            metric: Metric::SquaredEuclidean,
+            filter: filter.as_deref_mut(),
+        };
+        let policy = StopPolicy::new(&params, start);
+        let mut out = drive(&mut source, policy, sink, req.budgets, &mut ctx);
         ctx.phases
             .flush(&self.metrics, "gqr_multi_table", strat, start.elapsed());
         out.trace_id = env.close();

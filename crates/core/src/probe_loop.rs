@@ -7,9 +7,9 @@
 //! a `Rows`.
 //! *When to stop* is a `StopPolicy`, asked once before and once after
 //! every unit, and *why it stopped* is the [`StopReason`] every response
-//! carries. `drive` owns everything in between: filter → gather →
-//! [`ScoreBlock`] flush → [`TopK`], checkpoints, phase spans, the per-step
-//! trace trajectory and the stop markers.
+//! carries. `drive` owns everything in between: filter → in-place score →
+//! [`TopK`], checkpoints, phase spans, the per-step trace trajectory and the
+//! stop markers.
 
 use crate::attrs::AttributeStore;
 use crate::code::{typed_encoding, CodeWord};
@@ -24,7 +24,7 @@ use crate::stats::ProbeStats;
 use crate::table::HashTable;
 use crate::topk::TopK;
 use gqr_l2h::HashModel;
-use gqr_linalg::kernels::ScoreBlock;
+use gqr_linalg::kernels::{prefetch_row, sq_dist_bounded, TILE_ROWS};
 use gqr_linalg::vecops::Metric;
 use std::time::Instant;
 
@@ -259,13 +259,12 @@ impl<C: CodeWord> BucketSource for MihSource<'_, C> {
 
 /// The planner's brute-force arm: the exact survivor set is smaller than
 /// the candidate budget, so probing buckets would only re-derive a
-/// superset — hand the survivors out directly, one score tile per unit
-/// (so the time limit and checkpoints are checked once per flushed tile).
-/// No hashing, no probe generation, zero buckets probed.
+/// superset — hand the survivors out directly, [`TILE_ROWS`] per unit (so
+/// the time limit and checkpoints are checked once per tile). No hashing,
+/// no probe generation, zero buckets probed.
 pub(crate) struct SurvivorSource<I: Iterator<Item = u32>> {
     pub survivors: I,
     pub tile: Vec<u32>,
-    pub tile_rows: usize,
 }
 
 impl<I: Iterator<Item = u32>> BucketSource for SurvivorSource<I> {
@@ -273,8 +272,7 @@ impl<I: Iterator<Item = u32>> BucketSource for SurvivorSource<I> {
 
     fn next(&mut self, _ctx: &mut ProbeCtx<'_>, stats: &mut ProbeStats) -> Option<Unit<'_>> {
         self.tile.clear();
-        self.tile
-            .extend(self.survivors.by_ref().take(self.tile_rows));
+        self.tile.extend(self.survivors.by_ref().take(TILE_ROWS));
         if self.tile.is_empty() {
             return None;
         }
@@ -595,8 +593,23 @@ impl<C: CodeWord> Rows for SegmentedRows<'_, C> {
     }
 }
 
-/// Where a unit's items go: filter, gather into the score tile, score whole
-/// tiles through the blocked batch kernel, push into the top-k.
+/// How many candidates ahead of the one being scored the evaluator
+/// prefetches its row: far enough that a cold row arrives before it is
+/// read, near enough that it is still in L1 then.
+const PREFETCH_AHEAD: usize = 8;
+
+/// Where a unit's items go: filter, score each survivor in place — where
+/// its row lies, in unit order — and push it into the top-k at once, so the
+/// k-th distance tightens row by row.
+///
+/// Under squared Euclidean distance a full top-k's k-th distance bounds the
+/// row kernel ([`sq_dist_bounded`]): a row whose partial sum already
+/// exceeds it stops summing. Such a row would have lost to the k-th in
+/// [`TopK::push`] anyway, ties by id included, so the answer is bit for bit
+/// that of full scoring; it still counts as evaluated. Angular distance
+/// takes the plain row kernel. A unit's first [`PREFETCH_AHEAD`] rows are
+/// prefetched as it opens, and every later row that many candidates before
+/// it is scored. Nothing is allocated.
 pub(crate) struct Evaluator<'a, 'f, R: Rows> {
     pub query: &'a [f32],
     pub rows: R,
@@ -604,28 +617,33 @@ pub(crate) struct Evaluator<'a, 'f, R: Rows> {
     /// `true` keeps the item. Rejected items are skipped before any
     /// distance is computed and do not count toward the candidate budget.
     pub filter: Option<&'a mut (dyn FnMut(u32) -> bool + 'f)>,
-    pub scratch: &'a mut ScoreBlock,
 }
 
 impl<R: Rows> Evaluator<'_, '_, R> {
     /// Score the surviving `items` into `topk`; returns how many were
-    /// evaluated. Filtering makes tiles ragged; the flush at the end of the
-    /// unit keeps checkpoint and early-stop semantics identical to per-row
-    /// evaluation (the batch kernel is bit-identical to the row kernel, so
-    /// results match exactly).
+    /// evaluated.
     fn evaluate(&mut self, items: &[u32], topk: &mut TopK) -> usize {
         let (query, metric, rows) = (self.query, self.metric, self.rows);
+        for &id in items.iter().take(PREFETCH_AHEAD) {
+            prefetch_row(rows.row(id));
+        }
         let mut evaluated = 0;
-        for &id in items {
+        for (i, &id) in items.iter().enumerate() {
+            if let Some(&ahead) = items.get(i + PREFETCH_AHEAD) {
+                prefetch_row(rows.row(ahead));
+            }
             if self.filter.as_deref_mut().is_some_and(|keep| !keep(id)) {
                 continue;
             }
-            if self.scratch.is_full() {
-                evaluated += self.scratch.flush(query, metric, |id, d| topk.push(d, id));
-            }
-            self.scratch.push(id, rows.row(id));
+            let row = rows.row(id);
+            let dist = match (metric, topk.kth_dist()) {
+                (Metric::SquaredEuclidean, Some(kth)) => sq_dist_bounded(query, row, kth),
+                _ => metric.eval(query, row),
+            };
+            topk.push(dist, id);
+            evaluated += 1;
         }
-        evaluated + self.scratch.flush(query, metric, |id, d| topk.push(d, id))
+        evaluated
     }
 }
 
@@ -666,7 +684,6 @@ impl<'a, M: HashModel + ?Sized, R: Rows> Target<'a, M, R> {
         &self,
         query: &'s [f32],
         filter: Option<&'s mut (dyn FnMut(u32) -> bool + 'f)>,
-        scratch: &'s mut ScoreBlock,
     ) -> Evaluator<'s, 'f, R> {
         let (rows, metric) = (self.rows, self.metric);
         Evaluator {
@@ -674,7 +691,6 @@ impl<'a, M: HashModel + ?Sized, R: Rows> Target<'a, M, R> {
             rows,
             metric,
             filter,
-            scratch,
         }
     }
 
@@ -687,7 +703,6 @@ impl<'a, M: HashModel + ?Sized, R: Rows> Target<'a, M, R> {
         &self,
         req: SearchRequest<'_>,
         attrs: Option<&AttributeStore>,
-        scratch: &mut ScoreBlock,
         start: Instant,
         ctx: &mut ProbeCtx<'_>,
         probe: impl FnOnce(Evaluator<'_, '_, R>, &mut ProbeCtx<'_>) -> SearchResponse,
@@ -703,8 +718,7 @@ impl<'a, M: HashModel + ?Sized, R: Rows> Target<'a, M, R> {
         let (brute, mut filter) =
             ctx.env
                 .plan_filter(attrs, predicate.as_ref(), req.filter, brute_budget);
-        let tile_rows = scratch.capacity();
-        let sink = self.sink(query, filter.as_deref_mut(), scratch);
+        let sink = self.sink(query, filter.as_deref_mut());
         let Some(survivors) = brute else {
             return probe(sink, ctx);
         };
@@ -712,11 +726,10 @@ impl<'a, M: HashModel + ?Sized, R: Rows> Target<'a, M, R> {
         // the sweep.
         let n_rows = self.n_rows;
         let ids = survivors.iter().take_while(|&id| (id as usize) < n_rows);
-        let tile = Vec::with_capacity(tile_rows);
+        let tile = Vec::with_capacity(TILE_ROWS);
         let mut source = SurvivorSource {
             survivors: ids,
             tile,
-            tile_rows,
         };
         let policy = StopPolicy::new(&params, start);
         let mut result = drive(&mut source, policy, sink, budgets, ctx);

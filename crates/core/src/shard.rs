@@ -21,7 +21,7 @@
 //! its phase spans once as `gqr_shard_*{shard="all",strategy}`.
 
 use crate::attrs::AttributeStore;
-use crate::engine::{with_scratch, ProbeStrategy, QueryEngine, SearchParams, SearchResponse};
+use crate::engine::{ProbeStrategy, QueryEngine, SearchParams, SearchResponse};
 use crate::executor::Executor;
 use crate::metrics::MetricsRegistry;
 use crate::persist::{LoadedIndex, PersistError, SnapshotWriter};
@@ -441,28 +441,20 @@ impl<'a, M: HashModel + ?Sized> ShardedIndex<'a, M> {
             n_rows: self.data.len() / self.dim,
         };
         let mut fanned_out = false;
-        let out = with_scratch(|scratch| {
-            scratch.ensure_dim(self.dim);
-            target.run(
-                req,
-                self.attrs,
-                scratch,
-                start,
-                &mut ctx,
-                |sink, ctx| match params.strategy {
-                    ProbeStrategy::MultiIndexHashing { .. } => {
-                        fanned_out = true;
-                        self.mih_serial(query, &params, sink, ctx.env)
-                    }
-                    strategy => {
-                        let (segments, model, n) = (self.segments(), self.model, self.n_items());
-                        let mut source =
-                            SegmentedTables::new(model, &segments, n, strategy, query, ctx);
-                        let policy = target.policy(&params, start, &self.metrics);
-                        drive(&mut source, policy, sink, &[], ctx)
-                    }
-                },
-            )
+        let out = target.run(req, self.attrs, start, &mut ctx, |sink, ctx| {
+            match params.strategy {
+                ProbeStrategy::MultiIndexHashing { .. } => {
+                    fanned_out = true;
+                    self.mih_serial(query, &params, sink, ctx.env)
+                }
+                strategy => {
+                    let (segments, model, n) = (self.segments(), self.model, self.n_items());
+                    let mut source =
+                        SegmentedTables::new(model, &segments, n, strategy, query, ctx);
+                    let policy = target.policy(&params, start, &self.metrics);
+                    drive(&mut source, policy, sink, &[], ctx)
+                }
+            }
         });
         if !fanned_out {
             let labels = [("shard", "all"), ("strategy", env.strategy)];
@@ -506,7 +498,7 @@ impl<'a, M: HashModel + ?Sized> ShardedIndex<'a, M> {
     }
 
     /// MIH on the calling thread: search each shard with the whole budget
-    /// under `sink`'s gate and scratch tile, then merge.
+    /// under `sink`'s gate, then merge.
     fn mih_serial(
         &self,
         query: &[f32],
@@ -514,11 +506,7 @@ impl<'a, M: HashModel + ?Sized> ShardedIndex<'a, M> {
         sink: Evaluator<'_, '_, FlatRows<'_>>,
         env: &Envelope<'_>,
     ) -> SearchResponse {
-        let Evaluator {
-            mut filter,
-            scratch,
-            ..
-        } = sink;
+        let Evaluator { mut filter, .. } = sink;
         let answers = env.fan_out(self.shards.len(), |i, lane, span| {
             let offset = self.shards[i].offset();
             let mut shard_req = SearchRequest::new(query)
@@ -528,7 +516,7 @@ impl<'a, M: HashModel + ?Sized> ShardedIndex<'a, M> {
                 // Shard engines see local ids; the gate speaks global ids.
                 shard_req = shard_req.filter(move |local: u32| f(local + offset));
             }
-            self.shard_engine(i).run_with_scratch(shard_req, scratch)
+            self.shard_engine(i).run(shard_req)
         });
         self.merge(params.k, answers, env)
     }

@@ -10,6 +10,11 @@
 //!   `is_x86_feature_detected!`), falling back to the unrolled scalar code
 //!   otherwise. Setting `GQR_FORCE_SCALAR=1` in the environment pins the
 //!   scalar path regardless of CPU features.
+//! * **The bounded row kernel** — [`sq_dist_bounded`]: [`sq_dist_f32`] that
+//!   stops summing once a partial sum exceeds a bound (the running k-th
+//!   distance), and [`prefetch_row`], which asks for a row's cache lines
+//!   ahead of use. Together they score candidates in place, where they lie
+//!   in the index's row array: the engine's Evaluate phase.
 //! * **Batch kernels** — [`sq_dist_batch`], [`dot_batch`],
 //!   [`angular_dist_batch`]: one query against a *contiguous row-major tile*
 //!   of items. The AVX2 path scores four rows per iteration with one shared
@@ -17,9 +22,9 @@
 //!   blocking), which is what actually saturates the FMA ports — a single
 //!   row's accumulation is latency-bound.
 //! * **[`ScoreBlock`]** — a reusable gather-then-score scratch tile:
-//!   consumers copy bucket candidates (possibly ragged, after filtering)
-//!   into the block and flush it through the batch kernels, amortizing
-//!   bounds checks and per-row call overhead.
+//!   consumers copy candidates (possibly ragged, after filtering) into the
+//!   block and flush it through the batch kernels, amortizing bounds checks
+//!   and per-row call overhead.
 //!
 //! # Determinism contract
 //!
@@ -31,6 +36,19 @@
 //! is only approximate (float addition is reassociated across lanes); the
 //! kernel-equivalence test suite bounds the difference by a
 //! dimension-scaled epsilon.
+//!
+//! [`sq_dist_bounded`]`(q, row, bound)` runs the row kernel's own
+//! accumulation. Whenever [`sq_dist_f32`]`(q, row) ≤ bound` it returns
+//! exactly those bits; otherwise it returns some value `> bound`. It may
+//! stop early because every partial sum is a lower bound of the final one:
+//! each accumulator only ever grows (`d·d ≥ 0`, and a rounded `fma` or add
+//! of a non-negative term never decreases it), and rounded addition is
+//! monotone, so the same reduction applied to earlier accumulator values
+//! cannot exceed the final sum. A `NaN` partial never compares greater than
+//! the bound, so such a row is summed in full; a row that only turns `NaN`
+//! after a partial sum passed the bound returns that partial sum (a `NaN`
+//! row distance is never `≤ bound`, and top-k ranking orders finite
+//! distances only).
 
 use crate::vecops::Metric;
 use std::sync::OnceLock;
@@ -121,6 +139,51 @@ pub fn dot_f32(a: &[f32], b: &[f32]) -> f32 {
         KernelKind::Avx2Fma => unsafe { avx2::dot(a, b) },
         _ => scalar::dot(a, b),
     }
+}
+
+/// Squared Euclidean distance from `q` to `row` that gives up once it
+/// provably exceeds `bound` (dispatched). At every 16-dimension chunk
+/// boundary from 32 dimensions on, with dimensions left to sum, the partial
+/// sum is reduced exactly as the final one would be and compared with
+/// `bound`.
+///
+/// Whenever [`sq_dist_f32`]`(q, row) ≤ bound` the result is bit-for-bit
+/// that value; otherwise it is some value `> bound` (see the module's
+/// determinism contract). A top-k re-rank passes its current k-th distance:
+/// a row abandoned that way would have been rejected anyway.
+#[inline]
+pub fn sq_dist_bounded(q: &[f32], row: &[f32], bound: f32) -> f32 {
+    debug_assert_eq!(q.len(), row.len());
+    match active_kernel() {
+        #[cfg(target_arch = "x86_64")]
+        KernelKind::Avx2Fma => unsafe { avx2::sq_dist_bounded(q, row, bound) },
+        _ => scalar::sq_dist_bounded(q, row, bound),
+    }
+}
+
+/// Ask the CPU to bring every cache line of `row` into L1 ahead of use
+/// (`prefetcht0` on x86-64, nothing elsewhere). A hint: it never faults and
+/// changes no result. Scoring candidates in place reads rows scattered over
+/// the whole index, so each one is a cache miss unless fetched early.
+#[inline]
+pub fn prefetch_row(row: &[f32]) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        const LINE: usize = 64;
+        let start = row.as_ptr().cast::<i8>();
+        let end = std::mem::size_of_val(row) as isize;
+        // One prefetch per line, from the line holding the first byte.
+        let mut offset = -((start as usize % LINE) as isize);
+        while offset < end {
+            // SAFETY: SSE is part of the x86-64 baseline, and a prefetch
+            // is only a hint: it never faults.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(start.wrapping_offset(offset)) };
+            offset += LINE as isize;
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = row;
 }
 
 /// Angular distance `1 − cos(a, b)` in `[0, 2]` (dispatched). Zero-norm
@@ -392,6 +455,21 @@ pub mod scalar {
     /// accumulators (the pre-SIMD hot kernel, kept bit-for-bit).
     #[inline]
     pub fn sq_dist(a: &[f32], b: &[f32]) -> f32 {
+        sq_dist_until::<false>(a, b, f32::INFINITY)
+    }
+
+    /// [`sq_dist`] that returns early, with the partial sum, once that sum
+    /// exceeds `bound` — checked after every 16 dimensions from 32 on, while
+    /// dimensions are left. The contract of [`super::sq_dist_bounded`].
+    #[inline]
+    pub fn sq_dist_bounded(a: &[f32], b: &[f32], bound: f32) -> f32 {
+        sq_dist_until::<true>(a, b, bound)
+    }
+
+    /// The one accumulation behind [`sq_dist`] and [`sq_dist_bounded`]; the
+    /// partial sums only read the accumulators.
+    #[inline(always)]
+    fn sq_dist_until<const BOUNDED: bool>(a: &[f32], b: &[f32], bound: f32) -> f32 {
         debug_assert_eq!(a.len(), b.len());
         let mut acc0 = 0.0f32;
         let mut acc1 = 0.0f32;
@@ -399,7 +477,7 @@ pub mod scalar {
         let mut acc3 = 0.0f32;
         let mut chunks_a = a.chunks_exact(4);
         let mut chunks_b = b.chunks_exact(4);
-        for (ca, cb) in (&mut chunks_a).zip(&mut chunks_b) {
+        for (i, (ca, cb)) in (&mut chunks_a).zip(&mut chunks_b).enumerate() {
             let d0 = ca[0] - cb[0];
             let d1 = ca[1] - cb[1];
             let d2 = ca[2] - cb[2];
@@ -408,6 +486,13 @@ pub mod scalar {
             acc1 += d1 * d1;
             acc2 += d2 * d2;
             acc3 += d3 * d3;
+            let done = 4 * (i + 1);
+            if BOUNDED && done % 16 == 0 && done >= 32 && done < a.len() {
+                let partial = acc0 + acc1 + acc2 + acc3;
+                if partial > bound {
+                    return partial;
+                }
+            }
         }
         let mut tail = 0.0f32;
         for (x, y) in chunks_a.remainder().iter().zip(chunks_b.remainder()) {
@@ -571,6 +656,22 @@ mod avx2 {
     #[inline]
     #[target_feature(enable = "avx2", enable = "fma")]
     unsafe fn sq_dist_row(a: *const f32, b: *const f32, n: usize) -> f32 {
+        sq_dist_row_until::<false>(a, b, n, f32::INFINITY)
+    }
+
+    /// The one accumulation behind [`sq_dist_row`] and
+    /// [`sq_dist_bounded`]: with `BOUNDED`, after every 16-lane chunk from
+    /// 32 dimensions on (while dimensions are left) the accumulators are
+    /// reduced as the final sum is, and a partial sum above `bound` is
+    /// returned at once. The check only reads the accumulators.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn sq_dist_row_until<const BOUNDED: bool>(
+        a: *const f32,
+        b: *const f32,
+        n: usize,
+        bound: f32,
+    ) -> f32 {
         let mut acc0 = _mm256_setzero_ps();
         let mut acc1 = _mm256_setzero_ps();
         let chunks = n / 16;
@@ -580,6 +681,12 @@ mod avx2 {
             let d1 = _mm256_sub_ps(_mm256_loadu_ps(a.add(o + 8)), _mm256_loadu_ps(b.add(o + 8)));
             acc0 = _mm256_fmadd_ps(d0, d0, acc0);
             acc1 = _mm256_fmadd_ps(d1, d1, acc1);
+            if BOUNDED && o + 16 >= 32 && o + 16 < n {
+                let partial = hsum(_mm256_add_ps(acc0, acc1));
+                if partial > bound {
+                    return partial;
+                }
+            }
         }
         let mut done = chunks * 16;
         if n - done >= 8 {
@@ -598,6 +705,11 @@ mod avx2 {
     #[target_feature(enable = "avx2", enable = "fma")]
     pub unsafe fn sq_dist(a: &[f32], b: &[f32]) -> f32 {
         sq_dist_row(a.as_ptr(), b.as_ptr(), a.len())
+    }
+
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn sq_dist_bounded(a: &[f32], b: &[f32], bound: f32) -> f32 {
+        sq_dist_row_until::<true>(a.as_ptr(), b.as_ptr(), a.len(), bound)
     }
 
     /// Four rows against one query: one shared query load per chunk, eight

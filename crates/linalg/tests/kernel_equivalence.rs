@@ -8,7 +8,8 @@
 
 use gqr_linalg::kernels::{
     self, active_kernel, angular_dist_batch, angular_dist_f32, dot_batch, dot_f32,
-    force_scalar_requested, scalar, sq_dist_batch, sq_dist_f32, KernelKind,
+    force_scalar_requested, prefetch_row, scalar, sq_dist_batch, sq_dist_bounded, sq_dist_f32,
+    KernelKind,
 };
 use proptest::prelude::*;
 
@@ -208,6 +209,119 @@ fn batch_bit_identical_across_tile_shapes() {
                     "angular len {len} rows {n_rows} row {r}"
                 );
             }
+        }
+    }
+}
+
+/// `bound` one ulp up or down (toward ±∞; `±∞` and `NaN` stay put).
+fn ulp(bound: f32, up: bool) -> f32 {
+    if !bound.is_finite() {
+        return bound;
+    }
+    match (bound == 0.0, up == (bound > 0.0)) {
+        (true, _) if up => f32::from_bits(1),
+        (true, _) => -f32::from_bits(1),
+        (false, true) => f32::from_bits(bound.to_bits() + 1),
+        (false, false) => f32::from_bits(bound.to_bits() - 1),
+    }
+}
+
+/// The bounded kernel's contract, for the dispatched and the scalar body:
+/// whenever the row kernel's distance `d` is `≤ bound` the bounded kernel
+/// returns exactly its bits, and otherwise a value `> bound` — or, when `d`
+/// is `NaN` and no partial sum passed the bound, `d` itself. Dims cover
+/// rows too short to check (below 32), the first check (33, 48), the
+/// 8-lane overflow and scalar tails; bounds sit at 0, one ulp either side
+/// of `d`, `d` itself, the partial sum after 32 dimensions and `+∞`; rows
+/// mix ±0, subnormals, ±∞ and `NaN` into ordinary values. `prefetch_row`
+/// rides along: it must accept every row and change nothing.
+#[test]
+fn bounded_kernel_keeps_the_row_kernels_bits_up_to_its_bound() {
+    let specials = [
+        0.0,
+        -0.0,
+        f32::MIN_POSITIVE / 8.0,
+        -f32::MIN_POSITIVE / 4.0,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+    ];
+    type Kernel = fn(&[f32], &[f32]) -> f32;
+    type Bounded = fn(&[f32], &[f32], f32) -> f32;
+    let bodies: [(&str, Kernel, Bounded); 2] = [
+        ("dispatched", sq_dist_f32, sq_dist_bounded),
+        ("scalar", scalar::sq_dist, scalar::sq_dist_bounded),
+    ];
+    let dims = [1usize, 7, 8, 13, 16, 31, 32, 33, 48, 96, 97, 130];
+    for dim in dims {
+        let q = gen_vec(dim, 1_000 + dim as u64);
+        let mut rows = vec![gen_vec(dim, 2_000 + dim as u64), q.clone()];
+        for (s, &special) in specials.iter().enumerate() {
+            // The special value early, late, and in every lane of a row.
+            for at in [0, dim / 2, dim - 1] {
+                let mut row = gen_vec(dim, 3_000 + (s * dim + at) as u64);
+                row[at] = special;
+                rows.push(row);
+            }
+            rows.push(vec![special; dim]);
+        }
+        for row in &rows {
+            prefetch_row(row);
+            for (body, kernel, bounded) in bodies {
+                let d = kernel(&q, row);
+                let head = kernel(&q[..dim.min(32)], &row[..dim.min(32)]);
+                let bounds = [0.0, ulp(d, false), d, ulp(d, true), head, f32::INFINITY];
+                for bound in bounds {
+                    let got = bounded(&q, row, bound);
+                    let at = format!("{body}, dim {dim}, d {d}, bound {bound}, got {got}");
+                    let whole = got.to_bits() == d.to_bits();
+                    if d <= bound || bound.is_nan() {
+                        assert!(whole, "{at}");
+                    } else {
+                        assert!(got > bound || (d.is_nan() && whole), "{at}");
+                    }
+                }
+            }
+        }
+    }
+    prefetch_row(&[]);
+}
+
+/// A bound the row clears only in its last dimensions: the kernel may stop
+/// at the first check it fails, and a row exactly at the bound is summed in
+/// full.
+#[test]
+fn bounded_kernel_stops_only_past_the_bound() {
+    for dim in [48usize, 96, 97, 130] {
+        let q = vec![0.0f32; dim];
+        // 0.25² = 0.0625 per dimension over the first 32: exactly 2.0.
+        let mut row: Vec<f32> = (0..dim).map(|j| if j < 32 { 0.25 } else { 0.0 }).collect();
+        for (body, bounded) in [
+            (
+                "dispatched",
+                sq_dist_bounded as fn(&[f32], &[f32], f32) -> f32,
+            ),
+            ("scalar", scalar::sq_dist_bounded),
+        ] {
+            assert_eq!(
+                bounded(&q, &row, 2.0),
+                2.0,
+                "{body} dim {dim}: at the bound"
+            );
+            row[dim - 1] = 1.0;
+            assert_eq!(
+                bounded(&q, &row, 3.0),
+                3.0,
+                "{body} dim {dim}: under the bound"
+            );
+            let got = bounded(&q, &row, 2.0);
+            assert!(
+                got > 2.0,
+                "{body} dim {dim}: a partial at the bound, got {got}"
+            );
+            let got = bounded(&q, &row, 1.5);
+            assert!(got == 2.0 || got == 3.0, "{body} dim {dim}: got {got}");
+            row[dim - 1] = 0.0;
         }
     }
 }
