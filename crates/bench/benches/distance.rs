@@ -154,8 +154,7 @@ fn bench_kernel_baseline(c: &mut Criterion) {
         ));
     }
 
-    // Hand-formatted JSON: the offline CI image stubs serde_json, and this
-    // tiny record does not justify a real dependency.
+    // Hand-formatted JSON: this tiny record does not justify a dependency.
     let json = format!(
         "{{\n  \"bench\": \"kernels\",\n  \"kernel\": \"{}\",\n  \"measurements\": [\n{}\n  ]\n}}\n",
         kernels::kernel_name(),

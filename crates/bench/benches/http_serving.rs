@@ -1,7 +1,7 @@
 //! End-to-end serving bench: drives a real `gqr-serve` HTTP server with the
 //! in-repo open-loop load generator and records the admission-control gate
-//! to `results/BENCH_serving.json` (hand-formatted — the offline CI image
-//! stubs serde_json).
+//! to `results/BENCH_serving.json` (hand-formatted; the workspace takes no
+//! JSON dependency).
 //!
 //! Four phases:
 //!   1. **unloaded** — low QPS, establishes the baseline p99;

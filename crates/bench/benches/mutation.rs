@@ -1,8 +1,8 @@
 //! Mutation-layer throughput: insert rate into the delta segment, query
 //! latency while the index is fragmented (delta + tombstones), the cost of
 //! one compaction, and query latency after it. Baselines are recorded to
-//! `results/BENCH_mutation.json` (hand-formatted — the offline CI image
-//! stubs serde_json).
+//! `results/BENCH_mutation.json` (hand-formatted; the workspace takes no
+//! JSON dependency).
 //!
 //! Set `GQR_BENCH_SMOKE=1` to shrink the workload for CI smoke runs.
 

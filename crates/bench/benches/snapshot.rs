@@ -1,8 +1,8 @@
 //! Cold-start cost: training + building an index from scratch vs loading a
 //! binary snapshot of the same index. The acceptance bar is a ≥10x
 //! speedup for snapshot loads on the audio50k smoke fixture; the measured
-//! ratio is recorded to `results/BENCH_snapshot.json` (hand-formatted —
-//! the offline CI image stubs serde_json).
+//! ratio is recorded to `results/BENCH_snapshot.json` (hand-formatted; the
+//! workspace takes no JSON dependency).
 //!
 //! Set `GQR_BENCH_SMOKE=1` to shrink repetition counts for CI smoke runs.
 

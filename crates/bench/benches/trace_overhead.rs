@@ -7,8 +7,8 @@
 //! `results/BENCH_trace.json`) enforces unsampled overhead ≤ 2%.
 //!
 //! Self-timed with min-of-repeats (the criterion harness may be stubbed in
-//! offline CI; this section only needs `std`). JSON is hand-formatted — the
-//! offline CI image stubs serde_json.
+//! offline CI; this section only needs `std`). JSON is hand-formatted; the
+//! workspace takes no JSON dependency.
 //!
 //! Set `GQR_BENCH_SMOKE=1` to shrink the workload for CI smoke runs.
 

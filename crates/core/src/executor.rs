@@ -1,9 +1,8 @@
 //! Persistent worker-pool executor for the serving layer.
 //!
-//! The batch path used to spawn fresh threads on every `search_batch` call;
-//! under a query stream that is pure overhead and gives the operator nothing
-//! to observe. An [`Executor`] owns long-lived workers pulling from a
-//! **bounded** MPMC queue:
+//! Spawning fresh threads for every batch of work is pure overhead under a
+//! query stream and gives the operator nothing to observe. An [`Executor`]
+//! owns long-lived workers pulling from a **bounded** MPMC queue:
 //!
 //! * **Backpressure** — [`Executor::submit`] blocks while the queue is at
 //!   capacity; [`Executor::try_submit`] refuses instead (and the refusal is
@@ -260,7 +259,7 @@ impl Executor {
     }
 
     /// The process-wide shared executor (built lazily with defaults). This
-    /// is what [`search_batch`](crate::engine::QueryEngine::search_batch) runs on when the
+    /// is what background work such as live compaction runs on when the
     /// caller does not bring an executor of their own. It is never shut
     /// down.
     pub fn global() -> &'static Executor {
@@ -410,8 +409,7 @@ impl Executor {
 
     /// Run a batch of borrowed jobs to completion on the pool and return
     /// once all of them have finished. This is the scoped fan-out primitive
-    /// [`search_batch`](crate::engine::QueryEngine::search_batch) and
-    /// [`ShardedIndex`](crate::shard::ShardedIndex) build on: each closure
+    /// [`ShardedIndex`](crate::shard::ShardedIndex) builds on: each closure
     /// typically writes its result into a distinct `&mut` slot it captures.
     ///
     /// Jobs run without deadlines and are never rejected (the call blocks on

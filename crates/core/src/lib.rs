@@ -50,7 +50,6 @@
 
 #![warn(missing_docs)]
 pub mod attrs;
-pub mod batch;
 pub mod code;
 pub mod dispatch;
 pub mod engine;

@@ -1,7 +1,5 @@
 //! Probe-level instrumentation reported with every search.
 
-use serde::Serialize;
-
 /// Counters accumulated during one search (or one query batch when summed).
 ///
 /// Bucket counting is uniform across strategies: one *probe unit* is one
@@ -10,7 +8,7 @@ use serde::Serialize;
 /// one substring-bucket lookup (each radius expansion issues many). This is
 /// the unit the recall bench and the adaptive controller compare across
 /// strategies — "buckets" never means MIH radius shells.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ProbeStats {
     /// Probe units issued by the prober, occupied or not: full-code bucket
     /// codes for the ranking strategies, substring-bucket lookups for MIH.

@@ -72,16 +72,16 @@ pub fn brute_force_knn_metric(
     }
 
     let chunk = queries.len().div_ceil(threads);
-    crossbeam::scope(|scope| {
+    // A worker panic re-raises here when the scope joins it.
+    std::thread::scope(|scope| {
         for (qs, out) in queries.chunks(chunk).zip(results.chunks_mut(chunk)) {
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for (q, slot) in qs.iter().zip(out.iter_mut()) {
                     *slot = knn_single_metric(data, q, k, metric);
                 }
             });
         }
-    })
-    .expect("ground-truth worker panicked");
+    });
     results
 }
 

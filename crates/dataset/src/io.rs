@@ -5,7 +5,7 @@
 //! real benchmark files can swap them in for the synthetic stand-ins.
 
 use crate::Dataset;
-use bytes::{Buf, BufMut, BytesMut};
+use gqr_linalg::wire::ByteReader;
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
@@ -22,14 +22,12 @@ pub fn read_fvecs(path: impl AsRef<Path>, name: impl Into<String>) -> io::Result
 }
 
 /// Parse fvecs-format bytes.
-pub fn parse_fvecs(mut raw: &[u8], name: impl Into<String>) -> io::Result<Dataset> {
+pub fn parse_fvecs(raw: &[u8], name: impl Into<String>) -> io::Result<Dataset> {
+    let mut r = ByteReader::new(raw);
     let mut dim: Option<usize> = None;
     let mut data = Vec::new();
-    while raw.has_remaining() {
-        if raw.remaining() < 4 {
-            return Err(invalid("truncated dimension header"));
-        }
-        let d = raw.get_i32_le();
+    while !r.is_empty() {
+        let d = record_header(&mut r)?;
         if d <= 0 {
             return Err(invalid("non-positive vector dimension"));
         }
@@ -39,12 +37,10 @@ pub fn parse_fvecs(mut raw: &[u8], name: impl Into<String>) -> io::Result<Datase
             Some(expect) if expect != d => return Err(invalid("ragged vector dimensions")),
             _ => {}
         }
-        if raw.remaining() < 4 * d {
-            return Err(invalid("truncated vector payload"));
-        }
-        for _ in 0..d {
-            data.push(raw.get_f32_le());
-        }
+        let payload = r
+            .get_bytes(4 * d)
+            .map_err(|_| invalid("truncated vector payload"))?;
+        data.extend(le_words(payload).map(f32::from_le_bytes));
     }
     let dim = dim.ok_or_else(|| invalid("empty fvecs file"))?;
     Ok(Dataset::new(name, dim, data))
@@ -53,14 +49,11 @@ pub fn parse_fvecs(mut raw: &[u8], name: impl Into<String>) -> io::Result<Datase
 /// Write a [`Dataset`] in fvecs format.
 pub fn write_fvecs(path: impl AsRef<Path>, ds: &Dataset) -> io::Result<()> {
     let mut writer = BufWriter::new(File::create(path)?);
-    let mut buf = BytesMut::with_capacity(4 + 4 * ds.dim());
     for row in ds.rows() {
-        buf.clear();
-        buf.put_i32_le(ds.dim() as i32);
+        writer.write_all(&(ds.dim() as i32).to_le_bytes())?;
         for &x in row {
-            buf.put_f32_le(x);
+            writer.write_all(&x.to_le_bytes())?;
         }
-        writer.write_all(&buf)?;
     }
     writer.flush()
 }
@@ -74,25 +67,18 @@ pub fn read_ivecs(path: impl AsRef<Path>) -> io::Result<Vec<Vec<i32>>> {
 }
 
 /// Parse ivecs-format bytes.
-pub fn parse_ivecs(mut raw: &[u8]) -> io::Result<Vec<Vec<i32>>> {
+pub fn parse_ivecs(raw: &[u8]) -> io::Result<Vec<Vec<i32>>> {
+    let mut r = ByteReader::new(raw);
     let mut out = Vec::new();
-    while raw.has_remaining() {
-        if raw.remaining() < 4 {
-            return Err(invalid("truncated dimension header"));
-        }
-        let d = raw.get_i32_le();
+    while !r.is_empty() {
+        let d = record_header(&mut r)?;
         if d < 0 {
             return Err(invalid("negative record length"));
         }
-        let d = d as usize;
-        if raw.remaining() < 4 * d {
-            return Err(invalid("truncated record payload"));
-        }
-        let mut rec = Vec::with_capacity(d);
-        for _ in 0..d {
-            rec.push(raw.get_i32_le());
-        }
-        out.push(rec);
+        let payload = r
+            .get_bytes(4 * d as usize)
+            .map_err(|_| invalid("truncated record payload"))?;
+        out.push(le_words(payload).map(i32::from_le_bytes).collect());
     }
     Ok(out)
 }
@@ -100,16 +86,25 @@ pub fn parse_ivecs(mut raw: &[u8]) -> io::Result<Vec<Vec<i32>>> {
 /// Write id lists in ivecs format.
 pub fn write_ivecs(path: impl AsRef<Path>, records: &[Vec<i32>]) -> io::Result<()> {
     let mut writer = BufWriter::new(File::create(path)?);
-    let mut buf = BytesMut::new();
     for rec in records {
-        buf.clear();
-        buf.put_i32_le(rec.len() as i32);
+        writer.write_all(&(rec.len() as i32).to_le_bytes())?;
         for &x in rec {
-            buf.put_i32_le(x);
+            writer.write_all(&x.to_le_bytes())?;
         }
-        writer.write_all(&buf)?;
     }
     writer.flush()
+}
+
+/// The little-endian `i32` that opens every record.
+fn record_header(r: &mut ByteReader<'_>) -> io::Result<i32> {
+    r.get_u32()
+        .map(|w| w as i32)
+        .map_err(|_| invalid("truncated dimension header"))
+}
+
+/// `payload` as 4-byte words (its length is a multiple of 4).
+fn le_words(payload: &[u8]) -> impl Iterator<Item = [u8; 4]> + '_ {
+    payload.chunks_exact(4).map(|w| [w[0], w[1], w[2], w[3]])
 }
 
 fn invalid(msg: &str) -> io::Error {
@@ -142,33 +137,42 @@ mod tests {
         assert_eq!(read_ivecs(&path).unwrap(), recs);
     }
 
+    /// fvecs bytes: each record is a dimension header, then its floats.
+    fn fvecs_bytes(records: &[(i32, &[f32])]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        for &(d, xs) in records {
+            bytes.extend_from_slice(&d.to_le_bytes());
+            for x in xs {
+                bytes.extend_from_slice(&x.to_le_bytes());
+            }
+        }
+        bytes
+    }
+
     #[test]
     fn parse_rejects_ragged() {
-        let mut bytes = BytesMut::new();
-        bytes.put_i32_le(2);
-        bytes.put_f32_le(1.0);
-        bytes.put_f32_le(2.0);
-        bytes.put_i32_le(3); // different dimension
-        bytes.put_f32_le(1.0);
-        bytes.put_f32_le(2.0);
-        bytes.put_f32_le(3.0);
+        // The second record has a different dimension.
+        let bytes = fvecs_bytes(&[(2, &[1.0, 2.0]), (3, &[1.0, 2.0, 3.0])]);
         let err = parse_fvecs(&bytes, "bad").unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]
     fn parse_rejects_truncation() {
-        let mut bytes = BytesMut::new();
-        bytes.put_i32_le(4);
-        bytes.put_f32_le(1.0); // only one of four floats
-        assert!(parse_fvecs(&bytes, "bad").is_err());
+        // Only one of four floats.
+        let bytes = fvecs_bytes(&[(4, &[1.0])]);
+        let err = parse_fvecs(&bytes, "bad").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let err = parse_fvecs(&bytes[..2], "bad").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let err = parse_ivecs(&fvecs_bytes(&[(2, &[1.0])])).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]
     fn parse_rejects_empty_and_nonpositive_dim() {
         assert!(parse_fvecs(&[], "bad").is_err());
-        let mut bytes = BytesMut::new();
-        bytes.put_i32_le(0);
-        assert!(parse_fvecs(&bytes, "bad").is_err());
+        assert!(parse_fvecs(&fvecs_bytes(&[(0, &[])]), "bad").is_err());
+        assert!(parse_ivecs(&fvecs_bytes(&[(-1, &[])])).is_err());
     }
 }

@@ -30,7 +30,7 @@ pub fn per_dim_std(ds: &Dataset) -> Vec<f32> {
 }
 
 /// One-line description used by the Table-1/Table-3 binaries.
-#[derive(Clone, Debug, serde::Serialize)]
+#[derive(Clone, Debug)]
 pub struct DatasetSummary {
     /// Dataset name.
     pub name: String,

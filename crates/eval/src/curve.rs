@@ -10,10 +10,9 @@
 
 use crate::metrics::recall;
 use gqr_core::engine::Checkpoint;
-use serde::Serialize;
 
 /// One point of a performance curve at a fixed candidate budget.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct CurvePoint {
     /// Candidate budget `N` at this checkpoint.
     pub budget: usize,
@@ -29,7 +28,7 @@ pub struct CurvePoint {
 }
 
 /// A labeled performance curve (one line of a paper figure).
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct RecallCurve {
     /// Legend label, e.g. `"GQR"` or `"GHR (10 tables)"`.
     pub label: String,

@@ -1,12 +1,11 @@
 //! Training-cost measurement: wall time, process CPU time, and peak RSS
 //! (Table 2's three columns).
 
-use serde::Serialize;
 use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Resource usage of a measured closure.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ResourceUsage {
     /// Elapsed wall-clock seconds.
     pub wall_s: f64,

@@ -41,7 +41,7 @@ impl Default for IsoHashOptions {
 }
 
 /// A trained IsoHash model (linear, sign-threshold).
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub struct IsoHash {
     hasher: LinearHasher,
     /// Per-bit projected variances after rotation (diagnostic; ideally all

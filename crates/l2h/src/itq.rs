@@ -35,7 +35,7 @@ impl Default for ItqOptions {
 
 /// Iterative quantization: hash matrix `W = Rᵀ·P` where `P` holds the top-`m`
 /// principal directions and `R` is the learned `m×m` rotation.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Itq {
     hasher: LinearHasher,
     final_quant_error: f64,

@@ -54,7 +54,7 @@ impl Default for KmhOptions {
 
 /// One subspace: a contiguous dimension range and `2^bits` codewords stored
 /// *by code* (codeword of code `c` is row `c`).
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 struct Subspace {
     lo: usize,
     hi: usize,
@@ -90,7 +90,7 @@ impl Subspace {
 }
 
 /// A trained K-means-hashing model.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub struct KmeansHashing {
     dim: usize,
     m: usize,

@@ -326,7 +326,7 @@ pub fn sign_code_blocks(projection: &[f64]) -> CodeBlocks {
 
 /// Shared plumbing for linear models (`LSH`, `PCAH`, `ITQ`): a hashing matrix
 /// `W` (`m×d`) and a bias so that `p(q) = W·q + bias`.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub struct LinearHasher {
     w: Matrix,
     bias: Vec<f64>,

@@ -13,7 +13,7 @@ use rand_chacha::ChaCha8Rng;
 /// Unlike the learned models this ignores the data distribution (beyond
 /// mean-centering, which keeps buckets balanced); it is the baseline L2H is
 /// compared against in the paper's introduction.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Lsh {
     hasher: LinearHasher,
 }

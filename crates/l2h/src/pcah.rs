@@ -9,7 +9,7 @@ use gqr_linalg::Pca;
 ///
 /// The simplest learned model in the paper — §6.5 shows that PCAH *plus GQR*
 /// matches far more expensive pipelines, which is the headline result.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Pcah {
     hasher: LinearHasher,
     explained_variance: Vec<f64>,

@@ -19,7 +19,7 @@ use gqr_linalg::Pca;
 
 /// One hash function: the `k`-th sinusoidal eigenfunction along PCA
 /// direction `dir`.
-#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 struct EigenFunction {
     /// PCA direction index.
     dir: usize,
@@ -39,7 +39,7 @@ impl EigenFunction {
 }
 
 /// A trained spectral-hashing model.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SpectralHashing {
     pca: Pca,
     functions: Vec<EigenFunction>,

@@ -62,7 +62,7 @@ impl Default for SshOptions {
 }
 
 /// A trained semi-supervised hashing model (linear, sign-threshold).
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Ssh {
     hasher: LinearHasher,
 }

@@ -13,7 +13,7 @@ pub const LANES: usize = 16;
 /// Sized for training-time math: covariance matrices (`d×d`), rotation
 /// matrices (`m×m`), and projection matrices (`m×d`). Element access is
 /// by `(row, col)` via indexing or [`Matrix::get`]/[`Matrix::set`].
-#[derive(Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

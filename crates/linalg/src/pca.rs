@@ -22,7 +22,7 @@ const SCATTER_PARALLEL_MIN: usize = 1 << 22;
 /// Directions are stored as rows of `components` (`k×d`), sorted by
 /// explained variance (descending). Projection of an item `x` is
 /// `components · (x − mean)`.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Pca {
     /// Dataset mean (`d`).
     pub mean: Vec<f64>,

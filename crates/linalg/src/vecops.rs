@@ -71,7 +71,7 @@ pub use crate::kernels::dot_f32;
 /// similarity metrics such as angular distance can also be adapted": the
 /// probing order still comes from QD over the projections; only the re-rank
 /// kernel changes.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Metric {
     /// Squared Euclidean distance (the paper's setting).
     #[default]

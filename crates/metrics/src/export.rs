@@ -2,7 +2,7 @@
 //!
 //! A [`MetricsSnapshot`] is a plain-data, point-in-time copy of a
 //! [`super::MetricsRegistry`]. It renders itself to JSON (hand-rolled, no
-//! serde dependency in the export path) and to the Prometheus text
+//! JSON library in the export path) and to the Prometheus text
 //! exposition format (version 0.0.4: `# HELP`/`# TYPE` headers, cumulative
 //! `_bucket{le="…"}` series, `_sum` and `_count`).
 //!
@@ -263,7 +263,7 @@ fn help_text(base: &str) -> &'static str {
 
 /// Minimal JSON string encoder (quotes, backslashes, control chars).
 /// Shared with the trace exporters — the metrics crate hand-rolls all of
-/// its JSON rather than taking a serde dependency.
+/// its JSON rather than taking a JSON library dependency.
 pub(crate) fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');

@@ -120,8 +120,8 @@ impl TraceStore {
 
     /// Export every stored trace as JSON lines: one object per trace with
     /// an `events` array of type-tagged objects. Hand-rolled (the metrics
-    /// crate takes no serde dependency), matching the exporter style in
-    /// [`export`](super::export).
+    /// crate takes no JSON library dependency), matching the exporter style
+    /// in [`export`](super::export).
     pub fn to_json_lines(&self) -> String {
         let mut out = String::new();
         for trace in self.all() {

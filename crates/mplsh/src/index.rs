@@ -37,7 +37,7 @@ impl Default for MpLshParams {
 }
 
 /// One E2LSH table.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 struct Table {
     /// Projection matrix (`M×d`), iid standard normal rows.
     a: Matrix,
@@ -59,7 +59,7 @@ impl Table {
 }
 
 /// A built Multi-Probe LSH index.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub struct MpLshIndex {
     dim: usize,
     w: f64,

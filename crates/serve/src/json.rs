@@ -1,8 +1,8 @@
 //! A small, dependency-free JSON reader/writer for the wire layer.
 //!
-//! The serving crate deliberately avoids serde: the wire schema is tiny,
-//! fixed, and versioned by hand (see [`crate::wire`]), and the server must
-//! not pull the whole derive machinery into the query hot path. This module
+//! The serving crate deliberately avoids a JSON library: the wire schema is
+//! tiny, fixed, and versioned by hand (see [`crate::wire`]), and the server
+//! must not pull the whole derive machinery into the query hot path. This module
 //! is a strict recursive-descent parser over UTF-8 bytes plus a writer that
 //! round-trips everything the schema needs.
 //!

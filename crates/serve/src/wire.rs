@@ -329,8 +329,14 @@ pub fn decode_search(body: &[u8]) -> Result<WireRequest, WireError> {
                 for item in items {
                     let n = item
                         .as_f64()
-                        .ok_or_else(|| bad("\"query\" must be an array of numbers"))?;
-                    q.push(n as f32);
+                        .ok_or_else(|| bad("\"query\" must be an array of numbers"))?
+                        as f32;
+                    // The parser admits only finite doubles, but one past
+                    // f32::MAX still narrows to an infinity.
+                    if !n.is_finite() {
+                        return Err(bad("\"query\" values must fit in an f32"));
+                    }
+                    q.push(n);
                 }
                 if q.is_empty() {
                     return Err(bad("\"query\" must not be empty"));
@@ -547,6 +553,12 @@ mod tests {
     }
 
     #[test]
+    fn query_values_at_the_f32_edge_decode() {
+        let req = decode_search(br#"{"query":[3.4028234e38,-3.4028234e38,1e-50],"k":1}"#).unwrap();
+        assert_eq!(req.query, vec![f32::MAX, f32::MIN, 0.0]);
+    }
+
+    #[test]
     fn minimal_request_defaults_to_gqr() {
         let req = decode_search(br#"{"query":[0.5],"k":1}"#).unwrap();
         assert_eq!(req.strategy, ProbeStrategy::GenerateQdRanking);
@@ -564,6 +576,8 @@ mod tests {
             (br#"{"query":[1],"k":3,"strategy":"ZZZ"}"#, "strategy"),
             (br#"{"query":[1],"k":3,"mih_blocks":2}"#, "mih_blocks"),
             (br#"{"query":["a"],"k":3}"#, "query"),
+            (br#"{"query":[1e39,0.5],"k":1}"#, "f32"),
+            (br#"{"query":[0.5,-1e39],"k":1}"#, "f32"),
             (br#"[1,2,3]"#, "object"),
             (br#"{"query":[1],"k":3"#, "JSON"),
             (br#"{"query":[1],"k":3,"recall_target":0}"#, "recall_target"),

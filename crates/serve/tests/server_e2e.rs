@@ -259,6 +259,26 @@ fn invalid_json_gets_a_typed_400() {
 }
 
 #[test]
+fn query_value_past_f32_is_a_400_and_the_server_serves_on() {
+    let server = start(ServerConfig::default());
+    let addr = server.addr();
+    for body in [
+        r#"{"query":[1e39,0.5],"k":1}"#,
+        r#"{"query":[0.5,-1e39],"k":1}"#,
+    ] {
+        let (status, _, resp) = post_search(addr, body, None);
+        assert_eq!(status, 400, "{body} -> {resp}");
+        assert!(resp.contains("fit in an f32"), "{resp}");
+    }
+    let (status, _, resp) = post_search(addr, r#"{"query":[3.0,4.0],"k":5}"#, None);
+    assert_eq!(status, 200, "{resp}");
+    let doc = gqr_serve::json::parse(resp.as_bytes()).unwrap();
+    assert_eq!(doc.get("ids").unwrap().as_array().unwrap().len(), 5);
+    let report = server.shutdown();
+    assert_eq!(report.served, 1, "the refused queries never ran");
+}
+
+#[test]
 fn quota_exhaustion_returns_429_with_retry_after() {
     let server = start(ServerConfig {
         quota: Some(QuotaConfig::new(1.0, 2.0).unwrap()),

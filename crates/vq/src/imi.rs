@@ -15,7 +15,7 @@ use std::collections::BinaryHeap;
 use std::time::Instant;
 
 /// A built inverted multi-index over a dataset.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub struct InvertedMultiIndex {
     dim: usize,
     split: usize,

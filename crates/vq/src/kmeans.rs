@@ -33,7 +33,7 @@ impl Default for KMeansOptions {
 }
 
 /// Result of a k-means run.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub struct KMeans {
     /// Centroids, row-major `k × dim`.
     pub centroids: Vec<f32>,
@@ -210,13 +210,12 @@ fn assign(
         return inertia;
     }
     let chunk = n.div_ceil(threads);
-    let mut partials = Vec::new();
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for (ci, a_chunk) in assignments.chunks_mut(chunk).enumerate() {
             let start = ci * chunk;
             let rows = &data[start * dim..(start + a_chunk.len()) * dim];
-            handles.push(scope.spawn(move |_| {
+            handles.push(scope.spawn(move || {
                 let mut inertia = 0.0f64;
                 for (row, a) in rows.chunks_exact(dim).zip(a_chunk.iter_mut()) {
                     let (c, d) = nearest_centroid(centroids, dim, row);
@@ -226,12 +225,13 @@ fn assign(
                 inertia
             }));
         }
-        for h in handles {
-            partials.push(h.join().expect("kmeans worker panicked"));
-        }
+        // Summed in chunk order, so the total does not depend on which
+        // worker finishes first.
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("kmeans worker panicked"))
+            .sum()
     })
-    .expect("kmeans scope failed");
-    partials.into_iter().sum()
 }
 
 /// Item farthest from its assigned centroid (for empty-cluster reseeding).

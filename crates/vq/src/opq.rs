@@ -6,7 +6,7 @@ use gqr_linalg::{svd::svd, Matrix};
 
 /// A trained OPQ model: an orthogonal rotation followed by a product
 /// quantizer in the rotated space.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Opq {
     /// Orthogonal `d×d` rotation applied before quantization.
     rotation: Matrix,

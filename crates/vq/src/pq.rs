@@ -4,7 +4,7 @@ use crate::kmeans::{kmeans, nearest_centroid, KMeansOptions};
 
 /// A trained product quantizer: `m` subspaces, each with its own `ks`-entry
 /// codebook. An item is encoded as `m` centroid indices.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ProductQuantizer {
     dim: usize,
     /// Number of subspaces.

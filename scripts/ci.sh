@@ -71,6 +71,13 @@ cmp "$SNAPDIR/itq-a.gqr" "$SNAPDIR/itq-b.gqr" \
     || { echo "cold-start determinism FAILED: two ITQ snapshots differ"; exit 1; }
 cmp "$SNAPDIR/itq-a.gqr" "$SNAPDIR/itq-scalar.gqr" \
     || { echo "cold-start determinism FAILED: GQR_FORCE_SCALAR changed the snapshot"; exit 1; }
+# A model saved by `train` indexes exactly like training inline.
+cargo run -q --release --bin gqr -- train --data "$SNAPDIR/vecs.fvecs" \
+    --algo itq --bits 10 --model "$SNAPDIR/itq.model"
+cargo run -q --release --bin gqr -- save-index --data "$SNAPDIR/vecs.fvecs" \
+    --snapshot "$SNAPDIR/itq-model.gqr" --model "$SNAPDIR/itq.model" --shards 2 --mih-blocks 2
+cmp "$SNAPDIR/itq-a.gqr" "$SNAPDIR/itq-model.gqr" \
+    || { echo "cold-start determinism FAILED: train + save-index --model differs"; exit 1; }
 
 echo "==> live mutation smoke (CLI insert/delete on a snapshot)"
 VEC="$(printf '0.5,%.0s' $(seq 1 16))"  # smoke-scale cifar60k is 16-dim

@@ -1,16 +1,17 @@
 //! `gqr` — command-line ANN search over fvecs files.
 //!
 //! ```text
-//! gqr generate --preset cifar60k --scale smoke --out data.fvecs
-//! gqr train    --data data.fvecs --algo itq --bits 12 --model model.json
-//! gqr build    --data data.fvecs --model model.json --index index.json
-//! gqr query    --data data.fvecs --model model.json --index index.json --row 5 --k 10
-//! gqr eval     --data data.fvecs --model model.json --index index.json --queries 100 --k 10
+//! gqr generate   --preset cifar60k --scale smoke --out data.fvecs
+//! gqr train      --data data.fvecs --algo itq --bits 12 --model model.gqr
+//! gqr save-index --data data.fvecs --model model.gqr --snapshot index.gqr
+//! gqr load-index --snapshot index.gqr --row 5 --k 10
+//! gqr load-index --snapshot index.gqr --queries 100 --k 10
 //! ```
 //!
-//! Models and indexes are stored as JSON (every workspace type derives
-//! serde); datasets use the TEXMEX `fvecs` format so real GIST/SIFT files
-//! drop in directly.
+//! Models and indexes are stored in the checksummed snapshot format of
+//! [`gqr::persist`] (a model file is a snapshot with one model section);
+//! datasets use the TEXMEX `fvecs` format so real GIST/SIFT files drop in
+//! directly.
 
 use gqr::core::attrs::{AttributeStore, Predicate};
 use gqr::core::code::CodeWord;
@@ -28,8 +29,7 @@ use gqr::l2h::lsh::Lsh;
 use gqr::l2h::pcah::Pcah;
 use gqr::l2h::sh::SpectralHashing;
 use gqr::l2h::HashModel;
-use gqr::persist::{LoadedIndex, SectionKind, SnapshotFile};
-use serde::{Deserialize, Serialize};
+use gqr::persist::{LoadedIndex, SectionKind, SnapshotFile, SnapshotWriter};
 use std::collections::HashMap;
 use std::process::exit;
 
@@ -83,31 +83,6 @@ macro_rules! with_any_index {
     };
 }
 
-/// On-disk model container: a tagged union over the trainers.
-#[derive(Serialize, Deserialize)]
-#[serde(tag = "algo", rename_all = "lowercase")]
-enum ModelFile {
-    Itq(Itq),
-    Pcah(Pcah),
-    Sh(SpectralHashing),
-    Kmh(KmeansHashing),
-    Lsh(Lsh),
-    Isohash(IsoHash),
-}
-
-impl ModelFile {
-    fn as_model(&self) -> &dyn HashModel {
-        match self {
-            ModelFile::Itq(m) => m,
-            ModelFile::Pcah(m) => m,
-            ModelFile::Sh(m) => m,
-            ModelFile::Kmh(m) => m,
-            ModelFile::Lsh(m) => m,
-            ModelFile::Isohash(m) => m,
-        }
-    }
-}
-
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
@@ -118,9 +93,6 @@ fn main() {
     let result = match command.as_str() {
         "generate" => cmd_generate(&flags),
         "train" => cmd_train(&flags),
-        "build" => cmd_build(&flags),
-        "query" => cmd_query(&flags),
-        "eval" => cmd_eval(&flags),
         "save-index" => cmd_save_index(&flags),
         "load-index" => cmd_load_index(&flags),
         "calibrate" => cmd_calibrate(&flags),
@@ -149,18 +121,13 @@ fn usage_and_exit(err: Option<&str>) -> ! {
          commands:\n\
          \x20 generate --preset NAME --scale smoke|default|paper --out FILE [--seed S]\n\
          \x20 train    --data FILE --algo itq|pcah|sh|kmh|lsh|isohash --bits M --model FILE [--seed S]\n\
-         \x20 build    --data FILE --model FILE --index FILE\n\
-         \x20 query    --data FILE --model FILE --index FILE --row I --k K\n\
-         \x20          [--strategy gqr|ghr|hr|qr] [--candidates N] [--max-buckets N]\n\
-         \x20          [--attrs FILE --filter PRED]   (PRED is the wire JSON, e.g.\n\
-         \x20          '{{\"op\":\"eq\",\"column\":\"color\",\"value\":\"red\"}}')\n\
-         \x20 eval     --data FILE --model FILE --index FILE --queries N --k K [--candidates N]\n\
          \x20 save-index --data FILE --snapshot FILE (--model FILE | --algo A --bits M [--seed S])\n\
          \x20          [--shards N] [--mih-blocks B] [--width 32|64|128|192|256]\n\
          \x20          [--attrs FILE]   (TSV: header 'name:int\\tname:tag', one row per item)\n\
          \x20 load-index --snapshot FILE --k K (--row I | --queries N)\n\
          \x20          [--strategy gqr|ghr|hr|qr|mih] [--candidates N] [--max-buckets N]\n\
-         \x20          [--filter PRED]   (needs a snapshot saved with --attrs)\n\
+         \x20          [--filter PRED]   (needs a snapshot saved with --attrs; PRED is\n\
+         \x20          the wire JSON, e.g. '{{\"op\":\"eq\",\"column\":\"color\",\"value\":\"red\"}}')\n\
          \x20          [--recall-target T] [--recall-margin M]   (adaptive termination;\n\
          \x20          needs a calibrated snapshot, excludes --candidates)\n\
          \x20 calibrate --snapshot FILE --k K --sample N [--quantile Q] [--out FILE]\n\
@@ -249,15 +216,12 @@ fn load_dataset(flags: &HashMap<String, String>) -> Result<Dataset, String> {
     dsio::read_fvecs(path, path).map_err(|e| format!("reading {path}: {e}"))
 }
 
-fn load_model(flags: &HashMap<String, String>) -> Result<ModelFile, String> {
+/// Read the model `gqr train` saved at `--model`.
+fn load_model(flags: &HashMap<String, String>) -> Result<Box<dyn HashModel>, String> {
     let path = get(flags, "model")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    serde_json::from_str(&text).map_err(|e| format!("parsing {path}: {e}"))
-}
-
-fn save_json<T: Serialize>(path: &str, value: &T) -> Result<(), String> {
-    let text = serde_json::to_string(value).map_err(|e| e.to_string())?;
-    std::fs::write(path, text).map_err(|e| format!("writing {path}: {e}"))
+    SnapshotFile::read(std::path::Path::new(path))
+        .and_then(|file| file.model())
+        .map_err(|e| format!("loading model {path}: {e}"))
 }
 
 /// Parse `--filter`: the same op-discriminated JSON the HTTP `"filter"`
@@ -360,28 +324,23 @@ fn cmd_generate(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn train_model(ds: &Dataset, algo: &str, bits: usize, seed: u64) -> Result<ModelFile, String> {
-    Ok(match algo.to_ascii_lowercase().as_str() {
-        "itq" => {
-            ModelFile::Itq(Itq::train(ds.as_slice(), ds.dim(), bits).map_err(|e| e.to_string())?)
-        }
-        "pcah" => {
-            ModelFile::Pcah(Pcah::train(ds.as_slice(), ds.dim(), bits).map_err(|e| e.to_string())?)
-        }
-        "sh" => ModelFile::Sh(
-            SpectralHashing::train(ds.as_slice(), ds.dim(), bits).map_err(|e| e.to_string())?,
-        ),
-        "kmh" => ModelFile::Kmh(
-            KmeansHashing::train(ds.as_slice(), ds.dim(), bits).map_err(|e| e.to_string())?,
-        ),
-        "lsh" => ModelFile::Lsh(
-            Lsh::train(ds.as_slice(), ds.dim(), bits, seed).map_err(|e| e.to_string())?,
-        ),
-        "isohash" => ModelFile::Isohash(
-            IsoHash::train(ds.as_slice(), ds.dim(), bits).map_err(|e| e.to_string())?,
-        ),
+fn train_model(
+    ds: &Dataset,
+    algo: &str,
+    bits: usize,
+    seed: u64,
+) -> Result<Box<dyn HashModel>, String> {
+    let (data, dim) = (ds.as_slice(), ds.dim());
+    let model: Box<dyn HashModel> = match algo.to_ascii_lowercase().as_str() {
+        "itq" => Box::new(Itq::train(data, dim, bits).map_err(|e| e.to_string())?),
+        "pcah" => Box::new(Pcah::train(data, dim, bits).map_err(|e| e.to_string())?),
+        "sh" => Box::new(SpectralHashing::train(data, dim, bits).map_err(|e| e.to_string())?),
+        "kmh" => Box::new(KmeansHashing::train(data, dim, bits).map_err(|e| e.to_string())?),
+        "lsh" => Box::new(Lsh::train(data, dim, bits, seed).map_err(|e| e.to_string())?),
+        "isohash" => Box::new(IsoHash::train(data, dim, bits).map_err(|e| e.to_string())?),
         other => return Err(format!("unknown algo '{other}'")),
-    })
+    };
+    Ok(model)
 }
 
 fn cmd_train(flags: &HashMap<String, String>) -> Result<(), String> {
@@ -395,10 +354,13 @@ fn cmd_train(flags: &HashMap<String, String>) -> Result<(), String> {
     let start = std::time::Instant::now();
     let model = train_model(&ds, get(flags, "algo")?, bits, seed)?;
     let out = get(flags, "model")?;
-    save_json(out, &model)?;
+    let mut snap = SnapshotWriter::new();
+    snap.add_model(&*model)
+        .and_then(|()| snap.write(std::path::Path::new(out)))
+        .map_err(|e| format!("writing {out}: {e}"))?;
     println!(
         "trained {} ({} bits) on {} × {} in {:?}; model saved to {out}",
-        model.as_model().name(),
+        model.name(),
         bits,
         ds.n(),
         ds.dim(),
@@ -462,147 +424,6 @@ fn budget_label(params: &SearchParams) -> String {
     }
 }
 
-fn cmd_build(flags: &HashMap<String, String>) -> Result<(), String> {
-    let ds = load_dataset(flags)?;
-    let model = load_model(flags)?;
-    let m = model.as_model().code_length();
-    if m > 64 {
-        return Err(format!(
-            "build writes the legacy JSON index, which is limited to 64-bit codes \
-             (model has {m} bits); use save-index, which picks the code width automatically"
-        ));
-    }
-    let start = std::time::Instant::now();
-    let table: HashTable = HashTable::build(model.as_model(), ds.as_slice(), ds.dim());
-    let out = get(flags, "index")?;
-    save_json(out, &table)?;
-    println!(
-        "indexed {} items into {} buckets (mean occupancy {:.1}) in {:?}; index saved to {out}",
-        table.n_items(),
-        table.n_buckets(),
-        table.mean_bucket_size(),
-        start.elapsed()
-    );
-    Ok(())
-}
-
-fn load_engine_parts(
-    flags: &HashMap<String, String>,
-) -> Result<(Dataset, ModelFile, HashTable), String> {
-    let ds = load_dataset(flags)?;
-    let model = load_model(flags)?;
-    let path = get(flags, "index")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let table: HashTable =
-        serde_json::from_str(&text).map_err(|e| format!("parsing {path}: {e}"))?;
-    Ok((ds, model, table))
-}
-
-fn cmd_query(flags: &HashMap<String, String>) -> Result<(), String> {
-    let (ds, model, table) = load_engine_parts(flags)?;
-    let row: usize = get_num(flags, "row")?;
-    if row >= ds.n() {
-        return Err(format!("--row {row} out of range (n = {})", ds.n()));
-    }
-    let k: usize = get_num(flags, "k")?;
-    let n_candidates: usize = flags
-        .get("candidates")
-        .map(|s| s.parse().map_err(|_| "bad --candidates"))
-        .transpose()?
-        .unwrap_or(1_000);
-    let max_buckets = max_buckets_flag(flags)?;
-    let strat = strategy(flags.get("strategy").map(String::as_str).unwrap_or("gqr"))?;
-
-    let filter = parse_filter(flags)?;
-    let attrs = flags
-        .get("attrs")
-        .map(|p| load_attrs(p, ds.n()))
-        .transpose()?;
-    if filter.is_some() && attrs.is_none() {
-        return Err("--filter needs --attrs (the JSON index carries no attribute store)".into());
-    }
-
-    let mut engine = QueryEngine::new(model.as_model(), &table, ds.as_slice(), ds.dim());
-    if let Some(store) = &attrs {
-        engine.set_attrs(store);
-    }
-    if let (Some(pred), Some(store)) = (&filter, &attrs) {
-        store
-            .validate(pred)
-            .map_err(|e| format!("bad --filter: {e}"))?;
-    }
-    let params = SearchParams::for_k(k)
-        .candidates(n_candidates)
-        .strategy(strat)
-        .max_buckets(max_buckets)
-        .build()
-        .map_err(|e| format!("invalid search parameters: {e}"))?;
-    let query = ds.row(row).to_vec();
-    let start = std::time::Instant::now();
-    let res = match filter {
-        Some(pred) => engine.run(SearchRequest::new(&query).params(params).predicate(pred)),
-        None => engine.search(&query, &params),
-    };
-    println!(
-        "{} nearest neighbors of row {row} ({} in {:?}, {} buckets probed, {} items evaluated):",
-        k,
-        strat.name(),
-        start.elapsed(),
-        res.stats.buckets_probed,
-        res.stats.items_evaluated
-    );
-    for (id, dist) in res.neighbors() {
-        println!("  #{id:<8} sq-dist {dist:.5}");
-    }
-    Ok(())
-}
-
-fn cmd_eval(flags: &HashMap<String, String>) -> Result<(), String> {
-    let (ds, model, table) = load_engine_parts(flags)?;
-    let n_queries: usize = get_num(flags, "queries")?;
-    let k: usize = get_num(flags, "k")?;
-    let n_candidates: usize = flags
-        .get("candidates")
-        .map(|s| s.parse().map_err(|_| "bad --candidates"))
-        .transpose()?
-        .unwrap_or(1_000);
-    let max_buckets = max_buckets_flag(flags)?;
-
-    let queries = ds.sample_queries(n_queries, 7);
-    let truth = brute_force_knn(&ds, &queries, k, 0);
-    let engine = QueryEngine::new(model.as_model(), &table, ds.as_slice(), ds.dim());
-
-    println!(
-        "strategy  recall@{k}   total time  (budget {n_candidates}/query, {n_queries} queries)"
-    );
-    for strat in [
-        ProbeStrategy::GenerateQdRanking,
-        ProbeStrategy::GenerateHammingRanking,
-        ProbeStrategy::HammingRanking,
-        ProbeStrategy::QdRanking,
-    ] {
-        let params = SearchParams::for_k(k)
-            .candidates(n_candidates)
-            .strategy(strat)
-            .max_buckets(max_buckets)
-            .build()
-            .map_err(|e| format!("invalid search parameters: {e}"))?;
-        let start = std::time::Instant::now();
-        let mut found = 0usize;
-        for (q, t) in queries.iter().zip(&truth) {
-            let res = engine.search(q, &params);
-            found += res.ids.iter().filter(|&&id| t.contains(&id)).count();
-        }
-        println!(
-            "{:<9} {:>8.3}   {:>9.3?}",
-            strat.name(),
-            found as f64 / (k * queries.len()) as f64,
-            start.elapsed()
-        );
-    }
-    Ok(())
-}
-
 fn cmd_save_index(flags: &HashMap<String, String>) -> Result<(), String> {
     let ds = load_dataset(flags)?;
     let model = if flags.contains_key("model") {
@@ -628,7 +449,7 @@ fn cmd_save_index(flags: &HashMap<String, String>) -> Result<(), String> {
         .map(|s| s.parse().map_err(|_| "bad --mih-blocks"))
         .transpose()?;
     let out = get(flags, "snapshot")?;
-    let m = model.as_model().code_length();
+    let m = model.code_length();
     let width_bits: usize = match flags.get("width") {
         Some(s) => {
             let b: usize = s.parse().map_err(|_| "bad --width")?;
@@ -669,7 +490,7 @@ fn cmd_save_index(flags: &HashMap<String, String>) -> Result<(), String> {
         .transpose()?;
     let start = std::time::Instant::now();
     let bytes = if shards > 1 {
-        let mut index = ShardedIndex::build(model.as_model(), ds.as_slice(), ds.dim(), shards);
+        let mut index = ShardedIndex::build(&*model, ds.as_slice(), ds.dim(), shards);
         if let Some(b) = mih_blocks {
             index.enable_mih(b);
         }
@@ -682,8 +503,8 @@ fn cmd_save_index(flags: &HashMap<String, String>) -> Result<(), String> {
             .map_err(|e| e.to_string())?
     } else {
         dispatch_bits!(width_bits, C, {
-            let table: HashTable<C> = HashTable::build(model.as_model(), ds.as_slice(), ds.dim());
-            let mut engine = QueryEngine::new(model.as_model(), &table, ds.as_slice(), ds.dim());
+            let table: HashTable<C> = HashTable::build(&*model, ds.as_slice(), ds.dim());
+            let mut engine = QueryEngine::new(&*model, &table, ds.as_slice(), ds.dim());
             if let Some(b) = mih_blocks {
                 engine.enable_mih(b);
             }
@@ -703,7 +524,7 @@ fn cmd_save_index(flags: &HashMap<String, String>) -> Result<(), String> {
         "saved {shards}-shard snapshot of {} × {} ({bytes} bytes, model {}, {width_bits}-bit codes{attrs_note}) to {out} in {:?}",
         ds.n(),
         ds.dim(),
-        model.as_model().name(),
+        model.name(),
         start.elapsed()
     );
     Ok(())

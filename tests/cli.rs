@@ -1,129 +1,163 @@
-//! End-to-end test of the `gqr` command-line tool: generate → train →
-//! build → query → eval through JSON files, and generate → save-index →
-//! load-index through binary snapshots, in a temp directory.
+//! End-to-end test of the `gqr` command-line tool in a temp directory:
+//! generate → train → save-index --model → load-index through model and
+//! index snapshots, and generate → save-index → load-index with inline
+//! training.
 
 mod common;
 
-use common::{serde_json_works, tmpdir};
+use common::tmpdir;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_gqr"))
 }
 
-#[test]
-fn full_pipeline_works() {
-    if !serde_json_works() {
-        eprintln!("skipping: serde_json stub cannot deserialize in this environment");
-        return;
-    }
-    let dir = tmpdir("pipeline");
-    let data = dir.join("d.fvecs");
-    let model = dir.join("m.json");
-    let index = dir.join("i.json");
-
-    let out = bin()
-        .args(["generate", "--preset", "audio50k", "--scale", "smoke"])
-        .args(["--out", data.to_str().unwrap(), "--seed", "5"])
-        .output()
-        .unwrap();
+/// Run `cmd`, assert it succeeded, and return its stdout.
+fn run_ok(cmd: &mut Command) -> String {
+    let out = cmd.output().unwrap();
     assert!(
         out.status.success(),
-        "generate failed: {}",
+        "{cmd:?} failed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    assert!(data.exists());
-
-    let out = bin()
-        .args([
-            "train",
-            "--data",
-            data.to_str().unwrap(),
-            "--algo",
-            "pcah",
-            "--bits",
-            "8",
-        ])
-        .args(["--model", model.to_str().unwrap()])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "train failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-
-    let out = bin()
-        .args([
-            "build",
-            "--data",
-            data.to_str().unwrap(),
-            "--model",
-            model.to_str().unwrap(),
-        ])
-        .args(["--index", index.to_str().unwrap()])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "build failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-
-    let out = bin()
-        .args([
-            "query",
-            "--data",
-            data.to_str().unwrap(),
-            "--model",
-            model.to_str().unwrap(),
-        ])
-        .args(["--index", index.to_str().unwrap(), "--row", "3", "--k", "4"])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "query failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        text.contains("#3"),
-        "the row itself must be its own nearest neighbor:\n{text}"
-    );
-
-    let out = bin()
-        .args([
-            "eval",
-            "--data",
-            data.to_str().unwrap(),
-            "--model",
-            model.to_str().unwrap(),
-        ])
-        .args([
-            "--index",
-            index.to_str().unwrap(),
-            "--queries",
-            "10",
-            "--k",
-            "5",
-        ])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "eval failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        text.contains("GQR") && text.contains("HR"),
-        "eval table:\n{text}"
-    );
+    String::from_utf8_lossy(&out.stdout).into_owned()
 }
 
-/// The snapshot pipeline needs no serde_json at all, so unlike the JSON
-/// pipeline above it runs in full on offline CI images.
+fn path(p: &Path) -> &str {
+    p.to_str().unwrap()
+}
+
+/// `generate` the audio50k smoke preset into `dir/d.fvecs`.
+fn generate(dir: &Path, seed: &str) -> PathBuf {
+    let data = dir.join("d.fvecs");
+    run_ok(
+        bin()
+            .args(["generate", "--preset", "audio50k", "--scale", "smoke"])
+            .args(["--out", path(&data), "--seed", seed]),
+    );
+    data
+}
+
+/// `train --model` into `dir/<name>`.
+fn train(data: &Path, dir: &Path, name: &str, algo: &str, bits: &str) -> PathBuf {
+    let model = dir.join(name);
+    let text = run_ok(
+        bin()
+            .args(["train", "--data", path(data), "--algo", algo])
+            .args(["--bits", bits])
+            .args(["--seed", "3", "--model", path(&model)]),
+    );
+    assert!(text.contains("model saved to"), "{text}");
+    model
+}
+
+/// generate → train → save-index --model: the snapshot `load-index` reads.
+fn trained_snapshot(dir: &Path) -> PathBuf {
+    let data = generate(dir, "5");
+    let model = train(&data, dir, "m.gqr", "pcah", "8");
+    let snap = dir.join("index.gqr");
+    run_ok(
+        bin()
+            .args(["save-index", "--data", path(&data), "--model", path(&model)])
+            .args(["--snapshot", path(&snap)]),
+    );
+    snap
+}
+
+#[test]
+fn full_pipeline_works() {
+    let dir = tmpdir("pipeline");
+    let snap = trained_snapshot(&dir);
+    for strategy in ["gqr", "ghr", "hr", "qr"] {
+        let load = || {
+            let mut cmd = bin();
+            cmd.args(["load-index", "--snapshot", path(&snap)])
+                .args(["--strategy", strategy]);
+            cmd
+        };
+        let text = run_ok(load().args(["--row", "3", "--k", "4"]));
+        assert!(
+            text.contains("#3"),
+            "{strategy}: the row itself must be its own nearest neighbor:\n{text}"
+        );
+        let text = run_ok(load().args(["--queries", "10", "--k", "5"]));
+        let summary = format!("{:<9} recall@5", strategy.to_uppercase());
+        assert!(
+            text.lines().any(|l| l.starts_with(&summary)),
+            "{strategy}: eval summary missing:\n{text}"
+        );
+    }
+}
+
+/// A model saved by `train` indexes exactly like training inline: every
+/// trainer's `save-index --model` output is byte-identical to
+/// `save-index --algo` with the same seed.
+#[test]
+fn model_file_matches_inline_training() {
+    let dir = tmpdir("model_file");
+    let data = generate(&dir, "3");
+    for (algo, shards) in [
+        ("itq", "2"),
+        ("pcah", "1"),
+        ("sh", "1"),
+        ("kmh", "1"),
+        ("lsh", "1"),
+        ("isohash", "1"),
+    ] {
+        let model = train(&data, &dir, &format!("{algo}.model"), algo, "10");
+        let from_model = dir.join(format!("{algo}-model.gqr"));
+        let inline = dir.join(format!("{algo}-inline.gqr"));
+        run_ok(
+            bin()
+                .args(["save-index", "--data", path(&data), "--model", path(&model)])
+                .args(["--shards", shards, "--snapshot", path(&from_model)]),
+        );
+        run_ok(
+            bin()
+                .args([
+                    "save-index",
+                    "--data",
+                    path(&data),
+                    "--snapshot",
+                    path(&inline),
+                ])
+                .args([
+                    "--algo", algo, "--bits", "10", "--seed", "3", "--shards", shards,
+                ]),
+        );
+        assert!(
+            std::fs::read(&from_model).unwrap() == std::fs::read(&inline).unwrap(),
+            "{algo} ({shards} shard(s)): the saved model indexes differently"
+        );
+    }
+}
+
+/// `save-index --model` on a file that is not a model snapshot fails with
+/// a typed error that names the file; it never panics.
+#[test]
+fn save_index_rejects_bad_model_file() {
+    let dir = tmpdir("bad_model");
+    let data = generate(&dir, "4");
+    let model = train(&data, &dir, "m.gqr", "itq", "8");
+    let bytes = std::fs::read(&model).unwrap();
+    let truncated = dir.join("truncated.gqr");
+    std::fs::write(&truncated, &bytes[..bytes.len() - 7]).unwrap();
+
+    for (file, why) in [(&data, "bad magic"), (&truncated, "truncated")] {
+        let out = bin()
+            .args(["save-index", "--data", path(&data), "--model", path(file)])
+            .args(["--snapshot", path(&dir.join("x.gqr"))])
+            .output()
+            .unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{err}");
+        assert!(err.contains(path(file)), "error must name the file: {err}");
+        assert!(err.contains(why), "expected {why:?}: {err}");
+        assert!(!err.contains("panicked"), "{err}");
+    }
+}
+
 #[test]
 fn snapshot_pipeline_works() {
     let dir = tmpdir("snapshot_pipeline");
@@ -287,74 +321,19 @@ fn missing_flag_reports_which() {
 
 #[test]
 fn bad_strategy_rejected() {
-    if !serde_json_works() {
-        eprintln!("skipping: serde_json stub cannot deserialize in this environment");
-        return;
-    }
     let dir = tmpdir("badstrat");
-    let data = dir.join("d.fvecs");
-    let model = dir.join("m.json");
-    let index = dir.join("i.json");
-    for (args, _) in [
-        (
-            vec![
-                "generate",
-                "--preset",
-                "audio50k",
-                "--scale",
-                "smoke",
-                "--out",
-                data.to_str().unwrap(),
-            ],
-            (),
-        ),
-        (
-            vec![
-                "train",
-                "--data",
-                data.to_str().unwrap(),
-                "--algo",
-                "lsh",
-                "--bits",
-                "6",
-                "--model",
-                model.to_str().unwrap(),
-            ],
-            (),
-        ),
-        (
-            vec![
-                "build",
-                "--data",
-                data.to_str().unwrap(),
-                "--model",
-                model.to_str().unwrap(),
-                "--index",
-                index.to_str().unwrap(),
-            ],
-            (),
-        ),
-    ] {
-        assert!(bin().args(&args).output().unwrap().status.success());
-    }
+    let snap = trained_snapshot(&dir);
     let out = bin()
         .args([
-            "query",
-            "--data",
-            data.to_str().unwrap(),
-            "--model",
-            model.to_str().unwrap(),
-        ])
-        .args([
-            "--index",
-            index.to_str().unwrap(),
+            "load-index",
+            "--snapshot",
+            path(&snap),
             "--row",
             "0",
             "--k",
             "2",
-            "--strategy",
-            "warp",
         ])
+        .args(["--strategy", "warp"])
         .output()
         .unwrap();
     assert!(!out.status.success());

@@ -9,14 +9,6 @@ pub fn fixture() -> Dataset {
     DatasetSpec::audio50k().scale(Scale::Smoke).generate(77)
 }
 
-/// Offline CI images may ship a stubbed serde_json whose `from_str` always
-/// errors. Probe once at runtime so JSON-parsing tests skip gracefully
-/// there instead of failing; real environments run them in full. Snapshot
-/// tests never need this — the binary format has no serde_json dependency.
-pub fn serde_json_works() -> bool {
-    serde_json::from_str::<u32>("1").is_ok()
-}
-
 /// A fresh temp directory unique to `tag` and this process.
 pub fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("gqr_test_{tag}_{}", std::process::id()));

@@ -1,7 +1,6 @@
 //! Serialization round-trips through the binary snapshot format: a trained
 //! index must behave identically after save/load (the deployment path of a
-//! real retrieval service). Unlike the old JSON path, none of this needs a
-//! working serde_json, so the tests run in full on offline CI images too.
+//! real retrieval service).
 
 mod common;
 

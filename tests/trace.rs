@@ -3,8 +3,8 @@
 //! phases, a sharded table-strategy query must be one search (no lanes),
 //! sharded MIH must add fanout/shard/queue-wait/run lanes, QD trajectories
 //! must be present, and the Chrome trace-event export must match the golden
-//! schema (hand-checked structure — the offline CI image stubs serde_json's
-//! parser).
+//! schema (hand-checked structure: the workspace has no general-purpose JSON
+//! parser beyond the serving crate's).
 
 use gqr::core::engine::{ProbeStrategy, QueryEngine, SearchParams};
 use gqr::core::executor::Executor;
