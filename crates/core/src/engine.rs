@@ -8,7 +8,7 @@
 
 use crate::attrs::AttributeStore;
 use crate::code::CodeWord;
-use crate::metrics::{metric_name, MetricsRegistry, PhaseSpans};
+use crate::metrics::{metric_name, MetricsRegistry};
 use crate::probe::mih::MihIndex;
 use crate::probe_loop::{drive, FlatRows, MihSource, ProbeCtx, TableSource, Target};
 use crate::recall::{RecallModel, RecallTarget};
@@ -376,17 +376,12 @@ pub struct QueryEngine<'a, M: HashModel + ?Sized, C: CodeWord = u64> {
     dim: usize,
     metric: Metric,
     /// [`QueryEngine::enable_mih`] builds an owned side index;
-    /// [`ShardedIndex`](crate::shard::ShardedIndex) builds one per shard
-    /// once and lends it to the short-lived engines it constructs per
-    /// query, so the (expensive) substring tables are never rebuilt.
+    /// [`QueryEngine::with_mih`] borrows a prebuilt one (a loaded
+    /// snapshot's), so the substring tables are not rebuilt.
     mih: Option<Cow<'a, MihIndex<C>>>,
     recall: Option<&'a RecallModel>,
     attrs: Option<&'a AttributeStore>,
     metrics: MetricsRegistry,
-    /// Overrides the metric family the per-query spans flush under:
-    /// `(component, extra labels)`. `None` means the default
-    /// (`"gqr_query"`, strategy label only).
-    span_scope: Option<(String, Vec<(String, String)>)>,
 }
 
 impl<'a, M: HashModel + ?Sized, C: CodeWord> QueryEngine<'a, M, C> {
@@ -419,7 +414,6 @@ impl<'a, M: HashModel + ?Sized, C: CodeWord> QueryEngine<'a, M, C> {
             recall: None,
             attrs: None,
             metrics: MetricsRegistry::disabled(),
-            span_scope: None,
         }
     }
 
@@ -451,32 +445,6 @@ impl<'a, M: HashModel + ?Sized, C: CodeWord> QueryEngine<'a, M, C> {
         &self.metrics
     }
 
-    /// Flush per-query spans under a custom metric family instead of the
-    /// default `gqr_query_*` (builder style). `labels` are appended after
-    /// the automatic `strategy` label — the sharded index uses this to emit
-    /// its per-shard MIH spans like
-    /// `gqr_shard_phase_ns{phase="evaluate",shard="3",strategy="MIH"}`.
-    pub fn with_span_scope(
-        mut self,
-        comp: impl Into<String>,
-        labels: Vec<(String, String)>,
-    ) -> Self {
-        self.span_scope = Some((comp.into(), labels));
-        self
-    }
-
-    fn flush_spans(&self, spans: &PhaseSpans, strat: &str, wall: Duration) {
-        match &self.span_scope {
-            Some((comp, extra)) => {
-                let mut labels: Vec<(&str, &str)> = Vec::with_capacity(extra.len() + 1);
-                labels.extend(extra.iter().map(|(k, v)| (k.as_str(), v.as_str())));
-                labels.push(("strategy", strat));
-                spans.flush_labeled(&self.metrics, comp, &labels, wall);
-            }
-            None => spans.flush(&self.metrics, "gqr_query", strat, wall),
-        }
-    }
-
     /// Switch the exact-evaluation metric (builder style). The probing order
     /// is unchanged — QD over the model's projections — which is exactly the
     /// paper's "other similarity metrics can be adapted" point; pair an
@@ -503,9 +471,7 @@ impl<'a, M: HashModel + ?Sized, C: CodeWord> QueryEngine<'a, M, C> {
     }
 
     /// Attach a prebuilt MIH side index by reference (builder style). The
-    /// index must have been built over this table's codes. Lets callers that
-    /// construct engines per query (the sharded serving path) pay the MIH
-    /// build cost once instead of per search.
+    /// index must have been built over this table's codes.
     pub fn with_mih(mut self, mih: &'a MihIndex<C>) -> Self {
         assert_eq!(
             mih.code_length(),
@@ -619,7 +585,8 @@ impl<'a, M: HashModel + ?Sized, C: CodeWord> QueryEngine<'a, M, C> {
             let policy = target.policy(&params, start, &self.metrics);
             match params.strategy {
                 ProbeStrategy::MultiIndexHashing { .. } => {
-                    let mut source = MihSource::new(model, self.mih_index(), cap, query, ctx);
+                    let parts = vec![(self.mih_index(), 0)];
+                    let mut source = MihSource::new(model, parts, cap, query, ctx);
                     drive(&mut source, policy, sink, budgets, ctx)
                 }
                 strategy => {
@@ -628,7 +595,8 @@ impl<'a, M: HashModel + ?Sized, C: CodeWord> QueryEngine<'a, M, C> {
                 }
             }
         });
-        self.flush_spans(&ctx.phases, strat, start.elapsed());
+        ctx.phases
+            .flush(&self.metrics, "gqr_query", strat, start.elapsed());
         result.trace_id = env.close();
         result
     }
@@ -737,6 +705,34 @@ mod tests {
                 strategy.name()
             );
             assert_eq!(res.stats.items_evaluated, 400, "{}", strategy.name());
+        }
+    }
+
+    #[test]
+    fn a_nan_row_never_displaces_a_finite_one() {
+        let (mut data, model, _) = engine_fixture();
+        data[0] = f32::NAN;
+        let table: HashTable = HashTable::build(&model, &data, 2);
+        let mut engine = QueryEngine::new(&model, &table, &data, 2);
+        engine.enable_mih(2);
+        let q = [0.2f32, 0.1];
+        for strategy in [
+            ProbeStrategy::GenerateQdRanking,
+            ProbeStrategy::MultiIndexHashing { blocks: 2 },
+        ] {
+            let params = SearchParams {
+                k: 5,
+                n_candidates: usize::MAX,
+                strategy,
+                ..Default::default()
+            };
+            let res = engine.search(&q, &params);
+            let finite: Vec<u32> = brute_force(&data[2..], 2, &q, 5)
+                .iter()
+                .map(|i| i + 1)
+                .collect();
+            assert_eq!(res.ids, finite, "{}", strategy.name());
+            assert!(res.distances.iter().all(|d| d.is_finite()));
         }
     }
 

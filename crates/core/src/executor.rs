@@ -31,7 +31,7 @@
 
 use crate::metrics::MetricsRegistry;
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::{Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
@@ -99,31 +99,6 @@ struct Shared {
     not_full: Condvar,
     capacity: usize,
     metrics: MetricsRegistry,
-}
-
-struct ScopeState {
-    remaining: usize,
-    first_panic: Option<Box<dyn std::any::Any + Send>>,
-}
-
-/// Completion tracker shared by every job of one [`Executor::run_scoped`]
-/// batch: one allocation per batch instead of one channel per job.
-struct ScopeLatch {
-    state: Mutex<ScopeState>,
-    done: Condvar,
-}
-
-impl ScopeLatch {
-    fn job_done(&self, panic: Option<Box<dyn std::any::Any + Send>>) {
-        let mut s = self.state.lock().unwrap();
-        s.remaining -= 1;
-        if let Some(p) = panic {
-            s.first_panic.get_or_insert(p);
-        }
-        if s.remaining == 0 {
-            self.done.notify_all();
-        }
-    }
 }
 
 /// Completion handle for a submitted job. Dropping it detaches: the job
@@ -272,19 +247,6 @@ impl Executor {
         self.workers.lock().unwrap().len()
     }
 
-    /// The pool index of the executor worker running the current thread,
-    /// recovered from the `gqr-exec-{i}` thread name. `None` when called
-    /// off-pool (any executor's workers answer, but jobs only ever ask
-    /// about the pool they run on). Query traces stamp this onto per-shard
-    /// `run` spans so the Chrome export shows which worker served which
-    /// shard.
-    pub fn current_worker_index() -> Option<usize> {
-        std::thread::current()
-            .name()
-            .and_then(|n| n.strip_prefix("gqr-exec-"))
-            .and_then(|i| i.parse().ok())
-    }
-
     /// The attached metrics registry.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.shared.metrics
@@ -405,119 +367,6 @@ impl Executor {
         drop(state);
         self.shared.not_empty.notify_one();
         Ok(())
-    }
-
-    /// Run a batch of borrowed jobs to completion on the pool and return
-    /// once all of them have finished. This is the scoped fan-out primitive
-    /// [`ShardedIndex`](crate::shard::ShardedIndex) builds on: each closure
-    /// typically writes its result into a distinct `&mut` slot it captures.
-    ///
-    /// Jobs run without deadlines and are never rejected (the call blocks on
-    /// backpressure). Completion is tracked through one shared latch rather
-    /// than a channel per job, and the whole batch is enqueued under a
-    /// single queue-lock acquisition whenever capacity allows, so the
-    /// per-job dispatch cost stays far below a thread spawn. If any job
-    /// panics, the panic is re-raised here after *all* jobs have finished.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the executor is shut down, and re-raises the first job
-    /// panic.
-    pub fn run_scoped<'env>(
-        &self,
-        jobs: impl IntoIterator<Item = Box<dyn FnOnce() + Send + 'env>>,
-    ) {
-        // SAFETY: each closure borrows data living at least `'env`, which
-        // outlives this call; we block on the latch below until every
-        // enqueued job has run (workers deliver every accepted job —
-        // shutdown drains the queue, panics are caught), and jobs that were
-        // never enqueued are subtracted from the latch before waiting. No
-        // job can outlive the borrows it captures.
-        let jobs: Vec<Box<dyn FnOnce() + Send + 'static>> = jobs
-            .into_iter()
-            .map(|job| unsafe {
-                std::mem::transmute::<
-                    Box<dyn FnOnce() + Send + 'env>,
-                    Box<dyn FnOnce() + Send + 'static>,
-                >(job)
-            })
-            .collect();
-        let total = jobs.len();
-        if total == 0 {
-            return;
-        }
-        let latch = std::sync::Arc::new(ScopeLatch {
-            state: Mutex::new(ScopeState {
-                remaining: total,
-                first_panic: None,
-            }),
-            done: Condvar::new(),
-        });
-        let enqueued_at = Instant::now();
-        let metered = self.shared.metrics.is_enabled();
-
-        // Enqueue the whole batch under one lock acquisition, yielding it
-        // only while waiting out backpressure (`Condvar::wait` releases the
-        // lock, so workers drain concurrently).
-        let mut enqueued = 0usize;
-        let mut rejection = None;
-        {
-            let mut state = self.shared.state.lock().unwrap();
-            'enqueue: for job in jobs {
-                loop {
-                    if state.shutting_down {
-                        rejection = Some(SubmitError::ShutDown);
-                        break 'enqueue;
-                    }
-                    if state.queue.len() < self.shared.capacity {
-                        break;
-                    }
-                    state = self.shared.not_full.wait(state).unwrap();
-                }
-                let latch = std::sync::Arc::clone(&latch);
-                state.queue.push_back(Job {
-                    run: Box::new(move |_missed| {
-                        let panic = catch_unwind(AssertUnwindSafe(job)).err();
-                        latch.job_done(panic);
-                    }),
-                    deadline: None,
-                    enqueued_at,
-                });
-                enqueued += 1;
-                if metered {
-                    self.shared
-                        .metrics
-                        .record("gqr_executor_queue_depth", state.queue.len() as u64);
-                }
-                self.shared.not_empty.notify_one();
-            }
-        }
-        if metered {
-            self.shared
-                .metrics
-                .add("gqr_executor_jobs_submitted_total", enqueued as u64);
-            if rejection.is_some() {
-                self.shared.metrics.add(
-                    "gqr_executor_jobs_rejected_total",
-                    (total - enqueued) as u64,
-                );
-            }
-        }
-
-        let first_panic = {
-            let mut s = latch.state.lock().unwrap();
-            s.remaining -= total - enqueued;
-            while s.remaining > 0 {
-                s = latch.done.wait(s).unwrap();
-            }
-            s.first_panic.take()
-        };
-        if let Some(p) = first_panic {
-            resume_unwind(p);
-        }
-        if let Some(e) = rejection {
-            panic!("executor rejected a scoped job: {e}");
-        }
     }
 
     /// Stop accepting work, let the workers drain the queue, and join them.
@@ -659,38 +508,6 @@ mod tests {
             metrics.counter_value("gqr_executor_deadline_missed_total"),
             Some(1)
         );
-    }
-
-    #[test]
-    fn run_scoped_borrows_and_fills_slots() {
-        let exec = Executor::builder().workers(4).build();
-        let mut slots = vec![0usize; 64];
-        exec.run_scoped(
-            slots
-                .iter_mut()
-                .enumerate()
-                .map(|(i, slot)| Box::new(move || *slot = i * 3) as Box<dyn FnOnce() + Send + '_>),
-        );
-        assert!(slots.iter().enumerate().all(|(i, &v)| v == i * 3));
-    }
-
-    #[test]
-    fn run_scoped_propagates_panics_after_draining() {
-        let exec = Executor::builder().workers(2).build();
-        let done = AtomicUsize::new(0);
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            exec.run_scoped((0..8).map(|i| {
-                let done = &done;
-                Box::new(move || {
-                    if i == 3 {
-                        panic!("boom {i}");
-                    }
-                    done.fetch_add(1, Ordering::SeqCst);
-                }) as Box<dyn FnOnce() + Send + '_>
-            }));
-        }));
-        assert!(caught.is_err(), "panic resurfaces in the caller");
-        assert_eq!(done.load(Ordering::SeqCst), 7, "other jobs still ran");
     }
 
     #[test]

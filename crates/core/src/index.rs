@@ -2,10 +2,10 @@
 //!
 //! Four index types answer k-NN requests in this crate — the single-table
 //! [`QueryEngine`], the partitioned [`ShardedIndex`], the multi-table
-//! [`MultiTableIndex`], and the epoch-versioned [`MutableIndex`] /
-//! [`ShardedMutableIndex`] pair — and each grew its own ad-hoc search
-//! surface over time. [`Index`] is the common denominator: build a
-//! [`SearchRequest`], call [`run`](Index::run), get a [`SearchResponse`].
+//! [`MultiTableIndex`], and the epoch-versioned [`MutableIndex`] — and each
+//! grew its own ad-hoc search surface over time. [`Index`] is the common
+//! denominator: build a [`SearchRequest`], call [`run`](Index::run), get a
+//! [`SearchResponse`].
 //! Code written against `&dyn Index` (services, benchmarks, evaluation
 //! harnesses) works unchanged across all of them; this request/response
 //! pair is the only query entry point (the legacy per-feature wrappers
@@ -14,7 +14,7 @@
 use crate::attrs::AttributeStore;
 use crate::code::CodeWord;
 use crate::engine::{QueryEngine, SearchResponse};
-use crate::live::{MutableIndex, ShardedMutableIndex};
+use crate::live::MutableIndex;
 use crate::metrics::MetricsRegistry;
 use crate::multi_table::MultiTableIndex;
 use crate::request::SearchRequest;
@@ -27,8 +27,8 @@ use gqr_l2h::HashModel;
 /// mutable generations) but share the request/response contract: neighbor
 /// ids ascend by distance, filters decide candidate eligibility before any
 /// distance is computed, and a deadline tightens the soft time limit.
-/// Capabilities beyond that contract (checkpoints, executor fan-out,
-/// pinned-generation queries) stay on the concrete types.
+/// Capabilities beyond that contract (pinned-generation queries) stay on
+/// the concrete types.
 pub trait Index {
     /// Execute one search request.
     fn run(&self, req: SearchRequest<'_>) -> SearchResponse;
@@ -101,10 +101,9 @@ macro_rules! forward_index {
 }
 
 forward_index! {
-    [M: HashModel + ?Sized + Sync] ShardedIndex<'_, M>;
+    [M: HashModel + ?Sized] ShardedIndex<'_, M>;
     [] MultiTableIndex<'_>;
     [M: HashModel + ?Sized + 'static, C: CodeWord] MutableIndex<M, C>;
-    [M: HashModel + ?Sized + 'static, C: CodeWord] ShardedMutableIndex<M, C>;
 }
 
 #[cfg(test)]
@@ -160,11 +159,6 @@ mod tests {
         let mutable: MutableIndex<_> = MutableIndex::build(Arc::new(model.clone()), &data, 2);
         assert_eq!(query_dyn(&mutable, &q, 5), expect);
         assert_eq!(Index::n_items(&mutable), 100);
-
-        let sharded_mutable: ShardedMutableIndex<_> =
-            ShardedMutableIndex::build(MutableIndex::builder(Arc::new(model.clone())), &data, 2, 3);
-        assert_eq!(query_dyn(&sharded_mutable, &q, 5), expect);
-        assert_eq!(Index::n_items(&sharded_mutable), 100);
 
         let models: Vec<&dyn gqr_l2h::HashModel> = vec![&model];
         let multi = MultiTableIndex::build(models, &data, 2);

@@ -41,10 +41,10 @@
 //! External ids are stable across compaction. Internally every row lives in
 //! a *global slot*: base slot `s` is slot `s`, delta row `j` is slot
 //! `base_rows + j`. Tombstones name global slots; each segment carries a
-//! slot → external-id array. Id allocation is parameterized by
-//! `(first id, step)` so [`ShardedMutableIndex`] can give shard `s` of `S`
-//! the residue class `id ≡ s (mod S)` — mutations route by `id % S`
-//! without any shared allocator.
+//! slot → external-id array. A read searches base and delta as one index
+//! over the global slots and maps its answer to external ids. The
+//! allocator hands out ids from `next_id` in steps of `id_step` — 1 for a
+//! built index, whatever a loaded snapshot's live state records.
 
 use crate::attrs::AttributeStore;
 use crate::code::CodeWord;
@@ -54,8 +54,7 @@ use crate::metrics::{metric_name, MarkerKind, MetricsRegistry, SpanId};
 use crate::persist::{corrupt, PersistError, SectionKind, SnapshotFile, SnapshotWriter};
 use crate::probe::mih::MihIndex;
 use crate::probe_loop::{
-    drive, Evaluator, FlatRows, MihSource, ProbeCtx, SegmentRef, SegmentedRows, SegmentedTables,
-    Target,
+    drive, MihSource, ProbeCtx, SegmentRef, SegmentedRows, SegmentedTables, Target,
 };
 use crate::recall::RecallModel;
 use crate::request::SearchRequest;
@@ -68,7 +67,7 @@ use std::collections::{HashMap, HashSet};
 use std::hash::BuildHasherDefault;
 use std::marker::PhantomData;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Instant;
 
@@ -249,9 +248,8 @@ pub struct VersionedStore<M: HashModel + ?Sized, C: CodeWord = u64> {
     /// Attribute store keyed by **external** ids, fixed at build time.
     /// Rows inserted after the store was built have no attributes and
     /// match no predicate (the documented missing-attribute semantics);
-    /// rebuild the index to re-attribute. `Arc` so sharded wrappers share
-    /// one copy.
-    attrs: Option<Arc<AttributeStore>>,
+    /// rebuild the index to re-attribute.
+    attrs: Option<AttributeStore>,
 }
 
 impl<M: HashModel + ?Sized + 'static, C: CodeWord> VersionedStore<M, C> {
@@ -560,8 +558,8 @@ impl<M: HashModel + ?Sized + 'static, C: CodeWord> VersionedStore<M, C> {
 
     /// See [`MutableIndex::run_pinned`].
     fn run_pinned(&self, gen: &Generation<C>, mut req: SearchRequest<'_>) -> SearchResponse {
-        let env = req.open_merged(&self.metrics, "live");
-        let (query, params, model) = (req.query, req.params, &*self.model);
+        let env = req.open(&self.metrics, "live");
+        let (query, params, budgets, model) = (req.query, req.params, req.budgets, &*self.model);
         let (dim, metric) = (self.dim, self.metric);
         assert_eq!(query.len(), dim, "query dimensionality mismatch");
         // Predicate → composed filter over **external** ids (the attribute
@@ -569,7 +567,7 @@ impl<M: HashModel + ?Sized + 'static, C: CodeWord> VersionedStore<M, C> {
         // match nothing). No brute arm on the mutable path — the survivor
         // bitmap acts as a pre-filter.
         let predicate = req.predicate;
-        let attrs = self.attrs.as_deref();
+        let attrs = self.attrs.as_ref();
         let (_, mut filter) = env.plan_filter(attrs, predicate.as_ref(), req.filter, 0);
         let start = Instant::now();
         // The one gate, over global slots: tombstone first, so a deleted
@@ -580,7 +578,7 @@ impl<M: HashModel + ?Sized + 'static, C: CodeWord> VersionedStore<M, C> {
         let mut gate = |slot: u32| {
             !tombstones.contains(&slot) && user.as_deref_mut().is_none_or(|f| f(gen.ext_id(slot)))
         };
-        let mut gate: Option<&mut dyn FnMut(u32) -> bool> = gated.then_some(&mut gate);
+        let gate: Option<&mut dyn FnMut(u32) -> bool> = gated.then_some(&mut gate);
         let metrics = &self.metrics;
         let flush = |ctx: &ProbeCtx<'_>, segment: &str, since: Instant| {
             let labels = [("segment", segment), ("strategy", env.strategy)];
@@ -602,38 +600,22 @@ impl<M: HashModel + ?Sized + 'static, C: CodeWord> VersionedStore<M, C> {
             n_rows: base.rows() + delta.rows(),
         };
         let mut out = match params.strategy {
-            // The side index is per segment: search each with the whole
-            // candidate budget and merge.
+            // One lookup sequence over the non-empty segments' side indexes.
             ProbeStrategy::MultiIndexHashing { .. } => {
-                let mut answers = Vec::with_capacity(2);
-                let parts = [(base, 0, "base"), (delta, base_rows, "delta")];
-                for (seg, first, label) in parts.into_iter().filter(|p| p.0.rows() > 0) {
-                    let began = Instant::now();
+                let mut ctx = ProbeCtx::new(&env);
+                let parts = [(base, 0), (delta, base_rows)].into_iter();
+                let parts = parts.filter(|(seg, _)| seg.rows() > 0).map(|(seg, first)| {
                     let mih = seg.mih.as_ref();
                     let mih = mih.expect("build with mih_blocks() before searching with MIH");
-                    let mut ctx = ProbeCtx::new(&env);
-                    let mut source =
-                        MihSource::new(model, mih, params.max_buckets, query, &mut ctx);
-                    let mut shifted = gate
-                        .as_deref_mut()
-                        .map(|gate| move |local: u32| gate(first + local));
-                    let filter = shifted.as_mut().map(|f| f as &mut dyn FnMut(u32) -> bool);
-                    let rows = FlatRows {
-                        data: &seg.data,
-                        dim,
-                    };
-                    let sink = Evaluator {
-                        query,
-                        rows,
-                        metric,
-                        filter,
-                    };
-                    let policy = target.policy(&params, start, metrics);
-                    let res = drive(&mut source, policy, sink, &[], &mut ctx);
-                    flush(&ctx, label, began);
-                    answers.push((res, first, seg.rows()));
-                }
-                SearchResponse::merged(params.k, answers)
+                    (mih, first)
+                });
+                let (parts, cap) = (parts.collect(), params.max_buckets);
+                let mut source = MihSource::new(model, parts, cap, query, &mut ctx);
+                let sink = target.sink(query, gate);
+                let policy = target.policy(&params, start, metrics);
+                let res = drive(&mut source, policy, sink, budgets, &mut ctx);
+                flush(&ctx, "all", start);
+                res
             }
             strategy => {
                 let mut ctx = ProbeCtx::new(&env);
@@ -641,12 +623,13 @@ impl<M: HashModel + ?Sized + 'static, C: CodeWord> VersionedStore<M, C> {
                     SegmentedTables::new(model, segments, gen.n_live(), strategy, query, &mut ctx);
                 let sink = target.sink(query, gate);
                 let policy = target.policy(&params, start, metrics);
-                let res = drive(&mut source, policy, sink, &[], &mut ctx);
+                let res = drive(&mut source, policy, sink, budgets, &mut ctx);
                 flush(&ctx, "all", start);
                 res
             }
         };
-        for slot in &mut out.ids {
+        let checkpoint_ids = out.checkpoints.iter_mut().flat_map(|c| &mut c.top_ids);
+        for slot in out.ids.iter_mut().chain(checkpoint_ids) {
             *slot = gen.ext_id(*slot);
         }
         if self.metrics.is_enabled() {
@@ -827,7 +810,7 @@ pub struct MutableIndexBuilder<M: HashModel + ?Sized, C: CodeWord = u64> {
     compaction_threshold: usize,
     background_compaction: bool,
     recall: Option<RecallModel>,
-    attrs: Option<Arc<AttributeStore>>,
+    attrs: Option<AttributeStore>,
     code: PhantomData<C>,
 }
 
@@ -886,28 +869,13 @@ impl<M: HashModel + ?Sized + 'static, C: CodeWord> MutableIndexBuilder<M, C> {
     /// [`Predicate`](crate::attrs::Predicate) are planned against it. Rows
     /// inserted after build have no attributes and match no predicate.
     pub fn attrs(mut self, attrs: AttributeStore) -> Self {
-        self.attrs = Some(Arc::new(attrs));
+        self.attrs = Some(attrs);
         self
     }
 
     /// Build over `data` (row-major, `dim` columns). Initial rows get
     /// external ids `0..n`.
     pub fn build(self, data: &[f32], dim: usize) -> MutableIndex<M, C> {
-        let n = data.len() / dim.max(1);
-        self.build_with_ids(data, dim, (0..n as u32).collect(), n as u32, 1)
-    }
-
-    /// Build with explicit per-row external ids and allocator state
-    /// (`next_id`, `id_step`); the sharded wrapper uses this to give shard
-    /// `s` of `S` the id residue class `s (mod S)`.
-    fn build_with_ids(
-        self,
-        data: &[f32],
-        dim: usize,
-        ids: Vec<u32>,
-        next_id: u32,
-        id_step: u32,
-    ) -> MutableIndex<M, C> {
         assert_eq!(
             self.model.dim(),
             dim,
@@ -918,8 +886,8 @@ impl<M: HashModel + ?Sized + 'static, C: CodeWord> MutableIndexBuilder<M, C> {
             "data must be n×dim"
         );
         let n = data.len() / dim;
-        assert_eq!(ids.len(), n, "one external id per row");
         assert!(n < u32::MAX as usize, "id space is u32");
+        let ids: Vec<u32> = (0..n as u32).collect();
         assert!(
             self.model.code_length() <= C::BITS,
             "code length {} exceeds the {}-bit code word",
@@ -936,13 +904,7 @@ impl<M: HashModel + ?Sized + 'static, C: CodeWord> MutableIndexBuilder<M, C> {
             mih: None,
         };
         base.rebuild_mih(self.mih_blocks);
-        let live: HashMap<u32, u32> = base
-            .ids
-            .iter()
-            .enumerate()
-            .map(|(s, &id)| (id, s as u32))
-            .collect();
-        assert_eq!(live.len(), n, "external ids must be unique");
+        let live: HashMap<u32, u32> = (0..n as u32).map(|id| (id, id)).collect();
         let code_length = self.model.code_length();
         let store = Arc::new_cyclic(|myself| VersionedStore {
             model: self.model,
@@ -951,14 +913,17 @@ impl<M: HashModel + ?Sized + 'static, C: CodeWord> MutableIndexBuilder<M, C> {
             mih_blocks: self.mih_blocks,
             compaction_threshold: self.compaction_threshold,
             background_compaction: self.background_compaction,
-            id_step,
+            id_step: 1,
             current: RwLock::new(Arc::new(Generation {
                 epoch: 0,
                 base: Arc::new(base),
                 delta: Arc::new(Segment::empty(code_length)),
                 tombstones: Arc::default(),
             })),
-            writer: Mutex::new(WriterState { next_id, live }),
+            writer: Mutex::new(WriterState {
+                next_id: n as u32,
+                live,
+            }),
             compacting: AtomicBool::new(false),
             myself: myself.clone(),
             metrics: self.metrics,
@@ -1053,7 +1018,7 @@ impl<M: HashModel + ?Sized + 'static, C: CodeWord> MutableIndex<M, C> {
     /// The attribute store backing structured predicates, if one was
     /// attached at build time (keyed by external ids).
     pub fn attrs(&self) -> Option<&AttributeStore> {
-        self.store.attrs.as_deref()
+        self.store.attrs.as_ref()
     }
 
     /// Execute one request against an explicitly pinned generation. HR, GHR,
@@ -1062,9 +1027,9 @@ impl<M: HashModel + ?Sized + 'static, C: CodeWord> MutableIndex<M, C> {
     /// rebuild over the live rows. A candidate passes one gate — the
     /// tombstone test, then the request's filter and predicate on its
     /// external id — before any distance is computed, and a rejected row
-    /// spends no budget. MIH searches each segment through its own side
-    /// index with the whole budget and merges the per-segment top-k.
-    /// Neighbor ids are external ids. Checkpoints are rejected.
+    /// spends no budget. MIH looks each substring bucket up in both
+    /// segments' side indexes at once, so it too is one search. Neighbor
+    /// ids, checkpoint ids included, are external ids.
     pub fn run_pinned(&self, gen: &Generation<C>, req: SearchRequest<'_>) -> SearchResponse {
         self.store.run_pinned(gen, req)
     }
@@ -1306,7 +1271,7 @@ impl<C: CodeWord> MutableIndex<dyn HashModel, C> {
         }
 
         let recall = file.recall_model()?;
-        let attrs = file.attrs()?.map(Arc::new);
+        let attrs = file.attrs()?;
         let store = Arc::new_cyclic(|myself| VersionedStore {
             model,
             dim,
@@ -1370,186 +1335,6 @@ impl<M: HashModel + ?Sized + 'static, C: CodeWord> IndexWriter<M, C> {
     /// row was replaced.
     pub fn upsert(&self, id: u32, vector: &[f32]) -> bool {
         self.store.upsert(id, vector)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Sharded wrapper
-// ---------------------------------------------------------------------------
-
-/// `S` mutable shards behind one front door, with id-stable routing:
-/// external id `i` always lives in shard `i % S` (each shard's allocator
-/// hands out its own residue class), so deletes and upserts route without
-/// any directory. Inserts round-robin across shards.
-pub struct ShardedMutableIndex<M: HashModel + ?Sized = dyn HashModel, C: CodeWord = u64> {
-    shards: Vec<MutableIndex<M, C>>,
-    round_robin: AtomicUsize,
-    metrics: MetricsRegistry,
-}
-
-impl<M: HashModel + ?Sized + 'static, C: CodeWord> ShardedMutableIndex<M, C> {
-    /// Partition `data` row-wise (row `i` → shard `i % n_shards`, keeping
-    /// external id `i`) and build one [`MutableIndex`] per shard with this
-    /// builder's configuration. The builder's metrics registry is shared by
-    /// every shard.
-    pub fn build(
-        builder: MutableIndexBuilder<M, C>,
-        data: &[f32],
-        dim: usize,
-        n_shards: usize,
-    ) -> ShardedMutableIndex<M, C> {
-        assert!(n_shards > 0, "need at least one shard");
-        assert!(
-            dim > 0 && data.len().is_multiple_of(dim),
-            "data must be n×dim"
-        );
-        let n = data.len() / dim;
-        let metrics = builder.metrics.clone();
-        let mut shards = Vec::with_capacity(n_shards);
-        for s in 0..n_shards {
-            let mut shard_data = Vec::new();
-            let mut ids = Vec::new();
-            for i in (s..n).step_by(n_shards) {
-                shard_data.extend_from_slice(&data[i * dim..(i + 1) * dim]);
-                ids.push(i as u32);
-            }
-            // First unassigned id in this shard's residue class.
-            let next_id = (n + n_shards - 1 - s) / n_shards * n_shards + s;
-            let shard_builder = MutableIndexBuilder {
-                model: Arc::clone(&builder.model),
-                metric: builder.metric,
-                metrics: metrics.clone(),
-                mih_blocks: builder.mih_blocks,
-                compaction_threshold: builder.compaction_threshold,
-                background_compaction: builder.background_compaction,
-                recall: builder.recall.clone(),
-                attrs: builder.attrs.clone(),
-                code: PhantomData,
-            };
-            shards.push(shard_builder.build_with_ids(
-                &shard_data,
-                dim,
-                ids,
-                next_id as u32,
-                n_shards as u32,
-            ));
-        }
-        ShardedMutableIndex {
-            shards,
-            round_robin: AtomicUsize::new(0),
-            metrics,
-        }
-    }
-
-    /// Number of shards.
-    pub fn n_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Total live rows across shards.
-    pub fn n_items(&self) -> usize {
-        self.shards.iter().map(MutableIndex::n_items).sum()
-    }
-
-    /// Vector dimensionality (every shard shares it).
-    pub fn dim(&self) -> usize {
-        self.shards[0].dim()
-    }
-
-    /// The shared metrics registry.
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
-    }
-
-    /// The shard owning external id `id`.
-    fn shard_of(&self, id: u32) -> &MutableIndex<M, C> {
-        &self.shards[id as usize % self.shards.len()]
-    }
-
-    /// Insert one vector into the next shard (round-robin); returns the
-    /// allocated external id (which encodes its shard as `id % S`).
-    pub fn insert(&self, vector: &[f32]) -> u32 {
-        let s = self.round_robin.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-        self.shards[s].writer().insert(vector)
-    }
-
-    /// Delete by external id, routed to its shard by `id % S`.
-    pub fn delete(&self, id: u32) -> bool {
-        self.shard_of(id).writer().delete(id)
-    }
-
-    /// Insert-or-replace under an explicit external id, routed by `id % S`.
-    pub fn upsert(&self, id: u32, vector: &[f32]) -> bool {
-        self.shard_of(id).writer().upsert(id, vector)
-    }
-
-    /// Execute one request serially across the shards and merge the
-    /// per-shard top-k (external ids throughout). Checkpoints are
-    /// rejected; filters compose (shards already speak external ids).
-    pub fn run(&self, mut req: SearchRequest<'_>) -> SearchResponse {
-        let env = req.open_merged(&self.metrics, "sharded_live");
-        let (query, params) = (req.query, req.params);
-        let mut filter = req.filter;
-        // Shards speak external ids, and every shard holds the same shared
-        // attribute store — the predicate passes through untouched and
-        // each shard plans it locally.
-        let predicate = req.predicate;
-        let results = env.fan_out(self.shards.len(), |i, lane, span| {
-            let mut shard_req = SearchRequest::new(query)
-                .params(params)
-                .with_trace_parent(lane, span);
-            if let Some(f) = filter.as_deref_mut() {
-                shard_req = shard_req.filter(|id: u32| f(id));
-            }
-            if let Some(p) = &predicate {
-                shard_req = shard_req.predicate(p.clone());
-            }
-            self.shards[i].run(shard_req)
-        });
-        let mut merged = merge_ext(params.k, results);
-        merged.trace_id = env.close();
-        merged
-    }
-
-    /// Execute one request by fanning the shards out as one job each on
-    /// `exec`. Filtered requests (closure or predicate) fall back to the
-    /// serial path (a `FnMut` filter cannot be shared across concurrent
-    /// shards).
-    pub fn run_on(&self, exec: &Executor, mut req: SearchRequest<'_>) -> SearchResponse {
-        if req.has_filter() || req.has_predicate() {
-            return self.run(req);
-        }
-        let env = req.open_merged(&self.metrics, "sharded_live");
-        let (query, params) = (req.query, req.params);
-        let results = env.fan_out_on(exec, self.shards.len(), |i, lane, span| {
-            let shard_req = SearchRequest::new(query).params(params);
-            self.shards[i].run(shard_req.with_trace_parent(lane, span))
-        });
-        let mut merged = merge_ext(params.k, results);
-        merged.trace_id = env.close();
-        merged
-    }
-
-    /// The attribute store backing structured predicates, if one was
-    /// attached at build time (every shard shares the same store).
-    pub fn attrs(&self) -> Option<&AttributeStore> {
-        self.shards.first().and_then(|s| s.attrs())
-    }
-}
-
-/// Merge per-shard results whose neighbor ids are already external. The
-/// shards do not say how many rows each answered for, so the merged answer
-/// carries no recall prediction.
-fn merge_ext(k: usize, results: Vec<SearchResponse>) -> SearchResponse {
-    SearchResponse::merged(k, results.into_iter().map(|res| (res, 0, 0)))
-}
-
-impl<M: HashModel + ?Sized + 'static, C: CodeWord> std::fmt::Debug for ShardedMutableIndex<M, C> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedMutableIndex")
-            .field("n_shards", &self.n_shards())
-            .field("n_items", &self.n_items())
-            .finish()
     }
 }
 
@@ -1758,49 +1543,45 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "checkpoints are not supported")]
-    fn checkpoints_are_rejected() {
-        let index = fixture(10);
-        let budgets = [5usize];
-        let _ = index.run(SearchRequest::new(&[0.0, 0.0]).checkpoints(&budgets));
-    }
-
-    #[test]
-    fn sharded_routing_is_id_stable() {
-        let data = grid(101);
+    fn checkpoints_equal_the_engines() {
+        let data = grid(300);
         let model = Pcah::train(&data, 2, 2).unwrap();
-        let index: ShardedMutableIndex<_> =
-            ShardedMutableIndex::build(MutableIndex::builder(Arc::new(model)), &data, 2, 3);
-        assert_eq!(index.n_shards(), 3);
-        assert_eq!(index.n_items(), 101);
-        // Fresh ids continue the residue classes.
-        let mut fresh = Vec::new();
-        for _ in 0..5 {
-            fresh.push(index.insert(&[77.0, 77.0]));
-        }
-        assert_eq!(fresh, vec![102, 103, 101, 105, 106]);
-        assert!(index.delete(77));
-        assert!(!index.delete(77));
-        assert!(index.upsert(4, &[88.0, 88.0]));
-        assert_eq!(index.n_items(), 105);
-        let res = index.run(SearchRequest::new(&[88.0, 88.0]).params(exhaustive(1)));
-        assert_eq!(res.nearest(), Some((4, 0.0)));
-    }
-
-    #[test]
-    fn sharded_run_matches_unsharded_exhaustively() {
-        let data = grid(90);
-        let model = Arc::new(Pcah::train(&data, 2, 2).unwrap());
-        let flat: MutableIndex<_> = MutableIndex::build(Arc::clone(&model), &data, 2);
-        let sharded: ShardedMutableIndex<_> =
-            ShardedMutableIndex::build(MutableIndex::builder(model), &data, 2, 4);
-        let exec = Executor::builder().workers(2).build();
-        for q in [[3.0f32, 1.0], [15.0, 3.5], [0.0, 0.0]] {
-            let a = flat.run(SearchRequest::new(&q).params(exhaustive(7)));
-            let b = sharded.run(SearchRequest::new(&q).params(exhaustive(7)));
-            let c = sharded.run_on(&exec, SearchRequest::new(&q).params(exhaustive(7)));
-            assert_eq!(a.ranked(), b.ranked());
-            assert_eq!(b.ranked(), c.ranked());
+        let table: HashTable = HashTable::build(&model, &data, 2);
+        let mut engine = crate::engine::QueryEngine::new(&model, &table, &data, 2);
+        engine.enable_mih(2);
+        let index: MutableIndex<_> = MutableIndex::builder(Arc::new(model.clone()))
+            .mih_blocks(2)
+            .build(&data, 2);
+        let budgets = [10usize, 40, 120, 1_000];
+        for strategy in [
+            ProbeStrategy::GenerateQdRanking,
+            ProbeStrategy::MultiIndexHashing { blocks: 2 },
+        ] {
+            let params = SearchParams {
+                k: 5,
+                n_candidates: 150,
+                strategy,
+                ..Default::default()
+            };
+            let req = || {
+                SearchRequest::new(&[4.3, 7.7])
+                    .params(params)
+                    .checkpoints(&budgets)
+            };
+            let (want, got) = (engine.run(req()), index.run(req()));
+            assert_eq!(got.checkpoints.len(), budgets.len());
+            for (g, w) in got.checkpoints.iter().zip(&want.checkpoints) {
+                let at = format!("{} budget {}", strategy.name(), w.budget);
+                assert_eq!(g.budget, w.budget, "{at}");
+                assert_eq!(g.items_evaluated, w.items_evaluated, "{at}");
+                assert_eq!(g.buckets_probed, w.buckets_probed, "{at}");
+                let sorted = |ids: &[u32]| {
+                    let mut ids = ids.to_vec();
+                    ids.sort_unstable();
+                    ids
+                };
+                assert_eq!(sorted(&g.top_ids), sorted(&w.top_ids), "{at}");
+            }
         }
     }
 

@@ -198,30 +198,21 @@ impl<C: CodeWord> MihIndex<C> {
     /// Start a search for `query_code`; the searcher yields item-id batches
     /// in ascending *full* Hamming distance.
     pub fn search(&self, query_code: C) -> MihSearcher<'_, C> {
-        MihSearcher {
-            index: self,
-            query: query_code,
-            radius: 0,
-            levels: vec![Vec::new(); self.m + 1],
-            emitted_level: 0,
-            visited: vec![false; self.codes.len()],
-            remaining: self.codes.len(),
-            lookups: 0,
-            misses: 0,
-            lookup_cap: usize::MAX,
-            capped: false,
-            duplicates: 0,
-        }
+        MihSearcher::over(vec![(self, 0)], query_code)
     }
 }
 
 /// Progressive MIH search state for one query.
 pub struct MihSearcher<'a, C: CodeWord = u64> {
-    index: &'a MihIndex<C>,
+    /// Row-disjoint indexes searched as one, each with the global id of its
+    /// local id 0. They share one block partition.
+    parts: Vec<(&'a MihIndex<C>, u32)>,
+    /// Code length.
+    m: usize,
     query: C,
     /// Next per-block substring radius to expand.
     radius: usize,
-    /// Items found so far, grouped by full Hamming distance.
+    /// Items found so far (global ids), grouped by full Hamming distance.
     levels: Vec<Vec<u32>>,
     /// Levels `< emitted_level` have already been handed out.
     emitted_level: usize,
@@ -239,7 +230,47 @@ pub struct MihSearcher<'a, C: CodeWord = u64> {
     duplicates: usize,
 }
 
-impl<C: CodeWord> MihSearcher<'_, C> {
+impl<'a, C: CodeWord> MihSearcher<'a, C> {
+    /// Search row-disjoint `parts` — each index with the global id of its
+    /// local id 0 — as one index over all their rows. One substring lookup
+    /// is the concatenation of every part's bucket, shifted to global ids,
+    /// and misses only when every part misses; `visited` and the levels
+    /// speak global ids. Parts listed in ascending first id therefore yield
+    /// the units and counters of one index built over all the rows in that
+    /// order (the argument of `SegmentedTables`).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless every part has the same code length and block
+    /// partition.
+    pub(crate) fn over(parts: Vec<(&'a MihIndex<C>, u32)>, query: C) -> Self {
+        let m = parts.first().map_or(0, |(mih, _)| mih.m);
+        let partition = |mih: &MihIndex<C>| mih.blocks.iter().map(|b| (b.lo, b.bits)).collect();
+        let first: Vec<_> = parts.first().map_or(Vec::new(), |(mih, _)| partition(mih));
+        assert!(
+            parts.iter().all(|(mih, _)| partition(mih) == first),
+            "MIH parts must share one block partition"
+        );
+        let rows = |(mih, first): &(&MihIndex<C>, u32)| *first as usize + mih.codes.len();
+        let universe = parts.iter().map(rows).max().unwrap_or(0);
+        let remaining = parts.iter().map(|(mih, _)| mih.codes.len()).sum();
+        MihSearcher {
+            parts,
+            m,
+            query,
+            radius: 0,
+            levels: vec![Vec::new(); m + 1],
+            emitted_level: 0,
+            visited: vec![false; universe],
+            remaining,
+            lookups: 0,
+            misses: 0,
+            lookup_cap: usize::MAX,
+            capped: false,
+            duplicates: 0,
+        }
+    }
+
     /// Bound the number of substring-bucket lookups. A single radius
     /// expansion enumerates `C(bits, r)` masks per block — exponential in
     /// the substring width — so budget-limited callers must cap *inside*
@@ -259,11 +290,12 @@ impl<C: CodeWord> MihSearcher<'_, C> {
             // block, all items with full distance ≤ s·(r'+1) − 1 are found.
             // `self.radius` counts radii already expanded, so the bound is
             // s·radius − 1 (−1 before the first expansion: nothing is safe).
-            let s = self.index.blocks.len();
+            let &(first, _) = self.parts.first()?;
+            let s = first.blocks.len();
             let confirmed = (s * self.radius) as isize - 1;
 
             // Emit the next non-empty confirmed level, if any.
-            while (self.emitted_level as isize) <= confirmed.min(self.index.m as isize) {
+            while (self.emitted_level as isize) <= confirmed.min(self.m as isize) {
                 let level = &mut self.levels[self.emitted_level];
                 let dist = self.emitted_level as u32;
                 self.emitted_level += 1;
@@ -277,7 +309,7 @@ impl<C: CodeWord> MihSearcher<'_, C> {
                 // Every indexed item has been found (or the lookup cap
                 // fired); flush unemitted levels without waiting for the
                 // pigeonhole bound to catch up.
-                while self.emitted_level <= self.index.m {
+                while self.emitted_level <= self.m {
                     let dist = self.emitted_level as u32;
                     let level = &mut self.levels[self.emitted_level];
                     self.emitted_level += 1;
@@ -288,14 +320,14 @@ impl<C: CodeWord> MihSearcher<'_, C> {
                 }
                 return None;
             }
-            if self.emitted_level > self.index.m {
+            if self.emitted_level > self.m {
                 return None;
             }
 
             // Expand one more substring radius across all blocks.
             let r = self.radius;
             self.radius += 1;
-            'expand: for block in &self.index.blocks {
+            'expand: for (b, block) in first.blocks.iter().enumerate() {
                 if r > block.bits {
                     continue;
                 }
@@ -307,21 +339,26 @@ impl<C: CodeWord> MihSearcher<'_, C> {
                     }
                     self.lookups += 1;
                     let probe = q_sub ^ mask;
-                    let Some(items) = block.table.get(&probe) else {
-                        self.misses += 1;
-                        continue;
-                    };
-                    for &id in items {
-                        let v = &mut self.visited[id as usize];
-                        if *v {
-                            self.duplicates += 1;
+                    let mut hit = false;
+                    for &(part, first_id) in &self.parts {
+                        let Some(items) = part.blocks[b].table.get(&probe) else {
                             continue;
+                        };
+                        hit = true;
+                        for &local in items {
+                            let id = first_id + local;
+                            let v = &mut self.visited[id as usize];
+                            if *v {
+                                self.duplicates += 1;
+                                continue;
+                            }
+                            *v = true;
+                            self.remaining -= 1;
+                            let full = hamming(part.codes[local as usize], self.query) as usize;
+                            self.levels[full].push(id);
                         }
-                        *v = true;
-                        self.remaining -= 1;
-                        let full = hamming(self.index.codes[id as usize], self.query) as usize;
-                        self.levels[full].push(id);
                     }
+                    self.misses += usize::from(!hit);
                 }
             }
         }
@@ -434,6 +471,42 @@ mod tests {
             .map(|&i| hamming(codes[i as usize], q))
             .collect();
         assert!(dists.windows(2).all(|w| w[0] <= w[1]));
+    }
+
+    #[test]
+    fn parts_search_like_one_index_over_all_rows() {
+        let codes: Vec<u64> = (0..90u64).map(|i| (i * 2654435761) % 1024).collect();
+        let whole = MihIndex::build(10, &codes, 3);
+        // Every batch and counter, with the lookup cap firing or not.
+        let drain = |mut s: MihSearcher<'_, u64>, cap: usize| {
+            s.set_lookup_cap(cap);
+            let (mut out, mut batches) = (Vec::new(), Vec::new());
+            while let Some(d) = s.next_batch(&mut out) {
+                batches.push((d, std::mem::take(&mut out)));
+            }
+            let counters = (
+                s.lookups(),
+                s.empty_lookups(),
+                s.duplicates(),
+                s.hit_lookup_cap(),
+            );
+            (batches, counters)
+        };
+        for split in [0, 1, 37, 89, 90] {
+            let (head, tail) = codes.split_at(split);
+            let (a, b) = (MihIndex::build(10, head, 3), MihIndex::build(10, tail, 3));
+            for q in [0u64, 0b1011001110, 1023] {
+                for cap in [usize::MAX, 40] {
+                    let parts = vec![(&a, 0), (&b, split as u32)];
+                    assert_eq!(
+                        drain(MihSearcher::over(parts, q), cap),
+                        drain(whole.search(q), cap),
+                        "split {split}, q {q:#b}, cap {cap}"
+                    );
+                }
+            }
+        }
+        assert_eq!(drain(MihSearcher::over(Vec::new(), 5), 9).0, vec![]);
     }
 
     #[test]

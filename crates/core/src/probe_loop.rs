@@ -14,7 +14,7 @@
 use crate::attrs::AttributeStore;
 use crate::code::{typed_encoding, CodeWord};
 use crate::engine::{ProbeStrategy, SearchParams};
-use crate::metrics::{metric_name, MarkerKind, MetricsRegistry, Phase, PhaseSpans};
+use crate::metrics::{metric_name, MarkerKind, MetricsRegistry, Phase, PhaseSpans, SpanId};
 use crate::probe::mih::{MihIndex, MihSearcher};
 use crate::probe::AnyProber;
 use crate::recall::{RecallController, RecallModel};
@@ -28,9 +28,7 @@ use gqr_linalg::kernels::{prefetch_row, sq_dist_bounded, TILE_ROWS};
 use gqr_linalg::vecops::Metric;
 use std::time::Instant;
 
-/// Why a search stopped probing. Ordered so that the merge of several
-/// partial searches (shards, live MIH segments) is the `max` of its parts: a
-/// merged answer is `Exhausted` only if every part was.
+/// Why a search stopped probing.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum StopReason {
     /// The source ran dry: every bucket (or every indexed item) was seen.
@@ -80,7 +78,7 @@ impl<'a> ProbeCtx<'a> {
     #[inline]
     pub fn time<R>(&mut self, phase: Phase, f: impl FnOnce() -> R) -> R {
         let t = self.phases.begin();
-        let span = self.env.trace.begin_opt(self.env.root, phase.as_str(), t);
+        let span = self.env.trace.begin_opt(SpanId::ROOT, phase.as_str(), t);
         let out = f();
         self.phases.end(phase, t);
         self.env.trace.end(span);
@@ -213,9 +211,12 @@ pub(crate) struct MihSource<'i, C: CodeWord> {
 }
 
 impl<'i, C: CodeWord> MihSource<'i, C> {
+    /// Search row-disjoint `parts` — each side index with the global id of
+    /// its local id 0, in ascending first id — as one index (see
+    /// [`MihSearcher::over`]): one lookup sequence, whatever the layout.
     pub fn new<M: HashModel + ?Sized>(
         model: &M,
-        mih: &'i MihIndex<C>,
+        parts: Vec<(&'i MihIndex<C>, u32)>,
         max_buckets: Option<usize>,
         query: &[f32],
         ctx: &mut ProbeCtx<'_>,
@@ -223,7 +224,7 @@ impl<'i, C: CodeWord> MihSource<'i, C> {
         let code = ctx.time(Phase::HashQuery, || {
             C::from_blocks(model.encode_wide(query).blocks())
         });
-        let mut searcher = ctx.time(Phase::ProbeGenerate, || mih.search(code));
+        let mut searcher = ctx.time(Phase::ProbeGenerate, || MihSearcher::over(parts, code));
         // `max_buckets` bounds substring-bucket lookups, occupied or not,
         // like the bucket sources. The cap lives inside the searcher because
         // one radius expansion enumerates C(bits, r) masks per block (up to
@@ -791,14 +792,14 @@ pub(crate) fn drive<S: BucketSource, R: Rows>(
             units_skipped += u64::from(sink.filter.is_some() && offered > 0 && kept == 0);
             let in_unit = (stats.items_collected - collected) as u32;
             env.trace
-                .qd_step(env.root, rank as u32, cost, in_unit, kept as u32);
+                .qd_step(SpanId::ROOT, rank as u32, cost, in_unit, kept as u32);
         }
         // Checkpoints are cut after units that offered items; an empty
         // one leaves a due budget (only ever a budget of 0) to the next.
         while let Some(b) = next_budget.next_if(|&b| offered > 0 && stats.items_evaluated >= b) {
             let reached = stats.items_evaluated as u64;
             env.trace
-                .marker(env.root, MarkerKind::Checkpoint, b as u64, reached);
+                .marker(SpanId::ROOT, MarkerKind::Checkpoint, b as u64, reached);
             checkpoints.push(snapshot(b, &stats, &topk));
         }
         if let Some(reason) = policy.after(rank, cost, stats.items_evaluated) {
@@ -809,12 +810,14 @@ pub(crate) fn drive<S: BucketSource, R: Rows>(
     let probed = stats.buckets_probed as u64;
     let predicted = policy.controller.as_ref().map(|c| c.predicted());
     match reason {
-        StopReason::EarlyStop => env.trace.marker(env.root, MarkerKind::EarlyStop, probed, 0),
+        StopReason::EarlyStop => env
+            .trace
+            .marker(SpanId::ROOT, MarkerKind::EarlyStop, probed, 0),
         StopReason::RecallTarget => {
             // Markers are integer-payload: the prediction in thousandths.
             let milli = (predicted.unwrap_or(0.0) as f64 * 1000.0) as u64;
             env.trace
-                .marker(env.root, MarkerKind::RecallStop, probed, milli);
+                .marker(SpanId::ROOT, MarkerKind::RecallStop, probed, milli);
         }
         _ => {}
     }
@@ -829,7 +832,7 @@ pub(crate) fn drive<S: BucketSource, R: Rows>(
         env.metrics
             .add("gqr_filter_buckets_skipped_total", units_skipped);
         env.trace
-            .marker(env.root, MarkerKind::FilterSkip, units_skipped, 0);
+            .marker(SpanId::ROOT, MarkerKind::FilterSkip, units_skipped, 0);
     }
     #[cfg(debug_assertions)]
     stats.checked_invariants();

@@ -593,8 +593,8 @@ impl Calibrator {
             }
             match strategy {
                 ProbeStrategy::MultiIndexHashing { .. } => {
-                    let (mih, cap) = (engine.mih_index(), Some(self.bucket_cap));
-                    let mut source = MihSource::new(engine.model(), mih, cap, query, &mut ctx);
+                    let (parts, cap) = (vec![(engine.mih_index(), 0)], Some(self.bucket_cap));
+                    let mut source = MihSource::new(engine.model(), parts, cap, query, &mut ctx);
                     self.replay(&mut source, family, &gt, &mut bins, &mut ctx)
                 }
                 _ => {

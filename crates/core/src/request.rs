@@ -10,7 +10,7 @@
 //! [`ShardedIndex::run`](crate::shard::ShardedIndex::run), and
 //! [`MutableIndex::run`](crate::live::MutableIndex::run) — accepts the same
 //! type, and the [`Index`](crate::index::Index) trait abstracts over them.
-//! This request/[`SearchResponse`] pair is
+//! This request/[`SearchResponse`](crate::response::SearchResponse) pair is
 //! the *only* query entry point; the legacy per-feature wrappers are gone.
 //!
 //! ```
@@ -38,8 +38,6 @@
 
 use crate::attrs::{AttributeStore, Bitmap, FilterPlan, Predicate};
 use crate::engine::SearchParams;
-use crate::executor::Executor;
-use crate::response::SearchResponse;
 use gqr_metrics::{metric_name, MarkerKind, MetricsRegistry, SpanId, TraceContext};
 use std::time::Instant;
 
@@ -61,8 +59,6 @@ pub struct SearchRequest<'a> {
     pub(crate) predicate: Option<Predicate>,
     /// The request's explicit trace opt-in.
     trace: bool,
-    /// An already-open trace to emit under instead of starting one.
-    trace_parent: Option<(TraceContext, SpanId)>,
 }
 
 impl<'a> SearchRequest<'a> {
@@ -75,7 +71,6 @@ impl<'a> SearchRequest<'a> {
             filter: None,
             predicate: None,
             trace: false,
-            trace_parent: None,
         }
     }
 
@@ -143,15 +138,6 @@ impl<'a> SearchRequest<'a> {
         self.trace
     }
 
-    /// Attach an already-open trace: the execution surface emits its spans
-    /// under `parent` in `ctx` instead of beginning (and finishing) a trace
-    /// of its own. This is how the sharded fan-out hands its per-shard
-    /// engines a lane in the query's tree.
-    pub(crate) fn with_trace_parent(mut self, ctx: TraceContext, parent: SpanId) -> Self {
-        self.trace_parent = Some((ctx, parent));
-        self
-    }
-
     /// The query vector.
     pub fn query(&self) -> &'a [f32] {
         self.query
@@ -189,12 +175,9 @@ impl<'a> SearchRequest<'a> {
 
     /// Open the envelope every execution surface wraps a request in: fold
     /// the deadline into `params.time_limit` (whichever is tighter wins)
-    /// and settle who owns the trace. A composite surface (the sharded
-    /// fan-out) hands its parts a lane in an already-open trace;
-    /// otherwise this surface owns the trace — begun here as `surface`
-    /// (sampled 1-in-N, forced for explicit `.trace()` opt-ins and for
-    /// requests already past their deadline) and sealed by
-    /// [`Envelope::close`].
+    /// and begin the trace as `surface` (sampled 1-in-N, forced for
+    /// explicit `.trace()` opt-ins and for requests already past their
+    /// deadline), sealed by [`Envelope::close`].
     pub(crate) fn open<'m>(
         &mut self,
         metrics: &'m MetricsRegistry,
@@ -207,37 +190,12 @@ impl<'a> SearchRequest<'a> {
             let limit = self.params.time_limit;
             self.params.time_limit = Some(limit.map_or(remaining, |tl| tl.min(remaining)));
         }
-        let (trace, root, owned) = match self.trace_parent.take() {
-            Some((ctx, parent)) => (ctx, parent, false),
-            None => {
-                let ctx = metrics.trace_begin(surface, self.trace || admitted_late);
-                (ctx, SpanId::ROOT, true)
-            }
-        };
         Envelope {
             metrics,
             strategy: self.params.strategy.name(),
-            trace,
-            root,
-            owned,
+            trace: metrics.trace_begin(surface, self.trace || admitted_late),
             deadline,
         }
-    }
-
-    /// [`SearchRequest::open`] for a surface that merges per-part answers
-    /// (for a live index: under MIH). Checkpoints are rejected there:
-    /// per-part snapshots cannot be merged into a global running top-k
-    /// without the distances a snapshot discards.
-    pub(crate) fn open_merged<'m>(
-        &mut self,
-        metrics: &'m MetricsRegistry,
-        surface: &'static str,
-    ) -> Envelope<'m> {
-        assert!(
-            self.budgets.is_empty(),
-            "checkpoints are not supported on the {surface} path"
-        );
-        self.open(metrics, surface)
     }
 }
 
@@ -246,19 +204,16 @@ pub(crate) struct Envelope<'m> {
     pub metrics: &'m MetricsRegistry,
     /// The request's strategy name: the `strategy` label of its counters.
     pub strategy: &'static str,
-    /// The trace this surface emits into.
+    /// The trace this surface emits into, under its root span.
     pub trace: TraceContext,
-    /// The span this surface's spans and markers hang under.
-    pub root: SpanId,
-    owned: bool,
     deadline: Option<Instant>,
 }
 
 impl Envelope<'_> {
     /// Count a late finish under
     /// `gqr_request_deadline_missed_total{strategy}` (with a `DeadlineMiss`
-    /// marker carrying the overrun in nanoseconds), seal the trace when
-    /// this surface owns it, and return the trace id for the response.
+    /// marker carrying the overrun in nanoseconds), seal the trace, and
+    /// return the trace id for the response.
     pub(crate) fn close(self) -> Option<u64> {
         let now = Instant::now();
         let missed = self.deadline.filter(|&d| now > d);
@@ -268,12 +223,10 @@ impl Envelope<'_> {
             self.metrics.incr(&name);
             let over_ns = u64::try_from((now - d).as_nanos()).unwrap_or(u64::MAX);
             self.trace
-                .marker(self.root, MarkerKind::DeadlineMiss, over_ns, 0);
+                .marker(SpanId::ROOT, MarkerKind::DeadlineMiss, over_ns, 0);
         }
         let trace_id = self.trace.id();
-        if self.owned {
-            self.metrics.trace_finish(self.trace, missed.is_some());
-        }
+        self.metrics.trace_finish(self.trace, missed.is_some());
         trace_id
     }
 
@@ -288,8 +241,8 @@ impl Envelope<'_> {
     ///
     /// `brute_budget` is what a brute-force arm may spend. When the exact
     /// survivor set fits, it is returned beside the caller's filter instead
-    /// of being folded in. Surfaces with no brute arm of their own (each
-    /// part probes its own table) pass 0 and always get a gate.
+    /// of being folded in. Surfaces with no brute arm (the live and
+    /// multi-table indexes) pass 0 and always get a gate.
     pub(crate) fn plan_filter<'a>(
         &self,
         store: Option<&'a AttributeStore>,
@@ -311,7 +264,7 @@ impl Envelope<'_> {
         let ppm = (choice.selectivity * 1e6) as u64;
         self.metrics.record("gqr_filter_selectivity_ppm", ppm);
         self.trace
-            .marker(self.root, MarkerKind::FilterPlan, choice.plan.tag(), ppm);
+            .marker(SpanId::ROOT, MarkerKind::FilterPlan, choice.plan.tag(), ppm);
         let survivors = match choice.plan {
             FilterPlan::BruteForce { survivors } if brute_budget > 0 => {
                 return (Some(survivors), user);
@@ -327,63 +280,6 @@ impl Envelope<'_> {
             None => Box::new(move |id| store.matches(pred, id) && user(id)),
         };
         (None, Some(gate))
-    }
-
-    /// Fan the request out over `n` parts (shards), serially on the calling
-    /// thread: `part(i, lane, span)` answers part `i`, emitting its trace
-    /// under `span` in `lane`. Each part gets its own display track so the
-    /// Chrome export lays the fan-out side by side.
-    pub(crate) fn fan_out(
-        &self,
-        n: usize,
-        mut part: impl FnMut(usize, TraceContext, SpanId) -> SearchResponse,
-    ) -> Vec<SearchResponse> {
-        let fanout = self.trace.begin_arg(self.root, "fanout", n as u64);
-        let results = (0..n).map(|i| {
-            let lane = self.trace.clone().with_track(i as u32 + 1);
-            let span = lane.begin_arg(fanout, "shard", i as u64);
-            let res = part(i, lane.clone(), span);
-            lane.end(span);
-            res
-        });
-        let results = results.collect();
-        self.trace.end(fanout);
-        results
-    }
-
-    /// [`Envelope::fan_out`] as one job per part on `exec`, blocking until
-    /// all complete.
-    pub(crate) fn fan_out_on(
-        &self,
-        exec: &Executor,
-        n: usize,
-        part: impl Fn(usize, TraceContext, SpanId) -> SearchResponse + Sync,
-    ) -> Vec<SearchResponse> {
-        let fanout = self.trace.begin_arg(self.root, "fanout", n as u64);
-        let mut slots: Vec<Option<SearchResponse>> = (0..n).map(|_| None).collect();
-        let part = &part;
-        exec.run_scoped(slots.iter_mut().enumerate().map(|(i, slot)| {
-            // `enq` is captured as the job is handed to the executor, so the
-            // `queue_wait` span covers the time the job sat in the bounded
-            // queue before a worker picked it up.
-            let lane = self.trace.clone().with_track(i as u32 + 1);
-            let enq = Instant::now();
-            Box::new(move || {
-                let span = lane.begin_arg_at(fanout, "shard", i as u64, enq);
-                let wait = lane.begin_at(span, "queue_wait", enq);
-                lane.end(wait);
-                // 1-based worker id; 0 means the job ran off-pool.
-                let worker = Executor::current_worker_index().map_or(0, |w| w as u64 + 1);
-                let run_span = lane.begin_arg(span, "run", worker);
-                *slot = Some(part(i, lane.clone(), run_span));
-                lane.end(run_span);
-                lane.end(span);
-            }) as Box<dyn FnOnce() + Send + '_>
-        }));
-        self.trace.end(fanout);
-        let done = slots.into_iter();
-        done.map(|r| r.expect("run_scoped completed every part"))
-            .collect()
     }
 }
 

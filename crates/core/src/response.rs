@@ -13,7 +13,6 @@
 
 use crate::probe_loop::StopReason;
 use crate::stats::ProbeStats;
-use crate::topk::TopK;
 use std::time::Duration;
 
 /// Result of one search: the ranked neighbors in columnar form plus the
@@ -45,9 +44,7 @@ pub struct SearchResponse {
     /// recall to audit the SLA (`gqr-bench`'s recall bench does exactly
     /// that).
     pub predicted_recall: Option<f32>,
-    /// Which stopping criterion ended the search. A merged response
-    /// (shards, live segments) carries the `max` of its parts, so it reads
-    /// `Exhausted` only when every part ran dry.
+    /// Which stopping criterion ended the search.
     pub stop_reason: StopReason,
 }
 
@@ -70,46 +67,6 @@ impl SearchResponse {
             predicted_recall: None,
             stop_reason: StopReason::default(),
         }
-    }
-
-    /// Merge per-part answers (shards, live segments) into one top-`k`:
-    /// summed stats, the `max` stop reason, and the neighbors re-ranked by
-    /// `(distance, id)`. Each part comes with the offset that maps its ids
-    /// into the merged id space and the number of rows it answers for.
-    ///
-    /// The merged recall prediction is the row-weighted average of the
-    /// parts': each part's controller only sees its own partition, so its
-    /// estimate speaks for `rows / total` of the id space. It is `None`
-    /// unless every part produced a prediction (a partially-calibrated
-    /// fan-out would otherwise over-claim) and the parts' rows are known
-    /// (non-zero in total).
-    pub(crate) fn merged(
-        k: usize,
-        parts: impl IntoIterator<Item = (SearchResponse, u32, usize)>,
-    ) -> SearchResponse {
-        let parts: Vec<_> = parts.into_iter().collect();
-        let total_rows: usize = parts.iter().map(|part| part.2).sum();
-        let mut topk = TopK::new(k);
-        let mut stats = ProbeStats::default();
-        let mut stop_reason = StopReason::default();
-        let mut predicted = Some(0.0f64);
-        for (res, offset, rows) in parts {
-            stats.merge(&res.stats);
-            stop_reason = stop_reason.max(res.stop_reason);
-            predicted = match (predicted, res.predicted_recall) {
-                (Some(acc), Some(p)) if total_rows > 0 => {
-                    Some(acc + p as f64 * rows as f64 / total_rows as f64)
-                }
-                _ => None,
-            };
-            for (id, dist) in res.neighbors() {
-                topk.push(dist, id + offset);
-            }
-        }
-        let mut out = SearchResponse::from_ranked(topk.into_sorted(), stats);
-        out.stop_reason = stop_reason;
-        out.predicted_recall = predicted.map(|p| p.clamp(0.0, 1.0) as f32);
-        out
     }
 
     /// Number of neighbors returned (≤ the requested k).

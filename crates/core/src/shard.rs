@@ -2,35 +2,27 @@
 //!
 //! A [`ShardedIndex`] partitions the item rows into `S` contiguous shards
 //! and builds one [`HashTable`] (and optionally one MIH side index) per
-//! shard. The bucket order of HR/GHR/QR/GQR depends on the query alone, so
-//! one prober serves every shard: a query is **one** search whose probe
-//! unit is the concatenation of each shard's bucket for the code, shifted
-//! to global ids — exactly the bucket of one table over all the rows. One
+//! shard. The probe order of every strategy depends on the query alone, so
+//! a query is **one** search whose probe unit is the concatenation of each
+//! shard's bucket — for MIH, each shard's substring bucket — shifted to
+//! global ids: exactly the bucket of one index over all the rows. One
 //! candidate budget, one stop policy, one top-k, no merge: the answer, its
-//! [`ProbeStats`](crate::stats::ProbeStats), stop reason and recall
-//! prediction are **bit-identical** to the unsharded engine's at every
+//! [`ProbeStats`](crate::stats::ProbeStats), stop reason, recall prediction
+//! and checkpoints are **bit-identical** to the unsharded engine's at every
 //! budget (see `tests/sharded_equivalence.rs`). A predicate is planned
-//! once, against that global budget.
-//!
-//! MIH keeps one side index per shard, so an MIH query searches every
-//! shard with the whole budget and merges the per-shard top-k — serially
-//! ([`ShardedIndex::run`]) or as one job per shard on a persistent
-//! [`Executor`] ([`ShardedIndex::run_on`]). Its per-shard work is
-//! observable as `gqr_shard_*{shard="i",strategy="MIH"}` and the merge as
-//! `gqr_sharded_merge_ns`; the one search of every other strategy flushes
-//! its phase spans once as `gqr_shard_*{shard="all",strategy}`.
+//! once, against that global budget. The search flushes its phase spans
+//! once as `gqr_shard_*{shard="all",strategy}`.
 
 use crate::attrs::AttributeStore;
-use crate::engine::{ProbeStrategy, QueryEngine, SearchParams, SearchResponse};
-use crate::executor::Executor;
+use crate::engine::{ProbeStrategy, SearchParams, SearchResponse};
 use crate::metrics::MetricsRegistry;
 use crate::persist::{LoadedIndex, PersistError, SnapshotWriter};
 use crate::probe::mih::MihIndex;
 use crate::probe_loop::{
-    drive, Evaluator, FlatRows, ProbeCtx, SegmentRef, SegmentedTables, Target,
+    drive, FlatRows, MihSource, ProbeCtx, SegmentRef, SegmentedTables, Target,
 };
 use crate::recall::RecallModel;
-use crate::request::{Envelope, SearchRequest};
+use crate::request::SearchRequest;
 use crate::table::{encode_rows, HashTable};
 use gqr_l2h::HashModel;
 use gqr_linalg::vecops::Metric;
@@ -43,8 +35,7 @@ struct Shard {
     /// Global ids of this shard's rows; local id `l` is global id
     /// `rows.start + l`.
     rows: Range<usize>,
-    /// Prebuilt MIH side index, shared by every per-query engine so the
-    /// substring tables are built once per shard, not once per search.
+    /// Prebuilt MIH side index over this shard's local ids.
     mih: Option<MihIndex>,
 }
 
@@ -56,7 +47,7 @@ impl Shard {
 }
 
 /// A dataset partitioned across `S` shard-local hash tables, searched as
-/// one table (MIH: by fanning out and merging per-shard top-k exactly).
+/// one table.
 ///
 /// ```
 /// use gqr_core::engine::SearchParams;
@@ -298,10 +289,8 @@ impl<'a, M: HashModel + ?Sized> ShardedIndex<'a, M> {
     }
 
     /// Attach a metrics registry (builder style): every query records
-    /// `gqr_sharded_{total_ns,queries_total}`; the one search of HR/GHR/QR/
-    /// GQR flushes its phase spans as `gqr_shard_*{shard="all",strategy="…"}`,
-    /// while MIH flushes them per shard (`shard="0"`, …) and records its
-    /// merge as `gqr_sharded_merge_ns`.
+    /// `gqr_sharded_{total_ns,queries_total}` and flushes the phase spans of
+    /// its one search as `gqr_shard_*{shard="all",strategy="…"}`.
     pub fn with_metrics(mut self, metrics: MetricsRegistry) -> Self {
         self.metrics = metrics;
         self
@@ -316,10 +305,8 @@ impl<'a, M: HashModel + ?Sized> ShardedIndex<'a, M> {
     /// Attach a calibrated [`RecallModel`] (builder style), consulted when a
     /// request sets
     /// [`SearchParams::recall_target`](crate::engine::SearchParamsBuilder::recall_target).
-    /// The one search of HR/GHR/QR/GQR walks the trajectory of the unsharded
-    /// engine the model was calibrated on, so its `predicted_recall` is that
-    /// engine's. Only MIH, which searches each shard on its own, reports the
-    /// shard-row-weighted average of the per-shard predictions.
+    /// The one search walks the trajectory of the unsharded engine the model
+    /// was calibrated on, so its `predicted_recall` is that engine's.
     pub fn with_recall_model(mut self, model: &'a RecallModel) -> Self {
         self.recall = Some(model);
         self
@@ -347,7 +334,6 @@ impl<'a, M: HashModel + ?Sized> ShardedIndex<'a, M> {
 
     /// Build each shard's multi-index-hashing side index (required before
     /// [`ProbeStrategy::MultiIndexHashing`]).
-    /// Built once per shard and then lent to every per-query engine.
     pub fn enable_mih(&mut self, blocks: usize) {
         for shard in &mut self.shards {
             let codes = shard.table.dense_codes();
@@ -393,39 +379,16 @@ impl<'a, M: HashModel + ?Sized> ShardedIndex<'a, M> {
             .collect()
     }
 
-    /// A short-lived MIH engine over shard `i`. Engine construction is a
-    /// few asserts; the expensive per-shard state (table, MIH) is borrowed.
-    fn shard_engine(&self, i: usize) -> QueryEngine<'_, M> {
-        let shard = &self.shards[i];
-        let rows = self.rows_of(shard);
-        let mut engine = QueryEngine::new(self.model, &shard.table, rows, self.dim)
-            .with_metric(self.metric)
-            .with_metrics(self.metrics.clone())
-            .with_span_scope("gqr_shard", vec![("shard".to_string(), i.to_string())]);
-        if let Some(mih) = &shard.mih {
-            engine = engine.with_mih(mih);
-        }
-        if let Some(model) = self.recall {
-            engine = engine.with_recall_model(model);
-        }
-        engine
-    }
-
-    /// Execute one request on the calling thread. HR/GHR/QR/GQR run as one
-    /// search over every shard, bit-identical to the unsharded engine on
-    /// the same data at every budget; a predicate is planned once against
-    /// the global budget, and a survivor set that fits is evaluated outright
-    /// whatever the strategy. MIH searches the shards one after another and
-    /// merges their top-k.
-    ///
-    /// Requests with [checkpoints](SearchRequest::checkpoints) are rejected:
-    /// per-shard snapshots cannot be merged into a global running top-k
-    /// without the distances the snapshot discards. A request
+    /// Execute one request on the calling thread as one search over every
+    /// shard, bit-identical to the unsharded engine on the same data at
+    /// every budget: checkpoints included, and a predicate planned once
+    /// against the global budget (a survivor set that fits is evaluated
+    /// outright whatever the strategy). A request
     /// [deadline](SearchParams::deadline) is folded into the soft time limit
     /// and a late finish bumps `gqr_request_deadline_missed_total`.
     pub fn run(&self, mut req: SearchRequest<'_>) -> SearchResponse {
-        let env = req.open_merged(&self.metrics, "sharded");
-        let (query, params) = (req.query, req.params);
+        let env = req.open(&self.metrics, "sharded");
+        let (query, params, budgets) = (req.query, req.params, req.budgets);
         assert_eq!(query.len(), self.dim, "query dimensionality mismatch");
         let start = Instant::now();
         let mut ctx = ProbeCtx::new(&env);
@@ -440,102 +403,31 @@ impl<'a, M: HashModel + ?Sized> ShardedIndex<'a, M> {
             },
             n_rows: self.data.len() / self.dim,
         };
-        let mut fanned_out = false;
-        let out = target.run(req, self.attrs, start, &mut ctx, |sink, ctx| {
+        let mut out = target.run(req, self.attrs, start, &mut ctx, |sink, ctx| {
+            let policy = target.policy(&params, start, &self.metrics);
             match params.strategy {
                 ProbeStrategy::MultiIndexHashing { .. } => {
-                    fanned_out = true;
-                    self.mih_serial(query, &params, sink, ctx.env)
+                    let parts = self.shards.iter().map(|s| {
+                        let mih = s.mih.as_ref();
+                        let mih = mih.expect("call enable_mih() before searching with MIH");
+                        (mih, s.offset())
+                    });
+                    let parts = parts.collect();
+                    let cap = params.max_buckets;
+                    let mut source = MihSource::new(self.model, parts, cap, query, ctx);
+                    drive(&mut source, policy, sink, budgets, ctx)
                 }
                 strategy => {
                     let (segments, model, n) = (self.segments(), self.model, self.n_items());
                     let mut source =
                         SegmentedTables::new(model, &segments, n, strategy, query, ctx);
-                    let policy = target.policy(&params, start, &self.metrics);
-                    drive(&mut source, policy, sink, &[], ctx)
+                    drive(&mut source, policy, sink, budgets, ctx)
                 }
             }
         });
-        if !fanned_out {
-            let labels = [("shard", "all"), ("strategy", env.strategy)];
-            let phases = &ctx.phases;
-            phases.flush_labeled(&self.metrics, "gqr_shard", &labels, start.elapsed());
-        }
-        self.finish(start, out, env)
-    }
-
-    /// Execute one request, running MIH's per-shard searches as one job
-    /// each on `exec` and blocking until all complete. HR/GHR/QR/GQR are one
-    /// search at the global budget — as fast as the slowest of S parallel
-    /// per-shard searches would be, at 1/S of their work — so they run
-    /// on the calling thread exactly as [`ShardedIndex::run`] does, and the
-    /// two entry points agree at every budget.
-    ///
-    /// Filtered MIH requests (closure or predicate) also take the serial
-    /// path: a `FnMut` filter cannot be shared across concurrently-searching
-    /// shards.
-    pub fn run_on(&self, exec: &Executor, mut req: SearchRequest<'_>) -> SearchResponse {
-        let mih = matches!(req.params.strategy, ProbeStrategy::MultiIndexHashing { .. });
-        if !mih || req.has_filter() || req.has_predicate() {
-            return self.run(req);
-        }
-        let env = req.open_merged(&self.metrics, "sharded");
-        let (query, params) = (req.query, req.params);
-        let start = Instant::now();
-        let answers = env.fan_out_on(exec, self.shards.len(), |i, lane, span| {
-            let shard_req = SearchRequest::new(query).params(params);
-            self.shard_engine(i)
-                .run(shard_req.with_trace_parent(lane, span))
-        });
-        let out = self.merge(params.k, answers, &env);
-        self.finish(start, out, env)
-    }
-
-    /// k-NN search across all shards, serially (thin wrapper over
-    /// [`ShardedIndex::run`]).
-    pub fn search(&self, query: &[f32], params: &SearchParams) -> SearchResponse {
-        self.run(SearchRequest::new(query).params(*params))
-    }
-
-    /// MIH on the calling thread: search each shard with the whole budget
-    /// under `sink`'s gate, then merge.
-    fn mih_serial(
-        &self,
-        query: &[f32],
-        params: &SearchParams,
-        sink: Evaluator<'_, '_, FlatRows<'_>>,
-        env: &Envelope<'_>,
-    ) -> SearchResponse {
-        let Evaluator { mut filter, .. } = sink;
-        let answers = env.fan_out(self.shards.len(), |i, lane, span| {
-            let offset = self.shards[i].offset();
-            let mut shard_req = SearchRequest::new(query)
-                .params(*params)
-                .with_trace_parent(lane, span);
-            if let Some(f) = filter.as_deref_mut() {
-                // Shard engines see local ids; the gate speaks global ids.
-                shard_req = shard_req.filter(move |local: u32| f(local + offset));
-            }
-            self.shard_engine(i).run(shard_req)
-        });
-        self.merge(params.k, answers, env)
-    }
-
-    /// Merge per-shard MIH answers into the global top-`k`.
-    fn merge(&self, k: usize, answers: Vec<SearchResponse>, env: &Envelope<'_>) -> SearchResponse {
-        let merge_start = Instant::now();
-        let merge_span = env.trace.begin_at(env.root, "merge", merge_start);
-        let parts = self.shards.iter().zip(answers);
-        let parts = parts.map(|(shard, res)| (res, shard.offset(), shard.table.n_items()));
-        let out = SearchResponse::merged(k, parts);
-        env.trace.end(merge_span);
-        self.metrics
-            .record_duration("gqr_sharded_merge_ns", merge_start.elapsed());
-        out
-    }
-
-    /// Flush the sharded-level metrics and close the request envelope.
-    fn finish(&self, start: Instant, mut out: SearchResponse, env: Envelope) -> SearchResponse {
+        let labels = [("shard", "all"), ("strategy", env.strategy)];
+        let phases = &ctx.phases;
+        phases.flush_labeled(&self.metrics, "gqr_shard", &labels, start.elapsed());
         if self.metrics.is_enabled() {
             self.metrics
                 .record_duration("gqr_sharded_total_ns", start.elapsed());
@@ -543,6 +435,12 @@ impl<'a, M: HashModel + ?Sized> ShardedIndex<'a, M> {
         }
         out.trace_id = env.close();
         out
+    }
+
+    /// k-NN search across all shards (thin wrapper over
+    /// [`ShardedIndex::run`]).
+    pub fn search(&self, query: &[f32], params: &SearchParams) -> SearchResponse {
+        self.run(SearchRequest::new(query).params(*params))
     }
 }
 
@@ -588,6 +486,7 @@ impl<M: HashModel + ?Sized> std::fmt::Debug for ShardedIndex<'_, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::QueryEngine;
     use gqr_l2h::pcah::Pcah;
 
     fn grid(n: u32) -> Vec<f32> {
@@ -636,13 +535,45 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "checkpoints are not supported")]
-    fn checkpoints_are_rejected() {
-        let data = grid(100);
+    fn checkpoints_equal_the_engines() {
+        let data = grid(300);
         let model = Pcah::train(&data, 2, 2).unwrap();
-        let index = ShardedIndex::build(&model, &data, 2, 2);
-        let budgets = [10usize];
-        let _ = index.run(SearchRequest::new(&[0.0, 0.0]).checkpoints(&budgets));
+        let table: HashTable = HashTable::build(&model, &data, 2);
+        let mut engine = QueryEngine::new(&model, &table, &data, 2);
+        engine.enable_mih(2);
+        let mut index = ShardedIndex::build(&model, &data, 2, 3);
+        index.enable_mih(2);
+        let budgets = [10usize, 40, 120, 1_000];
+        for strategy in [
+            ProbeStrategy::GenerateQdRanking,
+            ProbeStrategy::MultiIndexHashing { blocks: 2 },
+        ] {
+            let params = SearchParams {
+                k: 5,
+                n_candidates: 150,
+                strategy,
+                ..Default::default()
+            };
+            let req = || {
+                SearchRequest::new(&[4.3, 7.7])
+                    .params(params)
+                    .checkpoints(&budgets)
+            };
+            let (want, got) = (engine.run(req()), index.run(req()));
+            assert_eq!(got.checkpoints.len(), budgets.len());
+            for (g, w) in got.checkpoints.iter().zip(&want.checkpoints) {
+                let at = format!("{} budget {}", strategy.name(), w.budget);
+                assert_eq!(g.budget, w.budget, "{at}");
+                assert_eq!(g.items_evaluated, w.items_evaluated, "{at}");
+                assert_eq!(g.buckets_probed, w.buckets_probed, "{at}");
+                let sorted = |ids: &[u32]| {
+                    let mut ids = ids.to_vec();
+                    ids.sort_unstable();
+                    ids
+                };
+                assert_eq!(sorted(&g.top_ids), sorted(&w.top_ids), "{at}");
+            }
+        }
     }
 
     #[test]
@@ -657,40 +588,24 @@ mod tests {
             n_candidates: usize::MAX,
             ..Default::default()
         };
-        // A table strategy is one search: its spans flush once, for all
-        // shards, and nothing is merged.
-        let _ = index.search(&[3.0, 3.0], &params);
-        assert_eq!(metrics.counter_value("gqr_sharded_queries_total"), Some(1));
-        let merged =
-            |m: &MetricsRegistry| m.histogram_names().contains(&"gqr_sharded_merge_ns".into());
-        assert!(metrics.histogram("gqr_sharded_total_ns").is_some());
-        assert!(!merged(&metrics));
-        assert_eq!(
-            metrics.counter_value("gqr_shard_queries_total{shard=\"all\",strategy=\"GQR\"}"),
-            Some(1)
-        );
-        let evaluate = "gqr_shard_phase_ns{phase=\"evaluate\",shard=\"all\",strategy=\"GQR\"}";
-        assert!(metrics.histogram(evaluate).is_some());
-        assert_eq!(
-            metrics.counter_value("gqr_shard_queries_total{shard=\"0\",strategy=\"GQR\"}"),
-            None
-        );
-
-        // MIH searches every shard and merges.
         let mih = SearchParams {
             strategy: ProbeStrategy::MultiIndexHashing { blocks: 2 },
             ..params
         };
-        let _ = index.search(&[3.0, 3.0], &mih);
-        assert_eq!(metrics.counter_value("gqr_sharded_queries_total"), Some(2));
-        assert!(merged(&metrics));
-        for shard in ["0", "1"] {
-            let name = format!("gqr_shard_queries_total{{shard=\"{shard}\",strategy=\"MIH\"}}");
-            assert_eq!(metrics.counter_value(&name), Some(1), "{name}");
+        // Every strategy is one search: its spans flush once, for all shards.
+        for (n, params) in [(1, params), (2, mih)] {
+            let strategy = params.strategy.name();
+            let _ = index.search(&[3.0, 3.0], &params);
+            assert_eq!(metrics.counter_value("gqr_sharded_queries_total"), Some(n));
+            assert!(metrics.histogram("gqr_sharded_total_ns").is_some());
+            let all = format!("gqr_shard_queries_total{{shard=\"all\",strategy=\"{strategy}\"}}");
+            assert_eq!(metrics.counter_value(&all), Some(1), "{all}");
+            let evaluate = format!(
+                "gqr_shard_phase_ns{{phase=\"evaluate\",shard=\"all\",strategy=\"{strategy}\"}}"
+            );
+            assert!(metrics.histogram(&evaluate).is_some(), "{evaluate}");
+            let one = format!("gqr_shard_queries_total{{shard=\"0\",strategy=\"{strategy}\"}}");
+            assert_eq!(metrics.counter_value(&one), None, "{one}");
         }
-        assert_eq!(
-            metrics.counter_value("gqr_shard_queries_total{shard=\"all\",strategy=\"MIH\"}"),
-            None
-        );
     }
 }

@@ -1,6 +1,6 @@
 //! Probe-level instrumentation reported with every search.
 
-/// Counters accumulated during one search (or one query batch when summed).
+/// Counters accumulated during one search.
 ///
 /// Bucket counting is uniform across strategies: one *probe unit* is one
 /// hash-bucket lookup issued before the search terminated. For the ranking
@@ -27,15 +27,6 @@ pub struct ProbeStats {
 }
 
 impl ProbeStats {
-    /// Merge counters from another search (for batch totals).
-    pub fn merge(&mut self, other: &ProbeStats) {
-        self.buckets_probed += other.buckets_probed;
-        self.empty_buckets += other.empty_buckets;
-        self.items_collected += other.items_collected;
-        self.items_evaluated += other.items_evaluated;
-        self.duplicates_skipped += other.duplicates_skipped;
-    }
-
     /// Probed buckets that actually contained items.
     pub fn buckets_nonempty(&self) -> usize {
         self.buckets_probed.saturating_sub(self.empty_buckets)
@@ -69,24 +60,6 @@ impl ProbeStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn merge_sums_fields() {
-        let mut a = ProbeStats {
-            buckets_probed: 1,
-            empty_buckets: 2,
-            items_collected: 3,
-            items_evaluated: 4,
-            duplicates_skipped: 5,
-        };
-        let b = a;
-        a.merge(&b);
-        assert_eq!(a.buckets_probed, 2);
-        assert_eq!(a.empty_buckets, 4);
-        assert_eq!(a.items_collected, 6);
-        assert_eq!(a.items_evaluated, 8);
-        assert_eq!(a.duplicates_skipped, 10);
-    }
 
     #[test]
     fn buckets_nonempty_subtracts_empty() {

@@ -17,10 +17,11 @@ impl Eq for Neighbor {}
 
 impl Ord for Neighbor {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Finite distances only; id tiebreak for determinism.
+        // NaN sorts after every number (so it never displaces one) and ties
+        // another NaN; id tiebreak for determinism.
         self.dist
             .partial_cmp(&other.dist)
-            .unwrap_or(Ordering::Equal)
+            .unwrap_or_else(|| self.dist.is_nan().cmp(&other.dist.is_nan()))
             .then_with(|| self.id.cmp(&other.id))
     }
 }
@@ -137,6 +138,35 @@ mod tests {
         t.push(1.0, 5);
         let out = t.into_sorted();
         assert_eq!(out, vec![(3, 1.0), (5, 1.0)], "smaller ids win exact ties");
+    }
+
+    #[test]
+    fn nan_sorts_last_and_never_displaces_a_number() {
+        let mut t = TopK::new(2);
+        t.push(1.0, 5);
+        t.push(2.0, 6);
+        t.push(f32::NAN, 0);
+        assert_eq!(t.into_sorted(), vec![(5, 1.0), (6, 2.0)]);
+
+        let mut t = TopK::new(3);
+        t.push(f32::NAN, 4);
+        t.push(f32::NAN, 1);
+        t.push(3.0, 9);
+        let out = t.into_sorted();
+        assert_eq!(out[0], (9, 3.0));
+        assert!(out[1..].iter().all(|(_, d)| d.is_nan()));
+        let nan_ids: Vec<u32> = out[1..].iter().map(|&(id, _)| id).collect();
+        assert_eq!(nan_ids, vec![1, 4], "NaNs tie and break by id");
+    }
+
+    #[test]
+    fn signed_zeros_tie_by_id() {
+        let mut t = TopK::new(2);
+        t.push(0.0, 8);
+        t.push(-0.0, 9);
+        t.push(0.0, 2);
+        let ids: Vec<u32> = t.into_sorted().into_iter().map(|(id, _)| id).collect();
+        assert_eq!(ids, vec![2, 8]);
     }
 
     #[test]

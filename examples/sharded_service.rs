@@ -1,17 +1,14 @@
-//! A miniature query service: sharded index + persistent executor.
+//! A miniature query service over a sharded index.
 //!
 //! Wires the serving layer together the way a retrieval service would run
 //! it in-process:
 //!
 //! 1. partition the catalog across shards ([`ShardedIndex`]), each with its
 //!    own hash table;
-//! 2. start a persistent worker pool ([`Executor`]) — long-lived threads, a
-//!    bounded queue with backpressure, per-request deadlines;
-//! 3. drive a query stream through the single front door
-//!    ([`SearchRequest`]): a GQR request is one search over every shard's
-//!    table at one global budget, while MIH fans out one job per shard and
-//!    merges per-shard top-k into the exact global top-k;
-//! 4. read the serving metrics (shard spans, deadline misses) off the
+//! 2. drive a query stream with per-request deadlines through the single
+//!    front door ([`SearchRequest`]): every request is one search over
+//!    every shard's table at one global budget;
+//! 3. read the serving metrics (shard spans, deadline misses) off the
 //!    shared [`MetricsRegistry`].
 //!
 //! The results are bit-identical to an unsharded engine over the same
@@ -31,7 +28,7 @@ fn main() {
 
     let model = Itq::train(ds.as_slice(), ds.dim(), 12).expect("training");
 
-    // -- Serving state: shards + worker pool + metrics --------------------
+    // -- Serving state: shards + metrics ----------------------------------
     let metrics = MetricsRegistry::enabled();
     let n_shards = 4;
     let t0 = Instant::now();
@@ -46,11 +43,6 @@ fn main() {
         t0.elapsed(),
         index.shard_sizes()
     );
-
-    let exec = Executor::builder()
-        .workers(n_shards)
-        .metrics(metrics.clone())
-        .build();
 
     // -- Serve a query stream ---------------------------------------------
     let queries = ds.sample_queries(200, 7);
@@ -68,10 +60,7 @@ fn main() {
         // counted under gqr_request_deadline_missed_total.
         let deadline = Instant::now() + Duration::from_millis(50);
         let start = Instant::now();
-        let res = index.run_on(
-            &exec,
-            SearchRequest::new(q).params(params).deadline(deadline),
-        );
+        let res = index.run(SearchRequest::new(q).params(params).deadline(deadline));
         latencies.push(start.elapsed());
         assert_eq!(res.len(), 10);
         if Instant::now() > deadline {
@@ -104,17 +93,10 @@ fn main() {
     println!("filtered request returned {} even-id neighbors", res.len());
 
     // -- The operator's view ----------------------------------------------
-    exec.shutdown();
     let snap = metrics.snapshot();
     println!("\nserving metrics (excerpt):");
-    for name in [
-        "gqr_executor_jobs_submitted_total",
-        "gqr_executor_jobs_completed_total",
-        "gqr_sharded_queries_total",
-    ] {
-        if let Some(v) = metrics.counter_value(name) {
-            println!("  {name} = {v}");
-        }
+    if let Some(v) = metrics.counter_value("gqr_sharded_queries_total") {
+        println!("  gqr_sharded_queries_total = {v}");
     }
     let prom = snap.to_prometheus();
     let shard_lines = prom

@@ -78,6 +78,18 @@ cargo run -q --release --bin gqr -- save-index --data "$SNAPDIR/vecs.fvecs" \
     --snapshot "$SNAPDIR/itq-model.gqr" --model "$SNAPDIR/itq.model" --shards 2 --mih-blocks 2
 cmp "$SNAPDIR/itq-a.gqr" "$SNAPDIR/itq-model.gqr" \
     || { echo "cold-start determinism FAILED: train + save-index --model differs"; exit 1; }
+# Sharded MIH is one search: a budgeted query on the two-shard snapshot
+# answers line for line like the one-shard snapshot of the same model (the
+# load summary and timings aside).
+cargo run -q --release --bin gqr -- save-index --data "$SNAPDIR/vecs.fvecs" \
+    --snapshot "$SNAPDIR/itq-one.gqr" --algo itq --bits 10 --mih-blocks 2
+for snap in itq-a itq-one; do
+    cargo run -q --release --bin gqr -- load-index --snapshot "$SNAPDIR/$snap.gqr" \
+        --row 3 --k 10 --strategy mih --candidates 50 \
+        | grep -v '^loaded ' | sed -E 's/ in [0-9.]+[a-zµ]*s//' > "$SNAPDIR/$snap.mih"
+done
+cmp "$SNAPDIR/itq-a.mih" "$SNAPDIR/itq-one.mih" \
+    || { echo "sharded MIH FAILED: two shards answer unlike one"; exit 1; }
 
 echo "==> live mutation smoke (CLI insert/delete on a snapshot)"
 VEC="$(printf '0.5,%.0s' $(seq 1 16))"  # smoke-scale cifar60k is 16-dim
@@ -118,9 +130,6 @@ GQR_BENCH_SMOKE=1 cargo bench -q -p gqr-bench --bench snapshot
 
 echo "==> mutation bench (smoke)"
 GQR_BENCH_SMOKE=1 cargo bench -q -p gqr-bench --bench mutation
-
-echo "==> serving bench (smoke)"
-GQR_BENCH_SMOKE=1 cargo bench -q -p gqr-bench --bench serving
 
 echo "==> kernel bench (smoke)"
 GQR_BENCH_SMOKE=1 cargo bench -q -p gqr-bench --bench distance

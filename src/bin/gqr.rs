@@ -465,7 +465,7 @@ fn cmd_save_index(flags: &HashMap<String, String>) -> Result<(), String> {
             }
             b
         }
-        // The sharded fan-out is monomorphic over u64, so sharded saves
+        // The sharded index is monomorphic over u64, so sharded saves
         // default to 64-bit words; single-shard saves take the narrowest
         // width that fits the model.
         None if shards > 1 => 64,
@@ -531,7 +531,7 @@ fn cmd_save_index(flags: &HashMap<String, String>) -> Result<(), String> {
 }
 
 /// A query front end over a loaded snapshot: one engine for one-shard
-/// snapshots, the sharded fan-out otherwise. The sharded variant exists
+/// snapshots, the sharded index otherwise. The sharded variant exists
 /// only at 64-bit width (wide snapshots are single-shard).
 enum LoadedEngine<'a, C: CodeWord = u64> {
     Single(QueryEngine<'a, dyn HashModel + 'a, C>),
@@ -562,7 +562,7 @@ fn engine_from<C: CodeWord>(loaded: &LoadedIndex<C>) -> Result<LoadedEngine<'_, 
             .map(LoadedEngine::Single)
             .map_err(|e| e.to_string())
     } else {
-        // The sharded fan-out is monomorphic over u64; prove C == u64 at
+        // The sharded index is monomorphic over u64; prove C == u64 at
         // runtime (the only sharded snapshots ever written are 64-bit).
         let loaded64 = (loaded as &dyn std::any::Any)
             .downcast_ref::<LoadedIndex<u64>>()
@@ -596,9 +596,10 @@ fn cmd_insert(flags: &HashMap<String, String>) -> Result<(), String> {
     let vector: Vec<f32> = get(flags, "vector")?
         .split(',')
         .map(|s| {
-            s.trim()
-                .parse()
-                .map_err(|_| format!("bad component '{}' in --vector", s.trim()))
+            // `NaN`, `inf` and out-of-range values such as `1e39` parse, but
+            // no finite row holds them.
+            let x = s.trim().parse::<f32>().ok().filter(|x| x.is_finite());
+            x.ok_or_else(|| format!("bad component '{}' in --vector", s.trim()))
         })
         .collect::<Result<_, _>>()?;
     let (_, width_bits) = snapshot_kind(path)?;

@@ -73,9 +73,7 @@ pub mod prelude {
     };
     pub use gqr_core::executor::{Executor, ExecutorBuilder, JobError, SubmitError, Ticket};
     pub use gqr_core::index::Index;
-    pub use gqr_core::live::{
-        Generation, IndexWriter, MutableIndex, MutableIndexBuilder, ShardedMutableIndex,
-    };
+    pub use gqr_core::live::{Generation, IndexWriter, MutableIndex, MutableIndexBuilder};
     pub use gqr_core::metrics::{
         to_chrome_trace, MetricsRegistry, MetricsSnapshot, Trace, TraceConfig, TraceStore, Tracing,
     };

@@ -158,6 +158,30 @@ fn save_index_rejects_bad_model_file() {
     }
 }
 
+/// `insert` refuses a non-finite `--vector` component before touching the
+/// snapshot: exit 2, the component named, the file byte for byte unchanged.
+#[test]
+fn insert_rejects_non_finite_components() {
+    let dir = tmpdir("insert_non_finite");
+    let snap = trained_snapshot(&dir);
+    let before = std::fs::read(&snap).unwrap();
+    for bad in ["NaN", "inf", "-inf", "1e39"] {
+        let out = bin()
+            .args(["insert", "--snapshot", path(&snap)])
+            .args(["--vector", &format!("0.5,{bad},1.0")])
+            .output()
+            .unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bad}: {err}");
+        assert!(err.contains(&format!("bad component '{bad}'")), "{err}");
+        assert_eq!(
+            std::fs::read(&snap).unwrap(),
+            before,
+            "{bad} changed the file"
+        );
+    }
+}
+
 #[test]
 fn snapshot_pipeline_works() {
     let dir = tmpdir("snapshot_pipeline");

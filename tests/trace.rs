@@ -1,13 +1,11 @@
 //! End-to-end tracing integration: a sampled query on every execution
 //! surface must produce a well-formed span tree covering the five query
-//! phases, a sharded table-strategy query must be one search (no lanes),
-//! sharded MIH must add fanout/shard/queue-wait/run lanes, QD trajectories
-//! must be present, and the Chrome trace-event export must match the golden
-//! schema (hand-checked structure: the workspace has no general-purpose JSON
-//! parser beyond the serving crate's).
+//! phases, a sharded query must be one search (no lanes) under every
+//! strategy, QD trajectories must be present, and the Chrome trace-event
+//! export must match the golden schema (hand-checked structure: the
+//! workspace has no general-purpose JSON parser beyond the serving crate's).
 
 use gqr::core::engine::{ProbeStrategy, QueryEngine, SearchParams};
-use gqr::core::executor::Executor;
 use gqr::core::metrics::{to_chrome_trace, EventData, MetricsRegistry, Trace, TraceConfig};
 use gqr::core::request::SearchRequest;
 use gqr::core::shard::ShardedIndex;
@@ -25,8 +23,7 @@ fn fixture() -> (Dataset, SearchParams) {
     (ds, params)
 }
 
-/// The fixture's parameters under MIH, the one sharded strategy that fans
-/// out per shard.
+/// The fixture's parameters under MIH.
 fn mih(params: SearchParams) -> SearchParams {
     SearchParams {
         strategy: ProbeStrategy::MultiIndexHashing { blocks: 2 },
@@ -106,105 +103,34 @@ fn sharded_table_strategy_trace_is_one_search() {
     let (ds, params) = fixture();
     let model = Itq::train(ds.as_slice(), ds.dim(), 10).unwrap();
     let metrics = traced_metrics();
-    let index =
+    let mut index =
         ShardedIndex::build(&model, ds.as_slice(), ds.dim(), 3).with_metrics(metrics.clone());
+    index.enable_mih(2);
     let q = ds.sample_queries(1, 5).remove(0);
-    index.run(SearchRequest::new(&q).params(params));
-
-    let tracing = metrics.tracing().unwrap();
-    let traces = tracing.store().recent();
-    assert_eq!(traces.len(), 1);
-    let t = &traces[0];
-    t.check_well_formed().unwrap();
-    assert_eq!(t.name, "sharded");
-    let names = span_names(t);
-    for lane in ["fanout", "shard", "merge"] {
-        assert!(
-            !names.contains(&lane),
-            "one search has no {lane}: {names:?}"
-        );
+    for params in [params, mih(params)] {
+        index.run(SearchRequest::new(&q).params(params));
     }
-    // One set of phase spans, all on the parent's track.
-    assert_eq!(names.iter().filter(|n| **n == "hash_query").count(), 1);
-    assert!(names.contains(&"evaluate"), "{names:?}");
-    assert!(t.events.iter().all(|e| match e.data {
-        EventData::Begin { track, .. } => track == 0,
-        _ => true,
-    }));
-}
-
-#[test]
-fn sharded_trace_has_fanout_and_per_shard_lanes() {
-    let (ds, params) = fixture();
-    let model = Itq::train(ds.as_slice(), ds.dim(), 10).unwrap();
-    let metrics = traced_metrics();
-    let mut index =
-        ShardedIndex::build(&model, ds.as_slice(), ds.dim(), 3).with_metrics(metrics.clone());
-    index.enable_mih(2);
-    let q = ds.sample_queries(1, 5).remove(0);
-    index.run(SearchRequest::new(&q).params(mih(params)));
 
     let tracing = metrics.tracing().unwrap();
     let traces = tracing.store().recent();
-    assert_eq!(traces.len(), 1);
-    let t = &traces[0];
-    t.check_well_formed().unwrap();
-    assert_eq!(t.name, "sharded");
-    let names = span_names(t);
-    assert!(names.contains(&"fanout"), "{names:?}");
-    assert!(names.contains(&"merge"), "{names:?}");
-    assert_eq!(
-        names.iter().filter(|n| **n == "shard").count(),
-        3,
-        "one shard span per shard: {names:?}"
-    );
-    // Every shard runs the full phase set under its own span, on its own
-    // display track (lane 0 is the parent).
-    assert_eq!(names.iter().filter(|n| **n == "hash_query").count(), 3);
-    let tracks: std::collections::BTreeSet<u32> = t
-        .events
-        .iter()
-        .filter_map(|e| match e.data {
-            EventData::Begin {
-                name: "shard",
-                track,
-                ..
-            } => Some(track),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(tracks, [1u32, 2, 3].into_iter().collect());
-}
-
-#[test]
-fn executor_sharded_trace_records_queue_wait_and_worker() {
-    let (ds, params) = fixture();
-    let model = Itq::train(ds.as_slice(), ds.dim(), 10).unwrap();
-    let metrics = traced_metrics();
-    let mut index =
-        ShardedIndex::build(&model, ds.as_slice(), ds.dim(), 2).with_metrics(metrics.clone());
-    index.enable_mih(2);
-    let exec = Executor::builder().workers(2).build();
-    let q = ds.sample_queries(1, 5).remove(0);
-    index.run_on(&exec, SearchRequest::new(&q).params(mih(params)));
-
-    let tracing = metrics.tracing().unwrap();
-    let traces = tracing.store().recent();
-    assert_eq!(traces.len(), 1);
-    let t = &traces[0];
-    t.check_well_formed().unwrap();
-    let names = span_names(t);
-    assert_eq!(names.iter().filter(|n| **n == "queue_wait").count(), 2);
-    assert_eq!(names.iter().filter(|n| **n == "run").count(), 2);
-    // `run` spans carry the 1-based worker index (0 = ran off-pool); with a
-    // 2-worker pool every observed id must be 1 or 2.
-    for e in &t.events {
-        if let EventData::Begin {
-            name: "run", arg, ..
-        } = e.data
-        {
-            assert!(arg <= 2, "worker id {arg} out of range for 2 workers");
+    assert_eq!(traces.len(), 2);
+    for t in &traces {
+        t.check_well_formed().unwrap();
+        assert_eq!(t.name, "sharded");
+        let names = span_names(t);
+        for lane in ["fanout", "shard", "merge"] {
+            assert!(
+                !names.contains(&lane),
+                "one search has no {lane}: {names:?}"
+            );
         }
+        // One set of phase spans, all on the parent's track.
+        assert_eq!(names.iter().filter(|n| **n == "hash_query").count(), 1);
+        assert!(names.contains(&"evaluate"), "{names:?}");
+        assert!(t.events.iter().all(|e| match e.data {
+            EventData::Begin { track, .. } => track == 0,
+            _ => true,
+        }));
     }
 }
 
@@ -241,9 +167,6 @@ fn chrome_export_matches_golden_schema() {
         doc.contains("\"ph\":\"C\"") || doc.contains("\"ph\":\"i\""),
         "{doc}"
     );
-    // MIH's shard lanes become named threads.
-    assert!(doc.contains("\"shard 0\""), "{doc}");
-    assert!(doc.contains("\"shard 1\""), "{doc}");
     // Balanced braces/brackets: structurally parseable JSON.
     assert_eq!(doc.matches('{').count(), doc.matches('}').count());
     assert_eq!(doc.matches('[').count(), doc.matches(']').count());
