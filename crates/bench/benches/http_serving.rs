@@ -1,7 +1,6 @@
 //! End-to-end serving bench: drives a real `gqr-serve` HTTP server with the
-//! in-repo open-loop load generator and records the admission-control gate
-//! to `results/BENCH_serving.json` (hand-formatted; the workspace takes no
-//! JSON dependency).
+//! in-repo open-loop load generator, prints one line of measurements, and
+//! exits non-zero when the admission-control gate fails.
 //!
 //! Four phases:
 //!   1. **unloaded** — low QPS, establishes the baseline p99;
@@ -15,16 +14,15 @@
 //!      every request that reached the server (200 or a clean 503), losing
 //!      zero admitted queries.
 //!
-//! Set `GQR_BENCH_SMOKE=1` to shrink the workload for CI smoke runs.
+//! Run with `cargo bench -p gqr-bench --bench http_serving`; set
+//! `GQR_BENCH_SMOKE=1` to shrink the workload for CI smoke runs.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use gqr_core::engine::QueryEngine;
 use gqr_core::index::Index;
 use gqr_core::metrics::MetricsRegistry;
 use gqr_core::table::HashTable;
 use gqr_l2h::pcah::Pcah;
-use gqr_serve::json::Json;
-use gqr_serve::loadgen::{self, LoadReport, LoadgenConfig};
+use gqr_serve::loadgen::{self, LoadgenConfig};
 use gqr_serve::server::{Server, ServerConfig};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -120,9 +118,7 @@ fn one_shot(addr: std::net::SocketAddr, body: &str) -> u16 {
     attempt().unwrap_or(0)
 }
 
-fn bench_http_serving(c: &mut Criterion) {
-    c.bench_function("http_serving_record", |b| b.iter(|| 0));
-
+fn main() {
     let (n, dim, bits) = if smoke() {
         (60_000, 16, 12)
     } else {
@@ -169,8 +165,7 @@ fn bench_http_serving(c: &mut Criterion) {
     let service_s = (unloaded.p50_us.max(50) as f64) / 1e6;
     let sat_qps = (WORKERS as f64 / service_s).clamp(50.0, 4000.0);
     let steps = [0.5 * sat_qps, 1.0 * sat_qps, 2.0 * sat_qps];
-    let sweep = loadgen::sweep(&base, &steps);
-    let overload = sweep.last().expect("sweep ran").clone();
+    let overload = loadgen::sweep(&base, &steps).pop().expect("sweep ran");
     server.shutdown();
 
     // ---- phase 4: a fresh server for the drain-under-load check ----
@@ -217,55 +212,9 @@ fn bench_http_serving(c: &mut Criterion) {
         drain_lost,
         gate_pass
     );
-
-    let step_json = |r: &LoadReport| -> Json { r.to_json() };
-    let doc = Json::Obj(vec![
-        ("bench".into(), Json::Str("serving".into())),
-        ("smoke".into(), Json::Bool(smoke())),
-        ("n".into(), Json::Num(n as f64)),
-        ("dim".into(), Json::Num(dim as f64)),
-        ("workers".into(), Json::Num(WORKERS as f64)),
-        ("queue_capacity".into(), Json::Num(QUEUE as f64)),
-        ("unloaded".into(), step_json(&unloaded)),
-        ("saturation_qps_est".into(), Json::Num(sat_qps)),
-        (
-            "sweep".into(),
-            Json::Arr(sweep.iter().map(step_json).collect()),
-        ),
-        ("overload".into(), step_json(&overload)),
-        ("overload_p99_ratio".into(), Json::Num(p99_ratio)),
-        (
-            "drain".into(),
-            Json::Obj(vec![
-                ("requests".into(), Json::Num(n_drain as f64)),
-                ("completed".into(), Json::Num(drain_completed as f64)),
-                ("refused".into(), Json::Num(drain_refused as f64)),
-                ("lost".into(), Json::Num(drain_lost as f64)),
-                (
-                    "served_reported".into(),
-                    Json::Num(drain_report.served as f64),
-                ),
-            ]),
-        ),
-        (
-            "gates".into(),
-            Json::Obj(vec![
-                ("overload_sheds".into(), Json::Bool(gate_sheds)),
-                ("p99_within_3x".into(), Json::Bool(gate_p99)),
-                ("drain_zero_lost".into(), Json::Bool(gate_drain)),
-            ]),
-        ),
-        ("gate_pass".into(), Json::Bool(gate_pass)),
-    ]);
-
-    let out_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
-    if std::fs::create_dir_all(&out_dir).is_ok() {
-        let out = out_dir.join("BENCH_serving.json");
-        if std::fs::write(&out, doc.to_string() + "\n").is_ok() {
-            println!("http_serving: wrote {}", out.display());
-        }
-    }
+    assert!(
+        gate_pass,
+        "serving gate FAILED: sheds={gate_sheds} admitted_p99_within_3x={gate_p99} \
+         drain_zero_lost={gate_drain}"
+    );
 }
-
-criterion_group!(benches, bench_http_serving);
-criterion_main!(benches);

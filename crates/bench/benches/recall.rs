@@ -7,13 +7,13 @@
 //! (mean across strategies) than the smallest fixed `n_candidates` budget
 //! that reaches the same recall.
 //!
-//! Set `GQR_BENCH_SMOKE=1` to shrink the dataset for CI smoke runs. The
-//! self-timed section records `results/BENCH_recall.json` (plain `std`
-//! formatting — no JSON dependency); its `gate_pass` field encodes the
-//! 25% mean-reduction SLA gate. Bucket counts are kernel-independent, so
-//! the gate holds identically under `GQR_FORCE_SCALAR=1`.
+//! The program prints one line per strategy and a summary line, and exits
+//! non-zero when the gate fails. Run with
+//! `cargo bench -p gqr-bench --bench recall`; set `GQR_BENCH_SMOKE=1` to
+//! shrink the dataset for CI smoke runs. Bucket counts are
+//! kernel-independent, so the gate holds identically under
+//! `GQR_FORCE_SCALAR=1`.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use gqr_core::engine::{ProbeStrategy, QueryEngine, SearchParams};
 use gqr_core::recall::Calibrator;
 use gqr_core::table::HashTable;
@@ -29,6 +29,8 @@ const K: usize = 10;
 const M: usize = 64;
 const MIH_BLOCKS: usize = 4;
 const TARGET: f32 = 0.9;
+/// The gate: mean probe reduction against the fixed-budget baseline.
+const GATE_REDUCTION: f64 = 0.25;
 const BUCKET_CAP: usize = 768;
 const LADDER: [usize; 6] = [50, 100, 200, 400, 800, 1600];
 
@@ -123,9 +125,7 @@ fn run_queries(
     (recall_sum / n, bucket_sum as f64 / n, us / n)
 }
 
-fn bench_recall_controller(c: &mut Criterion) {
-    c.bench_function("recall_controller_record", |b| b.iter(|| 0));
-
+fn main() {
     let (n_clusters, calib_per, eval_per) = if smoke() { (30, 2, 2) } else { (80, 4, 4) };
     let fx = clustered(n_clusters, calib_per, eval_per);
     let model = Lsh::train(&fx.data, DIM, M, 7).unwrap();
@@ -161,7 +161,6 @@ fn bench_recall_controller(c: &mut Criterion) {
         .map(|q| brute_force(&fx.data, q, K))
         .collect();
 
-    let mut lines = Vec::new();
     let mut reductions = Vec::new();
     let mut min_achieved = f64::INFINITY;
     for strat in strategies {
@@ -200,46 +199,18 @@ fn bench_recall_controller(c: &mut Criterion) {
             strat.name(),
             reduction * 100.0
         );
-        lines.push(format!(
-            "    {{\"strategy\": \"{}\", \"achieved_recall\": {achieved:.4}, \
-             \"buckets_per_query\": {buckets:.2}, \"latency_us\": {us:.1}, \
-             \"baseline_candidates\": {base_n}, \"baseline_recall\": {base_recall:.4}, \
-             \"baseline_buckets_per_query\": {base_buckets:.2}, \
-             \"baseline_latency_us\": {base_us:.1}, \"probe_reduction\": {reduction:.4}}}",
-            strat.name()
-        ));
     }
 
     let mean_reduction = reductions.iter().sum::<f64>() / reductions.len() as f64;
-    let gate_pass = min_achieved >= TARGET as f64 && mean_reduction >= 0.25;
+    let gate_pass = min_achieved >= TARGET as f64 && mean_reduction >= GATE_REDUCTION;
     println!(
         "recall: mean probe reduction {:.1}% at min achieved recall {min_achieved:.3} \
          (calibration took {calib_ms}ms) gate_pass={gate_pass}",
         mean_reduction * 100.0
     );
-    let json = format!(
-        "{{\n  \"bench\": \"recall\",\n  \
-         \"gate\": \"recall_target 0.9 reaches recall@10 >= 0.9 with >= 25% mean \
-         probe reduction vs the smallest fixed budget at equal recall\",\n  \
-         \"m\": {M},\n  \"k\": {K},\n  \"n_items\": {},\n  \"n_queries\": {},\n  \
-         \"recall_target\": {TARGET},\n  \"calibration_ms\": {calib_ms},\n  \
-         \"min_achieved_recall\": {min_achieved:.4},\n  \
-         \"mean_probe_reduction\": {mean_reduction:.4},\n  \
-         \"gate_pass\": {gate_pass},\n  \"measurements\": [\n{}\n  ]\n}}\n",
-        fx.data.len() / DIM,
-        eval_gt.len(),
-        lines.join(",\n")
+    assert!(
+        gate_pass,
+        "recall controller gate FAILED: need recall@{K} >= {TARGET} with a mean probe \
+         reduction >= {GATE_REDUCTION}"
     );
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
-    if std::fs::create_dir_all(&dir).is_ok() {
-        let path = dir.join("BENCH_recall.json");
-        if let Err(e) = std::fs::write(&path, json) {
-            eprintln!("recall: could not write {}: {e}", path.display());
-        } else {
-            println!("recall: recorded to {}", path.display());
-        }
-    }
 }
-
-criterion_group!(benches, bench_recall_controller);
-criterion_main!(benches);

@@ -1,16 +1,16 @@
-//! Runtime code-width dispatch: pick the narrowest [`CodeWord`] that fits
-//! a code length, and monomorphize width-generic code behind one `match`.
+//! Runtime code widths: pick the narrowest
+//! [`CodeWord`](crate::code::CodeWord) that fits a code length.
 //!
-//! Everything in this crate is generic over [`CodeWord`] at compile time —
+//! Everything in this crate is generic over `CodeWord` at compile time —
 //! [`HashTable<C>`](crate::table::HashTable), the probers, the engines, the
 //! live layer. But the code length `m` is a *runtime* value (a `--bits`
-//! flag, a snapshot header field), so somewhere one runtime branch has to
-//! choose the concrete width and instantiate the generic stack. That
-//! branch lives here, and only here: callers hand a [`WidthVisitor`] to
-//! [`dispatch_width`] and get back monomorphized code for exactly one of
-//! the five widths. `SearchRequest`/`SearchResponse` and the HTTP wire
-//! schema never see the width — dispatch happens strictly at index
-//! construction/load time.
+//! flag, a snapshot header field), so a caller that builds or loads an
+//! index branches once on a [`CodeWidth`] and instantiates the generic
+//! stack at the matching type. The `gqr` command line does that in one
+//! `match` over [`CodeWidth`], around [`crate::persist::assemble_index`]
+//! and [`crate::live::MutableIndex::from_snapshot_file`].
+//! `SearchRequest`/`SearchResponse` and the HTTP wire schema never see the
+//! width — it is chosen strictly at index construction/load time.
 //!
 //! Narrowing rule: [`CodeWidth::narrowest_for`] picks the smallest width
 //! whose capacity is ≥ `m` (m = 48 → 64-bit words, m = 100 → 128, m = 200
@@ -19,16 +19,13 @@
 //! recorded value rather than re-deriving it, so a file round-trips even
 //! if the narrowing rule ever changes.
 
-use crate::code::{CodeWord, U192, U256};
-use crate::persist::{assemble_index, LoadedIndex, PersistError, SectionKind, SnapshotFile};
-use std::path::Path;
-
-/// The code widths with a [`CodeWord`] implementation, as a runtime value.
+/// The code widths with a [`CodeWord`](crate::code::CodeWord)
+/// implementation, as a runtime value.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum CodeWidth {
     /// 32-bit codes (`u32`).
     W32,
-    /// 64-bit codes (`u64`) — the default and the only pre-v3 width.
+    /// 64-bit codes (`u64`) — the default.
     W64,
     /// 128-bit codes (`u128`).
     W128,
@@ -81,162 +78,6 @@ impl std::fmt::Display for CodeWidth {
     }
 }
 
-/// A width-generic computation: `dispatch_width` calls `visit::<C>()` with
-/// the [`CodeWord`] type matching a runtime [`CodeWidth`].
-///
-/// ```
-/// use gqr_core::code::CodeWord;
-/// use gqr_core::dispatch::{dispatch_width, CodeWidth, WidthVisitor};
-///
-/// struct BitsOf;
-/// impl WidthVisitor for BitsOf {
-///     type Output = usize;
-///     fn visit<C: CodeWord>(self) -> usize {
-///         C::BITS
-///     }
-/// }
-/// let w = CodeWidth::narrowest_for(100).unwrap();
-/// assert_eq!(dispatch_width(w, BitsOf), 128);
-/// ```
-pub trait WidthVisitor {
-    /// What the computation produces.
-    type Output;
-
-    /// The width-generic body.
-    fn visit<C: CodeWord>(self) -> Self::Output;
-}
-
-/// Monomorphize `visitor` at the [`CodeWord`] type for `width`. This is
-/// the single runtime width branch in the crate.
-pub fn dispatch_width<V: WidthVisitor>(width: CodeWidth, visitor: V) -> V::Output {
-    match width {
-        CodeWidth::W32 => visitor.visit::<u32>(),
-        CodeWidth::W64 => visitor.visit::<u64>(),
-        CodeWidth::W128 => visitor.visit::<u128>(),
-        CodeWidth::W192 => visitor.visit::<U192>(),
-        CodeWidth::W256 => visitor.visit::<U256>(),
-    }
-}
-
-/// A frozen-index snapshot loaded at whatever width its header declares.
-/// One variant per [`CodeWidth`]; match on it (or go through
-/// [`AnyLoadedIndex::width`]) to reach the typed [`LoadedIndex`].
-pub enum AnyLoadedIndex {
-    /// 32-bit codes.
-    W32(LoadedIndex<u32>),
-    /// 64-bit codes.
-    W64(LoadedIndex<u64>),
-    /// 128-bit codes.
-    W128(LoadedIndex<u128>),
-    /// 192-bit codes.
-    W192(LoadedIndex<U192>),
-    /// 256-bit codes.
-    W256(LoadedIndex<U256>),
-}
-
-impl AnyLoadedIndex {
-    /// The width this snapshot was loaded at.
-    pub fn width(&self) -> CodeWidth {
-        match self {
-            AnyLoadedIndex::W32(_) => CodeWidth::W32,
-            AnyLoadedIndex::W64(_) => CodeWidth::W64,
-            AnyLoadedIndex::W128(_) => CodeWidth::W128,
-            AnyLoadedIndex::W192(_) => CodeWidth::W192,
-            AnyLoadedIndex::W256(_) => CodeWidth::W256,
-        }
-    }
-
-    /// Total indexed rows.
-    pub fn n_items(&self) -> usize {
-        match self {
-            AnyLoadedIndex::W32(i) => i.n_items(),
-            AnyLoadedIndex::W64(i) => i.n_items(),
-            AnyLoadedIndex::W128(i) => i.n_items(),
-            AnyLoadedIndex::W192(i) => i.n_items(),
-            AnyLoadedIndex::W256(i) => i.n_items(),
-        }
-    }
-
-    /// Vector dimensionality.
-    pub fn dim(&self) -> usize {
-        match self {
-            AnyLoadedIndex::W32(i) => i.dim(),
-            AnyLoadedIndex::W64(i) => i.dim(),
-            AnyLoadedIndex::W128(i) => i.dim(),
-            AnyLoadedIndex::W192(i) => i.dim(),
-            AnyLoadedIndex::W256(i) => i.dim(),
-        }
-    }
-
-    /// The model's reported name.
-    pub fn model_name(&self) -> &'static str {
-        match self {
-            AnyLoadedIndex::W32(i) => i.model().name(),
-            AnyLoadedIndex::W64(i) => i.model().name(),
-            AnyLoadedIndex::W128(i) => i.model().name(),
-            AnyLoadedIndex::W192(i) => i.model().name(),
-            AnyLoadedIndex::W256(i) => i.model().name(),
-        }
-    }
-
-    /// Number of shards.
-    pub fn n_shards(&self) -> usize {
-        match self {
-            AnyLoadedIndex::W32(i) => i.shards().len(),
-            AnyLoadedIndex::W64(i) => i.shards().len(),
-            AnyLoadedIndex::W128(i) => i.shards().len(),
-            AnyLoadedIndex::W192(i) => i.shards().len(),
-            AnyLoadedIndex::W256(i) => i.shards().len(),
-        }
-    }
-}
-
-struct AssembleVisitor<'f>(&'f SnapshotFile);
-
-impl WidthVisitor for AssembleVisitor<'_> {
-    type Output = Result<AnyLoadedIndex, PersistError>;
-
-    fn visit<C: CodeWord>(self) -> Self::Output {
-        // Wrap into the matching variant; the width/BITS correspondence is
-        // guaranteed by dispatch_width.
-        let loaded = assemble_index::<C>(self.0)?;
-        Ok(match C::BITS {
-            32 => AnyLoadedIndex::W32(transmute_loaded(loaded)),
-            64 => AnyLoadedIndex::W64(transmute_loaded(loaded)),
-            128 => AnyLoadedIndex::W128(transmute_loaded(loaded)),
-            192 => AnyLoadedIndex::W192(transmute_loaded(loaded)),
-            256 => AnyLoadedIndex::W256(transmute_loaded(loaded)),
-            _ => unreachable!("dispatch_width only visits implemented widths"),
-        })
-    }
-}
-
-/// Identity cast between `LoadedIndex<C>` and `LoadedIndex<D>` where the
-/// caller has proven `C == D` via `C::BITS` (each width has exactly one
-/// `CodeWord` impl). Goes through `Any` so no unsafe is needed.
-fn transmute_loaded<C: CodeWord, D: CodeWord>(loaded: LoadedIndex<C>) -> LoadedIndex<D> {
-    let boxed: Box<dyn std::any::Any> = Box::new(loaded);
-    *boxed
-        .downcast::<LoadedIndex<D>>()
-        .expect("caller matched C::BITS against D's width")
-}
-
-/// Load a frozen-index snapshot at the width its header declares. The
-/// typed counterpart is [`crate::persist::load_index`], which demands one
-/// specific width.
-pub fn load_index_any(path: &Path) -> Result<AnyLoadedIndex, PersistError> {
-    let file = SnapshotFile::read(path)?;
-    if file.sections_of(SectionKind::LiveState).next().is_some() {
-        return Err(PersistError::Inconsistent {
-            detail: "snapshot holds live mutation state; load it with MutableIndex::from_snapshot",
-        });
-    }
-    let width = CodeWidth::from_bits(file.code_width()).ok_or(PersistError::UnsupportedWidth {
-        found: file.code_width() as u16,
-    })?;
-    dispatch_width(width, AssembleVisitor(&file))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,20 +105,6 @@ mod tests {
         }
         assert_eq!(CodeWidth::from_bits(48), None);
         assert_eq!(CodeWidth::from_bits(0), None);
-    }
-
-    #[test]
-    fn dispatch_monomorphizes_the_right_type() {
-        struct Bits;
-        impl WidthVisitor for Bits {
-            type Output = usize;
-            fn visit<C: CodeWord>(self) -> usize {
-                C::BITS
-            }
-        }
-        for w in CodeWidth::ALL {
-            assert_eq!(dispatch_width(w, Bits), w.bits());
-        }
     }
 
     #[test]

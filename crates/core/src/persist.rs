@@ -84,26 +84,11 @@ pub const MAGIC: [u8; 8] = *b"GQRSNAP\0";
 /// controller's calibration tables (header layout unchanged from v3); v5
 /// added the optional [`SectionKind::Attributes`] section holding the typed
 /// attribute store behind structured predicate filtering (header layout
-/// again unchanged). Readers accept v2 (implicitly 64-bit), v3, and v4
-/// files in addition to v5 — the exceptions to the exact-match policy.
+/// again unchanged). Readers accept v5 only.
 pub const FORMAT_VERSION: u16 = 5;
 
-/// The v4 format version, still accepted on read (identical header layout;
-/// predates the attribute-store section).
-pub const FORMAT_VERSION_V4: u16 = 4;
-
-/// The v3 format version, still accepted on read (identical header layout;
-/// predates the recall-model section).
-pub const FORMAT_VERSION_V3: u16 = 3;
-
-/// The v2 format version, still accepted on read (implicit 64-bit
-/// code width, 16-byte header).
-pub const FORMAT_VERSION_V2: u16 = 2;
-
-/// Size of the fixed v3/v4 header preceding the TOC.
+/// Size of the fixed header preceding the TOC.
 const HEADER_BYTES: usize = 20;
-/// Size of the v2 header (no code-width field).
-const HEADER_BYTES_V2: usize = 16;
 
 /// Code widths a snapshot may declare, in bits. Exactly the widths with a
 /// [`CodeWord`] implementation.
@@ -533,7 +518,7 @@ impl SnapshotWriter {
 #[derive(Debug)]
 pub struct SnapshotFile {
     sections: Vec<(SectionKind, Vec<u8>)>,
-    /// Code width declared by the header, in bits (64 for v2 files).
+    /// Code width declared by the header, in bits.
     code_width: u16,
     /// Total file size in bytes.
     pub file_bytes: u64,
@@ -547,57 +532,41 @@ impl SnapshotFile {
         Self::parse(&bytes)
     }
 
-    /// Validate and slice an in-memory snapshot image. Accepts the current
-    /// layout (v3 through v5 share it) and the legacy v2 layout (16-byte
-    /// header, implicit 64-bit codes).
+    /// Validate and slice an in-memory snapshot image of exactly
+    /// [`FORMAT_VERSION`].
     pub fn parse(bytes: &[u8]) -> Result<SnapshotFile, PersistError> {
-        if bytes.len() < HEADER_BYTES_V2 {
-            if bytes.len() < MAGIC.len() || bytes[..MAGIC.len()] != MAGIC {
-                return Err(PersistError::NotASnapshot);
-            }
-            return Err(PersistError::Truncated { what: "header" });
-        }
-        if bytes[..8] != MAGIC {
+        if bytes.len() < MAGIC.len() || bytes[..MAGIC.len()] != MAGIC {
             return Err(PersistError::NotASnapshot);
         }
+        if bytes.len() < HEADER_BYTES {
+            return Err(PersistError::Truncated { what: "header" });
+        }
         let version = u16::from_le_bytes([bytes[8], bytes[9]]);
-        if version != FORMAT_VERSION
-            && version != FORMAT_VERSION_V4
-            && version != FORMAT_VERSION_V3
-            && version != FORMAT_VERSION_V2
-        {
+        if version != FORMAT_VERSION {
             return Err(PersistError::UnsupportedVersion {
                 found: version,
                 supported: FORMAT_VERSION,
             });
         }
         let n_sections = u16::from_le_bytes([bytes[10], bytes[11]]) as usize;
-        // v2: CRC at offset 12, no width field. v3+: width u16 at 12,
-        // reserved u16 at 14, CRC at 16. Both CRCs cover everything before
-        // the CRC field plus the TOC.
-        let (header_bytes, crc_at, code_width) = if version == FORMAT_VERSION_V2 {
-            (HEADER_BYTES_V2, 12usize, 64u16)
-        } else {
-            if bytes.len() < HEADER_BYTES {
-                return Err(PersistError::Truncated { what: "header" });
-            }
-            let width = u16::from_le_bytes([bytes[12], bytes[13]]);
-            (HEADER_BYTES, 16usize, width)
-        };
+        // Width u16 at 12, reserved u16 at 14, CRC at 16. The CRC covers
+        // everything before the CRC field plus the TOC.
+        let code_width = u16::from_le_bytes([bytes[12], bytes[13]]);
+        let crc_at = 16;
         let header_crc = u32::from_le_bytes(
             bytes[crc_at..crc_at + 4]
                 .try_into()
                 .expect("length checked"),
         );
-        let toc_end = header_bytes + n_sections * TOC_ENTRY_BYTES;
+        let toc_end = HEADER_BYTES + n_sections * TOC_ENTRY_BYTES;
         if bytes.len() < toc_end {
             return Err(PersistError::Truncated {
                 what: "table of contents",
             });
         }
-        let mut crc_input = Vec::with_capacity(crc_at + toc_end - header_bytes);
+        let mut crc_input = Vec::with_capacity(crc_at + toc_end - HEADER_BYTES);
         crc_input.extend_from_slice(&bytes[..crc_at]);
-        crc_input.extend_from_slice(&bytes[header_bytes..toc_end]);
+        crc_input.extend_from_slice(&bytes[HEADER_BYTES..toc_end]);
         if crc32(&crc_input) != header_crc {
             return Err(PersistError::ChecksumMismatch {
                 section: "table of contents",
@@ -608,7 +577,7 @@ impl SnapshotFile {
         }
 
         let mut sections = Vec::with_capacity(n_sections);
-        let mut r = ByteReader::new(&bytes[header_bytes..toc_end]);
+        let mut r = ByteReader::new(&bytes[HEADER_BYTES..toc_end]);
         for _ in 0..n_sections {
             let tag = r.get_u16().expect("TOC length checked");
             let _reserved = r.get_u16().expect("TOC length checked");
@@ -638,7 +607,7 @@ impl SnapshotFile {
         })
     }
 
-    /// Code width declared by the header, in bits (64 for v2 files).
+    /// Code width declared by the header, in bits.
     pub fn code_width(&self) -> usize {
         self.code_width as usize
     }
@@ -959,11 +928,12 @@ pub fn load_index_metered<C: CodeWord>(
     Ok(loaded)
 }
 
-/// Cross-validate the sections of an index snapshot and assemble the
-/// owning [`LoadedIndex`].
-pub(crate) fn assemble_index<C: CodeWord>(
-    file: &SnapshotFile,
-) -> Result<LoadedIndex<C>, PersistError> {
+/// Cross-validate the sections of an already-read index snapshot and
+/// assemble the owning [`LoadedIndex`] at code width `C`, which must match
+/// the width the header declares ([`SnapshotFile::code_width`]). This is
+/// [`load_index`] for a caller that read the file itself, e.g. to branch
+/// on its width or on whether it holds live mutation state.
+pub fn assemble_index<C: CodeWord>(file: &SnapshotFile) -> Result<LoadedIndex<C>, PersistError> {
     if file.sections_of(SectionKind::LiveState).next().is_some() {
         return Err(PersistError::Inconsistent {
             detail: "snapshot holds live mutation state; load it with MutableIndex::from_snapshot",

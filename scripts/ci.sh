@@ -34,13 +34,16 @@ GQR_FORCE_SCALAR=1 cargo test -q -p gqr-l2h
 echo "==> cargo doc (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
+# The benchmark crate builds against the library's public API; build it
+# the way benchmark/run.sh does so a removal it still uses fails here.
+echo "==> benchmark build"
+cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
+
 echo "==> mutation stress (bounded)"
 GQR_STRESS_ITERS=800 cargo test -q -p gqr-core --test live_stress
 
-echo "==> trace overhead bench (smoke, gated at 2%)"
+echo "==> trace overhead gate (smoke, unsampled tracing <= 2% over off)"
 GQR_BENCH_SMOKE=1 cargo bench -q -p gqr-bench --bench trace_overhead
-grep -q '"gate_pass": true' results/BENCH_trace.json \
-    || { echo "trace overhead gate FAILED (results/BENCH_trace.json)"; exit 1; }
 
 echo "==> snapshot save/load/query smoke (CLI)"
 SNAPDIR="$(mktemp -d)"
@@ -120,39 +123,21 @@ fi
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID" || { echo "serve smoke FAILED: drain exited non-zero"; exit 1; }
 
-echo "==> HTTP serving bench (smoke, admission-control gate)"
+echo "==> HTTP serving gate (smoke: sheds at 2x saturation, admitted p99 <= 3x unloaded, lossless drain)"
 GQR_BENCH_SMOKE=1 cargo bench -q -p gqr-bench --bench http_serving
-grep -q '"gate_pass":true' results/BENCH_serving.json \
-    || { echo "serving gate FAILED (results/BENCH_serving.json)"; exit 1; }
 
-echo "==> snapshot cold-start bench (smoke)"
+echo "==> snapshot cold-start gate (smoke, load >= 10x faster than retrain + build)"
 GQR_BENCH_SMOKE=1 cargo bench -q -p gqr-bench --bench snapshot
 
-echo "==> mutation bench (smoke)"
-GQR_BENCH_SMOKE=1 cargo bench -q -p gqr-bench --bench mutation
-
-echo "==> kernel bench (smoke)"
-GQR_BENCH_SMOKE=1 cargo bench -q -p gqr-bench --bench distance
-
-echo "==> recall controller bench (smoke, 25% probe-reduction gate at recall@10 >= 0.9)"
+echo "==> recall controller gate (smoke, 25% probe reduction at recall@10 >= 0.9)"
 GQR_BENCH_SMOKE=1 cargo bench -q -p gqr-bench --bench recall
-grep -q '"gate_pass": true' results/BENCH_recall.json \
-    || { echo "recall controller gate FAILED (results/BENCH_recall.json)"; exit 1; }
 GQR_FORCE_SCALAR=1 GQR_BENCH_SMOKE=1 cargo bench -q -p gqr-bench --bench recall
-grep -q '"gate_pass": true' results/BENCH_recall.json \
-    || { echo "recall controller gate FAILED under GQR_FORCE_SCALAR (results/BENCH_recall.json)"; exit 1; }
 
-echo "==> filtered-search bench (smoke, 5x planner gate at selectivity <= 0.01)"
+echo "==> filtered-search gate (smoke, planner >= 5x at selectivity <= 0.01)"
 GQR_BENCH_SMOKE=1 cargo bench -q -p gqr-bench --bench filtered
-grep -q '"gate_pass": true' results/BENCH_filtered.json \
-    || { echo "filtered planner gate FAILED (results/BENCH_filtered.json)"; exit 1; }
 
-echo "==> popcount bench (smoke, 1.5x SIMD gate at m=128)"
+echo "==> popcount gate (smoke, dispatched >= 1.5x scalar at m=128 under AVX2)"
 GQR_BENCH_SMOKE=1 cargo bench -q -p gqr-bench --bench hamming
-grep -q '"gate_pass": true' results/BENCH_hamming.json \
-    || { echo "popcount gate FAILED (results/BENCH_hamming.json)"; exit 1; }
 GQR_FORCE_SCALAR=1 GQR_BENCH_SMOKE=1 cargo bench -q -p gqr-bench --bench hamming
-grep -q '"gate_pass": true' results/BENCH_hamming.json \
-    || { echo "popcount gate FAILED under GQR_FORCE_SCALAR (results/BENCH_hamming.json)"; exit 1; }
 
 echo "==> ci.sh: all green"

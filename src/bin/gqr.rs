@@ -15,9 +15,11 @@
 
 use gqr::core::attrs::{AttributeStore, Predicate};
 use gqr::core::code::CodeWord;
-use gqr::core::dispatch::{load_index_any, AnyLoadedIndex, CodeWidth};
-use gqr::core::engine::{ProbeStrategy, QueryEngine, SearchParams, SearchResponse};
+use gqr::core::dispatch::CodeWidth;
+use gqr::core::engine::{ProbeStrategy, QueryEngine, SearchParams};
+use gqr::core::index::Index;
 use gqr::core::live::MutableIndex;
+use gqr::core::metrics::MetricsRegistry;
 use gqr::core::request::SearchRequest;
 use gqr::core::shard::ShardedIndex;
 use gqr::core::table::HashTable;
@@ -29,13 +31,14 @@ use gqr::l2h::lsh::Lsh;
 use gqr::l2h::pcah::Pcah;
 use gqr::l2h::sh::SpectralHashing;
 use gqr::l2h::HashModel;
-use gqr::persist::{LoadedIndex, SectionKind, SnapshotFile, SnapshotWriter};
+use gqr::persist::{assemble_index, LoadedIndex, SectionKind, SnapshotFile, SnapshotWriter};
 use std::collections::HashMap;
 use std::process::exit;
 
 /// Monomorphize `$body` with `$C` aliased to the [`CodeWord`] type whose
-/// capacity is exactly `$bits`. The enclosing function must return
-/// `Result<_, String>`: unsupported widths bail out with an error.
+/// capacity is exactly `$bits`: the one runtime width branch of the tool.
+/// The enclosing function must return `Result<_, String>`: unsupported
+/// widths bail out with an error.
 macro_rules! dispatch_bits {
     ($bits:expr, $C:ident, $body:expr) => {
         match CodeWidth::from_bits($bits) {
@@ -65,20 +68,6 @@ macro_rules! dispatch_bits {
                     $bits
                 ))
             }
-        }
-    };
-}
-
-/// Bind `$l` to the typed [`LoadedIndex`] inside an [`AnyLoadedIndex`] and
-/// evaluate `$body` once, monomorphized at the snapshot's width.
-macro_rules! with_any_index {
-    ($any:expr, $l:ident, $body:expr) => {
-        match $any {
-            AnyLoadedIndex::W32($l) => $body,
-            AnyLoadedIndex::W64($l) => $body,
-            AnyLoadedIndex::W128($l) => $body,
-            AnyLoadedIndex::W192($l) => $body,
-            AnyLoadedIndex::W256($l) => $body,
         }
     };
 }
@@ -235,6 +224,65 @@ fn parse_filter(flags: &HashMap<String, String>) -> Result<Option<Predicate>, St
     gqr::serve::wire::decode_predicate(&json)
         .map(Some)
         .map_err(|e| format!("bad --filter: {e}"))
+}
+
+/// `--filter`, validated against the snapshot's attribute store.
+fn checked_filter(
+    flags: &HashMap<String, String>,
+    attrs: Option<&AttributeStore>,
+) -> Result<Option<Predicate>, String> {
+    let Some(pred) = parse_filter(flags)? else {
+        return Ok(None);
+    };
+    let Some(store) = attrs else {
+        return Err("snapshot has no attribute store; re-save with --attrs".into());
+    };
+    store
+        .validate(&pred)
+        .map_err(|e| format!("bad --filter: {e}"))?;
+    Ok(Some(pred))
+}
+
+/// One query of `load-index`, carrying `--filter` when given.
+fn request<'q>(
+    query: &'q [f32],
+    params: SearchParams,
+    filter: &Option<Predicate>,
+) -> SearchRequest<'q> {
+    let req = SearchRequest::new(query).params(params);
+    match filter {
+        Some(pred) => req.predicate(pred.clone()),
+        None => req,
+    }
+}
+
+/// Exact k-NN of each query over the rows of `ds` that `keep` admits —
+/// the contract a filtered search must honor. Rows are returned by
+/// position in `ds`.
+fn filtered_knn(
+    ds: &Dataset,
+    queries: &[Vec<f32>],
+    k: usize,
+    keep: impl Fn(u32) -> bool,
+) -> Vec<Vec<u32>> {
+    let matching: Vec<u32> = (0..ds.n() as u32).filter(|&row| keep(row)).collect();
+    let dim = ds.dim();
+    let data = ds.as_slice();
+    queries
+        .iter()
+        .map(|q| {
+            let mut scored: Vec<(f32, u32)> = matching
+                .iter()
+                .map(|&row| {
+                    let v = &data[row as usize * dim..(row as usize + 1) * dim];
+                    let d: f32 = v.iter().zip(q).map(|(x, y)| (x - y) * (x - y)).sum();
+                    (d, row)
+                })
+                .collect();
+            scored.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+            scored.into_iter().take(k).map(|(_, row)| row).collect()
+        })
+        .collect()
 }
 
 /// Load a per-item attribute file for `--attrs`: a header line of
@@ -530,65 +578,53 @@ fn cmd_save_index(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-/// A query front end over a loaded snapshot: one engine for one-shard
-/// snapshots, the sharded index otherwise. The sharded variant exists
-/// only at 64-bit width (wide snapshots are single-shard).
-enum LoadedEngine<'a, C: CodeWord = u64> {
-    Single(QueryEngine<'a, dyn HashModel + 'a, C>),
-    Sharded(ShardedIndex<'a, dyn HashModel + 'a>),
-}
-
-impl<C: CodeWord> LoadedEngine<'_, C> {
-    fn search(&self, query: &[f32], params: &SearchParams) -> SearchResponse {
-        match self {
-            LoadedEngine::Single(e) => e.search(query, params),
-            LoadedEngine::Sharded(s) => s.search(query, params),
-        }
-    }
-
-    /// The request-level entry point; needed for predicate-carrying
-    /// queries, which have no `search`-style shorthand.
-    fn run(&self, req: SearchRequest<'_>) -> SearchResponse {
-        match self {
-            LoadedEngine::Single(e) => e.run(req),
-            LoadedEngine::Sharded(s) => s.run(req),
-        }
-    }
-}
-
-fn engine_from<C: CodeWord>(loaded: &LoadedIndex<C>) -> Result<LoadedEngine<'_, C>, String> {
+/// A query front end over a loaded snapshot, observed by `metrics`: one
+/// engine for one-shard snapshots, the sharded index otherwise. The
+/// sharded index exists only at 64-bit width (wide snapshots are
+/// single-shard).
+fn engine_from<C: CodeWord>(
+    loaded: &LoadedIndex<C>,
+    metrics: MetricsRegistry,
+) -> Result<Box<dyn Index + Sync + '_>, String> {
     if loaded.shards().len() == 1 {
-        QueryEngine::from_snapshot(loaded)
-            .map(LoadedEngine::Single)
-            .map_err(|e| e.to_string())
-    } else {
-        // The sharded index is monomorphic over u64; prove C == u64 at
-        // runtime (the only sharded snapshots ever written are 64-bit).
-        let loaded64 = (loaded as &dyn std::any::Any)
-            .downcast_ref::<LoadedIndex<u64>>()
-            .ok_or_else(|| {
-                format!(
-                    "sharded snapshots are only supported at 64-bit width (this one is {}-bit)",
-                    C::BITS
-                )
-            })?;
-        Ok(LoadedEngine::Sharded(ShardedIndex::from_snapshot(loaded64)))
+        let engine = QueryEngine::from_snapshot(loaded).map_err(|e| e.to_string())?;
+        return Ok(Box::new(engine.with_metrics(metrics)));
     }
+    // The sharded index is monomorphic over u64; prove C == u64 at runtime
+    // (the only sharded snapshots ever written are 64-bit).
+    let loaded64 = (loaded as &dyn std::any::Any)
+        .downcast_ref::<LoadedIndex<u64>>()
+        .ok_or_else(|| {
+            format!(
+                "sharded snapshots are only supported at 64-bit width (this one is {}-bit)",
+                C::BITS
+            )
+        })?;
+    Ok(Box::new(
+        ShardedIndex::from_snapshot(loaded64).with_metrics(metrics),
+    ))
 }
 
-/// Peek at the snapshot header: whether it carries live mutation state
-/// (and so must be loaded through [`MutableIndex::from_snapshot`] rather
-/// than `load_index`), and the code width it was written at.
-fn snapshot_kind(path: &str) -> Result<(bool, usize), String> {
+/// Read and checksum the snapshot once. Returns whether it carries live
+/// mutation state (and so loads through [`load_mutable`] rather than
+/// [`load_frozen`]) together with the file; branch on
+/// [`SnapshotFile::code_width`] to pick the width to load it at.
+fn snapshot_kind(path: &str) -> Result<(bool, SnapshotFile), String> {
     let file = SnapshotFile::read(std::path::Path::new(path))
         .map_err(|e| format!("loading {path}: {e}"))?;
     let live = file.sections_of(SectionKind::LiveState).next().is_some();
-    Ok((live, file.code_width()))
+    Ok((live, file))
 }
 
-fn load_mutable<C: CodeWord>(path: &str) -> Result<MutableIndex<dyn HashModel, C>, String> {
-    MutableIndex::from_snapshot(std::path::Path::new(path))
-        .map_err(|e| format!("loading {path}: {e}"))
+fn load_mutable<C: CodeWord>(
+    file: SnapshotFile,
+    path: &str,
+) -> Result<MutableIndex<dyn HashModel, C>, String> {
+    MutableIndex::from_snapshot_file(&file).map_err(|e| format!("loading {path}: {e}"))
+}
+
+fn load_frozen<C: CodeWord>(file: SnapshotFile, path: &str) -> Result<LoadedIndex<C>, String> {
+    assemble_index(&file).map_err(|e| format!("loading {path}: {e}"))
 }
 
 fn cmd_insert(flags: &HashMap<String, String>) -> Result<(), String> {
@@ -602,9 +638,9 @@ fn cmd_insert(flags: &HashMap<String, String>) -> Result<(), String> {
             x.ok_or_else(|| format!("bad component '{}' in --vector", s.trim()))
         })
         .collect::<Result<_, _>>()?;
-    let (_, width_bits) = snapshot_kind(path)?;
-    dispatch_bits!(width_bits, C, {
-        let index: MutableIndex<dyn HashModel, C> = load_mutable(path)?;
+    let (_, file) = snapshot_kind(path)?;
+    dispatch_bits!(file.code_width(), C, {
+        let index = load_mutable::<C>(file, path)?;
         if vector.len() != index.dim() {
             return Err(format!(
                 "--vector has {} components, index expects {}",
@@ -635,9 +671,9 @@ fn cmd_insert(flags: &HashMap<String, String>) -> Result<(), String> {
 fn cmd_delete(flags: &HashMap<String, String>) -> Result<(), String> {
     let path = get(flags, "snapshot")?;
     let id: u32 = get_num(flags, "id")?;
-    let (_, width_bits) = snapshot_kind(path)?;
-    dispatch_bits!(width_bits, C, {
-        let index: MutableIndex<dyn HashModel, C> = load_mutable(path)?;
+    let (_, file) = snapshot_kind(path)?;
+    dispatch_bits!(file.code_width(), C, {
+        let index = load_mutable::<C>(file, path)?;
         if !index.writer().delete(id) {
             return Err(format!("id {id} is not live in {path}"));
         }
@@ -663,19 +699,21 @@ fn cmd_delete(flags: &HashMap<String, String>) -> Result<(), String> {
 /// `load-index` over a snapshot with live mutation state: external ids are
 /// sparse, so `--row` addresses an external id and recall evaluation maps
 /// brute-force positions back through the live id list.
-fn run_load_live<C: CodeWord>(path: &str, flags: &HashMap<String, String>) -> Result<(), String> {
-    let start = std::time::Instant::now();
-    let index: MutableIndex<dyn HashModel, C> = load_mutable(path)?;
+fn run_load_live<C: CodeWord>(
+    index: MutableIndex<dyn HashModel, C>,
+    path: &str,
+    loaded_in: std::time::Duration,
+    flags: &HashMap<String, String>,
+) -> Result<(), String> {
     let gen = index.pin();
     println!(
-        "loaded live index: {} rows × {} dims (epoch {}, {} delta, {} tombstones, {}-bit codes) from {path} in {:?}",
+        "loaded live index: {} rows × {} dims (epoch {}, {} delta, {} tombstones, {}-bit codes) from {path} in {loaded_in:?}",
         gen.n_live(),
         index.dim(),
         gen.epoch(),
         gen.delta_rows(),
         gen.n_tombstones(),
         C::BITS,
-        start.elapsed()
     );
     let k: usize = get_num(flags, "k")?;
     let strat_name = flags.get("strategy").map(String::as_str).unwrap_or("gqr");
@@ -691,6 +729,7 @@ fn run_load_live<C: CodeWord>(path: &str, flags: &HashMap<String, String>) -> Re
     if params.recall_target.is_some() && index.recall_model().is_none() {
         return Err("snapshot has no recall model; run `gqr calibrate` first".into());
     }
+    let filter = checked_filter(flags, index.attrs())?;
 
     if let Some(id) = flags.get("row") {
         let id: u32 = id.parse().map_err(|_| "bad --row")?;
@@ -698,7 +737,7 @@ fn run_load_live<C: CodeWord>(path: &str, flags: &HashMap<String, String>) -> Re
             return Err(format!("id {id} is not live in {path}"));
         };
         let start = std::time::Instant::now();
-        let res = index.run(SearchRequest::new(&query).params(params));
+        let res = index.run(request(&query, params, &filter));
         println!(
             "{} nearest neighbors of id {id} ({} in {:?}, {} buckets probed, {} items evaluated):",
             k,
@@ -725,11 +764,19 @@ fn run_load_live<C: CodeWord>(path: &str, flags: &HashMap<String, String>) -> Re
     }
     let ds = Dataset::new("snapshot", index.dim(), data);
     let queries = ds.sample_queries(n_queries, 7);
-    let truth = brute_force_knn(&ds, &queries, k, 0);
+    let truth = match &filter {
+        Some(pred) => {
+            let store = index.attrs().expect("validated above");
+            filtered_knn(&ds, &queries, k, |row| {
+                store.matches(pred, ids[row as usize])
+            })
+        }
+        None => brute_force_knn(&ds, &queries, k, 0),
+    };
     let start = std::time::Instant::now();
     let mut found = 0usize;
     for (q, t) in queries.iter().zip(&truth) {
-        let res = index.run(SearchRequest::new(q).params(params));
+        let res = index.run(request(q, params, &filter));
         found += res
             .ids
             .iter()
@@ -748,23 +795,25 @@ fn run_load_live<C: CodeWord>(path: &str, flags: &HashMap<String, String>) -> Re
 
 fn cmd_load_index(flags: &HashMap<String, String>) -> Result<(), String> {
     let path = get(flags, "snapshot")?;
-    let (live, width_bits) = snapshot_kind(path)?;
-    if live {
-        return dispatch_bits!(width_bits, C, run_load_live::<C>(path, flags));
-    }
     let start = std::time::Instant::now();
-    let any =
-        load_index_any(std::path::Path::new(path)).map_err(|e| format!("loading {path}: {e}"))?;
-    println!(
-        "loaded {} items × {} dims ({} shard(s), model {}, {} codes) from {path} in {:?}",
-        any.n_items(),
-        any.dim(),
-        any.n_shards(),
-        any.model_name(),
-        any.width(),
-        start.elapsed()
-    );
-    with_any_index!(&any, loaded, run_frozen_queries(loaded, flags))
+    let (live, file) = snapshot_kind(path)?;
+    dispatch_bits!(file.code_width(), C, {
+        if live {
+            let index = load_mutable::<C>(file, path)?;
+            return run_load_live(index, path, start.elapsed(), flags);
+        }
+        let loaded = load_frozen::<C>(file, path)?;
+        println!(
+            "loaded {} items × {} dims ({} shard(s), model {}, {}-bit codes) from {path} in {:?}",
+            loaded.n_items(),
+            loaded.dim(),
+            loaded.shards().len(),
+            loaded.model().name(),
+            C::BITS,
+            start.elapsed()
+        );
+        run_frozen_queries(&loaded, flags)
+    })
 }
 
 /// The query/eval half of `load-index`, monomorphized at the snapshot's
@@ -785,20 +834,12 @@ fn run_frozen_queries<C: CodeWord>(
     } else {
         strategy(strat_name)?
     };
-    let engine = engine_from(loaded)?;
+    let engine = engine_from(loaded, MetricsRegistry::disabled())?;
     let params = snapshot_params(flags, k, strat)?;
     if params.recall_target.is_some() && loaded.recall_model().is_none() {
         return Err("snapshot has no recall model; run `gqr calibrate` first".into());
     }
-    let filter = parse_filter(flags)?;
-    if let Some(pred) = &filter {
-        let Some(store) = loaded.attrs() else {
-            return Err("snapshot has no attribute store; re-save with --attrs".into());
-        };
-        store
-            .validate(pred)
-            .map_err(|e| format!("bad --filter: {e}"))?;
-    }
+    let filter = checked_filter(flags, loaded.attrs())?;
 
     if let Some(row) = flags.get("row") {
         let row: usize = row.parse().map_err(|_| "bad --row")?;
@@ -811,10 +852,7 @@ fn run_frozen_queries<C: CodeWord>(
         let dim = loaded.dim();
         let query = loaded.data()[row * dim..(row + 1) * dim].to_vec();
         let start = std::time::Instant::now();
-        let res = match filter {
-            Some(pred) => engine.run(SearchRequest::new(&query).params(params).predicate(pred)),
-            None => engine.search(&query, &params),
-        };
+        let res = engine.run(request(&query, params, &filter));
         println!(
             "{} nearest neighbors of row {row} ({} in {:?}, {} buckets probed, {} items evaluated):",
             k,
@@ -835,31 +873,10 @@ fn run_frozen_queries<C: CodeWord>(
     let n_queries: usize = get_num(flags, "queries")?;
     let ds = Dataset::new("snapshot", loaded.dim(), loaded.data().to_vec());
     let queries = ds.sample_queries(n_queries, 7);
-    // With a filter, ground truth is exact k-NN restricted to the rows
-    // the predicate admits — the same contract the engine must honor.
     let truth = match &filter {
         Some(pred) => {
             let store = loaded.attrs().expect("validated above");
-            let matching: Vec<u32> = (0..loaded.n_items() as u32)
-                .filter(|&id| store.matches(pred, id))
-                .collect();
-            let dim = ds.dim();
-            let data = ds.as_slice();
-            queries
-                .iter()
-                .map(|q| {
-                    let mut scored: Vec<(f32, u32)> = matching
-                        .iter()
-                        .map(|&id| {
-                            let row = &data[id as usize * dim..(id as usize + 1) * dim];
-                            let d: f32 = row.iter().zip(q).map(|(x, y)| (x - y) * (x - y)).sum();
-                            (d, id)
-                        })
-                        .collect();
-                    scored.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-                    scored.into_iter().take(k).map(|(_, id)| id).collect()
-                })
-                .collect()
+            filtered_knn(&ds, &queries, k, |id| store.matches(pred, id))
         }
         None => brute_force_knn(&ds, &queries, k, 0),
     };
@@ -867,10 +884,7 @@ fn run_frozen_queries<C: CodeWord>(
     let mut found = 0usize;
     let mut probed = 0usize;
     for (q, t) in queries.iter().zip(&truth) {
-        let res = match &filter {
-            Some(pred) => engine.run(SearchRequest::new(q).params(params).predicate(pred.clone())),
-            None => engine.search(q, &params),
-        };
+        let res = engine.run(request(q, params, &filter));
         probed += res.stats.buckets_probed;
         found += res.ids.iter().filter(|&&id| t.contains(&id)).count();
     }
@@ -890,15 +904,15 @@ fn run_frozen_queries<C: CodeWord>(
 /// the snapshot with the model attached.
 fn cmd_calibrate(flags: &HashMap<String, String>) -> Result<(), String> {
     let path = get(flags, "snapshot")?;
-    let (live, _) = snapshot_kind(path)?;
+    let (live, file) = snapshot_kind(path)?;
     if live {
         return Err(
             "calibrate reads frozen snapshots; compact the live index into one first".into(),
         );
     }
-    let any =
-        load_index_any(std::path::Path::new(path)).map_err(|e| format!("loading {path}: {e}"))?;
-    with_any_index!(&any, loaded, run_calibrate(loaded, path, flags))
+    dispatch_bits!(file.code_width(), C, {
+        run_calibrate(&load_frozen::<C>(file, path)?, path, flags)
+    })
 }
 
 fn run_calibrate<C: CodeWord>(
@@ -972,22 +986,22 @@ fn run_calibrate<C: CodeWord>(
 /// and print (or write) the captured traces in the requested format.
 fn cmd_trace_dump(flags: &HashMap<String, String>) -> Result<(), String> {
     let path = get(flags, "snapshot")?;
-    let (live, _) = snapshot_kind(path)?;
+    let (live, file) = snapshot_kind(path)?;
     if live {
         return Err(
             "trace-dump reads frozen snapshots; compact the live index into one first".into(),
         );
     }
-    let any =
-        load_index_any(std::path::Path::new(path)).map_err(|e| format!("loading {path}: {e}"))?;
-    with_any_index!(&any, loaded, run_trace_dump(loaded, flags))
+    dispatch_bits!(file.code_width(), C, {
+        run_trace_dump(&load_frozen::<C>(file, path)?, flags)
+    })
 }
 
 fn run_trace_dump<C: CodeWord>(
     loaded: &LoadedIndex<C>,
     flags: &HashMap<String, String>,
 ) -> Result<(), String> {
-    use gqr::core::metrics::{to_chrome_trace, MetricsRegistry, TraceConfig};
+    use gqr::core::metrics::{to_chrome_trace, TraceConfig};
 
     let k: usize = get_num(flags, "k")?;
     let n_queries: usize = get_num(flags, "queries")?;
@@ -1027,15 +1041,12 @@ fn run_trace_dump<C: CodeWord>(
             ..TraceConfig::default()
         })
         .expect("enabled registry accepts tracing");
-    let engine = match engine_from(loaded)? {
-        LoadedEngine::Single(e) => LoadedEngine::Single(e.with_metrics(metrics.clone())),
-        LoadedEngine::Sharded(s) => LoadedEngine::Sharded(s.with_metrics(metrics.clone())),
-    };
+    let engine = engine_from(loaded, metrics.clone())?;
 
     let ds = Dataset::new("snapshot", loaded.dim(), loaded.data().to_vec());
     let queries = ds.sample_queries(n_queries, 7);
     for q in &queries {
-        engine.search(q, &params);
+        engine.run(SearchRequest::new(q).params(params));
     }
 
     let store = tracing.store();
@@ -1082,8 +1093,6 @@ fn install_drain_signals() {
 }
 
 fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
-    use gqr::core::index::Index;
-    use gqr::core::metrics::MetricsRegistry;
     use gqr::serve::server::{Server, ServerConfig};
     use gqr::serve::QuotaConfig;
 
@@ -1130,40 +1139,30 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     // Servers run until signalled, so the index may as well live for the
     // process: leak it to get the 'static borrow the handler pool needs.
     let metrics = MetricsRegistry::enabled();
-    let (live, width_bits) = snapshot_kind(path)?;
-    let index: &'static (dyn Index + Sync) = if live {
-        dispatch_bits!(width_bits, C, {
-            let index: MutableIndex<dyn HashModel, C> = load_mutable(path)?;
+    let (live, file) = snapshot_kind(path)?;
+    let index: &'static (dyn Index + Sync) = dispatch_bits!(file.code_width(), C, {
+        if live {
+            let index = load_mutable::<C>(file, path)?;
             println!(
-                "serving live snapshot {path}: {} items, epoch {}, {width_bits}-bit codes",
+                "serving live snapshot {path}: {} items, epoch {}, {}-bit codes",
                 index.n_items(),
-                index.epoch()
+                index.epoch(),
+                C::BITS
             );
             Box::leak(Box::new(index)) as &'static (dyn Index + Sync)
-        })
-    } else {
-        let any = load_index_any(std::path::Path::new(path))
-            .map_err(|e| format!("loading {path}: {e}"))?;
-        println!(
-            "serving snapshot {path}: {} items × {} dims, {} shard(s), model {}, {} codes",
-            any.n_items(),
-            any.dim(),
-            any.n_shards(),
-            any.model_name(),
-            any.width()
-        );
-        with_any_index!(any, loaded, {
-            let loaded = &*Box::leak(Box::new(loaded));
-            match engine_from(loaded)? {
-                LoadedEngine::Single(e) => {
-                    Box::leak(Box::new(e.with_metrics(metrics))) as &'static (dyn Index + Sync)
-                }
-                LoadedEngine::Sharded(s) => {
-                    Box::leak(Box::new(s.with_metrics(metrics))) as &'static (dyn Index + Sync)
-                }
-            }
-        })
-    };
+        } else {
+            let loaded = &*Box::leak(Box::new(load_frozen::<C>(file, path)?));
+            println!(
+                "serving snapshot {path}: {} items × {} dims, {} shard(s), model {}, {}-bit codes",
+                loaded.n_items(),
+                loaded.dim(),
+                loaded.shards().len(),
+                loaded.model().name(),
+                C::BITS
+            );
+            &*Box::leak(engine_from(loaded, metrics)?)
+        }
+    });
 
     install_drain_signals();
     let server = Server::start(index, config).map_err(|e| format!("starting server: {e}"))?;

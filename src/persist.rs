@@ -7,8 +7,8 @@
 //! the crate graph and therefore cannot host it itself.
 
 pub use gqr_core::persist::{
-    load_index, load_index_metered, save_index, LoadedIndex, LoadedShard, PersistError,
-    SectionKind, SnapshotFile, SnapshotWriter, FORMAT_VERSION, MAGIC,
+    assemble_index, load_index, load_index_metered, save_index, LoadedIndex, LoadedShard,
+    PersistError, SectionKind, SnapshotFile, SnapshotWriter, FORMAT_VERSION, MAGIC,
 };
 use gqr_linalg::wire::{ByteReader, ByteWriter};
 use gqr_mplsh::MpLshIndex;

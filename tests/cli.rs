@@ -436,12 +436,7 @@ fn filtered_snapshot_pipeline_works() {
         String::from_utf8_lossy(&out.stderr)
     );
     let text = String::from_utf8_lossy(&out.stdout);
-    let ids: Vec<u32> = text
-        .lines()
-        .filter_map(|l| l.trim().strip_prefix('#'))
-        .filter_map(|l| l.split_whitespace().next())
-        .filter_map(|w| w.parse().ok())
-        .collect();
+    let ids = neighbor_ids(&text);
     assert!(!ids.is_empty(), "no neighbors printed:\n{text}");
     assert!(
         ids.iter().all(|id| id % 2 == 0),
@@ -648,4 +643,146 @@ fn wide_snapshot_serves_over_http() {
         "wide-code search must return k ids:\n{resp_body}"
     );
     assert_eq!(doc.get("distances").unwrap().as_array().unwrap().len(), 5);
+}
+
+/// Rows in an fvecs file: each record is a `u32` dimension, then that
+/// many `f32`s.
+fn fvecs_rows(data: &Path) -> usize {
+    let bytes = std::fs::read(data).unwrap();
+    let dim = u32::from_le_bytes(bytes[..4].try_into().unwrap()) as usize;
+    bytes.len() / (4 + 4 * dim)
+}
+
+/// The ids `load-index --row` printed, in rank order.
+fn neighbor_ids(text: &str) -> Vec<u32> {
+    text.lines()
+        .filter_map(|l| l.trim().strip_prefix('#'))
+        .filter_map(|l| l.split_whitespace().next())
+        .filter_map(|w| w.parse().ok())
+        .collect()
+}
+
+/// A snapshot turns live with its first `insert`; `load-index --filter`
+/// must still apply the predicate to it, for `--row` and for `--queries`.
+#[test]
+fn live_snapshot_honors_filter() {
+    let dir = tmpdir("live_filter");
+    let data = generate(&dir, "9");
+    let attrs = dir.join("attrs.tsv");
+    let mut tsv = String::from("parity:tag\n");
+    for i in 0..fvecs_rows(&data) {
+        tsv.push_str(if i % 2 == 0 { "even\n" } else { "odd\n" });
+    }
+    std::fs::write(&attrs, tsv).unwrap();
+    let snap = dir.join("index.gqr");
+    run_ok(
+        bin()
+            .args(["save-index", "--data", path(&data), "--algo", "pcah"])
+            .args(["--bits", "8", "--attrs", path(&attrs)])
+            .args(["--snapshot", path(&snap)]),
+    );
+    let vector = vec!["0.5"; 16].join(","); // smoke-scale audio50k is 16-dim
+    run_ok(bin().args(["insert", "--snapshot", path(&snap), "--vector", &vector]));
+
+    let even = r#"{"op":"eq","column":"parity","value":"even"}"#;
+    let load = || {
+        let mut cmd = bin();
+        cmd.args(["load-index", "--snapshot", path(&snap), "--k", "5"])
+            .args(["--candidates", "500", "--filter", even]);
+        cmd
+    };
+    let text = run_ok(load().args(["--row", "3"]));
+    assert!(text.contains("loaded live index"), "{text}");
+    let ids = neighbor_ids(&text);
+    assert_eq!(ids.len(), 5, "{text}");
+    assert!(
+        ids.iter().all(|id| id % 2 == 0),
+        "a filtered live query leaked odd ids: {ids:?}\n{text}"
+    );
+    let text = run_ok(load().args(["--queries", "10"]));
+    assert!(text.contains("recall@5"), "{text}");
+
+    // A live index without attributes refuses the filter.
+    let plain = dir.join("plain.gqr");
+    run_ok(
+        bin()
+            .args(["save-index", "--data", path(&data), "--algo", "pcah"])
+            .args(["--bits", "8", "--snapshot", path(&plain)]),
+    );
+    run_ok(bin().args(["insert", "--snapshot", path(&plain), "--vector", &vector]));
+    let out = bin()
+        .args(["load-index", "--snapshot", path(&plain), "--k", "5"])
+        .args(["--row", "3", "--filter", even])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("no attribute store"));
+}
+
+/// Every command that branches on a snapshot's code width, on a 128-bit
+/// snapshot and on a 16-bit model stored in 64-bit words: frozen
+/// `load-index --row`, `trace-dump`, `calibrate`, `insert`, then
+/// `load-index` on the live result.
+#[test]
+fn every_width_site_runs_at_64_and_128_bits() {
+    let dir = tmpdir("width_sites");
+    let data = generate(&dir, "7");
+    let vector = vec!["0.5"; 16].join(",");
+    for (bits, width) in [("128", None), ("16", Some("64"))] {
+        let width_bits = width.unwrap_or(bits);
+        let codes = format!("{width_bits}-bit codes");
+        let snap = dir.join(format!("w{width_bits}.gqr"));
+        let mut save = bin();
+        save.args(["save-index", "--data", path(&data), "--algo", "lsh"])
+            .args(["--bits", bits, "--snapshot", path(&snap)]);
+        if let Some(w) = width {
+            save.args(["--width", w]);
+        }
+        assert!(run_ok(&mut save).contains(&codes));
+
+        let row = |snap: &Path| {
+            let mut cmd = bin();
+            cmd.args(["load-index", "--snapshot", path(snap)]).args([
+                "--row",
+                "3",
+                "--k",
+                "5",
+                "--strategy",
+                "hr",
+            ]);
+            run_ok(&mut cmd)
+        };
+        let text = row(&snap);
+        assert!(text.contains(&codes), "{width_bits}: {text}");
+        assert!(neighbor_ids(&text).contains(&3), "{width_bits}: {text}");
+
+        let trace = dir.join(format!("trace{width_bits}.jsonl"));
+        let out = bin()
+            .args(["trace-dump", "--snapshot", path(&snap)])
+            .args(["--queries", "4", "--k", "5", "--out", path(&trace)])
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{width_bits}: {out:?}");
+        assert!(!std::fs::read(&trace).unwrap().is_empty(), "{width_bits}");
+
+        let calibrated = dir.join(format!("cal{width_bits}.gqr"));
+        let text = run_ok(
+            bin()
+                .args(["calibrate", "--snapshot", path(&snap), "--k", "5"])
+                .args(["--sample", "10", "--out", path(&calibrated)]),
+        );
+        assert!(text.contains("calibrated recall@5"), "{width_bits}: {text}");
+
+        let live = dir.join(format!("live{width_bits}.gqr"));
+        let text = run_ok(
+            bin()
+                .args(["insert", "--snapshot", path(&snap), "--vector", &vector])
+                .args(["--out", path(&live)]),
+        );
+        assert!(text.contains("inserted id"), "{width_bits}: {text}");
+        let text = row(&live);
+        assert!(text.contains("loaded live index"), "{width_bits}: {text}");
+        assert!(text.contains(&codes), "{width_bits}: {text}");
+        assert!(neighbor_ids(&text).contains(&3), "{width_bits}: {text}");
+    }
 }

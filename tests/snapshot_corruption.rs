@@ -288,16 +288,20 @@ fn version_skew_is_rejected_with_a_clear_error() {
     let bytes = full_snapshot();
     let dir = tmpdir("verskew");
     let path = dir.join("skewed.gqr");
-    let mut skewed = bytes.to_vec();
-    skewed[8] = (FORMAT_VERSION + 1) as u8;
-    skewed[9] = ((FORMAT_VERSION + 1) >> 8) as u8;
-    std::fs::write(&path, &skewed).unwrap();
-    match load_index::<u64>(&path) {
-        Err(PersistError::UnsupportedVersion { found, supported }) => {
-            assert_eq!(found, FORMAT_VERSION + 1);
-            assert_eq!(supported, FORMAT_VERSION);
+    // Older layouts (v2's 16-byte header, v3 and v4 before the recall and
+    // attribute sections) are refused like a newer one: readers accept
+    // exactly FORMAT_VERSION.
+    for version in [2u16, 3, 4, FORMAT_VERSION + 1] {
+        let mut skewed = bytes.to_vec();
+        skewed[8..10].copy_from_slice(&version.to_le_bytes());
+        std::fs::write(&path, &skewed).unwrap();
+        match load_index::<u64>(&path) {
+            Err(PersistError::UnsupportedVersion { found, supported }) => {
+                assert_eq!(found, version);
+                assert_eq!(supported, FORMAT_VERSION);
+            }
+            other => panic!("v{version}: expected UnsupportedVersion, got {other:?}"),
         }
-        other => panic!("expected UnsupportedVersion, got {other:?}"),
     }
 }
 

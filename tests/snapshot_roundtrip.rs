@@ -223,64 +223,6 @@ fn wide_live_roundtrip_preserves_results_and_membership() {
     }
 }
 
-/// Rewrite a v3 snapshot into the legacy v2 layout: 16-byte header (no
-/// width field, CRC at offset 12), every payload shifted 4 bytes down.
-fn as_v2_bytes(v3: &[u8]) -> Vec<u8> {
-    use gqr::linalg::wire::crc32;
-    const V3_HEADER: usize = 20;
-    const V2_HEADER: usize = 16;
-    const TOC_ENTRY: usize = 24;
-    let n_sections = u16::from_le_bytes([v3[10], v3[11]]) as usize;
-    let toc_end = V3_HEADER + n_sections * TOC_ENTRY;
-
-    let mut out = Vec::with_capacity(v3.len() - 4);
-    out.extend_from_slice(&v3[..8]); // magic
-    out.extend_from_slice(&2u16.to_le_bytes()); // version
-    out.extend_from_slice(&v3[10..12]); // section count
-    out.extend_from_slice(&[0u8; 4]); // CRC placeholder
-    for i in 0..n_sections {
-        let e = V3_HEADER + i * TOC_ENTRY;
-        let mut entry = v3[e..e + TOC_ENTRY].to_vec();
-        let off = u64::from_le_bytes(entry[4..12].try_into().unwrap()) - 4;
-        entry[4..12].copy_from_slice(&off.to_le_bytes());
-        out.extend_from_slice(&entry);
-    }
-    out.extend_from_slice(&v3[toc_end..]);
-    let mut crc_input = out[..12].to_vec();
-    crc_input.extend_from_slice(&out[V2_HEADER..V2_HEADER + n_sections * TOC_ENTRY]);
-    let crc = crc32(&crc_input).to_le_bytes();
-    out[12..16].copy_from_slice(&crc);
-    out
-}
-
-#[test]
-fn legacy_v2_snapshot_still_loads_as_64_bit() {
-    let ds = fixture();
-    let model = Itq::train(ds.as_slice(), ds.dim(), 10).unwrap();
-    let table: HashTable = HashTable::build(&model, ds.as_slice(), ds.dim());
-    let engine = QueryEngine::new(&model, &table, ds.as_slice(), ds.dim());
-
-    let dir = tmpdir("v2_compat");
-    let v3_path = dir.join("v3.gqr");
-    engine.save_snapshot(&v3_path).unwrap();
-    let v2_path = dir.join("v2.gqr");
-    std::fs::write(&v2_path, as_v2_bytes(&std::fs::read(&v3_path).unwrap())).unwrap();
-
-    // A v2 header has no width field; the reader must default it to 64.
-    let parsed = gqr::persist::SnapshotFile::read(&v2_path).unwrap();
-    assert_eq!(parsed.code_width(), 64);
-    let loaded: LoadedIndex = load_index(&v2_path).unwrap();
-    let engine2 = QueryEngine::from_snapshot(&loaded).unwrap();
-    let params = params_for(ProbeStrategy::HammingRanking);
-    for q in ds.sample_queries(10, 37) {
-        assert_eq!(
-            engine.search(&q, &params).ranked(),
-            engine2.search(&q, &params).ranked(),
-            "v2 snapshot must behave exactly like its v3 source"
-        );
-    }
-}
-
 #[test]
 fn metered_load_records_snapshot_metrics() {
     let ds = fixture();
