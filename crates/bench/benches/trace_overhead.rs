@@ -6,7 +6,10 @@
 //! stay within a few percent of each other: the program prints one line
 //! of measurements and exits non-zero when unsampled overhead exceeds 2%.
 //!
-//! Self-timed with min-of-repeats. Run with
+//! Self-timed per query: the gated pair takes turns on every query, and
+//! each query keeps its fastest time per mode, so drift of a shared
+//! machine over the run lands on both modes alike instead of reading as
+//! one mode's overhead. Run with
 //! `cargo bench -p gqr-bench --bench trace_overhead`; set
 //! `GQR_BENCH_SMOKE=1` to shrink the workload for CI smoke runs.
 
@@ -25,36 +28,33 @@ fn smoke() -> bool {
     std::env::var_os("GQR_BENCH_SMOKE").is_some()
 }
 
-/// Mean per-query microseconds over one pass of the batch.
-fn pass_us<M: gqr_l2h::HashModel + ?Sized>(
-    engine: &QueryEngine<'_, M>,
-    queries: &[Vec<f32>],
-    params: &SearchParams,
-) -> f64 {
-    let t = Instant::now();
-    for q in queries {
-        black_box(engine.search(black_box(q), params));
-    }
-    t.elapsed().as_secs_f64() / queries.len() as f64 * 1e6
-}
-
-/// Mean per-query microseconds of each engine, best of `repeats` passes
-/// (min is robust to scheduler noise in a way the mean is not). The
-/// engines take turns pass by pass, so drift of the machine over the run
-/// lands on every mode alike instead of reading as one mode's overhead.
-fn best_pass_us<M: gqr_l2h::HashModel + ?Sized, const N: usize>(
+/// Mean over the queries of each engine's fastest time on that query, in
+/// microseconds, out of `repeats` tries. The engines run back to back on
+/// one query before the next query starts, in an order that rotates every
+/// try, so no engine always runs first or on a colder cache. The minimum
+/// per query is robust to scheduler noise in a way a mean is not.
+fn per_query_min_us<M: gqr_l2h::HashModel + ?Sized, const N: usize>(
     engines: [&QueryEngine<'_, M>; N],
     queries: &[Vec<f32>],
     params: &SearchParams,
     repeats: usize,
 ) -> [f64; N] {
-    let mut best = [f64::INFINITY; N];
-    for _ in 0..repeats {
-        for (engine, best) in engines.iter().zip(&mut best) {
-            *best = best.min(pass_us(engine, queries, params));
+    let mut total = [0.0; N];
+    for q in queries {
+        let mut best = [f64::INFINITY; N];
+        for r in 0..repeats {
+            for i in 0..N {
+                let e = (i + r) % N;
+                let t = Instant::now();
+                black_box(engines[e].search(black_box(q), params));
+                best[e] = best[e].min(t.elapsed().as_secs_f64() * 1e6);
+            }
+        }
+        for (total, best) in total.iter_mut().zip(best) {
+            *total += best;
         }
     }
-    best
+    total.map(|t| t / queries.len() as f64)
 }
 
 fn main() {
@@ -88,10 +88,10 @@ fn main() {
         .with_metrics(metrics_unsampled.clone());
     black_box(engine_unsampled.search(&queries[0], &params));
 
-    // The gated pair is timed in alternation, off first in every round.
+    // The gated pair is timed in alternation, query by query.
     let pair = [&engine_off, &engine_unsampled];
-    best_pass_us(pair, &queries, &params, 2); // warm-up
-    let [off_us, unsampled_us] = best_pass_us(pair, &queries, &params, repeats);
+    per_query_min_us(pair, &queries, &params, 2); // warm-up
+    let [off_us, unsampled_us] = per_query_min_us(pair, &queries, &params, repeats);
 
     // Every query sampled: full span tree, per-probe QD steps, ring push.
     let metrics_sampled = MetricsRegistry::enabled();
@@ -101,8 +101,8 @@ fn main() {
     });
     let engine = QueryEngine::new(model.as_ref(), &table, ds.as_slice(), ds.dim())
         .with_metrics(metrics_sampled.clone());
-    best_pass_us([&engine], &queries, &params, 2); // warm-up
-    let [sampled_us] = best_pass_us([&engine], &queries, &params, repeats);
+    per_query_min_us([&engine], &queries, &params, 2); // warm-up
+    let [sampled_us] = per_query_min_us([&engine], &queries, &params, repeats);
 
     let pct = |mode_us: f64| ((mode_us - off_us) / off_us * 100.0).max(0.0);
     let unsampled_pct = pct(unsampled_us);

@@ -1,7 +1,8 @@
-//! Figure 6: GQR versus QR — the slow-start cost of sorting all buckets.
+//! Figure 6: GQR versus QR — the slow-start cost of ranking all buckets.
 //!
-//! Both probe identical bucket sequences; QR pays an `O(B log B)` sort per
-//! query before the first bucket, so GQR wins at every operating point and
+//! Both probe identical bucket sequences; QR pays an `O(B)` QD pass over
+//! every occupied bucket per query before the first bucket (then orders
+//! only the buckets it reaches), so GQR wins at every operating point and
 //! the gap widens with dataset (bucket-count) size.
 
 use crate::cli::Config;

@@ -223,6 +223,51 @@ impl Bitmap {
         self.merge(other, |a, b| a && !b)
     }
 
+    /// Union of every bitmap in `parts`, in one pass: the same set, in the
+    /// same canonical representation, as folding [`Bitmap::or`] over them,
+    /// without building each intermediate union. Each key's containers are
+    /// OR-ed into one 65536-bit block, then demoted if small; a lone part
+    /// is cloned.
+    pub fn union_all<'a>(parts: impl IntoIterator<Item = &'a Bitmap>) -> Bitmap {
+        let parts: Vec<&Bitmap> = parts.into_iter().collect();
+        if let [one] = parts[..] {
+            return one.clone();
+        }
+        let mut blocks: Vec<(u16, Box<[u64; BITS_WORDS]>)> = Vec::new();
+        for part in parts {
+            for (key, container) in &part.containers {
+                let i = match blocks.binary_search_by_key(key, |&(k, _)| k) {
+                    Ok(i) => i,
+                    Err(i) => {
+                        blocks.insert(i, (*key, Box::new([0; BITS_WORDS])));
+                        i
+                    }
+                };
+                let words = &mut blocks[i].1;
+                match container {
+                    Container::Array(v) => {
+                        for &low in v {
+                            words[low as usize >> 6] |= 1u64 << (low & 63);
+                        }
+                    }
+                    Container::Bits { words: other, .. } => {
+                        for (w, o) in words.iter_mut().zip(other.iter()) {
+                            *w |= o;
+                        }
+                    }
+                }
+            }
+        }
+        let containers = blocks
+            .into_iter()
+            .map(|(key, words)| {
+                let len = words.iter().map(|w| w.count_ones()).sum();
+                (key, Container::Bits { words, len }.normalize())
+            })
+            .collect();
+        Bitmap { containers }
+    }
+
     /// Complement within the universe `[0, n)`.
     pub fn complement(&self, n: u32) -> Bitmap {
         Bitmap::full(n).and_not(self)
@@ -357,6 +402,38 @@ impl Bitmap {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn union_all_equals_the_or_chain() {
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut ids = |n: usize, span: u32| -> Bitmap {
+            let mut v: Vec<u32> = (0..n)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    (state % span as u64) as u32
+                })
+                .collect();
+            v.sort_unstable();
+            v.dedup();
+            Bitmap::from_sorted(&v).unwrap()
+        };
+        let parts = [
+            ids(40, 200_000),   // sparse over four keys
+            ids(3_000, 65_536), // arrays in key 0 that promote only together
+            ids(3_000, 65_536),
+            Bitmap::new(),
+            ids(6_000, 140_000),  // dense blocks
+            ids(10, 70_000),      // overlaps the others
+            Bitmap::full(70_000), // covers key 0 outright
+            ids(100, 4_000_000),  // keys no other part has
+        ];
+        for k in 0..=parts.len() {
+            let chain = parts[..k].iter().fold(Bitmap::new(), |acc, p| acc.or(p));
+            assert_eq!(Bitmap::union_all(&parts[..k]), chain, "first {k} parts");
+        }
+    }
 
     #[test]
     fn sparse_and_dense_round_through_ops() {

@@ -496,40 +496,6 @@ impl AttributeStore {
     /// truth the equivalence tests compare every arm against.
     pub fn exact_bitmap(&self, pred: &Predicate) -> Option<Bitmap> {
         match pred {
-            Predicate::Eq { column, value } => self.eq_bitmap(column, value),
-            Predicate::In { column, values } => {
-                let mut acc = Bitmap::new();
-                for v in values {
-                    acc = acc.or(&self.eq_bitmap(column, v)?);
-                }
-                Some(acc)
-            }
-            Predicate::Range { column, min, max } => match self.column(column) {
-                ColumnData::Int {
-                    postings: Some(postings),
-                    ..
-                } => {
-                    let lo = postings.partition_point(|(v, _)| min.is_some_and(|m| *v < m));
-                    let hi = postings.partition_point(|(v, _)| max.is_none_or(|m| *v <= m));
-                    let mut acc = Bitmap::new();
-                    for (_, bm) in &postings[lo..hi] {
-                        acc = acc.or(bm);
-                    }
-                    Some(acc)
-                }
-                ColumnData::Int {
-                    min: col_min,
-                    max: col_max,
-                    ..
-                } => {
-                    // High-cardinality: only a provably-empty range is
-                    // exact without a scan.
-                    let empty =
-                        min.is_some_and(|lo| lo > *col_max) || max.is_some_and(|hi| hi < *col_min);
-                    empty.then(Bitmap::new)
-                }
-                ColumnData::Tag { .. } => panic!("range over a tag column (validate first)"),
-            },
             Predicate::And(args) => {
                 let mut acc: Option<Bitmap> = None;
                 for p in args {
@@ -542,17 +508,64 @@ impl AttributeStore {
                 acc
             }
             Predicate::Or(args) => {
-                let mut acc = Bitmap::new();
-                for p in args {
-                    acc = acc.or(&self.exact_bitmap(p)?);
-                }
-                Some(acc)
+                let parts: Option<Vec<Bitmap>> =
+                    args.iter().map(|p| self.exact_bitmap(p)).collect();
+                Some(Bitmap::union_all(&parts?))
             }
             Predicate::Not(arg) => Some(self.exact_bitmap(arg)?.complement(self.n_items as u32)),
+            leaf => self.leaf_postings(leaf).map(Bitmap::union_all),
         }
     }
 
-    fn eq_bitmap(&self, column: &str, value: &AttrValue) -> Option<Bitmap> {
+    /// The posting lists whose union is exactly the survivor set of a leaf
+    /// (`Eq`, `In`, `Range`), each list once. `None` for `And`/`Or`/`Not`
+    /// and for a leaf that would need a column scan. A row holds one value
+    /// per column, so the lists are disjoint and their lengths sum to the
+    /// survivor count.
+    fn leaf_postings(&self, pred: &Predicate) -> Option<Vec<&Bitmap>> {
+        match pred {
+            Predicate::Eq { column, value } => {
+                Some(self.eq_posting(column, value)?.into_iter().collect())
+            }
+            Predicate::In { column, values } => {
+                let mut lists = Vec::new();
+                for v in values {
+                    lists.extend(self.eq_posting(column, v)?);
+                }
+                // A value listed twice names its posting list once.
+                lists.sort_unstable_by_key(|bm| *bm as *const Bitmap);
+                lists.dedup_by(|a, b| std::ptr::eq(*a, *b));
+                Some(lists)
+            }
+            Predicate::Range { column, min, max } => match self.column(column) {
+                ColumnData::Int {
+                    postings: Some(postings),
+                    ..
+                } => {
+                    let lo = postings.partition_point(|(v, _)| min.is_some_and(|m| *v < m));
+                    let hi = postings.partition_point(|(v, _)| max.is_none_or(|m| *v <= m));
+                    Some(postings[lo..hi].iter().map(|(_, bm)| bm).collect())
+                }
+                ColumnData::Int {
+                    min: col_min,
+                    max: col_max,
+                    ..
+                } => {
+                    // High-cardinality: only a provably-empty range is
+                    // exact without a scan.
+                    let empty =
+                        min.is_some_and(|lo| lo > *col_max) || max.is_some_and(|hi| hi < *col_min);
+                    empty.then(Vec::new)
+                }
+                ColumnData::Tag { .. } => panic!("range over a tag column (validate first)"),
+            },
+            Predicate::And(_) | Predicate::Or(_) | Predicate::Not(_) => None,
+        }
+    }
+
+    /// The posting list of `column = value`: one list, or none when the
+    /// value is provably absent. `None` when only a scan can tell.
+    fn eq_posting(&self, column: &str, value: &AttrValue) -> Option<Option<&Bitmap>> {
         match (self.column(column), value) {
             (
                 ColumnData::Int {
@@ -563,8 +576,8 @@ impl AttributeStore {
             ) => Some(
                 postings
                     .binary_search_by_key(v, |(pv, _)| *pv)
-                    .map(|i| postings[i].1.clone())
-                    .unwrap_or_default(),
+                    .ok()
+                    .map(|i| &postings[i].1),
             ),
             (
                 ColumnData::Int {
@@ -574,7 +587,7 @@ impl AttributeStore {
             ) => {
                 // A definite bloom miss proves the value absent — the
                 // survivor set is exactly empty. A "maybe" needs a scan.
-                (!bloom.contains(Bloom::hash_int(*v))).then(Bitmap::new)
+                (!bloom.contains(Bloom::hash_int(*v))).then_some(None)
             }
             (
                 ColumnData::Tag {
@@ -584,8 +597,8 @@ impl AttributeStore {
             ) => Some(
                 symbols
                     .binary_search_by(|sym| sym.as_str().cmp(s.as_str()))
-                    .map(|i| postings[i].clone())
-                    .unwrap_or_default(),
+                    .ok()
+                    .map(|i| &postings[i]),
             ),
             _ => panic!("value type does not match column (validate first)"),
         }
@@ -695,32 +708,40 @@ impl AttributeStore {
     /// probe path would be willing to spend; a survivor set no larger
     /// than that is cheaper to evaluate outright than to find through
     /// bucket probing.
+    ///
+    /// A leaf's survivor count is the sum of its disjoint posting lengths,
+    /// so its bitmap is built only for the arms that use it.
     pub fn plan(&self, pred: &Predicate, brute_budget: usize) -> PlanChoice {
-        match self.exact_bitmap(pred) {
-            Some(survivors) => {
-                let selectivity = survivors.len() as f64 / (self.n_items as f64).max(1.0);
-                if survivors.len() <= brute_budget as u64 {
-                    PlanChoice {
-                        plan: FilterPlan::BruteForce { survivors },
-                        selectivity,
-                    }
-                } else if selectivity <= PRE_FILTER_MAX_SELECTIVITY {
-                    PlanChoice {
-                        plan: FilterPlan::PreFilter { survivors },
-                        selectivity,
-                    }
-                } else {
-                    PlanChoice {
+        let (count, built) = match self.leaf_postings(pred) {
+            Some(lists) => (lists.iter().map(|bm| bm.len()).sum(), None),
+            None => match self.exact_bitmap(pred) {
+                Some(bm) => (bm.len(), Some(bm)),
+                None => {
+                    return PlanChoice {
                         plan: FilterPlan::PostFilter,
-                        selectivity,
+                        selectivity: self.selectivity(pred),
                     }
                 }
-            }
-            None => PlanChoice {
-                plan: FilterPlan::PostFilter,
-                selectivity: self.selectivity(pred),
             },
-        }
+        };
+        let survivors = || {
+            built.unwrap_or_else(|| {
+                Bitmap::union_all(self.leaf_postings(pred).expect("an exact leaf"))
+            })
+        };
+        let selectivity = count as f64 / (self.n_items as f64).max(1.0);
+        let plan = if count <= brute_budget as u64 {
+            FilterPlan::BruteForce {
+                survivors: survivors(),
+            }
+        } else if selectivity <= PRE_FILTER_MAX_SELECTIVITY {
+            FilterPlan::PreFilter {
+                survivors: survivors(),
+            }
+        } else {
+            FilterPlan::PostFilter
+        };
+        PlanChoice { plan, selectivity }
     }
 
     /// Serialize the store. Only the raw columns are written — posting
@@ -964,6 +985,74 @@ mod tests {
         // Out-of-bounds range is provably empty even without postings.
         let oob = Predicate::range("uid", Some(i64::MAX - 10), None).unwrap();
         assert!(s.exact_bitmap(&oob).is_some_and(|bm| bm.is_empty()));
+    }
+
+    #[test]
+    fn counted_plans_keep_the_or_chain_selectivity() {
+        // A leaf's selectivity is the sum of its disjoint posting lengths;
+        // it must equal the length of the union the lists OR into.
+        let cases = [
+            (store(), Predicate::eq("color", "red")),
+            (store(), Predicate::eq("price", 15)),
+            (store(), Predicate::eq("price", 7)),
+            (
+                store(),
+                Predicate::is_in("color", vec!["red".into(), "gold".into(), "red".into()]).unwrap(),
+            ),
+            (
+                store(),
+                Predicate::is_in(
+                    "price",
+                    vec![0.into(), 5.into(), 5.into(), 45.into(), 99.into()],
+                )
+                .unwrap(),
+            ),
+            (
+                store(),
+                Predicate::range("price", Some(10), Some(30)).unwrap(),
+            ),
+            (store(), Predicate::range("price", Some(40), None).unwrap()),
+            (store(), Predicate::range("price", None, Some(-1)).unwrap()),
+            (store(), Predicate::range("uid", Some(0), None).unwrap()),
+            (
+                high_card_store(),
+                Predicate::range("uid", Some(-9), Some(-1)).unwrap(),
+            ),
+        ];
+        for (s, pred) in &cases {
+            let lists = s.leaf_postings(pred).expect("posting-exact leaf");
+            let chain = lists.iter().fold(Bitmap::new(), |acc, bm| acc.or(bm));
+            let truth: Vec<u32> = (0..s.n_items() as u32)
+                .filter(|&id| s.matches(pred, id))
+                .collect();
+            assert_eq!(chain.iter().collect::<Vec<_>>(), truth, "{pred:?}");
+            assert_eq!(s.exact_bitmap(pred), Some(chain.clone()), "{pred:?}");
+            let selectivity = chain.len() as f64 / (s.n_items() as f64).max(1.0);
+            for budget in [0, 10, 30, 1_000] {
+                let choice = s.plan(pred, budget);
+                assert_eq!(
+                    choice.selectivity.to_bits(),
+                    selectivity.to_bits(),
+                    "{pred:?}"
+                );
+                match choice.plan {
+                    FilterPlan::BruteForce { survivors } => {
+                        assert!(chain.len() <= budget as u64);
+                        assert_eq!(survivors, chain, "{pred:?}");
+                    }
+                    FilterPlan::PreFilter { survivors } => {
+                        assert!(chain.len() > budget as u64);
+                        assert!(selectivity <= PRE_FILTER_MAX_SELECTIVITY);
+                        assert_eq!(survivors, chain, "{pred:?}");
+                    }
+                    FilterPlan::PostFilter => {
+                        assert!(
+                            selectivity > PRE_FILTER_MAX_SELECTIVITY && chain.len() > budget as u64
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -24,11 +24,11 @@ use std::time::{Duration, Instant};
 /// Which querying method to use (paper §3–§5 and appendix).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ProbeStrategy {
-    /// Hamming ranking: sort all occupied buckets by Hamming distance (HR).
+    /// Hamming ranking: rank all occupied buckets by Hamming distance (HR).
     HammingRanking,
     /// Hash lookup / generate-to-probe Hamming ranking (GHR).
     GenerateHammingRanking,
-    /// QD ranking: sort all occupied buckets by quantization distance (QR).
+    /// QD ranking: rank all occupied buckets by quantization distance (QR).
     QdRanking,
     /// Generate-to-probe QD ranking (GQR) — the paper's contribution.
     GenerateQdRanking,

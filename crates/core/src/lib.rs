@@ -9,8 +9,8 @@
 //!   similarity indicator that lower-bounds (scaled) the true distance
 //!   between the query and any item in bucket `b` (Theorem 2). See
 //!   [`code::quantization_distance`].
-//! * **QD ranking (QR)** — Algorithm 1: sort every occupied bucket by QD and
-//!   probe in order ([`probe::QdRanking`]).
+//! * **QD ranking (QR)** — Algorithm 1: compute the QD of every occupied
+//!   bucket and probe in ascending QD ([`probe::QdRanking`]).
 //! * **Generate-to-probe QD ranking (GQR)** — Algorithms 2–4: a min-heap
 //!   over *sorted flipping vectors*, expanded by the `Append`/`Swap`
 //!   generation-tree operations, yields buckets in exactly ascending QD

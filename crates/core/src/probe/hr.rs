@@ -1,6 +1,7 @@
-//! Hamming ranking (HR): the incumbent querying method. Sorts *all occupied
-//! buckets* by Hamming distance to the query code before probing — paying
-//! the paper's "slow start" cost up front.
+//! Hamming ranking (HR): the incumbent querying method. Computes the Hamming
+//! distance of *every occupied bucket* to the query code before probing —
+//! paying the paper's "slow start" cost up front — and orders the buckets
+//! within a radius only when the probe reaches that radius.
 
 use super::{for_each_union_code, Prober};
 use crate::code::CodeWord;
@@ -15,11 +16,13 @@ use gqr_l2h::QueryEncoding;
 /// routed through the batched popcount kernel in `gqr-linalg` (runtime
 /// scalar/AVX2 dispatch); ties within a level probe in ascending numeric
 /// code order so the emission order is identical for every code width wide
-/// enough to hold `m`.
+/// enough to hold `m`. A level is put in that order when the probe enters
+/// it, so levels a query never reaches are never sorted.
 pub struct HammingRanking<'t, C: CodeWord = u64> {
     tables: Vec<&'t HashTable<C>>,
     /// Bucket codes grouped by radius; `levels[r]` holds codes at Hamming
-    /// distance `r` from the query.
+    /// distance `r` from the query, ascending once the probe has entered
+    /// level `r`.
     levels: Vec<Vec<C>>,
     /// Scratch: occupied codes in table order (kernel input mirror).
     codes: Vec<C>,
@@ -53,10 +56,25 @@ impl<'t, C: CodeWord> HammingRanking<'t, C> {
         }
     }
 
+    /// Move past used-up levels; a level the probe enters is put in
+    /// ascending code order (level 0 holds at most the query's own code).
     fn skip_empty_levels(&mut self) {
         while self.radius < self.levels.len() && self.cursor >= self.levels[self.radius].len() {
             self.radius += 1;
             self.cursor = 0;
+            self.sort_level();
+        }
+    }
+
+    /// Numeric tiebreak within the current level: width-independent probe
+    /// order. Out of line, so the per-bucket path stays small: with the
+    /// sort inlined there, an exhaustive walk of 6 564 buckets measured
+    /// about 8 % slower.
+    #[cold]
+    #[inline(never)]
+    fn sort_level(&mut self) {
+        if let Some(level) = self.levels.get_mut(self.radius) {
+            level.sort_unstable();
         }
     }
 }
@@ -83,10 +101,6 @@ impl<C: CodeWord> Prober<C> for HammingRanking<'_, C> {
         gqr_linalg::kernels::hamming_batch(&qblocks[..C::BLOCKS], &self.blocks, &mut self.dists);
         for (i, &code) in self.codes.iter().enumerate() {
             self.levels[self.dists[i] as usize].push(code);
-        }
-        // Numeric tiebreak within a level: width-independent probe order.
-        for level in &mut self.levels {
-            level.sort_unstable();
         }
         self.radius = 0;
         self.cursor = 0;
@@ -115,7 +129,39 @@ impl<C: CodeWord> Prober<C> for HammingRanking<'_, C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::probe::test_support::{drain, qe};
+    use crate::code::U256;
+    use crate::probe::test_support::{
+        assert_emits, drain, drain_peeking, overlapping_tables, qe, random_code,
+    };
+
+    #[test]
+    fn lazy_levels_equal_one_full_sort_of_the_union() {
+        fn check<C: CodeWord>(m: usize, rng: &mut u64) {
+            for n in [1, 63, 64, 65, 129, 5000] {
+                for n_tables in 1..=3 {
+                    let (codes, tables) = overlapping_tables::<C>(m, n, n_tables, rng);
+                    let query = QueryEncoding {
+                        code: random_code::<C>(m, rng),
+                        flip_costs: vec![1.0; m],
+                    };
+                    let mut want: Vec<(f64, C)> = codes
+                        .iter()
+                        .map(|&c| (c.hamming(query.code) as f64, c))
+                        .collect();
+                    want.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+                    let mut p = HammingRanking::over(tables.iter().collect());
+                    p.reset(&query);
+                    let got = drain_peeking(&mut p);
+                    let case = format!("m = {m}, {n} buckets, {n_tables} tables");
+                    assert_emits(&got, &want, &case);
+                }
+            }
+        }
+        let mut rng = 0x4a_11e1;
+        check::<u64>(13, &mut rng);
+        check::<u128>(128, &mut rng);
+        check::<U256>(128, &mut rng);
+    }
 
     fn table() -> HashTable {
         // Occupied buckets: 0b0000, 0b0011, 0b0111, 0b1111.

@@ -3,16 +3,17 @@
 //! A [`Prober`] emits bucket codes in the order its strategy dictates. The
 //! four paper strategies:
 //!
-//! | | sorts everything upfront | generates on demand |
+//! | | ranks every occupied bucket upfront | generates on demand |
 //! |---|---|---|
 //! | **Hamming distance** | [`HammingRanking`] (HR) | [`GenerateHammingRanking`] (GHR / hash lookup) |
 //! | **Quantization distance** | [`QdRanking`] (QR) | [`GenerateQdRanking`] (GQR) |
 //!
-//! HR/QR pay an `O(B)`–`O(B log B)` sort before the first bucket is probed —
-//! the paper's *slow start* problem; GHR/GQR produce the `i`-th bucket in
-//! `O(log i)` (GQR) or amortized `O(1)` (GHR) when asked. Multi-index
-//! hashing lives in [`mih`] because it retrieves items, not whole-code
-//! buckets.
+//! HR/QR compute the distance of all `B` occupied buckets before the first
+//! bucket is probed — an `O(B)` pass, the paper's *slow start* problem —
+//! and then order only the buckets the probe reaches; GHR/GQR produce the
+//! `i`-th bucket in `O(log i)` (GQR) or amortized `O(1)` (GHR) when asked.
+//! Multi-index hashing lives in [`mih`] because it retrieves items, not
+//! whole-code buckets.
 
 pub mod ghr;
 pub mod gqr;
@@ -132,7 +133,9 @@ impl<'t, C: CodeWord> AnyProber<'t, C> {
 #[cfg(test)]
 pub(crate) mod test_support {
     use crate::code::CodeWord;
+    use crate::table::HashTable;
     use gqr_l2h::QueryEncoding;
+    use std::collections::BTreeSet;
 
     /// Query encoding with explicit costs for prober tests.
     pub fn qe(code: u64, costs: &[f64]) -> QueryEncoding {
@@ -150,5 +153,95 @@ pub(crate) mod test_support {
             out.push(b);
         }
         out
+    }
+
+    /// SplitMix64: a seeded stream for the randomised prober fences.
+    pub fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// A uniform `m`-bit code of width `C`.
+    pub fn random_code<C: CodeWord>(m: usize, state: &mut u64) -> C {
+        let blocks: Vec<u64> = (0..C::BLOCKS).map(|_| splitmix(state)).collect();
+        C::from_blocks(&blocks).and(C::low_mask(m))
+    }
+
+    /// `n` distinct `m`-bit codes, ascending, dealt to `n_tables` tables:
+    /// each code lands in a random non-empty subset of them, so the tables
+    /// overlap the way row-disjoint segments of one index do.
+    pub fn overlapping_tables<C: CodeWord>(
+        m: usize,
+        n: usize,
+        n_tables: usize,
+        state: &mut u64,
+    ) -> (Vec<C>, Vec<HashTable<C>>) {
+        let mut codes = BTreeSet::new();
+        while codes.len() < n {
+            codes.insert(random_code::<C>(m, state));
+        }
+        let mut dealt = vec![Vec::new(); n_tables];
+        for &code in &codes {
+            let subset = 1 + splitmix(state) % ((1 << n_tables) - 1);
+            for (t, rows) in dealt.iter_mut().enumerate() {
+                if subset >> t & 1 == 1 {
+                    rows.push(code);
+                }
+            }
+        }
+        let tables = dealt
+            .iter()
+            .map(|rows| HashTable::from_codes(m, rows))
+            .collect();
+        (codes.into_iter().collect(), tables)
+    }
+
+    /// Drain a reset prober to exhaustion, calling `peek_cost` zero, one or
+    /// two times before each `next_bucket` in turn. Returns each emitted
+    /// code with the cost peeked for it, if any; two peeks must agree.
+    pub fn drain_peeking<C: CodeWord>(p: &mut dyn super::Prober<C>) -> Vec<(Option<f64>, C)> {
+        let mut out = Vec::new();
+        loop {
+            let mut cost = None;
+            for _ in 0..out.len() % 3 {
+                let peeked = p.peek_cost();
+                if let Some(first) = cost {
+                    assert_eq!(peeked, first, "a second peek moved the prober");
+                }
+                cost = Some(peeked);
+            }
+            match p.next_bucket() {
+                Some(code) => out.push((cost.map(|c| c.expect("peek saw a bucket")), code)),
+                None => {
+                    assert!(
+                        matches!(cost, None | Some(None)),
+                        "peek saw a bucket next did not emit"
+                    );
+                    break;
+                }
+            }
+        }
+        assert!(p.peek_cost().is_none() && p.next_bucket().is_none());
+        out
+    }
+
+    /// Assert that `got` (from [`drain_peeking`]) emits exactly the codes of
+    /// `want`, in order, and that every peeked cost equals its bucket's.
+    pub fn assert_emits<C: CodeWord>(got: &[(Option<f64>, C)], want: &[(f64, C)], case: &str) {
+        let got_codes: Vec<C> = got.iter().map(|&(_, c)| c).collect();
+        let want_codes: Vec<C> = want.iter().map(|&(_, c)| c).collect();
+        assert_eq!(got_codes, want_codes, "{case}: bucket sequence");
+        for (i, (&(peeked, _), &(cost, _))) in got.iter().zip(want).enumerate() {
+            if let Some(peeked) = peeked {
+                assert_eq!(
+                    peeked.to_bits(),
+                    cost.to_bits(),
+                    "{case}: cost of bucket {i}"
+                );
+            }
+        }
     }
 }

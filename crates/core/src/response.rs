@@ -107,7 +107,8 @@ pub struct Checkpoint {
     /// Buckets probed so far.
     pub buckets_probed: usize,
     /// Wall-clock time since the search started (includes the prober's
-    /// upfront sorting, so HR/QR's slow start is visible here).
+    /// upfront pass over every occupied bucket, so HR/QR's slow start is
+    /// visible here).
     pub elapsed: Duration,
     /// Unordered ids of the current top-k.
     pub top_ids: Vec<u32>,

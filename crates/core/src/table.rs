@@ -183,7 +183,7 @@ impl<C: CodeWord> HashTable<C> {
     }
 
     /// Iterate over `(code, items)` pairs of occupied buckets (arbitrary
-    /// order). HR and QR consume this to sort all buckets upfront.
+    /// order).
     pub fn occupied(&self) -> impl Iterator<Item = (C, &[u32])> + '_ {
         self.buckets.iter().map(|(&c, v)| (c, v.as_slice()))
     }

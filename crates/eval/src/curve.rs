@@ -4,9 +4,9 @@
 //! curve: run every query, checkpoint the running top-k at a ladder of
 //! candidate budgets, average recall per budget, and sum wall time per
 //! budget. Because the engine's evaluation is incremental, one pass per
-//! query yields the whole curve — including the probers' upfront sorting
-//! cost, so QR/HR's slow start shows up exactly where the paper says it
-//! does.
+//! query yields the whole curve — including the probers' upfront pass over
+//! every occupied bucket, so QR/HR's slow start shows up exactly where the
+//! paper says it does.
 
 use crate::metrics::recall;
 use gqr_core::engine::Checkpoint;
