@@ -62,6 +62,7 @@ use crate::table::{CodeHasher, HashTable};
 use gqr_l2h::HashModel;
 use gqr_linalg::vecops::Metric;
 use gqr_linalg::wire::{ByteReader, ByteWriter, WireError};
+use gqr_linalg::RowBuffer;
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet};
 use std::hash::BuildHasherDefault;
@@ -83,8 +84,9 @@ pub const DEFAULT_COMPACTION_THRESHOLD: usize = 512;
 /// the small delta until the next insert or upsert clones and extends it.
 #[derive(Clone)]
 struct Segment<C: CodeWord = u64> {
-    /// Row-major vectors, `dim` columns.
-    data: Vec<f32>,
+    /// Row-major vectors, `dim` columns, in the aligned (and, once large,
+    /// huge-page) buffer the evaluator scores from.
+    data: RowBuffer,
     /// Slot → external id.
     ids: Vec<u32>,
     /// Slot → bucket code (cached so compaction never re-encodes).
@@ -98,7 +100,7 @@ struct Segment<C: CodeWord = u64> {
 impl<C: CodeWord> Segment<C> {
     fn empty(code_length: usize) -> Segment<C> {
         Segment {
-            data: Vec::new(),
+            data: RowBuffer::new(),
             ids: Vec::new(),
             codes: Vec::new(),
             table: HashTable::from_codes(code_length, &[]),
@@ -467,7 +469,7 @@ impl<M: HashModel + ?Sized + 'static, C: CodeWord> VersionedStore<M, C> {
         // Off-lock: fold every row live at epoch E into the new base, in
         // global-slot order. Slot order + cached codes make the rebuilt
         // table bit-identical to a fresh build over the same rows.
-        let mut data = Vec::with_capacity(pinned.n_live() * self.dim);
+        let mut data = RowBuffer::with_capacity(pinned.n_live() * self.dim);
         let mut ids = Vec::with_capacity(pinned.n_live());
         let mut codes = Vec::with_capacity(pinned.n_live());
         // Old global slot → new base slot (u32::MAX = dead at E).
@@ -774,14 +776,14 @@ fn decode_live_state(bytes: &[u8]) -> Result<LiveState, WireError> {
 struct DeltaPayload<C: CodeWord = u64> {
     ids: Vec<u32>,
     codes: Vec<C>,
-    data: Vec<f32>,
+    data: RowBuffer,
 }
 
 fn decode_delta<C: CodeWord>(bytes: &[u8]) -> Result<DeltaPayload<C>, WireError> {
     let mut r = ByteReader::new(bytes);
     let ids = r.get_u32_vec()?;
     let flat = r.get_u64_vec()?;
-    let data = r.get_f32_vec()?;
+    let data = r.get_f32_rows()?;
     if flat.len() != ids.len() * C::BLOCKS {
         return Err(WireError::Malformed("delta ids and codes disagree"));
     }
@@ -897,7 +899,7 @@ impl<M: HashModel + ?Sized + 'static, C: CodeWord> MutableIndexBuilder<M, C> {
         let codes: Vec<C> = crate::table::encode_rows(&*self.model, data, dim);
         let table = HashTable::from_codes(self.model.code_length(), &codes);
         let mut base = Segment {
-            data: data.to_vec(),
+            data: RowBuffer::from_slice(data),
             ids,
             codes,
             table,
@@ -1201,7 +1203,7 @@ impl<C: CodeWord> MutableIndex<dyn HashModel, C> {
             None => DeltaPayload {
                 ids: Vec::new(),
                 codes: Vec::new(),
-                data: Vec::new(),
+                data: RowBuffer::new(),
             },
         };
         if live_state.base_ids.len() != rows {
@@ -1713,5 +1715,110 @@ mod tests {
             metrics.counter_value("gqr_compaction_failures_total"),
             Some(1)
         );
+    }
+
+    /// `seg`'s rows are placed as a row buffer places them — line aligned,
+    /// huge-page aligned once its allocation spans a huge page — and equal
+    /// `want` bit for bit.
+    fn assert_placed<C: CodeWord>(seg: &Segment<C>, want: &[f32], what: &str) {
+        use gqr_linalg::row_buffer::{HUGE_PAGE, LINE_BYTES};
+        let addr = seg.data.as_ptr() as usize;
+        assert_eq!(addr % LINE_BYTES, 0, "{what}: rows not line aligned");
+        if seg.data.capacity() * 4 >= HUGE_PAGE {
+            assert_eq!(addr % HUGE_PAGE, 0, "{what}: rows not huge-page aligned");
+        }
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&seg.data), bits(want), "{what}: rows differ");
+    }
+
+    /// `n × dim` rows with ±0.0 and large magnitudes mixed in.
+    fn wide_rows(n: usize, dim: usize, salt: usize) -> Vec<f32> {
+        (0..n * dim)
+            .map(|i| match (i + salt) % 89 {
+                0 => -0.0,
+                1 => -1e30,
+                r => ((i * 7919 + salt) % 1000) as f32 * 0.01 - 5.0 + r as f32,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn segment_rows_are_placed_after_build_compaction_and_reload() {
+        use gqr_l2h::lsh::Lsh;
+        use gqr_linalg::row_buffer::HUGE_PAGE;
+        let dir = std::env::temp_dir().join(format!("gqr-live-rows-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        for dim in [17usize, 96] {
+            // Past a huge page, so the base is huge-page aligned.
+            let n = HUGE_PAGE / (4 * dim) + 5;
+            let data = wide_rows(n, dim, dim);
+            let model = Lsh::train(&data[..64 * dim], dim, 8, 3).unwrap();
+            let index: MutableIndex<Lsh> = MutableIndex::builder(Arc::new(model))
+                .compaction_threshold(usize::MAX)
+                .build(&data, dim);
+            let at = |step: &str| format!("dim {dim}, {step}");
+            let gen = index.pin();
+            assert_placed(&gen.base, &data, &at("build base"));
+            assert_placed(&gen.delta, &[], &at("build delta"));
+
+            let extra = wide_rows(3, dim, 5);
+            let writer = index.writer();
+            for id in 0..3 {
+                assert!(writer.delete(id));
+            }
+            for row in extra.chunks_exact(dim) {
+                writer.insert(row);
+            }
+            index.compact();
+            let folded: Vec<f32> = data[3 * dim..].iter().chain(&extra).copied().collect();
+            let gen = index.pin();
+            assert_eq!(gen.delta_rows(), 0);
+            assert_placed(&gen.base, &folded, &at("compacted base"));
+
+            writer.insert(&extra[..dim]);
+            let path = dir.join(format!("rows-{dim}.gqr"));
+            index.save_snapshot(&path).unwrap();
+            let reloaded: MutableIndex = MutableIndex::from_snapshot(&path).unwrap();
+            let gen = reloaded.pin();
+            assert_placed(&gen.base, &folded, &at("reloaded base"));
+            assert_placed(&gen.delta, &extra[..dim], &at("reloaded delta"));
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+
+        // No rows at all: an empty base, still placed.
+        let model = Pcah::train(&grid(40), 2, 2).unwrap();
+        let empty: MutableIndex<Pcah> = MutableIndex::build(Arc::new(model), &[], 2);
+        let gen = empty.pin();
+        assert_placed(&gen.base, &[], "empty base");
+        assert_placed(&gen.delta, &[], "empty delta");
+    }
+
+    #[test]
+    fn a_delta_grows_across_a_huge_page() {
+        use gqr_l2h::lsh::Lsh;
+        use gqr_linalg::row_buffer::HUGE_PAGE;
+        let dim = 960;
+        let model = Lsh::train(&wide_rows(64, dim, 1), dim, 8, 3).unwrap();
+        let index: MutableIndex<Lsh> = MutableIndex::builder(Arc::new(model))
+            .compaction_threshold(usize::MAX)
+            .build(&wide_rows(4, dim, 2), dim);
+        // One row more than a huge page holds.
+        let n = HUGE_PAGE / (4 * dim) + 1;
+        let rows = wide_rows(n, dim, 3);
+        let writer = index.writer();
+        for (i, row) in rows.chunks_exact(dim).enumerate() {
+            writer.insert(row);
+            let gen = index.pin();
+            if i % 64 == 0 || i + 1 == n {
+                let inserted = &rows[..(i + 1) * dim];
+                assert_placed(&gen.delta, inserted, &format!("delta of {} rows", i + 1));
+            }
+        }
+        let gen = index.pin();
+        assert!(
+            gen.delta.data.len() * 4 > HUGE_PAGE,
+            "the delta spans a huge page"
+        );
+        assert_eq!(gen.delta.data.as_ptr() as usize % HUGE_PAGE, 0);
     }
 }

@@ -55,6 +55,7 @@ use crate::table::HashTable;
 use gqr_l2h::{persist as l2h_persist, HashModel};
 use gqr_linalg::vecops::Metric;
 use gqr_linalg::wire::{crc32, ByteReader, ByteWriter, WireError};
+use gqr_linalg::RowBuffer;
 use gqr_vq::imi::InvertedMultiIndex;
 use gqr_vq::opq::Opq;
 use std::fs;
@@ -636,14 +637,15 @@ impl SnapshotFile {
         l2h_persist::decode_model(bytes).map_err(corrupt(SectionKind::Model))
     }
 
-    /// Decode the vectors section into `(data, dim)`.
-    pub fn vectors(&self) -> Result<(Vec<f32>, usize), PersistError> {
+    /// Decode the vectors section into `(data, dim)`, straight into the
+    /// row buffer the index scores from.
+    pub fn vectors(&self) -> Result<(RowBuffer, usize), PersistError> {
         let bytes = self.section(SectionKind::Vectors)?;
         let mut r = ByteReader::new(bytes);
-        let decode = |r: &mut ByteReader<'_>| -> Result<(Vec<f32>, usize), WireError> {
+        let decode = |r: &mut ByteReader<'_>| -> Result<(RowBuffer, usize), WireError> {
             let dim = r.get_usize()?;
             let rows = r.get_usize()?;
-            let data = r.get_f32_vec()?;
+            let data = r.get_f32_rows()?;
             if dim == 0
                 || data.len()
                     != rows
@@ -806,7 +808,8 @@ pub struct LoadedShard<C: CodeWord = u64> {
 /// borrow from.
 pub struct LoadedIndex<C: CodeWord = u64> {
     model: Box<dyn HashModel>,
-    data: Vec<f32>,
+    /// The one copy of the rows, decoded in place (see [`RowBuffer`]).
+    data: RowBuffer,
     dim: usize,
     metric: Metric,
     shards: Vec<LoadedShard<C>>,

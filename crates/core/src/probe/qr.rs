@@ -23,23 +23,35 @@ const FIRST_CHUNK: usize = 256;
 /// Growth factor between chunks: few selections even for a long walk.
 const CHUNK_GROWTH: usize = 4;
 
-/// The probe order: ascending QD, the code breaking ties. A total order for
-/// finite QDs over distinct codes, so sorting lazily in chunks yields the
-/// same sequence as one full sort.
+/// The probe order, as a comparator: ascending QD, the code breaking ties.
+/// A total order for finite QDs over distinct codes, so sorting lazily in
+/// chunks yields the same sequence as one full sort. The reference the
+/// integer sort key ([`qd_key`]) is checked against.
 fn by_qd_then_code<C: CodeWord>(a: &(f64, C), b: &(f64, C)) -> Ordering {
     a.0.partial_cmp(&b.0)
         .unwrap_or(Ordering::Equal)
         .then(a.1.cmp(&b.1))
 }
 
+/// The sort key of a bucket: its QD's bits, then its code. A QD is a sum
+/// of non-negative flip costs, and the bits of non-negative floats order
+/// like their values, so for every finite query the keys sort exactly as
+/// [`by_qd_then_code`] does, without a float compare. A NaN QD — only a
+/// non-finite query yields one — sorts after every number.
+#[inline]
+fn qd_key<C: CodeWord>(qd: f64, code: C) -> (u64, C) {
+    debug_assert!(qd.is_sign_positive(), "QDs are non-negative: {qd}");
+    (qd.to_bits(), code)
+}
+
 /// Lazily sorting quantization-distance prober over one table's occupied
 /// buckets (or the union of several row-disjoint tables of one model).
 pub struct QdRanking<'t, C: CodeWord = u64> {
     tables: Vec<&'t HashTable<C>>,
-    /// `(qd, code)` for every occupied bucket. `ranked[..settled]` is in
-    /// probe order; the rest is unordered, and none of it precedes the
-    /// sorted prefix.
-    ranked: Vec<(f64, C)>,
+    /// [`qd_key`] of every occupied bucket. `ranked[..settled]` is in probe
+    /// order; the rest is unordered, and none of it precedes the sorted
+    /// prefix.
+    ranked: Vec<(u64, C)>,
     settled: usize,
     /// Size of the next chunk to settle.
     chunk: usize,
@@ -79,13 +91,21 @@ impl<'t, C: CodeWord> QdRanking<'t, C> {
         }
         let rest = &mut self.ranked[self.settled..];
         let n = if 2 * self.chunk < rest.len() {
-            rest.select_nth_unstable_by(self.chunk - 1, by_qd_then_code);
-            rest[..self.chunk - 1].sort_unstable_by(by_qd_then_code);
+            rest.select_nth_unstable(self.chunk - 1);
+            rest[..self.chunk - 1].sort_unstable();
             self.chunk
         } else {
-            rest.sort_unstable_by(by_qd_then_code);
+            rest.sort_unstable();
             rest.len()
         };
+        let qd = |&(bits, code): &(u64, C)| (f64::from_bits(bits), code);
+        debug_assert!(
+            self.ranked[self.settled.saturating_sub(1)..self.settled + n]
+                .windows(2)
+                .map(|w| (qd(&w[0]), qd(&w[1])))
+                .all(|(a, b)| b.0.is_nan() || (!a.0.is_nan() && by_qd_then_code(&a, &b).is_le())),
+            "the integer key orders QDs as the comparator does, NaN last"
+        );
         self.settled += n;
         self.chunk *= CHUNK_GROWTH;
     }
@@ -127,7 +147,7 @@ impl<C: CodeWord> Prober<C> for QdRanking<'_, C> {
         self.ranked.reserve(occupied);
         let (ranked, low_byte_qd) = (&mut self.ranked, &*self.low_byte_qd);
         for_each_union_code(&self.tables, |code| {
-            ranked.push((table_qd(query, low_byte_qd, code), code));
+            ranked.push(qd_key(table_qd(query, low_byte_qd, code), code));
         });
         self.settled = 0;
         self.chunk = FIRST_CHUNK;
@@ -136,7 +156,9 @@ impl<C: CodeWord> Prober<C> for QdRanking<'_, C> {
 
     fn peek_cost(&mut self) -> Option<f64> {
         self.settle();
-        self.ranked.get(self.cursor).map(|&(qd, _)| qd)
+        self.ranked
+            .get(self.cursor)
+            .map(|&(bits, _)| f64::from_bits(bits))
     }
 
     fn next_bucket(&mut self) -> Option<C> {
@@ -200,6 +222,42 @@ mod tests {
                 assert_emits(&got, &want, &format!("{n} buckets, {n_tables} tables"));
             }
         }
+    }
+
+    #[test]
+    fn integer_key_sorts_like_the_comparator_and_nan_last() {
+        let mut rng = 0x6b_e7a1;
+        // Exact ties, zero, subnormals, large values and infinity.
+        let values = [
+            0.0,
+            0.25,
+            0.5,
+            1.0,
+            1.5,
+            f64::MIN_POSITIVE / 4.0,
+            1e300,
+            f64::INFINITY,
+        ];
+        let pairs: Vec<(f64, u64)> = (0..2000)
+            .map(|_| {
+                let qd = values[(splitmix(&mut rng) % values.len() as u64) as usize];
+                (qd, splitmix(&mut rng) % 512)
+            })
+            .collect();
+        let mut want = pairs.clone();
+        want.sort_by(by_qd_then_code);
+        let mut got: Vec<(u64, u64)> = pairs.iter().map(|&(qd, c)| qd_key(qd, c)).collect();
+        got.sort_unstable();
+        let got: Vec<(f64, u64)> = got.iter().map(|&(b, c)| (f64::from_bits(b), c)).collect();
+        assert_eq!(got, want);
+
+        let mut keys = [
+            qd_key(f64::NAN, 0u64),
+            qd_key(f64::INFINITY, 1),
+            qd_key(0.0, 2),
+        ];
+        keys.sort_unstable();
+        assert_eq!(keys.map(|(_, code)| code), [2, 1, 0], "NaN sorts last");
     }
 
     #[test]

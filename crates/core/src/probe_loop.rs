@@ -24,7 +24,7 @@ use crate::stats::ProbeStats;
 use crate::table::HashTable;
 use crate::topk::TopK;
 use gqr_l2h::HashModel;
-use gqr_linalg::kernels::{prefetch_row, sq_dist_bounded, TILE_ROWS};
+use gqr_linalg::kernels::{prefetch_row, sq_dist_bounded, sq_dist_rows4, TILE_ROWS};
 use gqr_linalg::vecops::Metric;
 use std::time::Instant;
 
@@ -599,18 +599,29 @@ impl<C: CodeWord> Rows for SegmentedRows<'_, C> {
 /// read, near enough that it is still in L1 then.
 const PREFETCH_AHEAD: usize = 8;
 
+/// Items a filtered unit is gated in at a time, on the stack, before the
+/// block's survivors are scored.
+const FILTER_BLOCK: usize = 256;
+
 /// Where a unit's items go: filter, score each survivor in place — where
 /// its row lies, in unit order — and push it into the top-k at once, so the
-/// k-th distance tightens row by row.
+/// k-th distance tightens as the unit goes.
 ///
-/// Under squared Euclidean distance a full top-k's k-th distance bounds the
-/// row kernel ([`sq_dist_bounded`]): a row whose partial sum already
-/// exceeds it stops summing. Such a row would have lost to the k-th in
-/// [`TopK::push`] anyway, ties by id included, so the answer is bit for bit
-/// that of full scoring; it still counts as evaluated. Angular distance
-/// takes the plain row kernel. A unit's first [`PREFETCH_AHEAD`] rows are
-/// prefetched as it opens, and every later row that many candidates before
-/// it is scored. Nothing is allocated.
+/// A filter sees a unit first, [`FILTER_BLOCK`] items at a time and each
+/// item once, in unit order; only the block's survivors are then
+/// prefetched and scored, so a rejected row is never read. Under squared
+/// Euclidean distance survivors are scored four at a time through the
+/// register-blocked [`sq_dist_rows4`]; a tail of fewer than four takes the
+/// row kernel bounded by a full top-k's k-th distance
+/// ([`sq_dist_bounded`]), which stops summing a row whose partial sum
+/// already exceeds it. Either way the answer is bit for bit that of
+/// scoring every row in full, one at a time: each kernel returns the row
+/// kernel's bits, and an abandoned row would have lost to the k-th in
+/// [`TopK::push`] anyway, ties by id included; it still counts as
+/// evaluated. Angular distance takes the plain row kernel. The first
+/// [`PREFETCH_AHEAD`] survivors are prefetched as scoring opens, and every
+/// later one that many survivors before it is scored. Nothing is allocated
+/// per request.
 pub(crate) struct Evaluator<'a, 'f, R: Rows> {
     pub query: &'a [f32],
     pub rows: R,
@@ -625,27 +636,57 @@ impl<R: Rows> Evaluator<'_, '_, R> {
     /// evaluated.
     fn evaluate(&mut self, items: &[u32], topk: &mut TopK) -> usize {
         let (query, metric, rows) = (self.query, self.metric, self.rows);
-        for &id in items.iter().take(PREFETCH_AHEAD) {
-            prefetch_row(rows.row(id));
-        }
+        let Some(keep) = self.filter.as_deref_mut() else {
+            return score(query, metric, rows, items, topk);
+        };
+        let mut survivors = [0u32; FILTER_BLOCK];
         let mut evaluated = 0;
-        for (i, &id) in items.iter().enumerate() {
-            if let Some(&ahead) = items.get(i + PREFETCH_AHEAD) {
-                prefetch_row(rows.row(ahead));
+        for block in items.chunks(FILTER_BLOCK) {
+            let mut kept = 0;
+            for &id in block {
+                survivors[kept] = id;
+                kept += usize::from(keep(id));
             }
-            if self.filter.as_deref_mut().is_some_and(|keep| !keep(id)) {
-                continue;
-            }
-            let row = rows.row(id);
-            let dist = match (metric, topk.kth_dist()) {
-                (Metric::SquaredEuclidean, Some(kth)) => sq_dist_bounded(query, row, kth),
-                _ => metric.eval(query, row),
-            };
-            topk.push(dist, id);
-            evaluated += 1;
+            evaluated += score(query, metric, rows, &survivors[..kept], topk);
         }
         evaluated
     }
+}
+
+/// Score every item of `ids` against `query` into `topk`, in order; returns
+/// `ids.len()`. See [`Evaluator`].
+#[inline]
+fn score<R: Rows>(query: &[f32], metric: Metric, rows: R, ids: &[u32], topk: &mut TopK) -> usize {
+    for &id in ids.iter().take(PREFETCH_AHEAD) {
+        prefetch_row(rows.row(id));
+    }
+    let prefetch_from = |at: usize, n: usize| {
+        for &ahead in ids.iter().skip(at + PREFETCH_AHEAD).take(n) {
+            prefetch_row(rows.row(ahead));
+        }
+    };
+    let (quads, tail) = match metric {
+        Metric::SquaredEuclidean => ids.as_chunks::<4>(),
+        Metric::Angular => (&[][..], ids),
+    };
+    for (i, quad) in quads.iter().enumerate() {
+        prefetch_from(4 * i, 4);
+        let dists = sq_dist_rows4(query, quad.map(|id| rows.row(id)));
+        for (&id, dist) in quad.iter().zip(dists) {
+            topk.push(dist, id);
+        }
+    }
+    let blocked = ids.len() - tail.len();
+    for (i, &id) in tail.iter().enumerate() {
+        prefetch_from(blocked + i, 1);
+        let row = rows.row(id);
+        let dist = match (metric, topk.kth_dist()) {
+            (Metric::SquaredEuclidean, Some(kth)) => sq_dist_bounded(query, row, kth),
+            _ => metric.eval(query, row),
+        };
+        topk.push(dist, id);
+    }
+    ids.len()
 }
 
 /// What a query consults besides its bucket source, whatever the index

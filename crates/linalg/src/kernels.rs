@@ -10,17 +10,22 @@
 //!   `is_x86_feature_detected!`), falling back to the unrolled scalar code
 //!   otherwise. Setting `GQR_FORCE_SCALAR=1` in the environment pins the
 //!   scalar path regardless of CPU features.
+//! * **The four-row kernel** — [`sq_dist_rows4`]: one query against four
+//!   rows that lie anywhere, with one shared query load per chunk and
+//!   independent accumulator chains per row (register blocking), which is
+//!   what actually saturates the FMA ports — a single row's accumulation is
+//!   latency-bound. It is the register-blocked inner loop of the engine's
+//!   Evaluate phase, which scores candidates in place, where they lie in
+//!   the index's row array.
 //! * **The bounded row kernel** — [`sq_dist_bounded`]: [`sq_dist_f32`] that
 //!   stops summing once a partial sum exceeds a bound (the running k-th
-//!   distance), and [`prefetch_row`], which asks for a row's cache lines
-//!   ahead of use. Together they score candidates in place, where they lie
-//!   in the index's row array: the engine's Evaluate phase.
+//!   distance), for the Evaluate phase's rows that do not fill a block of
+//!   four, and [`prefetch_row`], which asks for a row's cache lines ahead
+//!   of use.
 //! * **Batch kernels** — [`sq_dist_batch`], [`dot_batch`],
 //!   [`angular_dist_batch`]: one query against a *contiguous row-major tile*
-//!   of items. The AVX2 path scores four rows per iteration with one shared
-//!   query load and independent accumulator chains per row (register
-//!   blocking), which is what actually saturates the FMA ports — a single
-//!   row's accumulation is latency-bound.
+//!   of items; the AVX2 squared-distance path blocks four rows the same
+//!   way.
 //! * **[`ScoreBlock`]** — a reusable gather-then-score scratch tile:
 //!   consumers copy candidates (possibly ragged, after filtering) into the
 //!   block and flush it through the batch kernels, amortizing bounds checks
@@ -28,14 +33,14 @@
 //!
 //! # Determinism contract
 //!
-//! Within one kernel (scalar *or* AVX2), the batch kernels are **bit
-//! identical** to the corresponding row kernel applied row by row: the
-//! four-row register-blocked loop gives every row the same accumulator
-//! count, chunk order, horizontal-reduction sequence, and scalar tail as
-//! the single-row kernel. Equivalence between the scalar and AVX2 kernels
-//! is only approximate (float addition is reassociated across lanes); the
-//! kernel-equivalence test suite bounds the difference by a
-//! dimension-scaled epsilon.
+//! Within one kernel (scalar *or* AVX2), the batch kernels and
+//! [`sq_dist_rows4`] are **bit identical** to the corresponding row kernel
+//! applied row by row: the four-row register-blocked loop gives every row
+//! the same accumulator count, chunk order, horizontal-reduction sequence,
+//! and scalar tail as the single-row kernel. Equivalence between the scalar
+//! and AVX2 kernels is only approximate (float addition is reassociated
+//! across lanes); the kernel-equivalence test suite bounds the difference
+//! by a dimension-scaled epsilon.
 //!
 //! [`sq_dist_bounded`]`(q, row, bound)` runs the row kernel's own
 //! accumulation. Whenever [`sq_dist_f32`]`(q, row) ≤ bound` it returns
@@ -158,6 +163,28 @@ pub fn sq_dist_bounded(q: &[f32], row: &[f32], bound: f32) -> f32 {
         #[cfg(target_arch = "x86_64")]
         KernelKind::Avx2Fma => unsafe { avx2::sq_dist_bounded(q, row, bound) },
         _ => scalar::sq_dist_bounded(q, row, bound),
+    }
+}
+
+/// Squared Euclidean distance from `q` to each of four rows (dispatched):
+/// one shared query load per chunk and independent accumulator chains per
+/// row (register blocking), which keeps the FMA ports busy where one row's
+/// accumulation is latency-bound. The register-blocked inner loop of the
+/// Evaluate phase. `out[r]` is bit-for-bit [`sq_dist_f32`]`(q, rows[r])`
+/// under either dispatched body.
+#[inline]
+pub fn sq_dist_rows4(q: &[f32], rows: [&[f32]; 4]) -> [f32; 4] {
+    for row in rows {
+        assert_eq!(row.len(), q.len(), "row dimensionality mismatch");
+    }
+    match active_kernel() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `active_kernel` reports AVX2+FMA only after runtime
+        // detection found both, and every row holds `q.len()` elements.
+        KernelKind::Avx2Fma => unsafe {
+            avx2::sq_dist_rows4(q.as_ptr(), rows.map(<[f32]>::as_ptr), q.len())
+        },
+        _ => rows.map(|row| scalar::sq_dist(q, row)),
     }
 }
 
@@ -313,12 +340,12 @@ pub const TILE_ROWS: usize = 32;
 
 /// A reusable gather-then-score tile.
 ///
-/// Hot consumers (the engine's Evaluate phase, MPLSH candidate evaluation,
-/// the OPQ+IMI re-rank) copy candidate rows into the block — possibly
-/// skipping filtered ids, so tiles may be ragged — and [`flush`] scores the
-/// whole tile through the dispatched batch kernel. The buffers are reused
-/// across buckets and (via the batch path) across queries, so steady-state
-/// evaluation performs no allocation.
+/// Consumers (MPLSH candidate evaluation, the OPQ+IMI re-rank) copy
+/// candidate rows into the block — possibly skipping filtered ids, so tiles
+/// may be ragged — and [`flush`] scores the whole tile through the
+/// dispatched batch kernel. The buffers are reused across buckets and (via
+/// the batch path) across queries, so steady-state evaluation performs no
+/// allocation.
 ///
 /// [`flush`]: ScoreBlock::flush
 #[derive(Clone, Debug)]
@@ -713,17 +740,16 @@ mod avx2 {
     }
 
     /// Four rows against one query: one shared query load per chunk, eight
-    /// independent accumulator chains (two per row) — the register-blocked
-    /// inner loop of the Evaluate phase.
+    /// independent accumulator chains (two per row), and per row exactly
+    /// [`sq_dist_row`]'s chunk order, reduction and tail.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 and FMA are available, and `q` and every row point to `n`
+    /// readable `f32`s.
     #[inline]
     #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn sq_dist_rows4(
-        q: *const f32,
-        rows: [*const f32; 4],
-        n: usize,
-        out: &mut [f32],
-        base: usize,
-    ) {
+    pub unsafe fn sq_dist_rows4(q: *const f32, rows: [*const f32; 4], n: usize) -> [f32; 4] {
         let mut acc0 = [_mm256_setzero_ps(); 4];
         let mut acc1 = [_mm256_setzero_ps(); 4];
         let chunks = n / 16;
@@ -747,14 +773,16 @@ mod avx2 {
             }
             done += 8;
         }
+        let mut out = [0.0f32; 4];
         for (r, &row) in rows.iter().enumerate() {
             let mut sum = hsum(_mm256_add_ps(acc0[r], acc1[r]));
             for i in done..n {
                 let d = *q.add(i) - *row.add(i);
                 sum = d.mul_add(d, sum);
             }
-            out[base + r] = sum;
+            out[r] = sum;
         }
+        out
     }
 
     #[target_feature(enable = "avx2", enable = "fma")]
@@ -765,18 +793,8 @@ mod avx2 {
         let blocks = out.len() / 4;
         for blk in 0..blocks {
             let b = blk * 4;
-            sq_dist_rows4(
-                qp,
-                [
-                    rp.add(b * n),
-                    rp.add((b + 1) * n),
-                    rp.add((b + 2) * n),
-                    rp.add((b + 3) * n),
-                ],
-                n,
-                out,
-                b,
-            );
+            let rows = [b, b + 1, b + 2, b + 3].map(|r| rp.add(r * n));
+            out[b..b + 4].copy_from_slice(&sq_dist_rows4(qp, rows, n));
         }
         for (r, o) in out.iter_mut().enumerate().skip(blocks * 4) {
             *o = sq_dist_row(qp, rp.add(r * n), n);

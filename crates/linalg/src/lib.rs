@@ -32,6 +32,7 @@ pub mod kernels;
 pub mod matrix;
 pub mod pca;
 pub mod qr;
+pub mod row_buffer;
 pub mod svd;
 pub mod vecops;
 pub mod wire;
@@ -43,6 +44,7 @@ pub use kernels::{
 pub use matrix::Matrix;
 pub use pca::Pca;
 pub use qr::{qr, random_orthonormal, random_rotation};
+pub use row_buffer::RowBuffer;
 pub use svd::{svd, Svd};
 pub use wire::{crc32, ByteReader, ByteWriter, WireError};
 

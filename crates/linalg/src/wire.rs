@@ -15,6 +15,7 @@
 
 use crate::matrix::Matrix;
 use crate::pca::Pca;
+use crate::row_buffer::RowBuffer;
 
 /// Errors produced when decoding a byte payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -370,6 +371,16 @@ impl<'a> ByteReader<'a> {
         (0..len).map(|_| self.get_f32()).collect()
     }
 
+    /// Read a length-prefixed `f32` slice straight into a [`RowBuffer`]:
+    /// the one copy of a snapshot's rows, with no `Vec` beside it.
+    pub fn get_f32_rows(&mut self) -> Result<RowBuffer, WireError> {
+        let len = self.get_len(4)?;
+        let bytes = self.take(len * 4)?;
+        let mut rows = RowBuffer::with_capacity(len);
+        rows.extend_from_le_bytes(bytes);
+        Ok(rows)
+    }
+
     /// Read a length-prefixed `f64` slice.
     pub fn get_f64_vec(&mut self) -> Result<Vec<f64>, WireError> {
         let len = self.get_len(8)?;
@@ -478,6 +489,7 @@ mod tests {
         w.put_u64_slice(&[9]);
         w.put_i32_slice(&[-4, 5]);
         w.put_f32_slice(&[0.5, -0.5]);
+        w.put_f32_slice(&[1.25, f32::MAX]);
         w.put_f64_slice(&[]);
         let bytes = w.into_bytes();
 
@@ -492,6 +504,7 @@ mod tests {
         assert_eq!(r.get_u64_vec().unwrap(), vec![9]);
         assert_eq!(r.get_i32_vec().unwrap(), vec![-4, 5]);
         assert_eq!(r.get_f32_vec().unwrap(), vec![0.5, -0.5]);
+        assert_eq!(&r.get_f32_rows().unwrap()[..], &[1.25, f32::MAX]);
         assert_eq!(r.get_f64_vec().unwrap(), Vec::<f64>::new());
         r.expect_end().unwrap();
     }
@@ -515,6 +528,8 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
         assert!(r.get_f64_vec().is_err());
+        let mut r = ByteReader::new(&bytes);
+        assert!(r.get_f32_rows().is_err());
     }
 
     #[test]

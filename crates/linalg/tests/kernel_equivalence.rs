@@ -9,7 +9,7 @@
 use gqr_linalg::kernels::{
     self, active_kernel, angular_dist_batch, angular_dist_f32, dot_batch, dot_f32,
     force_scalar_requested, prefetch_row, scalar, sq_dist_batch, sq_dist_bounded, sq_dist_f32,
-    KernelKind,
+    sq_dist_rows4, KernelKind,
 };
 use proptest::prelude::*;
 
@@ -208,6 +208,68 @@ fn batch_bit_identical_across_tile_shapes() {
                     angular_dist_f32(&q, row).to_bits(),
                     "angular len {len} rows {n_rows} row {r}"
                 );
+            }
+        }
+    }
+}
+
+/// The four-row kernel the evaluator scores survivors with gives every row
+/// exactly the row kernel's bits, on whichever body dispatch picked (this
+/// suite runs under AVX2 and under `GQR_FORCE_SCALAR=1`). Dims straddle the
+/// 8- and 16-lane chunks and their tails; each row starts at its own
+/// offset off a cache line; rows (and, last, the query) mix in `NaN`, ±0.0
+/// and ±`f32::MAX`/2, whose squares overflow to `+∞`.
+#[test]
+fn four_row_kernel_is_bit_identical_to_the_row_kernel() {
+    let specials = [f32::NAN, 0.0, -0.0, f32::MAX / 2.0, -f32::MAX / 2.0];
+    let with_specials = |mut v: Vec<f32>, salt: usize| {
+        for (i, x) in v
+            .iter_mut()
+            .enumerate()
+            .filter(|(i, _)| (i + salt).is_multiple_of(5))
+        {
+            *x = specials[(i / 5 + salt) % specials.len()];
+        }
+        v
+    };
+    for dim in [1usize, 7, 8, 15, 16, 17, 31, 32, 33, 96, 100, 960] {
+        // 0: plain; 1: specials in row 2; 2: in every row; 3: in the query.
+        for case in 0..4 {
+            let mut q = gen_vec(dim, 3);
+            if case == 3 {
+                q = with_specials(q, 1);
+            }
+            let rows: Vec<Vec<f32>> = (0..4)
+                .map(|r| {
+                    let row = gen_vec(dim, 100 + r as u64);
+                    match case {
+                        1 if r == 2 => with_specials(row, r),
+                        2 => with_specials(row, r),
+                        _ => row,
+                    }
+                })
+                .collect();
+            // Row `r` starts 4·(1 + 3r) bytes past a cache line.
+            let stride = dim + 32;
+            let mut buf = vec![0.0f32; 4 * stride];
+            let base = buf.as_ptr() as usize;
+            let starts: [usize; 4] = std::array::from_fn(|r| {
+                let region = r * stride;
+                (region..region + 16)
+                    .find(|&i| (base + 4 * i) % 64 == 4 * (1 + 3 * r))
+                    .expect("a float-aligned offset within 16 floats")
+            });
+            for (&start, row) in starts.iter().zip(&rows) {
+                buf[start..start + dim].copy_from_slice(row);
+            }
+            let placed = starts.map(|start| &buf[start..start + dim]);
+            let got = sq_dist_rows4(&q, placed);
+            for (r, row) in placed.iter().enumerate() {
+                let at = format!("dim {dim} case {case} row {r}");
+                assert_eq!(got[r].to_bits(), sq_dist_f32(&q, row).to_bits(), "{at}");
+                if active_kernel() == KernelKind::Scalar {
+                    assert_eq!(got[r].to_bits(), scalar::sq_dist(&q, row).to_bits(), "{at}");
+                }
             }
         }
     }

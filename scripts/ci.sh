@@ -25,6 +25,9 @@ GQR_FORCE_SCALAR=1 cargo test -q -p gqr-core --test blocked_eval
 GQR_FORCE_SCALAR=1 cargo test -q -p gqr-core --test live_mutations
 GQR_FORCE_SCALAR=1 cargo test -q -p gqr-core --test sharded_equivalence
 GQR_FORCE_SCALAR=1 cargo test -q -p gqr-core --test predicate_equivalence
+# Snapshot-loaded shards score from the owned row buffer through the
+# four-row kernel; reloaded answers must equal the in-memory index's.
+GQR_FORCE_SCALAR=1 cargo test -q --test snapshot_roundtrip
 # Training and bulk encoding run AVX2-wide or portable lane loops; both must
 # reproduce the pre-threading goldens and the row-at-a-time references.
 GQR_FORCE_SCALAR=1 cargo test -q --test build_golden
