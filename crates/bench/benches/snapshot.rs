@@ -52,7 +52,7 @@ fn main() {
     let t = Instant::now();
     for _ in 0..reps {
         let loaded: LoadedIndex = load_index(&path).unwrap();
-        let engine = QueryEngine::from_snapshot(&loaded).unwrap();
+        let engine = QueryEngine::from_snapshot(&loaded);
         black_box(engine.table().n_items());
     }
     let load_s = t.elapsed().as_secs_f64() / reps as f64;

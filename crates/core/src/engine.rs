@@ -9,16 +9,18 @@
 use crate::attrs::AttributeStore;
 use crate::code::CodeWord;
 use crate::metrics::{metric_name, MetricsRegistry};
+use crate::persist::{LoadedIndex, SnapshotWriter};
 use crate::probe::mih::MihIndex;
-use crate::probe_loop::{drive, FlatRows, MihSource, ProbeCtx, TableSource, Target};
+use crate::probe_loop::{open_source, FlatRows, Part, ProbeCtx, Target};
 use crate::recall::{RecallModel, RecallTarget};
 use crate::request::SearchRequest;
 pub use crate::response::{Checkpoint, SearchResponse};
-use crate::table::HashTable;
+use crate::table::{encode_rows, HashTable};
 use gqr_l2h::HashModel;
 use gqr_linalg::kernels::kernel_name;
 use gqr_linalg::vecops::Metric;
 use std::borrow::Cow;
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 /// Which querying method to use (paper §3–§5 and appendix).
@@ -364,21 +366,31 @@ impl SearchParamsBuilder {
     }
 }
 
-/// A querying engine over one hash table.
+/// A querying engine: `S ≥ 1` row-disjoint parts, each a hash table over a
+/// contiguous range of one row buffer, searched as one table.
+///
+/// [`QueryEngine::new`] gives one part over a borrowed table;
+/// [`QueryEngine::build`] partitions the rows into `S` owned parts (a
+/// sharded index, see [`crate::shard`]); [`QueryEngine::from_snapshot`]
+/// borrows one part per stored shard. The probe order of every strategy
+/// depends on the query alone, so a search's probe unit is the
+/// concatenation of each part's bucket — for MIH, each part's substring
+/// bucket — shifted to global ids: exactly the bucket of one table over all
+/// the rows. The answer, its [`ProbeStats`](crate::stats::ProbeStats), stop
+/// reason, recall prediction and checkpoints are therefore bit-identical
+/// whatever the part count (see `tests/sharded_equivalence.rs`).
 ///
 /// Generic over the code width `C` (default `u64`): the width is fixed when
-/// the table is built, and everything downstream — probers, MIH, bucket
+/// the tables are built, and everything downstream — probers, MIH, bucket
 /// lookups — is monomorphized over it. Narrow call sites are unchanged.
 pub struct QueryEngine<'a, M: HashModel + ?Sized, C: CodeWord = u64> {
     model: &'a M,
-    table: &'a HashTable<C>,
+    /// In ascending first id, the first at 0; never empty.
+    parts: Vec<Part<'a, C>>,
+    /// Every part's rows, row-major, `dim` columns.
     data: &'a [f32],
     dim: usize,
     metric: Metric,
-    /// [`QueryEngine::enable_mih`] builds an owned side index;
-    /// [`QueryEngine::with_mih`] borrows a prebuilt one (a loaded
-    /// snapshot's), so the substring tables are not rebuilt.
-    mih: Option<Cow<'a, MihIndex<C>>>,
     recall: Option<&'a RecallModel>,
     attrs: Option<&'a AttributeStore>,
     metrics: MetricsRegistry,
@@ -404,13 +416,45 @@ impl<'a, M: HashModel + ?Sized, C: CodeWord> QueryEngine<'a, M, C> {
                 "table references id {max_id} beyond the data buffer"
             );
         }
+        let part = Part::borrowed(table, None, 0, data.len() / dim);
+        QueryEngine::from_parts(model, vec![part], data, dim)
+    }
+
+    /// Partition `data` (row-major, `dim` columns) into `n_parts`
+    /// contiguous parts and build each part's hash table. Every row is
+    /// encoded once by [`encode_rows`]; each part buckets its slice of the
+    /// codes (in parallel when `n_parts > 1`). Part sizes differ by at most
+    /// one row.
+    pub fn build(model: &'a M, data: &'a [f32], dim: usize, n_parts: usize) -> Self {
+        assert!(n_parts > 0, "need at least one shard");
+        assert_eq!(model.dim(), dim, "model and data dimensionality differ");
+        assert!(data.len().is_multiple_of(dim), "data must be n×dim");
+        let n = data.len() / dim;
+        assert!(
+            n <= u32::MAX as usize,
+            "id space is u32; dataset has {n} rows"
+        );
+        // Contiguous partition: part i gets base (+1 for the first n % S).
+        let (base, rem) = (n / n_parts, n % n_parts);
+        let start = |i: usize| i * base + i.min(rem);
+        let ranges = (0..n_parts).map(|i| start(i)..start(i + 1)).collect();
+        let (codes, m): (Vec<C>, _) = (encode_rows(model, data, dim), model.code_length());
+        let parts = gqr_linalg::scoped_map(ranges, |rows: Range<usize>| Part {
+            table: Cow::Owned(HashTable::from_codes(m, &codes[rows.clone()])),
+            mih: None,
+            first_id: rows.start as u32,
+            rows: rows.len(),
+        });
+        QueryEngine::from_parts(model, parts, data, dim)
+    }
+
+    fn from_parts(model: &'a M, parts: Vec<Part<'a, C>>, data: &'a [f32], dim: usize) -> Self {
         QueryEngine {
             model,
-            table,
+            parts,
             data,
             dim,
             metric: Metric::SquaredEuclidean,
-            mih: None,
             recall: None,
             attrs: None,
             metrics: MetricsRegistry::disabled(),
@@ -419,8 +463,10 @@ impl<'a, M: HashModel + ?Sized, C: CodeWord> QueryEngine<'a, M, C> {
 
     /// Attach a metrics registry (builder style). With an enabled registry
     /// every search records per-phase spans (`hash_query`, `probe_generate`,
-    /// `bucket_lookup`, `evaluate`, `rerank`) and per-query totals under the
-    /// `gqr_query_*` metric family, labelled by strategy. The default
+    /// `bucket_lookup`, `evaluate`, `rerank`) and per-query totals: under
+    /// the `gqr_query_*` family, labelled by strategy, on a one-part engine;
+    /// as `gqr_shard_*{shard="all",strategy}` plus
+    /// `gqr_sharded_{total_ns,queries_total}` on a sharded one. The default
     /// (disabled) registry keeps the query path allocation-free and reads no
     /// clocks beyond the pre-existing wall timer.
     pub fn with_metrics(mut self, metrics: MetricsRegistry) -> Self {
@@ -461,24 +507,33 @@ impl<'a, M: HashModel + ?Sized, C: CodeWord> QueryEngine<'a, M, C> {
         self.metric
     }
 
-    /// Build the multi-index-hashing side index (required before using
-    /// [`ProbeStrategy::MultiIndexHashing`]). Codes are recovered from the
-    /// table, not re-encoded.
+    /// Build every part's multi-index-hashing side index (required before
+    /// using [`ProbeStrategy::MultiIndexHashing`]). Codes are recovered from
+    /// the tables, not re-encoded.
     pub fn enable_mih(&mut self, blocks: usize) {
-        let codes = self.table.dense_codes();
-        let mih = MihIndex::build(self.table.code_length(), &codes, blocks);
-        self.mih = Some(Cow::Owned(mih));
+        for part in &mut self.parts {
+            let codes = part.table.dense_codes();
+            let mih = MihIndex::build(part.table.code_length(), &codes, blocks);
+            part.mih = Some(Cow::Owned(mih));
+        }
     }
 
     /// Attach a prebuilt MIH side index by reference (builder style). The
     /// index must have been built over this table's codes.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an engine of more than one part (each part needs its own
+    /// side index: use [`QueryEngine::enable_mih`]), and when the index's
+    /// code length differs from the table's.
     pub fn with_mih(mut self, mih: &'a MihIndex<C>) -> Self {
+        let part = self.one_part("with_mih");
         assert_eq!(
             mih.code_length(),
-            self.table.code_length(),
+            part.table.code_length(),
             "MIH index and table code length differ"
         );
-        self.mih = Some(Cow::Borrowed(mih));
+        self.parts[0].mih = Some(Cow::Borrowed(mih));
         self
     }
 
@@ -486,6 +541,8 @@ impl<'a, M: HashModel + ?Sized, C: CodeWord> QueryEngine<'a, M, C> {
     /// [`SearchParams::recall_target`] consult it to stop probing once the
     /// predicted recall clears the target. Build one offline with
     /// [`crate::recall::Calibrator`] or load it from a snapshot section.
+    /// The search of every part count walks the trajectory of the one-part
+    /// engine, so one model serves them all.
     pub fn with_recall_model(mut self, model: &'a RecallModel) -> Self {
         self.recall = Some(model);
         self
@@ -502,10 +559,11 @@ impl<'a, M: HashModel + ?Sized, C: CodeWord> QueryEngine<'a, M, C> {
     }
 
     /// Attach an attribute store (builder style): requests carrying a
-    /// structured [`Predicate`](crate::attrs::Predicate) are planned
-    /// against it — the engine picks pre-filtering, post-filtering, or
-    /// brute force over the survivor set by estimated selectivity. The
-    /// store's item ids must be this engine's row ids.
+    /// structured [`Predicate`](crate::attrs::Predicate) are planned once,
+    /// against the request's candidate budget — the engine picks
+    /// pre-filtering, post-filtering, or brute force over the survivor set
+    /// by estimated selectivity. The store's item ids must be this engine's
+    /// (global) row ids.
     pub fn with_attrs(mut self, attrs: &'a AttributeStore) -> Self {
         self.set_attrs(attrs);
         self
@@ -527,9 +585,52 @@ impl<'a, M: HashModel + ?Sized, C: CodeWord> QueryEngine<'a, M, C> {
         self.attrs
     }
 
-    /// The hash table.
+    /// The hash table of a one-part engine.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an engine of more than one part: each part has its own
+    /// table (see [`QueryEngine::n_shards`] and
+    /// [`QueryEngine::shard_sizes`]).
     pub fn table(&self) -> &HashTable<C> {
-        self.table
+        &self.one_part("table()").table
+    }
+
+    /// The only part, for the accessors that have no multi-part meaning.
+    fn one_part(&self, what: &str) -> &Part<'a, C> {
+        assert!(
+            self.parts.len() == 1,
+            "{what} needs a one-part engine; this one has {} parts, each with its own \
+             table: use the parts (n_shards(), shard_sizes(), enable_mih())",
+            self.parts.len()
+        );
+        &self.parts[0]
+    }
+
+    /// The row-disjoint parts, in ascending first id.
+    pub(crate) fn parts(&self) -> &[Part<'a, C>] {
+        &self.parts
+    }
+
+    /// Number of parts (shards).
+    pub fn n_shards(&self) -> usize {
+        self.parts.len()
+    }
+
+    /// Items per part, in part order (sizes differ by at most one when the
+    /// engine was partitioned by [`QueryEngine::build`]).
+    pub fn shard_sizes(&self) -> Vec<usize> {
+        self.parts.iter().map(|p| p.table.n_items()).collect()
+    }
+
+    /// Total indexed items across parts: the most a search can evaluate.
+    pub fn n_items(&self) -> usize {
+        self.parts.iter().map(|p| p.table.n_items()).sum()
+    }
+
+    /// Code length of the tables, in bits.
+    pub(crate) fn code_length(&self) -> usize {
+        self.parts[0].table.code_length()
     }
 
     /// The hashing model.
@@ -549,18 +650,23 @@ impl<'a, M: HashModel + ?Sized, C: CodeWord> QueryEngine<'a, M, C> {
 
     /// The single front door: execute one [`SearchRequest`] — query,
     /// parameters, and any combination of checkpoints, a filter, and a
-    /// deadline. [`QueryEngine::search`] is a thin convenience wrapper over
-    /// this; the [`Index`](crate::index::Index) trait exposes this method
-    /// across every index shape.
+    /// deadline — as one search over every part. [`QueryEngine::search`] is
+    /// a thin convenience wrapper over this; the
+    /// [`Index`](crate::index::Index) trait exposes this method across
+    /// every index shape.
     ///
-    /// A request [`deadline`](SearchParams::deadline) is folded into the
-    /// params' soft [`time_limit`](SearchParams::time_limit) (whichever is
-    /// tighter wins); a request whose deadline already passed returns an
-    /// empty result immediately. When the engine finishes past the deadline
-    /// the `gqr_request_deadline_missed_total` counter is bumped.
+    /// A predicate is planned once against the request's candidate budget:
+    /// a survivor set that fits is evaluated outright whatever the
+    /// strategy. A request [`deadline`](SearchParams::deadline) is folded
+    /// into the params' soft [`time_limit`](SearchParams::time_limit)
+    /// (whichever is tighter wins); a request whose deadline already passed
+    /// returns an empty result immediately. When the engine finishes past
+    /// the deadline the `gqr_request_deadline_missed_total` counter is
+    /// bumped.
     pub fn run(&self, mut req: SearchRequest<'_>) -> SearchResponse {
         let strat = req.params.strategy.name();
-        let env = req.open(&self.metrics, strat);
+        let sharded = self.parts.len() > 1;
+        let env = req.open(&self.metrics, if sharded { "sharded" } else { strat });
         let (query, params, budgets) = (req.query, req.params, req.budgets);
         assert_eq!(query.len(), self.dim, "query dimensionality mismatch");
         debug_assert!(
@@ -571,7 +677,7 @@ impl<'a, M: HashModel + ?Sized, C: CodeWord> QueryEngine<'a, M, C> {
         let mut ctx = ProbeCtx::new(&env);
         let target = Target {
             model: self.model,
-            code_length: self.table.code_length(),
+            code_length: self.code_length(),
             metric: self.metric,
             recall: self.recall,
             rows: FlatRows {
@@ -581,22 +687,23 @@ impl<'a, M: HashModel + ?Sized, C: CodeWord> QueryEngine<'a, M, C> {
             n_rows: self.data.len() / self.dim,
         };
         let mut result = target.run(req, self.attrs, start, &mut ctx, |sink, ctx| {
-            let (model, cap) = (self.model, params.max_buckets);
             let policy = target.policy(&params, start, &self.metrics);
-            match params.strategy {
-                ProbeStrategy::MultiIndexHashing { .. } => {
-                    let parts = vec![(self.mih_index(), 0)];
-                    let mut source = MihSource::new(model, parts, cap, query, ctx);
-                    drive(&mut source, policy, sink, budgets, ctx)
-                }
-                strategy => {
-                    let mut source = TableSource::new(model, self.table, strategy, query, ctx);
-                    drive(&mut source, policy, sink, budgets, ctx)
-                }
-            }
+            let (parts, n, cap) = (&self.parts[..], self.n_items(), params.max_buckets);
+            let source = open_source(self.model, parts, n, params.strategy, cap, query, ctx);
+            source.drive(policy, sink, budgets, ctx)
         });
-        ctx.phases
-            .flush(&self.metrics, "gqr_query", strat, start.elapsed());
+        let (phases, elapsed) = (&ctx.phases, start.elapsed());
+        if sharded {
+            let labels = [("shard", "all"), ("strategy", strat)];
+            phases.flush_labeled(&self.metrics, "gqr_shard", &labels, elapsed);
+            if self.metrics.is_enabled() {
+                self.metrics
+                    .record_duration("gqr_sharded_total_ns", elapsed);
+                self.metrics.incr("gqr_sharded_queries_total");
+            }
+        } else {
+            phases.flush(&self.metrics, "gqr_query", strat, elapsed);
+        }
         result.trace_id = env.close();
         result
     }
@@ -606,39 +713,54 @@ impl<'a, M: HashModel + ?Sized, C: CodeWord> QueryEngine<'a, M, C> {
         self.run(SearchRequest::new(query).params(*params))
     }
 
-    /// The attached MIH side index (the calibrator replays MIH
-    /// trajectories through it).
-    ///
-    /// # Panics
-    ///
-    /// Panics when none is attached.
-    pub(crate) fn mih_index(&self) -> &MihIndex<C> {
-        let mih = self.mih.as_deref();
-        mih.expect("call enable_mih() before searching with MultiIndexHashing")
-    }
-}
-
-impl<M: HashModel + ?Sized, C: CodeWord> QueryEngine<'_, M, C> {
-    /// Persist everything this engine serves from — model, table, vectors,
-    /// and the MIH side index if one is attached — as a one-shard snapshot
-    /// at `path` (crash-safe; see [`crate::persist`]). Returns the bytes
-    /// written. Reload with [`crate::persist::load_index`] +
-    /// [`crate::persist::LoadedIndex`].
+    /// Persist everything this engine serves from — model, every part's
+    /// table and MIH side index, vectors, recall model and attribute store
+    /// — as one crash-safe snapshot of one shard per part at `path` (see
+    /// [`crate::persist`]). Returns the bytes written. Reload with
+    /// [`crate::persist::load_index`] + [`QueryEngine::from_snapshot`].
     pub fn save_snapshot(
         &self,
         path: &std::path::Path,
     ) -> Result<u64, crate::persist::PersistError> {
-        crate::persist::save_index(
-            path,
-            self.model,
-            self.table,
-            self.data,
-            self.dim,
-            self.mih.as_deref(),
-            self.metric,
-            self.recall,
-            self.attrs,
-        )
+        let mut w = SnapshotWriter::new();
+        w.set_code_width(C::BITS);
+        w.add_model(self.model)?;
+        let manifest: Vec<(usize, bool)> = self
+            .parts
+            .iter()
+            .map(|p| (p.rows, p.mih.is_some()))
+            .collect();
+        w.add_manifest(self.metric, &manifest);
+        w.add_vectors(self.data, self.dim);
+        for part in &self.parts {
+            w.add_table(&part.table);
+        }
+        for mih in self.parts.iter().filter_map(|p| p.mih.as_deref()) {
+            w.add_mih(mih);
+        }
+        if let Some(model) = self.recall {
+            w.add_recall_model(model);
+        }
+        if let Some(attrs) = self.attrs {
+            w.add_attrs(attrs);
+        }
+        w.write(path)
+    }
+}
+
+impl<'a, C: CodeWord> QueryEngine<'a, dyn HashModel + 'a, C> {
+    /// Engine borrowing a [`LoadedIndex`]: the model, vectors, recall model
+    /// and attribute store, and one part per stored shard over that shard's
+    /// table and prebuilt MIH. Nothing is copied, hashed or rebuilt.
+    pub fn from_snapshot(snap: &'a LoadedIndex<C>) -> Self {
+        let shards = snap.shards().iter();
+        let parts = shards.map(|s| Part::borrowed(&s.table, s.mih.as_ref(), s.offset, s.rows));
+        let (model, data, dim) = (snap.model(), snap.data(), snap.dim());
+        let mut engine = QueryEngine::from_parts(model, parts.collect(), data, dim);
+        engine.metric = snap.metric();
+        engine.recall = snap.recall_model();
+        engine.attrs = snap.attrs();
+        engine
     }
 }
 
@@ -1012,6 +1134,65 @@ mod tests {
             metrics.counter_value("gqr_request_deadline_missed_total{strategy=\"GQR\"}"),
             Some(1)
         );
+    }
+
+    #[test]
+    fn a_loaded_engine_borrows_every_shard() {
+        let (data, model, _) = engine_fixture();
+        let mut engine = QueryEngine::<_, u64>::build(&model, &data, 2, 2);
+        engine.enable_mih(2);
+        let dir = std::env::temp_dir().join(format!("gqr-engine-parts-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("two.gqr");
+        engine.save_snapshot(&path).unwrap();
+        let loaded: LoadedIndex = crate::persist::load_index(&path).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        let reloaded = QueryEngine::from_snapshot(&loaded);
+        assert_eq!(reloaded.n_shards(), 2);
+        for (part, shard) in reloaded.parts().iter().zip(loaded.shards()) {
+            assert!(std::ptr::eq(&*part.table, &shard.table));
+            let (mih, stored) = (part.mih.as_deref(), shard.mih.as_ref());
+            assert!(std::ptr::eq(mih.unwrap(), stored.unwrap()));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "use the parts")]
+    fn table_of_a_multi_part_engine_panics() {
+        let (data, model, _) = engine_fixture();
+        let engine = QueryEngine::<_, u64>::build(&model, &data, 2, 2);
+        let _ = engine.table();
+    }
+
+    #[test]
+    #[should_panic(expected = "use the parts")]
+    fn with_mih_on_a_multi_part_engine_panics() {
+        let (data, model, table) = engine_fixture();
+        let mih = MihIndex::build(table.code_length(), &table.dense_codes(), 2);
+        let _ = QueryEngine::build(&model, &data, 2, 2).with_mih(&mih);
+    }
+
+    #[test]
+    fn n_items_sums_the_parts() {
+        let (data, model, table) = engine_fixture();
+        let engine = QueryEngine::new(&model, &table, &data, 2);
+        assert_eq!(crate::index::Index::n_items(&engine), 400);
+        for n_parts in [1, 3, 7] {
+            let engine = QueryEngine::<_, u64>::build(&model, &data, 2, n_parts);
+            let sizes = engine.shard_sizes();
+            assert_eq!(sizes.len(), n_parts);
+            assert_eq!(sizes.iter().sum::<usize>(), engine.n_items());
+            assert_eq!(crate::index::Index::n_items(&engine), 400);
+        }
+        // Exhaustion stops at the sum: every row evaluated, nothing more.
+        let params = SearchParams {
+            k: 5,
+            n_candidates: usize::MAX,
+            ..Default::default()
+        };
+        let res = QueryEngine::<_, u64>::build(&model, &data, 2, 3).search(&[3.0, 4.0], &params);
+        assert_eq!(res.stop_reason, crate::probe_loop::StopReason::Exhausted);
+        assert_eq!(res.stats.items_evaluated, 400);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The unified front door: one [`Index`] trait over every index shape.
 //!
-//! Four index types answer k-NN requests in this crate — the single-table
-//! [`QueryEngine`], the partitioned [`ShardedIndex`], the multi-table
+//! Three index types answer k-NN requests in this crate — the
+//! [`QueryEngine`] (one table, or the S row-disjoint parts of a
+//! [`ShardedIndex`](crate::shard::ShardedIndex)), the multi-table
 //! [`MultiTableIndex`], and the epoch-versioned [`MutableIndex`] — and each
 //! grew its own ad-hoc search surface over time. [`Index`] is the common
 //! denominator: build a [`SearchRequest`], call [`run`](Index::run), get a
@@ -18,7 +19,6 @@ use crate::live::MutableIndex;
 use crate::metrics::MetricsRegistry;
 use crate::multi_table::MultiTableIndex;
 use crate::request::SearchRequest;
-use crate::shard::ShardedIndex;
 use gqr_l2h::HashModel;
 
 /// A k-NN index that answers [`SearchRequest`]s.
@@ -54,30 +54,8 @@ pub trait Index {
     }
 }
 
-impl<M: HashModel + ?Sized, C: CodeWord> Index for QueryEngine<'_, M, C> {
-    fn run(&self, req: SearchRequest<'_>) -> SearchResponse {
-        QueryEngine::run(self, req)
-    }
-
-    fn n_items(&self) -> usize {
-        self.table().n_items()
-    }
-
-    fn dim(&self) -> usize {
-        QueryEngine::dim(self)
-    }
-
-    fn metrics(&self) -> &MetricsRegistry {
-        QueryEngine::metrics(self)
-    }
-
-    fn attrs(&self) -> Option<&AttributeStore> {
-        QueryEngine::attrs(self)
-    }
-}
-
-/// The composite shapes answer the trait with their inherent methods of
-/// the same names.
+/// Every shape answers the trait with its inherent methods of the same
+/// names.
 macro_rules! forward_index {
     ($([$($generics:tt)*] $ty:ty;)*) => {$(
         impl<$($generics)*> Index for $ty {
@@ -101,7 +79,7 @@ macro_rules! forward_index {
 }
 
 forward_index! {
-    [M: HashModel + ?Sized] ShardedIndex<'_, M>;
+    [M: HashModel + ?Sized, C: CodeWord] QueryEngine<'_, M, C>;
     [] MultiTableIndex<'_>;
     [M: HashModel + ?Sized + 'static, C: CodeWord] MutableIndex<M, C>;
 }
@@ -110,6 +88,7 @@ forward_index! {
 mod tests {
     use super::*;
     use crate::engine::SearchParams;
+    use crate::shard::ShardedIndex;
     use crate::table::HashTable;
     use gqr_l2h::pcah::Pcah;
     use std::sync::Arc;

@@ -48,14 +48,12 @@
 
 use crate::attrs::AttributeStore;
 use crate::code::CodeWord;
-use crate::engine::{ProbeStrategy, SearchResponse};
+use crate::engine::SearchResponse;
 use crate::executor::Executor;
 use crate::metrics::{metric_name, MarkerKind, MetricsRegistry, SpanId};
 use crate::persist::{corrupt, PersistError, SectionKind, SnapshotFile, SnapshotWriter};
 use crate::probe::mih::MihIndex;
-use crate::probe_loop::{
-    drive, MihSource, ProbeCtx, SegmentRef, SegmentedRows, SegmentedTables, Target,
-};
+use crate::probe_loop::{open_source, Part, ProbeCtx, SegmentedRows, Target};
 use crate::recall::RecallModel;
 use crate::request::SearchRequest;
 use crate::table::{CodeHasher, HashTable};
@@ -582,54 +580,33 @@ impl<M: HashModel + ?Sized + 'static, C: CodeWord> VersionedStore<M, C> {
         };
         let gate: Option<&mut dyn FnMut(u32) -> bool> = gated.then_some(&mut gate);
         let metrics = &self.metrics;
-        let flush = |ctx: &ProbeCtx<'_>, segment: &str, since: Instant| {
-            let labels = [("segment", segment), ("strategy", env.strategy)];
-            let phases = &ctx.phases;
-            phases.flush_labeled(metrics, "gqr_live", &labels, since.elapsed());
-        };
         let (base, delta) = (&gen.base, &gen.delta);
         let base_rows = base.rows() as u32;
-        let segments = &[
-            SegmentRef::new(&base.table, &base.data, 0),
-            SegmentRef::new(&delta.table, &delta.data, base_rows),
+        let parts = &[
+            Part::borrowed(&base.table, base.mih.as_ref(), 0, base.rows()),
+            Part::borrowed(&delta.table, delta.mih.as_ref(), base_rows, delta.rows()),
         ];
+        let buffers = &[(0, &base.data[..]), (base_rows, &delta.data[..])];
         let target = Target {
             model,
             code_length: model.code_length(),
             metric,
             recall: self.recall.as_ref(),
-            rows: SegmentedRows { segments, dim },
+            rows: SegmentedRows {
+                parts: buffers,
+                dim,
+            },
             n_rows: base.rows() + delta.rows(),
         };
-        let mut out = match params.strategy {
-            // One lookup sequence over the non-empty segments' side indexes.
-            ProbeStrategy::MultiIndexHashing { .. } => {
-                let mut ctx = ProbeCtx::new(&env);
-                let parts = [(base, 0), (delta, base_rows)].into_iter();
-                let parts = parts.filter(|(seg, _)| seg.rows() > 0).map(|(seg, first)| {
-                    let mih = seg.mih.as_ref();
-                    let mih = mih.expect("build with mih_blocks() before searching with MIH");
-                    (mih, first)
-                });
-                let (parts, cap) = (parts.collect(), params.max_buckets);
-                let mut source = MihSource::new(model, parts, cap, query, &mut ctx);
-                let sink = target.sink(query, gate);
-                let policy = target.policy(&params, start, metrics);
-                let res = drive(&mut source, policy, sink, budgets, &mut ctx);
-                flush(&ctx, "all", start);
-                res
-            }
-            strategy => {
-                let mut ctx = ProbeCtx::new(&env);
-                let mut source =
-                    SegmentedTables::new(model, segments, gen.n_live(), strategy, query, &mut ctx);
-                let sink = target.sink(query, gate);
-                let policy = target.policy(&params, start, metrics);
-                let res = drive(&mut source, policy, sink, budgets, &mut ctx);
-                flush(&ctx, "all", start);
-                res
-            }
-        };
+        let mut ctx = ProbeCtx::new(&env);
+        let (strategy, cap) = (params.strategy, params.max_buckets);
+        let source = open_source(model, parts, gen.n_live(), strategy, cap, query, &mut ctx);
+        let sink = target.sink(query, gate);
+        let policy = target.policy(&params, start, metrics);
+        let mut out = source.drive(policy, sink, budgets, &mut ctx);
+        let labels = [("segment", "all"), ("strategy", env.strategy)];
+        ctx.phases
+            .flush_labeled(metrics, "gqr_live", &labels, start.elapsed());
         let checkpoint_ids = out.checkpoints.iter_mut().flat_map(|c| &mut c.top_ids);
         for slot in out.ids.iter_mut().chain(checkpoint_ids) {
             *slot = gen.ext_id(*slot);
@@ -831,7 +808,7 @@ impl<M: HashModel + ?Sized + 'static, C: CodeWord> MutableIndexBuilder<M, C> {
     }
 
     /// Maintain MIH block tables (required for
-    /// [`ProbeStrategy::MultiIndexHashing`]);
+    /// [`ProbeStrategy::MultiIndexHashing`](crate::engine::ProbeStrategy::MultiIndexHashing));
     /// the delta's block tables are rebuilt per publish, the base's per
     /// compaction.
     pub fn mih_blocks(mut self, blocks: usize) -> Self {

@@ -12,17 +12,19 @@
 use crate::attrs::AttributeStore;
 use crate::engine::{ProbeStrategy, SearchParams, SearchResponse};
 use crate::metrics::MetricsRegistry;
-use crate::probe_loop::{drive, Evaluator, FlatRows, MergedTables, ProbeCtx, StopPolicy};
+use crate::probe_loop::{drive, Evaluator, FlatRows, MergedTables, Part, ProbeCtx, StopPolicy};
 use crate::request::SearchRequest;
 use crate::table::HashTable;
 use gqr_l2h::HashModel;
 use gqr_linalg::vecops::Metric;
+use std::borrow::Cow;
 use std::time::Instant;
 
 /// An index of `T` hash tables over the same dataset.
 pub struct MultiTableIndex<'a> {
     models: Vec<&'a dyn HashModel>,
-    tables: Vec<HashTable>,
+    /// One part per model, each over every row.
+    tables: Vec<Part<'a, u64>>,
     data: &'a [f32],
     dim: usize,
     metrics: MetricsRegistry,
@@ -37,9 +39,15 @@ impl<'a> MultiTableIndex<'a> {
         dim: usize,
     ) -> MultiTableIndex<'a> {
         assert!(!models.is_empty(), "need at least one table");
-        let tables: Vec<HashTable> = models
+        let n = data.len() / dim;
+        let tables = models
             .iter()
-            .map(|m| HashTable::build(*m, data, dim))
+            .map(|m| Part {
+                table: Cow::Owned(HashTable::build(*m, data, dim)),
+                mih: None,
+                first_id: 0,
+                rows: n,
+            })
             .collect();
         MultiTableIndex {
             models,
@@ -96,7 +104,7 @@ impl<'a> MultiTableIndex<'a> {
     /// Total approximate table memory (the memory cost Fig 12 trades
     /// against query time).
     pub fn approx_bytes(&self) -> usize {
-        self.tables.iter().map(HashTable::approx_bytes).sum()
+        self.tables.iter().map(|t| t.table.approx_bytes()).sum()
     }
 
     /// k-NN search across all tables (thin wrapper over

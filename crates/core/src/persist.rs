@@ -231,7 +231,9 @@ pub enum PersistError {
         model: String,
     },
     /// The snapshot holds a different shard count than the constructor
-    /// requires (e.g. [`QueryEngine::from_snapshot`] needs exactly one).
+    /// requires (e.g.
+    /// [`MutableIndex::from_snapshot`](crate::live::MutableIndex::from_snapshot)
+    /// needs exactly one).
     WrongShardCount {
         /// Shards in the snapshot.
         found: usize,
@@ -803,9 +805,7 @@ pub struct LoadedShard<C: CodeWord = u64> {
 }
 
 /// A fully reconstructed index: the owning container that
-/// [`QueryEngine::from_snapshot`] and
-/// [`ShardedIndex::from_snapshot`](crate::shard::ShardedIndex::from_snapshot)
-/// borrow from.
+/// [`QueryEngine::from_snapshot`] borrows from.
 pub struct LoadedIndex<C: CodeWord = u64> {
     model: Box<dyn HashModel>,
     /// The one copy of the rows, decoded in place (see [`RowBuffer`]).
@@ -878,8 +878,9 @@ impl<C: CodeWord> LoadedIndex<C> {
 }
 
 /// Save a single-engine index (one table, optional MIH) as a one-shard
-/// snapshot. Returns the bytes written. Prefer
-/// [`QueryEngine::save_snapshot`] when an engine is already constructed.
+/// snapshot: [`QueryEngine::save_snapshot`] of the engine over these
+/// pieces, which must pass [`QueryEngine::new`]'s checks. Returns the bytes
+/// written.
 #[allow(clippy::too_many_arguments)]
 pub fn save_index<M: HashModel + ?Sized, C: CodeWord>(
     path: &Path,
@@ -892,22 +893,17 @@ pub fn save_index<M: HashModel + ?Sized, C: CodeWord>(
     recall: Option<&crate::recall::RecallModel>,
     attrs: Option<&crate::attrs::AttributeStore>,
 ) -> Result<u64, PersistError> {
-    let mut w = SnapshotWriter::new();
-    w.set_code_width(C::BITS);
-    w.add_model(model)?;
-    w.add_manifest(metric, &[(data.len() / dim.max(1), mih.is_some())]);
-    w.add_vectors(data, dim);
-    w.add_table(table);
+    let mut engine = QueryEngine::new(model, table, data, dim).with_metric(metric);
     if let Some(mih) = mih {
-        w.add_mih(mih);
+        engine = engine.with_mih(mih);
     }
     if let Some(recall) = recall {
-        w.add_recall_model(recall);
+        engine.set_recall_model(recall);
     }
     if let Some(attrs) = attrs {
-        w.add_attrs(attrs);
+        engine.set_attrs(attrs);
     }
-    w.write(path)
+    engine.save_snapshot(path)
 }
 
 /// Load an index snapshot, validating checksums and cross-section
@@ -1028,34 +1024,6 @@ pub fn assemble_index<C: CodeWord>(file: &SnapshotFile) -> Result<LoadedIndex<C>
         recall,
         attrs,
     })
-}
-
-impl<'a, C: CodeWord> QueryEngine<'a, dyn HashModel + 'a, C> {
-    /// Engine borrowing a loaded single-shard snapshot; fails with
-    /// [`PersistError::WrongShardCount`] on sharded snapshots (use
-    /// [`ShardedIndex::from_snapshot`](crate::shard::ShardedIndex::from_snapshot)
-    /// for those).
-    pub fn from_snapshot(snap: &'a LoadedIndex<C>) -> Result<Self, PersistError> {
-        if snap.shards().len() != 1 {
-            return Err(PersistError::WrongShardCount {
-                found: snap.shards().len(),
-                expected: 1,
-            });
-        }
-        let shard = &snap.shards()[0];
-        let mut engine = QueryEngine::new(snap.model(), &shard.table, snap.data(), snap.dim())
-            .with_metric(snap.metric());
-        if let Some(mih) = &shard.mih {
-            engine = engine.with_mih(mih);
-        }
-        if let Some(recall) = snap.recall_model() {
-            engine = engine.with_recall_model(recall);
-        }
-        if let Some(attrs) = snap.attrs() {
-            engine = engine.with_attrs(attrs);
-        }
-        Ok(engine)
-    }
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //! in ascending cost, evaluate it, stop when a criterion of §4.2 fires.
 //!
 //! GQR, QR, HR, GHR, MIH, the planner's brute arm, multi-table search and
-//! segmented (live and sharded) search differ only in *where the next unit
+//! segmented (sharded and live) search differ only in *where the next unit
 //! comes from* — a `BucketSource` — and *where a candidate's vector lies* —
 //! a `Rows`.
 //! *When to stop* is a `StopPolicy`, asked once before and once after
@@ -26,6 +26,7 @@ use crate::topk::TopK;
 use gqr_l2h::HashModel;
 use gqr_linalg::kernels::{prefetch_row, sq_dist_bounded, sq_dist_rows4, TILE_ROWS};
 use gqr_linalg::vecops::Metric;
+use std::borrow::Cow;
 use std::time::Instant;
 
 /// Why a search stopped probing.
@@ -129,13 +130,6 @@ pub(crate) trait BucketSource {
     }
 }
 
-/// One hash table probed in the order of a bucket-ranking strategy
-/// (HR / GHR / QR / GQR).
-pub(crate) struct TableSource<'t, C: CodeWord> {
-    prober: AnyProber<'t, C>,
-    table: &'t HashTable<C>,
-}
-
 /// Encode `query` with `model` and open the prober `strategy` names over
 /// the union of `tables` (see [`AnyProber::for_strategy`]).
 fn open_prober<'t, M: HashModel + ?Sized, C: CodeWord>(
@@ -169,38 +163,6 @@ fn next_code<C: CodeWord>(
     let rank = stats.buckets_probed as u64;
     stats.buckets_probed += 1;
     Some((code, rank, cost))
-}
-
-impl<'t, C: CodeWord> TableSource<'t, C> {
-    pub fn new<M: HashModel + ?Sized>(
-        model: &M,
-        table: &'t HashTable<C>,
-        strategy: ProbeStrategy,
-        query: &[f32],
-        ctx: &mut ProbeCtx<'_>,
-    ) -> Self {
-        let prober = open_prober(model, [table], strategy, query, ctx);
-        TableSource { prober, table }
-    }
-}
-
-impl<C: CodeWord> BucketSource for TableSource<'_, C> {
-    fn peek_cost(&mut self) -> Option<f64> {
-        self.prober.peek_cost()
-    }
-
-    #[inline]
-    fn next(&mut self, ctx: &mut ProbeCtx<'_>, stats: &mut ProbeStats) -> Option<Unit<'_>> {
-        let (code, rank, cost) = next_code(&mut self.prober, ctx, stats)?;
-        let items = ctx.time(Phase::BucketLookup, || self.table.bucket(code));
-        stats.empty_buckets += usize::from(items.is_empty());
-        stats.items_collected += items.len();
-        Some(Unit { items, rank, cost })
-    }
-
-    fn universe(&self) -> Option<usize> {
-        Some(self.table.n_items())
-    }
 }
 
 /// Multi-index hashing: one unit per full-distance level of the radius
@@ -288,15 +250,17 @@ impl<I: Iterator<Item = u32>> BucketSource for SurvivorSource<I> {
 /// order respects every per-table order. Items another table already
 /// produced are dropped (and counted) before they reach the filter.
 pub(crate) struct MergedTables<'t> {
-    sources: Vec<TableSource<'t, u64>>,
+    sources: Vec<SegmentedTables<'t, u64>>,
     visited: Vec<bool>,
     fresh: Vec<u32>,
 }
 
 impl<'t> MergedTables<'t> {
+    /// `tables[t]` is a one-part table over every row, built with
+    /// `models[t]`.
     pub fn new(
         models: &[&dyn HashModel],
-        tables: &'t [HashTable],
+        tables: &'t [Part<'t, u64>],
         strategy: ProbeStrategy,
         n_items: usize,
         query: &[f32],
@@ -305,7 +269,10 @@ impl<'t> MergedTables<'t> {
         let sources = models
             .iter()
             .zip(tables)
-            .map(|(model, table)| TableSource::new(*model, table, strategy, query, ctx))
+            .map(|(model, table)| {
+                let table = std::slice::from_ref(table);
+                SegmentedTables::new(*model, table, n_items, strategy, query, ctx)
+            })
             .collect();
         let (visited, fresh) = (vec![false; n_items], Vec::new());
         MergedTables {
@@ -354,57 +321,66 @@ impl BucketSource for MergedTables<'_> {
     }
 }
 
-/// One row-disjoint part of a segmented index: a table over the local ids
-/// `0..rows`, the row vectors those ids address, and the global id of local
-/// id 0. Segments are listed in ascending `first_id`, the first at 0.
-pub(crate) struct SegmentRef<'t, C: CodeWord> {
-    table: &'t HashTable<C>,
-    /// Row-major vectors of this segment.
-    data: &'t [f32],
-    first_id: u32,
+/// One row-disjoint part of an index: a hash table over the local ids
+/// `0..rows`, its MIH side index when one is attached, and the global id of
+/// local id 0. An index lists its parts in ascending `first_id`, the first
+/// at 0: a plain engine has one, a sharded one S, a live one its base and
+/// delta.
+pub(crate) struct Part<'a, C: CodeWord> {
+    pub table: Cow<'a, HashTable<C>>,
+    pub mih: Option<Cow<'a, MihIndex<C>>>,
+    pub first_id: u32,
+    pub rows: usize,
 }
 
-impl<'t, C: CodeWord> SegmentRef<'t, C> {
-    pub fn new(table: &'t HashTable<C>, data: &'t [f32], first_id: u32) -> Self {
-        SegmentRef {
-            table,
-            data,
+impl<'a, C: CodeWord> Part<'a, C> {
+    /// A part borrowing its table and side index.
+    pub fn borrowed(
+        table: &'a HashTable<C>,
+        mih: Option<&'a MihIndex<C>>,
+        first_id: u32,
+        rows: usize,
+    ) -> Self {
+        Part {
+            table: Cow::Borrowed(table),
+            mih: mih.map(Cow::Borrowed),
             first_id,
+            rows,
         }
     }
 }
 
-/// Several row-disjoint tables of **one** hash model (the base and delta of
-/// a live index, the shards of a sharded one) probed once — the dual of
+/// Row-disjoint tables of **one** hash model (the parts of an engine, the
+/// base and delta of a live index) probed once — the dual of
 /// [`MergedTables`]. The bucket order is a function of the query alone, so
-/// one prober serves every segment, and a unit is the concatenation of each
-/// segment's bucket for the code, as global ids in segment order: exactly
-/// the bucket of one table built over all the rows.
+/// one prober serves every part, and a unit is the concatenation of each
+/// part's bucket for the code, as global ids in part order: exactly the
+/// bucket of one table built over all the rows.
 pub(crate) struct SegmentedTables<'t, C: CodeWord> {
     prober: AnyProber<'t, C>,
-    segments: &'t [SegmentRef<'t, C>],
+    parts: &'t [Part<'t, C>],
     universe: usize,
-    /// The unit, when it is not one segment's bucket as it lies.
+    /// The unit, when it is not one part's bucket as it lies.
     joined: Vec<u32>,
 }
 
 impl<'t, C: CodeWord> SegmentedTables<'t, C> {
-    /// `universe` is how many of the segments' rows a search can evaluate
-    /// at most — a live index passes its live-row count, so a search that
-    /// has seen every live row stops like one over a fresh rebuild.
+    /// `universe` is how many of the parts' rows a search can evaluate at
+    /// most — a live index passes its live-row count, so a search that has
+    /// seen every live row stops like one over a fresh rebuild.
     pub fn new<M: HashModel + ?Sized>(
         model: &M,
-        segments: &'t [SegmentRef<'t, C>],
+        parts: &'t [Part<'t, C>],
         universe: usize,
         strategy: ProbeStrategy,
         query: &[f32],
         ctx: &mut ProbeCtx<'_>,
     ) -> Self {
-        let tables = segments.iter().map(|s| s.table);
+        let tables = parts.iter().map(|p| &*p.table);
         let prober = open_prober(model, tables, strategy, query, ctx);
         SegmentedTables {
             prober,
-            segments,
+            parts,
             universe,
             joined: Vec::new(),
         }
@@ -419,19 +395,23 @@ impl<C: CodeWord> BucketSource for SegmentedTables<'_, C> {
     #[inline]
     fn next(&mut self, ctx: &mut ProbeCtx<'_>, stats: &mut ProbeStats) -> Option<Unit<'_>> {
         let (code, rank, cost) = next_code(&mut self.prober, ctx, stats)?;
-        let (segments, joined) = (self.segments, &mut self.joined);
+        let (parts, joined) = (self.parts, &mut self.joined);
         let items = ctx.time(Phase::BucketLookup, move || {
-            let mut parts = segments
+            // The one part starts at 0: its local ids are global ids.
+            if let [part] = parts {
+                return part.table.bucket(code);
+            }
+            let mut buckets = parts
                 .iter()
-                .map(|s| (s.table.bucket(code), s.first_id))
+                .map(|p| (p.table.bucket(code), p.first_id))
                 .filter(|(bucket, _)| !bucket.is_empty());
-            match (parts.next(), parts.next()) {
+            match (buckets.next(), buckets.next()) {
                 (None, _) => &[][..],
-                // Local ids of the segment at 0 are global ids already.
+                // Local ids of the part at 0 are global ids already.
                 (Some((bucket, 0)), None) => bucket,
                 (Some(first), second) => {
                     joined.clear();
-                    for (bucket, first_id) in [first].into_iter().chain(second).chain(parts) {
+                    for (bucket, first_id) in [first].into_iter().chain(second).chain(buckets) {
                         joined.extend(bucket.iter().map(|&local| first_id + local));
                     }
                     &joined[..]
@@ -445,6 +425,60 @@ impl<C: CodeWord> BucketSource for SegmentedTables<'_, C> {
 
     fn universe(&self) -> Option<usize> {
         Some(self.universe)
+    }
+}
+
+/// What a search of row-disjoint parts probes: MIH's lookup levels over
+/// the parts' side indexes, or one bucket ranking over their tables.
+pub(crate) enum PartSource<'t, C: CodeWord> {
+    Mih(MihSource<'t, C>),
+    Tables(SegmentedTables<'t, C>),
+}
+
+/// Open the source `strategy` probes over `parts` as one index: MIH over
+/// the side indexes of the parts that hold rows, bounded inside the
+/// searcher by `mih_cap` lookups; any other strategy over their tables,
+/// `universe` rows at most (see [`SegmentedTables::new`]).
+///
+/// # Panics
+///
+/// Panics on MIH when a part that holds rows has no side index.
+pub(crate) fn open_source<'t, M: HashModel + ?Sized, C: CodeWord>(
+    model: &M,
+    parts: &'t [Part<'t, C>],
+    universe: usize,
+    strategy: ProbeStrategy,
+    mih_cap: Option<usize>,
+    query: &[f32],
+    ctx: &mut ProbeCtx<'_>,
+) -> PartSource<'t, C> {
+    if let ProbeStrategy::MultiIndexHashing { .. } = strategy {
+        let mihs = parts.iter().filter(|p| p.rows > 0).map(|p| {
+            let mih = p.mih.as_deref();
+            let mih = mih.expect("call enable_mih() (or build with mih_blocks()) before MIH");
+            (mih, p.first_id)
+        });
+        let mihs = mihs.collect();
+        return PartSource::Mih(MihSource::new(model, mihs, mih_cap, query, ctx));
+    }
+    let source = SegmentedTables::new(model, parts, universe, strategy, query, ctx);
+    PartSource::Tables(source)
+}
+
+impl<C: CodeWord> PartSource<'_, C> {
+    /// [`drive`] the source: one loop per variant, so the bucket path's
+    /// loop carries none of MIH's code.
+    pub fn drive<R: Rows>(
+        self,
+        policy: StopPolicy<'_>,
+        sink: Evaluator<'_, '_, R>,
+        budgets: &[usize],
+        ctx: &mut ProbeCtx<'_>,
+    ) -> SearchResponse {
+        match self {
+            PartSource::Mih(mut s) => drive(&mut s, policy, sink, budgets, ctx),
+            PartSource::Tables(mut s) => drive(&mut s, policy, sink, budgets, ctx),
+        }
     }
 }
 
@@ -575,22 +609,25 @@ impl Rows for FlatRows<'_> {
     }
 }
 
-/// The rows of a [`SegmentedTables`] search: global id `g` lies in the last
-/// segment that starts at or before it.
+/// The rows of an index whose parts keep their vectors apart (a live
+/// index's base and delta): global id `g` lies in the last part that starts
+/// at or before it.
 #[derive(Clone, Copy)]
-pub(crate) struct SegmentedRows<'t, C: CodeWord> {
-    pub segments: &'t [SegmentRef<'t, C>],
+pub(crate) struct SegmentedRows<'t> {
+    /// Each part's first global id and row-major vectors, in ascending
+    /// first id, the first at 0.
+    pub parts: &'t [(u32, &'t [f32])],
     pub dim: usize,
 }
 
-impl<C: CodeWord> Rows for SegmentedRows<'_, C> {
+impl Rows for SegmentedRows<'_> {
     #[inline]
     fn row(&self, id: u32) -> &[f32] {
-        let starts_before = |s: &&SegmentRef<'_, C>| s.first_id <= id;
-        let seg = self.segments.iter().rev().find(starts_before);
-        let seg = seg.expect("the first segment starts at id 0");
-        let local = (id - seg.first_id) as usize;
-        &seg.data[local * self.dim..(local + 1) * self.dim]
+        let starts_before = |p: &&(u32, &[f32])| p.0 <= id;
+        let part = self.parts.iter().rev().find(starts_before);
+        let &(first_id, data) = part.expect("the first part starts at id 0");
+        let local = (id - first_id) as usize;
+        &data[local * self.dim..(local + 1) * self.dim]
     }
 }
 
@@ -691,8 +728,8 @@ fn score<R: Rows>(query: &[f32], metric: Metric, rows: R, ids: &[u32], topk: &mu
 
 /// What a query consults besides its bucket source, whatever the index
 /// layout: the hash model its tables were built with, where a candidate's
-/// row lies, and the calibration a recall target stops against. The engine,
-/// the sharded index and the live store each describe themselves as one.
+/// row lies, and the calibration a recall target stops against. The engine
+/// and the live store each describe themselves as one.
 pub(crate) struct Target<'a, M: HashModel + ?Sized, R: Rows> {
     pub model: &'a M,
     pub code_length: usize,
@@ -920,22 +957,25 @@ mod tests {
         (units, stats)
     }
 
-    /// Rows `..split` and `split..` of `data` as two segments must probe
-    /// like one table over all of `data`: same units (for HR/QR that is
-    /// the same code sequence — their buckets are non-empty and disjoint),
-    /// same counters, same rows.
+    /// Rows `..split` and `split..` of `data` as two parts must probe like
+    /// one part over all of `data`: same units (for HR/QR that is the same
+    /// code sequence — their buckets are non-empty and disjoint), same
+    /// counters, same rows.
     fn assert_segments_probe_like_one_table(data: &[f32], split: usize) {
         let model = Lsh::train(&grid(300), 2, 7, 3).unwrap();
         let (head, tail) = data.split_at(split * 2);
         let whole: HashTable = HashTable::build(&model, data, 2);
         let base: HashTable = HashTable::build(&model, head, 2);
         let delta: HashTable = HashTable::build(&model, tail, 2);
-        let segments = [
-            SegmentRef::new(&base, head, 0),
-            SegmentRef::new(&delta, tail, split as u32),
+        let n = whole.n_items();
+        let one = [Part::borrowed(&whole, None, 0, n)];
+        let parts = [
+            Part::borrowed(&base, None, 0, split),
+            Part::borrowed(&delta, None, split as u32, n - split),
         ];
+        let buffers = [(0, head), (split as u32, tail)];
         let rows = SegmentedRows {
-            segments: &segments,
+            parts: &buffers,
             dim: 2,
         };
         for (id, row) in data.chunks_exact(2).enumerate() {
@@ -948,10 +988,8 @@ mod tests {
             let mut req = SearchRequest::new(&q);
             let env = req.open(&metrics, "test");
             let mut ctx = ProbeCtx::new(&env);
-            let mut one = TableSource::new(&model, &whole, strategy, &q, &mut ctx);
-            let n = whole.n_items();
-            let mut many = SegmentedTables::new(&model, &segments, n, strategy, &q, &mut ctx);
-            assert_eq!(many.universe(), one.universe());
+            let mut one = SegmentedTables::new(&model, &one, n, strategy, &q, &mut ctx);
+            let mut many = SegmentedTables::new(&model, &parts, n, strategy, &q, &mut ctx);
             assert_eq!(many.peek_cost(), one.peek_cost());
             let at = format!("split {split}, {}", strategy.name());
             assert_eq!(

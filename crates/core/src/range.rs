@@ -8,8 +8,11 @@
 //! so once the prober's next QD exceeds `radius·σ_max·√m` no unseen bucket
 //! can contain an in-range item — the result is *provably complete*.
 
-use crate::engine::QueryEngine;
-use crate::probe::{GenerateQdRanking, Prober};
+use crate::code::CodeWord;
+use crate::engine::{ProbeStrategy, QueryEngine};
+use crate::metrics::MetricsRegistry;
+use crate::probe_loop::{BucketSource, ProbeCtx, SegmentedTables};
+use crate::request::SearchRequest;
 use crate::stats::ProbeStats;
 use gqr_l2h::HashModel;
 use gqr_linalg::vecops::sq_dist_f32;
@@ -28,56 +31,52 @@ pub struct RangeResult {
     pub certified: bool,
 }
 
-impl<M: HashModel + ?Sized> QueryEngine<'_, M> {
-    /// All items within Euclidean distance `radius` of `query`.
+impl<M: HashModel + ?Sized, C: CodeWord> QueryEngine<'_, M, C> {
+    /// All items within Euclidean distance `radius` of `query`, over every
+    /// part of the engine.
     ///
     /// Probes buckets in ascending QD (GQR) and stops at the Theorem-2
     /// cut-off when the model exposes a spectral norm; otherwise falls back
     /// to scanning every bucket (still exact, just not early-terminated).
     pub fn search_within(&self, query: &[f32], radius: f32) -> RangeResult {
         assert!(radius >= 0.0, "radius must be non-negative");
-        let table = self.table();
-        let qe = self.model().encode_query(query);
-        let mut prober = GenerateQdRanking::new(table.code_length());
-        prober.reset(&qe);
-
+        assert_eq!(query.len(), self.dim(), "query dimensionality mismatch");
         // QD threshold: QD > radius·σ_max·√m ⇒ bucket provably out of range.
         let qd_cutoff = self
             .model()
             .spectral_norm()
-            .map(|sigma| radius as f64 * sigma * (table.code_length() as f64).sqrt());
+            .map(|sigma| radius as f64 * sigma * (self.code_length() as f64).sqrt());
+        // Range searches are neither timed nor traced.
+        let metrics = MetricsRegistry::disabled();
+        let env = SearchRequest::new(query).open(&metrics, "range");
+        let mut ctx = ProbeCtx::new(&env);
+        let (model, parts, n) = (self.model(), self.parts(), self.n_items());
+        let strategy = ProbeStrategy::GenerateQdRanking;
+        let mut source = SegmentedTables::new(model, parts, n, strategy, query, &mut ctx);
 
         let r2 = radius * radius;
         let mut matches = Vec::new();
         let mut stats = ProbeStats::default();
         let mut certified = false;
         let (data, dim) = (self.data(), self.dim());
-
         loop {
-            if let (Some(cutoff), Some(next_qd)) = (qd_cutoff, prober.peek_cost()) {
+            if let (Some(cutoff), Some(next_qd)) = (qd_cutoff, source.peek_cost()) {
                 if next_qd > cutoff {
                     certified = true;
                     break;
                 }
             }
-            let Some(code) = prober.next_bucket() else {
+            let Some(unit) = source.next(&mut ctx, &mut stats) else {
                 break;
             };
-            stats.buckets_probed += 1;
-            let items = table.bucket(code);
-            if items.is_empty() {
-                stats.empty_buckets += 1;
-                continue;
-            }
-            stats.items_collected += items.len();
-            for &id in items {
+            for &id in unit.items {
                 let row = &data[id as usize * dim..(id as usize + 1) * dim];
                 let d = sq_dist_f32(query, row);
                 if d <= r2 {
                     matches.push((id, d));
                 }
             }
-            stats.items_evaluated += items.len();
+            stats.items_evaluated += unit.items.len();
         }
         matches.sort_by(|a, b| {
             a.1.partial_cmp(&b.1)
@@ -95,7 +94,7 @@ impl<M: HashModel + ?Sized> QueryEngine<'_, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::QueryEngine;
+    use crate::shard::ShardedIndex;
     use crate::table::HashTable;
     use gqr_l2h::lsh::Lsh;
     use gqr_l2h::sh::SpectralHashing;
@@ -180,5 +179,30 @@ mod tests {
         let engine = QueryEngine::new(&model, &table, &data, 2);
         let res = engine.search_within(&[100.0, 100.0], 1.0);
         assert!(res.matches.is_empty());
+    }
+
+    #[test]
+    fn range_search_covers_every_part() {
+        let data = grid();
+        let model = Lsh::train(&data, 2, 6, 3).unwrap();
+        let table: HashTable = HashTable::build(&model, &data, 2);
+        let engine = QueryEngine::new(&model, &table, &data, 2);
+        let sharded = ShardedIndex::build(&model, &data, 2, 3);
+        for (q, radius) in [
+            ([7.2f32, 7.9], 1.5f32),
+            ([0.0, 0.0], 3.0),
+            ([19.0, 19.0], 2.2),
+        ] {
+            let (want, got) = (
+                engine.search_within(&q, radius),
+                sharded.search_within(&q, radius),
+            );
+            assert_eq!(got.matches, want.matches, "radius {radius} around {q:?}");
+            assert_eq!(
+                got.certified, want.certified,
+                "radius {radius} around {q:?}"
+            );
+            assert_eq!(got.stats, want.stats, "radius {radius} around {q:?}");
+        }
     }
 }

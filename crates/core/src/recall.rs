@@ -35,7 +35,7 @@
 use crate::code::CodeWord;
 use crate::engine::{ProbeStrategy, QueryEngine, SearchParams};
 use crate::metrics::MetricsRegistry;
-use crate::probe_loop::{BucketSource, MihSource, ProbeCtx, StopPolicy, TableSource};
+use crate::probe_loop::{open_source, BucketSource, PartSource, ProbeCtx, StopPolicy};
 use crate::request::SearchRequest;
 use crate::stats::ProbeStats;
 use gqr_l2h::HashModel;
@@ -530,7 +530,7 @@ impl Calibrator {
             ground_truth.len(),
             "one ground-truth list per query row"
         );
-        let m = engine.table().code_length() as u32;
+        let m = engine.code_length() as u32;
         assert!(
             self.m.is_none_or(|prev| prev == m),
             "calibration mixes code lengths"
@@ -591,17 +591,11 @@ impl Calibrator {
             if gt.is_empty() {
                 continue;
             }
-            match strategy {
-                ProbeStrategy::MultiIndexHashing { .. } => {
-                    let (parts, cap) = (vec![(engine.mih_index(), 0)], Some(self.bucket_cap));
-                    let mut source = MihSource::new(engine.model(), parts, cap, query, &mut ctx);
-                    self.replay(&mut source, family, &gt, &mut bins, &mut ctx)
-                }
-                _ => {
-                    let (model, table) = (engine.model(), engine.table());
-                    let mut source = TableSource::new(model, table, strategy, query, &mut ctx);
-                    self.replay(&mut source, family, &gt, &mut bins, &mut ctx)
-                }
+            let (model, parts, n) = (engine.model(), engine.parts(), engine.n_items());
+            let cap = Some(self.bucket_cap);
+            match open_source(model, parts, n, strategy, cap, query, &mut ctx) {
+                PartSource::Mih(mut s) => self.replay(&mut s, family, &gt, &mut bins, &mut ctx),
+                PartSource::Tables(mut s) => self.replay(&mut s, family, &gt, &mut bins, &mut ctx),
             }
         }
         bins

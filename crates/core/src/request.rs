@@ -5,9 +5,8 @@
 //! list. A [`SearchRequest`] bundles the query with [`SearchParams`] and
 //! the optional extras (recall checkpoints, an attribute filter) so every
 //! execution surface —
-//! [`QueryEngine::run`](crate::engine::QueryEngine::run),
+//! [`QueryEngine::run`](crate::engine::QueryEngine::run) (sharded or not),
 //! [`MultiTableIndex::run`](crate::multi_table::MultiTableIndex::run), and
-//! [`ShardedIndex::run`](crate::shard::ShardedIndex::run), and
 //! [`MutableIndex::run`](crate::live::MutableIndex::run) — accepts the same
 //! type, and the [`Index`](crate::index::Index) trait abstracts over them.
 //! This request/[`SearchResponse`](crate::response::SearchResponse) pair is

@@ -96,6 +96,18 @@ for snap in itq-a itq-one; do
 done
 cmp "$SNAPDIR/itq-a.mih" "$SNAPDIR/itq-one.mih" \
     || { echo "sharded MIH FAILED: two shards answer unlike one"; exit 1; }
+# A sharded snapshot calibrates like a one-shard one and serves a recall
+# target.
+cargo run -q --release --bin gqr -- calibrate --snapshot "$SNAPDIR/itq-a.gqr" \
+    --k 5 --sample 50 --out "$SNAPDIR/itq-calibrated.gqr"
+cargo run -q --release --bin gqr -- load-index --snapshot "$SNAPDIR/itq-calibrated.gqr" \
+    --queries 10 --k 5 --strategy gqr --recall-target 0.9
+# Shard count and code width are independent: two shards of 128-bit codes.
+cargo run -q --release --bin gqr -- save-index --data "$SNAPDIR/vecs.fvecs" \
+    --snapshot "$SNAPDIR/itq-wide.gqr" --algo itq --bits 10 --shards 2 --width 128 \
+    --mih-blocks 2
+cargo run -q --release --bin gqr -- load-index --snapshot "$SNAPDIR/itq-wide.gqr" \
+    --queries 10 --k 5 --strategy mih
 
 echo "==> live mutation smoke (CLI insert/delete on a snapshot)"
 VEC="$(printf '0.5,%.0s' $(seq 1 16))"  # smoke-scale cifar60k is 16-dim

@@ -21,8 +21,6 @@ use gqr::core::index::Index;
 use gqr::core::live::MutableIndex;
 use gqr::core::metrics::MetricsRegistry;
 use gqr::core::request::SearchRequest;
-use gqr::core::shard::ShardedIndex;
-use gqr::core::table::HashTable;
 use gqr::dataset::{brute_force_knn, io as dsio, Dataset, DatasetSpec, Scale};
 use gqr::l2h::isoh::IsoHash;
 use gqr::l2h::itq::Itq;
@@ -513,57 +511,35 @@ fn cmd_save_index(flags: &HashMap<String, String>) -> Result<(), String> {
             }
             b
         }
-        // The sharded index is monomorphic over u64, so sharded saves
-        // default to 64-bit words; single-shard saves take the narrowest
-        // width that fits the model.
-        None if shards > 1 => 64,
-        None => CodeWidth::narrowest_for(m)
-            .ok_or_else(|| format!("model code length {m} exceeds the 256-bit ceiling"))?
-            .bits(),
+        // The narrowest width that fits the model; sharded saves have
+        // always used at least 64-bit words.
+        None => {
+            let fit = CodeWidth::narrowest_for(m)
+                .ok_or_else(|| format!("model code length {m} exceeds the 256-bit ceiling"))?;
+            if shards > 1 {
+                fit.bits().max(64)
+            } else {
+                fit.bits()
+            }
+        }
     };
-    if shards > 1 && width_bits != 64 {
-        return Err(format!(
-            "sharded snapshots currently use 64-bit codes only ({m}-bit model needs \
-             {width_bits}-bit words); drop --shards or use --width 64"
-        ));
-    }
-    if m > width_bits {
-        return Err(format!(
-            "model code length {m} does not fit {width_bits}-bit words"
-        ));
-    }
     let attrs = flags
         .get("attrs")
         .map(|p| load_attrs(p, ds.n()))
         .transpose()?;
     let start = std::time::Instant::now();
-    let bytes = if shards > 1 {
-        let mut index = ShardedIndex::build(&*model, ds.as_slice(), ds.dim(), shards);
+    let bytes = dispatch_bits!(width_bits, C, {
+        let mut engine = QueryEngine::<_, C>::build(&*model, ds.as_slice(), ds.dim(), shards);
         if let Some(b) = mih_blocks {
-            index.enable_mih(b);
+            engine.enable_mih(b);
         }
-        let index = match &attrs {
-            Some(store) => index.with_attrs(store),
-            None => index,
-        };
-        index
+        if let Some(store) = &attrs {
+            engine.set_attrs(store);
+        }
+        engine
             .save_snapshot(std::path::Path::new(out))
             .map_err(|e| e.to_string())?
-    } else {
-        dispatch_bits!(width_bits, C, {
-            let table: HashTable<C> = HashTable::build(&*model, ds.as_slice(), ds.dim());
-            let mut engine = QueryEngine::new(&*model, &table, ds.as_slice(), ds.dim());
-            if let Some(b) = mih_blocks {
-                engine.enable_mih(b);
-            }
-            if let Some(store) = &attrs {
-                engine.set_attrs(store);
-            }
-            engine
-                .save_snapshot(std::path::Path::new(out))
-                .map_err(|e| e.to_string())?
-        })
-    };
+    });
     let attrs_note = match &attrs {
         Some(store) => format!(", {} attribute column(s)", store.n_columns()),
         None => String::new(),
@@ -576,33 +552,6 @@ fn cmd_save_index(flags: &HashMap<String, String>) -> Result<(), String> {
         start.elapsed()
     );
     Ok(())
-}
-
-/// A query front end over a loaded snapshot, observed by `metrics`: one
-/// engine for one-shard snapshots, the sharded index otherwise. The
-/// sharded index exists only at 64-bit width (wide snapshots are
-/// single-shard).
-fn engine_from<C: CodeWord>(
-    loaded: &LoadedIndex<C>,
-    metrics: MetricsRegistry,
-) -> Result<Box<dyn Index + Sync + '_>, String> {
-    if loaded.shards().len() == 1 {
-        let engine = QueryEngine::from_snapshot(loaded).map_err(|e| e.to_string())?;
-        return Ok(Box::new(engine.with_metrics(metrics)));
-    }
-    // The sharded index is monomorphic over u64; prove C == u64 at runtime
-    // (the only sharded snapshots ever written are 64-bit).
-    let loaded64 = (loaded as &dyn std::any::Any)
-        .downcast_ref::<LoadedIndex<u64>>()
-        .ok_or_else(|| {
-            format!(
-                "sharded snapshots are only supported at 64-bit width (this one is {}-bit)",
-                C::BITS
-            )
-        })?;
-    Ok(Box::new(
-        ShardedIndex::from_snapshot(loaded64).with_metrics(metrics),
-    ))
 }
 
 /// Read and checksum the snapshot once. Returns whether it carries live
@@ -816,6 +765,22 @@ fn cmd_load_index(flags: &HashMap<String, String>) -> Result<(), String> {
     })
 }
 
+/// The `--strategy` (default GQR) of queries over a frozen snapshot. MIH
+/// searches the stored side indexes, whose block count is baked in.
+fn frozen_strategy<C: CodeWord>(
+    loaded: &LoadedIndex<C>,
+    flags: &HashMap<String, String>,
+) -> Result<ProbeStrategy, String> {
+    let name = flags.get("strategy").map(String::as_str).unwrap_or("gqr");
+    if !name.eq_ignore_ascii_case("mih") {
+        return strategy(name);
+    }
+    if loaded.shards().iter().any(|s| s.mih.is_none()) {
+        return Err("snapshot has no MIH sections; re-save with --mih-blocks".into());
+    }
+    Ok(ProbeStrategy::MultiIndexHashing { blocks: 2 })
+}
+
 /// The query/eval half of `load-index`, monomorphized at the snapshot's
 /// code width.
 fn run_frozen_queries<C: CodeWord>(
@@ -823,18 +788,8 @@ fn run_frozen_queries<C: CodeWord>(
     flags: &HashMap<String, String>,
 ) -> Result<(), String> {
     let k: usize = get_num(flags, "k")?;
-    let strat_name = flags.get("strategy").map(String::as_str).unwrap_or("gqr");
-    let strat = if strat_name.eq_ignore_ascii_case("mih") {
-        if loaded.shards().iter().any(|s| s.mih.is_none()) {
-            return Err("snapshot has no MIH sections; re-save with --mih-blocks".into());
-        }
-        // The attached prebuilt MIH is used; the block count is already
-        // baked into it.
-        ProbeStrategy::MultiIndexHashing { blocks: 2 }
-    } else {
-        strategy(strat_name)?
-    };
-    let engine = engine_from(loaded, MetricsRegistry::disabled())?;
+    let strat = frozen_strategy(loaded, flags)?;
+    let engine = QueryEngine::from_snapshot(loaded);
     let params = snapshot_params(flags, k, strat)?;
     if params.recall_target.is_some() && loaded.recall_model().is_none() {
         return Err("snapshot has no recall model; run `gqr calibrate` first".into());
@@ -899,9 +854,11 @@ fn run_frozen_queries<C: CodeWord>(
     Ok(())
 }
 
-/// `calibrate`: learn a recall model for a frozen single-shard snapshot
-/// from a sample of stored rows against exact ground truth, and re-write
-/// the snapshot with the model attached.
+/// `calibrate`: learn a recall model for a frozen snapshot from a sample of
+/// stored rows against exact ground truth, and re-write the snapshot with
+/// the model attached. A search walks the same trajectory whatever the
+/// shard count, so a sharded snapshot gets the model its one-shard twin
+/// would.
 fn cmd_calibrate(flags: &HashMap<String, String>) -> Result<(), String> {
     let path = get(flags, "snapshot")?;
     let (live, file) = snapshot_kind(path)?;
@@ -923,9 +880,6 @@ fn run_calibrate<C: CodeWord>(
     use gqr::core::recall::Calibrator;
     use gqr::eval::exact_knn_batch;
 
-    if loaded.shards().len() != 1 {
-        return Err("calibrate currently supports single-shard snapshots only".into());
-    }
     let k: usize = get_num(flags, "k")?;
     let sample: usize = get_num(flags, "sample")?;
     if k == 0 || sample == 0 {
@@ -936,7 +890,7 @@ fn run_calibrate<C: CodeWord>(
         .map(|s| s.parse().map_err(|_| "bad --quantile"))
         .transpose()?;
 
-    let mut engine = QueryEngine::from_snapshot(loaded).map_err(|e| e.to_string())?;
+    let mut engine = QueryEngine::from_snapshot(loaded);
     let dim = loaded.dim();
     let ds = Dataset::new("snapshot", dim, loaded.data().to_vec());
     let sample_rows = ds.sample_queries(sample, 7);
@@ -1017,15 +971,7 @@ fn run_trace_dump<C: CodeWord>(
         .transpose()?
         .unwrap_or(1);
     let format = flags.get("format").map(String::as_str).unwrap_or("jsonl");
-    let strat_name = flags.get("strategy").map(String::as_str).unwrap_or("gqr");
-    let strat = if strat_name.eq_ignore_ascii_case("mih") {
-        if loaded.shards().iter().any(|s| s.mih.is_none()) {
-            return Err("snapshot has no MIH sections; re-save with --mih-blocks".into());
-        }
-        ProbeStrategy::MultiIndexHashing { blocks: 2 }
-    } else {
-        strategy(strat_name)?
-    };
+    let strat = frozen_strategy(loaded, flags)?;
     let params = SearchParams::for_k(k)
         .candidates(n_candidates)
         .strategy(strat)
@@ -1041,7 +987,7 @@ fn run_trace_dump<C: CodeWord>(
             ..TraceConfig::default()
         })
         .expect("enabled registry accepts tracing");
-    let engine = engine_from(loaded, metrics.clone())?;
+    let engine = QueryEngine::from_snapshot(loaded).with_metrics(metrics.clone());
 
     let ds = Dataset::new("snapshot", loaded.dim(), loaded.data().to_vec());
     let queries = ds.sample_queries(n_queries, 7);
@@ -1160,7 +1106,9 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
                 loaded.model().name(),
                 C::BITS
             );
-            &*Box::leak(engine_from(loaded, metrics)?)
+            Box::leak(Box::new(
+                QueryEngine::from_snapshot(loaded).with_metrics(metrics),
+            ))
         }
     });
 

@@ -786,3 +786,72 @@ fn every_width_site_runs_at_64_and_128_bits() {
         assert!(neighbor_ids(&text).contains(&3), "{width_bits}: {text}");
     }
 }
+
+/// `save-index` of the same data and model at `shards` shards and
+/// `--width 128` (plus `extra` flags) into `dir/<name>`.
+fn save_wide(data: &Path, dir: &Path, name: &str, shards: &str, extra: &[&str]) -> PathBuf {
+    let snap = dir.join(name);
+    let text = run_ok(
+        bin()
+            .args(["save-index", "--data", path(data), "--algo", "itq"])
+            .args(["--bits", "10", "--seed", "3", "--width", "128"])
+            .args(["--shards", shards, "--snapshot", path(&snap)])
+            .args(extra),
+    );
+    assert!(text.contains("128-bit codes"), "{text}");
+    snap
+}
+
+/// The `load-index --queries` summary with its wall time cut out.
+fn untimed_summary(text: &str) -> String {
+    let line = text.lines().find(|l| l.contains("recall@")).unwrap();
+    let (head, rest) = line.split_once("   ").unwrap();
+    let (_, tail) = rest.split_once(" total").unwrap();
+    format!("{head}{tail}")
+}
+
+/// A sharded wide-code snapshot is an engine of two parts: every strategy
+/// answers `load-index --queries` exactly like the one-shard snapshot.
+#[test]
+fn two_shard_wide_snapshot_answers_like_one_shard() {
+    let dir = tmpdir("wide_sharded");
+    let data = generate(&dir, "8");
+    let mih = ["--mih-blocks", "2"];
+    let one = save_wide(&data, &dir, "one.gqr", "1", &mih);
+    let two = save_wide(&data, &dir, "two.gqr", "2", &mih);
+    for strategy in ["gqr", "hr", "qr", "mih"] {
+        let answer = |snap: &Path| {
+            let text = run_ok(
+                bin()
+                    .args(["load-index", "--snapshot", path(snap)])
+                    .args(["--queries", "20", "--k", "5", "--candidates", "100"])
+                    .args(["--strategy", strategy]),
+            );
+            untimed_summary(&text)
+        };
+        assert_eq!(answer(&two), answer(&one), "{strategy}");
+    }
+}
+
+/// Calibration replays the one search every shard count walks, so a
+/// two-shard snapshot gets the recall model of its one-shard twin, byte
+/// for byte.
+#[test]
+fn calibrate_on_two_shards_writes_the_one_shard_model() {
+    use gqr::persist::{SectionKind, SnapshotFile};
+    let dir = tmpdir("calibrate_sharded");
+    let data = generate(&dir, "9");
+    let section = |shards: &str| {
+        let snap = save_wide(&data, &dir, &format!("s{shards}.gqr"), shards, &[]);
+        let out = dir.join(format!("cal{shards}.gqr"));
+        let text = run_ok(
+            bin()
+                .args(["calibrate", "--snapshot", path(&snap), "--k", "5"])
+                .args(["--sample", "30", "--out", path(&out)]),
+        );
+        assert!(text.contains("calibrated recall@5"), "{shards}: {text}");
+        let file = SnapshotFile::read(&out).unwrap();
+        file.section(SectionKind::RecallModel).unwrap().to_vec()
+    };
+    assert_eq!(section("2"), section("1"));
+}

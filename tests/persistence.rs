@@ -75,7 +75,7 @@ fn hash_table_roundtrip_preserves_search_results() {
     engine1.save_snapshot(&path).unwrap();
     let loaded: LoadedIndex = load_index(&path).unwrap();
     assert_eq!(loaded.n_items(), table.n_items());
-    let engine2 = QueryEngine::from_snapshot(&loaded).unwrap();
+    let engine2 = QueryEngine::from_snapshot(&loaded);
     assert_eq!(engine2.table().n_items(), table.n_items());
     assert_eq!(engine2.table().n_buckets(), table.n_buckets());
 

@@ -87,7 +87,7 @@ fn a_reloaded_engine_scores_from_placed_rows() {
         let path = dir.join(format!("engine-{dim}-{n}.gqr"));
         engine.save_snapshot(&path).unwrap();
         let loaded = load_index::<u64>(&path).unwrap();
-        let reloaded = QueryEngine::from_snapshot(&loaded).unwrap();
+        let reloaded = QueryEngine::from_snapshot(&loaded);
         assert_placed(reloaded.data(), &data, &what);
         let queries = rows(8, dim, 99);
         assert_eq!(

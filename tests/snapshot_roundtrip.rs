@@ -36,7 +36,7 @@ fn engine_roundtrip_is_bit_identical_for_every_strategy() {
     let path = tmpdir("engine_rt").join("engine.gqr");
     engine.save_snapshot(&path).unwrap();
     let loaded: LoadedIndex = load_index(&path).unwrap();
-    let engine2 = QueryEngine::from_snapshot(&loaded).unwrap();
+    let engine2 = QueryEngine::from_snapshot(&loaded);
 
     let queries = ds.sample_queries(20, 9);
     for strat in ALL_STRATEGIES {
@@ -87,20 +87,23 @@ fn sharded_roundtrip_is_bit_identical_for_every_strategy() {
 }
 
 #[test]
-fn sharded_snapshot_is_rejected_by_single_engine_constructor() {
+fn sharded_snapshot_loads_as_an_engine_of_its_shards() {
     let ds = fixture();
     let model = Pcah::train(ds.as_slice(), ds.dim(), 8).unwrap();
     let index = ShardedIndex::build(&model, ds.as_slice(), ds.dim(), 2);
-    let path = tmpdir("shard_rej").join("sharded.gqr");
+    let path = tmpdir("shard_engine").join("sharded.gqr");
     index.save_snapshot(&path).unwrap();
     let loaded: LoadedIndex = load_index(&path).unwrap();
-    let err = QueryEngine::from_snapshot(&loaded)
-        .err()
-        .expect("must fail");
-    assert!(
-        err.to_string().contains("2 shard"),
-        "error should name the shard count: {err}"
-    );
+    let engine = QueryEngine::from_snapshot(&loaded);
+    assert_eq!(engine.n_shards(), 2);
+    assert_eq!(engine.n_items(), ds.n());
+    let params = params_for(ProbeStrategy::GenerateQdRanking);
+    for q in &ds.sample_queries(10, 13) {
+        assert_eq!(
+            engine.search(q, &params).ranked(),
+            index.search(q, &params).ranked()
+        );
+    }
 }
 
 #[test]
@@ -169,7 +172,7 @@ fn wide_engine_roundtrip_is_bit_identical_for_every_strategy() {
         128,
         "96-bit codes pack into u128 words"
     );
-    let engine2 = QueryEngine::from_snapshot(&loaded).unwrap();
+    let engine2 = QueryEngine::from_snapshot(&loaded);
 
     let queries = ds.sample_queries(20, 21);
     for strat in WIDE_STRATEGIES {
@@ -312,7 +315,7 @@ fn attrs_roundtrip_is_bit_identical() {
 
     // save -> load -> save is byte-identical: the attrs wire form is
     // canonical.
-    let engine2 = QueryEngine::from_snapshot(&loaded).unwrap();
+    let engine2 = QueryEngine::from_snapshot(&loaded);
     assert!(engine2.attrs().is_some(), "loaded engine must attach attrs");
     let path2 = dir.join("resaved.gqr");
     engine2.save_snapshot(&path2).unwrap();
@@ -514,7 +517,7 @@ fn recall_model_roundtrip_is_bit_identical() {
 
     // Saving the loaded engine again must produce the identical file:
     // the recall section (like every other) is a pure function of state.
-    let engine2 = QueryEngine::from_snapshot(&loaded).unwrap();
+    let engine2 = QueryEngine::from_snapshot(&loaded);
     assert!(
         engine2.recall_model().is_some(),
         "loaded engine must attach the model"
