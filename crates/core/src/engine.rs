@@ -9,7 +9,7 @@
 use crate::attrs::AttributeStore;
 use crate::code::CodeWord;
 use crate::metrics::{metric_name, MetricsRegistry};
-use crate::persist::{LoadedIndex, SnapshotWriter};
+use crate::persist::{IndexSections, LoadedIndex};
 use crate::probe::mih::MihIndex;
 use crate::probe_loop::{open_source, FlatRows, Part, ProbeCtx, Target};
 use crate::recall::{RecallModel, RecallTarget};
@@ -722,29 +722,16 @@ impl<'a, M: HashModel + ?Sized, C: CodeWord> QueryEngine<'a, M, C> {
         &self,
         path: &std::path::Path,
     ) -> Result<u64, crate::persist::PersistError> {
-        let mut w = SnapshotWriter::new();
-        w.set_code_width(C::BITS);
-        w.add_model(self.model)?;
-        let manifest: Vec<(usize, bool)> = self
-            .parts
-            .iter()
-            .map(|p| (p.rows, p.mih.is_some()))
-            .collect();
-        w.add_manifest(self.metric, &manifest);
-        w.add_vectors(self.data, self.dim);
-        for part in &self.parts {
-            w.add_table(&part.table);
-        }
-        for mih in self.parts.iter().filter_map(|p| p.mih.as_deref()) {
-            w.add_mih(mih);
-        }
-        if let Some(model) = self.recall {
-            w.add_recall_model(model);
-        }
-        if let Some(attrs) = self.attrs {
-            w.add_attrs(attrs);
-        }
-        w.write(path)
+        let sections = IndexSections {
+            model: self.model,
+            metric: self.metric,
+            data: self.data,
+            dim: self.dim,
+            parts: &self.parts,
+            recall: self.recall,
+            attrs: self.attrs,
+        };
+        sections.write(path, Vec::new())
     }
 }
 

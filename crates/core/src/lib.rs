@@ -81,7 +81,7 @@ pub use engine::{
 pub use executor::{Executor, ExecutorBuilder, JobError, SubmitError, Ticket};
 pub use gqr_metrics::{MetricsRegistry, MetricsSnapshot, Phase, PhaseSpans};
 pub use index::Index;
-pub use live::{Generation, IndexWriter, MutableIndex, MutableIndexBuilder, VersionedStore};
+pub use live::{Generation, IndexWriter, MutableIndex, MutableIndexBuilder};
 pub use persist::{
     load_index, load_index_metered, save_index, LoadedIndex, PersistError, SectionKind,
     SnapshotFile, SnapshotWriter, FORMAT_VERSION,

@@ -6,12 +6,12 @@
 //! must land without a retrain-and-rebuild and without blocking in-flight
 //! queries. This module provides that:
 //!
-//! * [`VersionedStore`] **owns** its vectors and publishes immutable
-//!   [`Generation`]s. A reader pins the current generation by cloning an
-//!   `Arc` (a read lock held only for the clone); the query itself then
-//!   runs entirely lock-free on frozen data, so a query started at epoch
-//!   `E` sees exactly epoch `E` no matter how many mutations land while it
-//!   runs — no torn reads, no reader-side blocking.
+//! * The store behind a [`MutableIndex`] **owns** its vectors and
+//!   publishes immutable [`Generation`]s. A reader pins the current
+//!   generation by cloning an `Arc` (a read lock held only for the clone);
+//!   the query itself then runs entirely lock-free on frozen data, so a
+//!   query started at epoch `E` sees exactly epoch `E` no matter how many
+//!   mutations land while it runs — no torn reads, no reader-side blocking.
 //! * [`IndexWriter`] routes [`insert`](IndexWriter::insert) /
 //!   [`delete`](IndexWriter::delete) / [`upsert`](IndexWriter::upsert)
 //!   into an append-only **delta segment** (hashed through the same
@@ -51,7 +51,10 @@ use crate::code::CodeWord;
 use crate::engine::SearchResponse;
 use crate::executor::Executor;
 use crate::metrics::{metric_name, MarkerKind, MetricsRegistry, SpanId};
-use crate::persist::{corrupt, PersistError, SectionKind, SnapshotFile, SnapshotWriter};
+use crate::persist::{
+    corrupt, validate_index, IndexSections, LoadedIndex, LoadedShard, PersistError, SectionKind,
+    SnapshotFile,
+};
 use crate::probe::mih::MihIndex;
 use crate::probe_loop::{open_source, Part, ProbeCtx, SegmentedRows, Target};
 use crate::recall::RecallModel;
@@ -220,10 +223,14 @@ struct WriterState {
     live: HashMap<u32, u32>,
 }
 
+/// What one mutation changes in the overlay: the grown delta, if it
+/// appended a row, and the global slot to tombstone, if it removed one.
+type Change<C> = (Option<Segment<C>>, Option<u32>);
+
 /// The epoch-versioned vector store behind [`MutableIndex`]: owns the
 /// vectors, publishes [`Generation`]s, serializes writers, and runs
 /// compaction. Shared by every handle (`Arc`); all methods take `&self`.
-pub struct VersionedStore<M: HashModel + ?Sized, C: CodeWord = u64> {
+struct VersionedStore<M: HashModel + ?Sized, C: CodeWord = u64> {
     model: Arc<M>,
     dim: usize,
     metric: Metric,
@@ -271,129 +278,115 @@ impl<M: HashModel + ?Sized + 'static, C: CodeWord> VersionedStore<M, C> {
         *self.current.write() = Arc::new(gen);
     }
 
-    fn count_mutation(&self, op: &str) {
-        self.metrics
-            .incr(&metric_name("gqr_mutations_total", &[("op", op)]));
+    /// Append `vector` under external id `id` to a copy of `gen`'s delta,
+    /// and point the live map at the row's global slot.
+    fn grown_delta(
+        &self,
+        w: &mut WriterState,
+        gen: &Generation<C>,
+        vector: &[f32],
+        id: u32,
+    ) -> Segment<C> {
+        let total = gen.base.rows() + gen.delta.rows();
+        assert!(total < u32::MAX as usize, "slot space is u32");
+        let mut delta = (*gen.delta).clone();
+        let code = C::from_blocks(self.model.encode_wide(vector).blocks());
+        delta.push(vector, id, code);
+        delta.rebuild_mih(self.mih_blocks);
+        w.live.insert(id, total as u32);
+        delta
     }
 
-    /// Record one mutation as a single-marker trace, gated by the same
-    /// 1-in-N sampler as queries. One branch when tracing is off; one
-    /// counter bump + modulo when on but unsampled.
-    fn trace_mutation(&self, kind: MarkerKind, a: u64, b: u64) {
+    /// The one mutation step. Under the writer lock, `edit` updates the
+    /// writer state against the pinned generation and says what changes:
+    /// the grown delta, if it appended a row, and the slot to tombstone, if
+    /// it removed one — or `None`, and nothing is published. The next
+    /// generation shares whatever did not change by `Arc`: a delete shares
+    /// the delta, an insert the tombstone set. Each published mutation is
+    /// counted, recorded as a one-marker trace (gated by the same 1-in-N
+    /// sampler as queries), and may start a compaction. Returns whether it
+    /// published.
+    fn mutate(
+        &self,
+        op: &str,
+        edit: impl FnOnce(&mut WriterState, &Generation<C>) -> Option<Change<C>>,
+    ) -> bool {
+        let (kind, a, b);
+        {
+            let mut w = self.writer.lock();
+            let gen = self.pin();
+            let Some((grown, tombstone)) = edit(&mut w, &gen) else {
+                return false;
+            };
+            let appended = grown.is_some();
+            let delta = grown.map_or_else(|| Arc::clone(&gen.delta), Arc::new);
+            let tombstones = match tombstone {
+                Some(slot) => {
+                    let mut t = (*gen.tombstones).clone();
+                    t.insert(slot);
+                    Arc::new(t)
+                }
+                None => Arc::clone(&gen.tombstones),
+            };
+            let (rows, tombs) = (delta.rows() as u64, tombstones.len() as u64);
+            (kind, a, b) = match appended {
+                true => (MarkerKind::DeltaAppend, rows, tombs),
+                false => (MarkerKind::Tombstone, tombs, rows),
+            };
+            self.publish(Generation {
+                epoch: gen.epoch + 1,
+                base: Arc::clone(&gen.base),
+                delta,
+                tombstones,
+            });
+        }
+        self.metrics
+            .incr(&metric_name("gqr_mutations_total", &[("op", op)]));
         let trace = self.metrics.trace_begin("mutation", false);
         if trace.is_sampled() {
             trace.marker(SpanId::ROOT, kind, a, b);
             self.metrics.trace_finish(trace, false);
         }
-    }
-
-    /// Append one row to a copy of `gen`'s delta and return the new delta
-    /// plus the row's global slot.
-    fn grown_delta(&self, gen: &Generation<C>, vector: &[f32], id: u32) -> (Segment<C>, u32) {
-        let total = gen.base.rows() + gen.delta.rows();
-        assert!(total < u32::MAX as usize, "slot space is u32");
-        let mut delta = (*gen.delta).clone();
-        delta.push(
-            vector,
-            id,
-            C::from_blocks(self.model.encode_wide(vector).blocks()),
-        );
-        delta.rebuild_mih(self.mih_blocks);
-        (delta, total as u32)
-    }
-
-    fn insert(&self, vector: &[f32]) -> u32 {
-        assert_eq!(vector.len(), self.dim, "vector dimensionality mismatch");
-        let id;
-        let (delta_rows, tombs);
-        {
-            let mut w = self.writer.lock();
-            id = w.next_id;
-            w.next_id = id
-                .checked_add(self.id_step)
-                .expect("external id space exhausted");
-            let gen = self.pin();
-            let (delta, slot) = self.grown_delta(&gen, vector, id);
-            w.live.insert(id, slot);
-            (delta_rows, tombs) = (delta.rows(), gen.tombstones.len());
-            self.publish(Generation {
-                epoch: gen.epoch + 1,
-                base: Arc::clone(&gen.base),
-                delta: Arc::new(delta),
-                tombstones: Arc::clone(&gen.tombstones),
-            });
-        }
-        self.count_mutation("insert");
-        self.trace_mutation(MarkerKind::DeltaAppend, delta_rows as u64, tombs as u64);
-        self.maybe_compact();
-        id
-    }
-
-    fn delete(&self, id: u32) -> bool {
-        let (delta_rows, tombs);
-        {
-            let mut w = self.writer.lock();
-            let Some(slot) = w.live.remove(&id) else {
-                return false;
-            };
-            let gen = self.pin();
-            let mut tombstones = (*gen.tombstones).clone();
-            tombstones.insert(slot);
-            (delta_rows, tombs) = (gen.delta.rows(), tombstones.len());
-            self.publish(Generation {
-                epoch: gen.epoch + 1,
-                base: Arc::clone(&gen.base),
-                delta: Arc::clone(&gen.delta),
-                tombstones: Arc::new(tombstones),
-            });
-        }
-        self.count_mutation("delete");
-        self.trace_mutation(MarkerKind::Tombstone, tombs as u64, delta_rows as u64);
         self.maybe_compact();
         true
     }
 
+    fn insert(&self, vector: &[f32]) -> u32 {
+        assert_eq!(vector.len(), self.dim, "vector dimensionality mismatch");
+        let mut id = 0;
+        self.mutate("insert", |w, gen| {
+            id = w.next_id;
+            w.next_id = id
+                .checked_add(self.id_step)
+                .expect("external id space exhausted");
+            Some((Some(self.grown_delta(w, gen, vector, id)), None))
+        });
+        id
+    }
+
+    fn delete(&self, id: u32) -> bool {
+        self.mutate("delete", |w, _| Some((None, Some(w.live.remove(&id)?))))
+    }
+
     fn upsert(&self, id: u32, vector: &[f32]) -> bool {
         assert_eq!(vector.len(), self.dim, "vector dimensionality mismatch");
-        let replaced;
-        let (delta_rows, tombs);
-        {
-            let mut w = self.writer.lock();
+        let mut replaced = false;
+        self.mutate("upsert", |w, gen| {
             assert_eq!(
                 id % self.id_step,
                 w.next_id % self.id_step,
                 "id {id} does not belong to this store's id residue class"
             );
             let old_slot = w.live.remove(&id);
-            let gen = self.pin();
-            let (delta, slot) = self.grown_delta(&gen, vector, id);
-            let tombstones = match old_slot {
-                Some(s) => {
-                    let mut t = (*gen.tombstones).clone();
-                    t.insert(s);
-                    Arc::new(t)
-                }
-                None => Arc::clone(&gen.tombstones),
-            };
+            replaced = old_slot.is_some();
             if id >= w.next_id {
                 // Keep the allocator ahead of explicitly-chosen ids.
                 w.next_id = id
                     .checked_add(self.id_step)
                     .expect("external id space exhausted");
             }
-            w.live.insert(id, slot);
-            (delta_rows, tombs) = (delta.rows(), tombstones.len());
-            self.publish(Generation {
-                epoch: gen.epoch + 1,
-                base: Arc::clone(&gen.base),
-                delta: Arc::new(delta),
-                tombstones,
-            });
-            replaced = old_slot.is_some();
-        }
-        self.count_mutation("upsert");
-        self.trace_mutation(MarkerKind::DeltaAppend, delta_rows as u64, tombs as u64);
-        self.maybe_compact();
+            Some((Some(self.grown_delta(w, gen, vector, id)), old_slot))
+        });
         replaced
     }
 
@@ -620,45 +613,28 @@ impl<M: HashModel + ?Sized + 'static, C: CodeWord> VersionedStore<M, C> {
         out
     }
 
-    /// Persist the store as a snapshot: the standard one-shard sections
-    /// (model, manifest, vectors, table, MIH) describe the base segment,
-    /// and two live sections carry the overlay — [`SectionKind::LiveState`]
+    /// Persist the store as a snapshot: the static section writer stores
+    /// the base segment as a one-shard index, and two live sections carry
+    /// the overlay — [`SectionKind::LiveState`]
     /// (allocator, epoch, config, base ids, tombstones) and
     /// [`SectionKind::DeltaSegment`] (delta ids, codes, vectors). Taken
     /// under the writer lock, so the image is one consistent epoch.
     fn save_snapshot(&self, path: &Path) -> Result<u64, PersistError> {
         let w = self.writer.lock();
         let gen = self.pin();
-        let mut sw = SnapshotWriter::new();
-        sw.set_code_width(C::BITS);
-        sw.add_model(&*self.model)?;
-        sw.add_manifest(self.metric, &[(gen.base.rows(), gen.base.mih.is_some())]);
-        sw.add_vectors(&gen.base.data, self.dim);
-        sw.add_table(&gen.base.table);
-        if let Some(mih) = &gen.base.mih {
-            sw.add_mih(mih);
-        }
+        let base = &gen.base;
 
         let mut b = ByteWriter::new();
         b.put_u32(w.next_id);
         b.put_u32(self.id_step);
         b.put_u64(gen.epoch);
         b.put_usize(self.compaction_threshold);
-        match self.mih_blocks {
-            Some(blocks) => {
-                b.put_u8(1);
-                b.put_usize(blocks);
-            }
-            None => {
-                b.put_u8(0);
-                b.put_usize(0);
-            }
-        }
-        b.put_u32_slice(&gen.base.ids);
+        b.put_u8(u8::from(self.mih_blocks.is_some()));
+        b.put_usize(self.mih_blocks.unwrap_or(0));
+        b.put_u32_slice(&base.ids);
         let mut tombstones: Vec<u32> = gen.tombstones.iter().copied().collect();
         tombstones.sort_unstable();
         b.put_u32_slice(&tombstones);
-        sw.add_section(SectionKind::LiveState, b.into_bytes());
 
         let mut d = ByteWriter::new();
         d.put_u32_slice(&gen.delta.ids);
@@ -672,14 +648,27 @@ impl<M: HashModel + ?Sized + 'static, C: CodeWord> VersionedStore<M, C> {
         }
         d.put_u64_slice(&flat);
         d.put_f32_slice(&gen.delta.data);
-        sw.add_section(SectionKind::DeltaSegment, d.into_bytes());
-        if let Some(model) = &self.recall {
-            sw.add_recall_model(model);
-        }
-        if let Some(attrs) = &self.attrs {
-            sw.add_attrs(attrs);
-        }
-        sw.write(path)
+
+        let parts = [Part::borrowed(
+            &base.table,
+            base.mih.as_ref(),
+            0,
+            base.rows(),
+        )];
+        let sections = IndexSections {
+            model: &*self.model,
+            metric: self.metric,
+            data: &base.data,
+            dim: self.dim,
+            parts: &parts,
+            recall: self.recall.as_ref(),
+            attrs: self.attrs.as_ref(),
+        };
+        let overlay = vec![
+            (SectionKind::LiveState, b.into_bytes()),
+            (SectionKind::DeltaSegment, d.into_bytes()),
+        ];
+        sections.write(path, overlay)
     }
 }
 
@@ -749,14 +738,9 @@ fn decode_live_state(bytes: &[u8]) -> Result<LiveState, WireError> {
     })
 }
 
-/// Decoded [`SectionKind::DeltaSegment`] payload.
-struct DeltaPayload<C: CodeWord = u64> {
-    ids: Vec<u32>,
-    codes: Vec<C>,
-    data: RowBuffer,
-}
-
-fn decode_delta<C: CodeWord>(bytes: &[u8]) -> Result<DeltaPayload<C>, WireError> {
+/// Decode a [`SectionKind::DeltaSegment`] payload into a segment of
+/// `code_length`-bit codes; the caller rebuilds its MIH side index.
+fn decode_delta<C: CodeWord>(bytes: &[u8], code_length: usize) -> Result<Segment<C>, WireError> {
     let mut r = ByteReader::new(bytes);
     let ids = r.get_u32_vec()?;
     let flat = r.get_u64_vec()?;
@@ -775,7 +759,13 @@ fn decode_delta<C: CodeWord>(bytes: &[u8]) -> Result<DeltaPayload<C>, WireError>
         codes.push(C::from_blocks(chunk));
     }
     r.expect_end()?;
-    Ok(DeltaPayload { ids, codes, data })
+    Ok(Segment {
+        table: HashTable::from_codes(code_length, &codes),
+        data,
+        ids,
+        codes,
+        mih: None,
+    })
 }
 
 /// Configures and builds a [`MutableIndex`] (mirror of
@@ -883,8 +873,29 @@ impl<M: HashModel + ?Sized + 'static, C: CodeWord> MutableIndexBuilder<M, C> {
             mih: None,
         };
         base.rebuild_mih(self.mih_blocks);
-        let live: HashMap<u32, u32> = (0..n as u32).map(|id| (id, id)).collect();
-        let code_length = self.model.code_length();
+        let gen = Generation {
+            epoch: 0,
+            delta: Arc::new(Segment::empty(self.model.code_length())),
+            base: Arc::new(base),
+            tombstones: Arc::default(),
+        };
+        let live = (0..n as u32).map(|id| (id, id)).collect();
+        let writer = WriterState {
+            next_id: n as u32,
+            live,
+        };
+        self.into_index(dim, 1, gen, writer)
+    }
+
+    /// The one store constructor: the configured store over `dim`-column
+    /// rows, publishing `gen`, with `writer`'s allocator and live map.
+    fn into_index(
+        self,
+        dim: usize,
+        id_step: u32,
+        gen: Generation<C>,
+        writer: WriterState,
+    ) -> MutableIndex<M, C> {
         let store = Arc::new_cyclic(|myself| VersionedStore {
             model: self.model,
             dim,
@@ -892,17 +903,9 @@ impl<M: HashModel + ?Sized + 'static, C: CodeWord> MutableIndexBuilder<M, C> {
             mih_blocks: self.mih_blocks,
             compaction_threshold: self.compaction_threshold,
             background_compaction: self.background_compaction,
-            id_step: 1,
-            current: RwLock::new(Arc::new(Generation {
-                epoch: 0,
-                base: Arc::new(base),
-                delta: Arc::new(Segment::empty(code_length)),
-                tombstones: Arc::default(),
-            })),
-            writer: Mutex::new(WriterState {
-                next_id: n as u32,
-                live,
-            }),
+            id_step,
+            current: RwLock::new(Arc::new(gen)),
+            writer: Mutex::new(writer),
             compacting: AtomicBool::new(false),
             myself: myself.clone(),
             metrics: self.metrics,
@@ -913,7 +916,7 @@ impl<M: HashModel + ?Sized + 'static, C: CodeWord> MutableIndexBuilder<M, C> {
     }
 }
 
-/// A mutable k-NN index: the epoch-versioned [`VersionedStore`] plus the
+/// A mutable k-NN index: an epoch-versioned store of generations plus the
 /// query front door. Cheap to clone (an `Arc` handle); obtain writers with
 /// [`MutableIndex::writer`].
 ///
@@ -1094,73 +1097,45 @@ impl<C: CodeWord> MutableIndex<dyn HashModel, C> {
     /// Reload a snapshot written by [`MutableIndex::save_snapshot`] — or
     /// any plain one-shard index snapshot, which loads with an empty delta,
     /// identity ids, and a fresh allocator. Sharded snapshots are rejected
-    /// with [`PersistError::WrongShardCount`].
+    /// with [`PersistError::WrongShardCount`]. Metrics are disabled; attach
+    /// a registry through [`MutableIndex::from_snapshot_file`].
     pub fn from_snapshot(path: &Path) -> Result<MutableIndex<dyn HashModel, C>, PersistError> {
         let file = SnapshotFile::read(path)?;
-        Self::from_snapshot_file(&file)
+        Self::from_snapshot_file(&file, MetricsRegistry::disabled())
     }
 
     /// [`MutableIndex::from_snapshot`] over an already-read (and therefore
-    /// already checksum-verified) [`SnapshotFile`].
+    /// already checksum-verified) [`SnapshotFile`], observed by `metrics`
+    /// (as [`MutableIndexBuilder::metrics`] would attach it). The base is
+    /// the static one-shard layout, checked by the same validator as
+    /// [`crate::persist::assemble_index`]; the overlay sections add the
+    /// delta, the tombstones and the allocator.
     pub fn from_snapshot_file(
         file: &SnapshotFile,
+        metrics: MetricsRegistry,
     ) -> Result<MutableIndex<dyn HashModel, C>, PersistError> {
-        if file.code_width() != C::BITS {
-            return Err(PersistError::WidthMismatch {
-                found: file.code_width(),
-                expected: C::BITS,
-            });
-        }
-        let model: Arc<dyn HashModel> = Arc::from(file.model()?);
-        let (data, dim) = file.vectors()?;
-        let (metric, manifest) = file.manifest()?;
-        if manifest.len() != 1 {
+        let LoadedIndex {
+            model,
+            data,
+            dim,
+            metric,
+            mut shards,
+            recall,
+            attrs,
+        } = validate_index::<C>(file)?;
+        if shards.len() != 1 {
             return Err(PersistError::WrongShardCount {
-                found: manifest.len(),
+                found: shards.len(),
                 expected: 1,
             });
         }
-        let (rows, has_mih) = manifest[0];
-        if rows != data.len() / dim {
-            return Err(PersistError::Inconsistent {
-                detail: "manifest row count does not match the vectors section",
-            });
-        }
-        if model.dim() != dim {
-            return Err(PersistError::Inconsistent {
-                detail: "model and vectors disagree on dimensionality",
-            });
-        }
-        let mut tables = file.tables()?;
-        if tables.len() != 1 {
-            return Err(PersistError::Inconsistent {
-                detail: "live snapshot must hold exactly one hash table",
-            });
-        }
-        let table = tables.pop().expect("length checked");
-        if table.code_length() != model.code_length() {
-            return Err(PersistError::Inconsistent {
-                detail: "table and model disagree on code length",
-            });
-        }
+        let LoadedShard {
+            table, mih, rows, ..
+        } = shards.pop().expect("length checked");
         if table.n_items() != rows || table.max_id().map_or(0, |m| m as usize + 1) != rows {
             return Err(PersistError::Inconsistent {
                 detail: "base table is not slot-dense over the manifest rows",
             });
-        }
-        let mut mihs = file.mihs()?;
-        if mihs.len() != usize::from(has_mih) {
-            return Err(PersistError::Inconsistent {
-                detail: "manifest MIH flag does not match MIH sections",
-            });
-        }
-        let mih = mihs.pop();
-        if let Some(m) = &mih {
-            if m.code_length() != table.code_length() {
-                return Err(PersistError::Inconsistent {
-                    detail: "MIH index and table disagree on code length",
-                });
-            }
         }
 
         let live_state = match file.sections_of(SectionKind::LiveState).next() {
@@ -1175,30 +1150,29 @@ impl<C: CodeWord> MutableIndex<dyn HashModel, C> {
                 tombstones: Vec::new(),
             },
         };
-        let delta_payload = match file.sections_of(SectionKind::DeltaSegment).next() {
-            Some(bytes) => decode_delta(bytes).map_err(corrupt(SectionKind::DeltaSegment))?,
-            None => DeltaPayload {
-                ids: Vec::new(),
-                codes: Vec::new(),
-                data: RowBuffer::new(),
-            },
+        let code_length = model.code_length();
+        let mut delta = match file.sections_of(SectionKind::DeltaSegment).next() {
+            Some(bytes) => {
+                decode_delta(bytes, code_length).map_err(corrupt(SectionKind::DeltaSegment))?
+            }
+            None => Segment::empty(code_length),
         };
         if live_state.base_ids.len() != rows {
             return Err(PersistError::Inconsistent {
                 detail: "live state holds one id per base row",
             });
         }
-        if delta_payload.data.len() != delta_payload.ids.len() * dim {
+        if delta.data.len() != delta.rows() * dim {
             return Err(PersistError::Inconsistent {
                 detail: "delta vectors are not rows×dim",
             });
         }
-        if has_mih != live_state.mih_blocks.is_some() {
+        if mih.is_some() != live_state.mih_blocks.is_some() {
             return Err(PersistError::Inconsistent {
                 detail: "live state MIH config disagrees with the base MIH section",
             });
         }
-        let total_slots = rows + delta_payload.ids.len();
+        let total_slots = rows + delta.rows();
         let mut tombstones = HashSet::default();
         for &slot in &live_state.tombstones {
             if slot as usize >= total_slots || !tombstones.insert(slot) {
@@ -1208,7 +1182,6 @@ impl<C: CodeWord> MutableIndex<dyn HashModel, C> {
             }
         }
 
-        let code_length = model.code_length();
         let base = Segment {
             codes: table.dense_codes(),
             data,
@@ -1216,26 +1189,15 @@ impl<C: CodeWord> MutableIndex<dyn HashModel, C> {
             table,
             mih,
         };
-        let mut delta = Segment {
-            table: HashTable::from_codes(code_length, &delta_payload.codes),
-            data: delta_payload.data,
-            ids: delta_payload.ids,
-            codes: delta_payload.codes,
-            mih: None,
-        };
         delta.rebuild_mih(live_state.mih_blocks);
 
         let mut live: HashMap<u32, u32> = HashMap::new();
         let mut max_live_id = None::<u32>;
-        for g in 0..total_slots as u32 {
+        let slot_ids = base.ids.iter().chain(&delta.ids);
+        for (g, &id) in (0..total_slots as u32).zip(slot_ids) {
             if tombstones.contains(&g) {
                 continue;
             }
-            let id = if (g as usize) < rows {
-                base.ids[g as usize]
-            } else {
-                delta.ids[g as usize - rows]
-            };
             if live.insert(id, g).is_some() {
                 return Err(PersistError::Inconsistent {
                     detail: "duplicate live external id",
@@ -1249,33 +1211,26 @@ impl<C: CodeWord> MutableIndex<dyn HashModel, C> {
             });
         }
 
-        let recall = file.recall_model()?;
-        let attrs = file.attrs()?;
-        let store = Arc::new_cyclic(|myself| VersionedStore {
-            model,
-            dim,
+        let builder = MutableIndexBuilder {
             metric,
+            metrics,
             mih_blocks: live_state.mih_blocks,
             compaction_threshold: live_state.compaction_threshold,
-            background_compaction: false,
-            id_step: live_state.id_step,
-            current: RwLock::new(Arc::new(Generation {
-                epoch: live_state.epoch,
-                base: Arc::new(base),
-                delta: Arc::new(delta),
-                tombstones: Arc::new(tombstones),
-            })),
-            writer: Mutex::new(WriterState {
-                next_id: live_state.next_id,
-                live,
-            }),
-            compacting: AtomicBool::new(false),
-            myself: myself.clone(),
-            metrics: MetricsRegistry::disabled(),
             recall,
             attrs,
-        });
-        Ok(MutableIndex { store })
+            ..MutableIndex::builder(Arc::from(model))
+        };
+        let gen = Generation {
+            epoch: live_state.epoch,
+            base: Arc::new(base),
+            delta: Arc::new(delta),
+            tombstones: Arc::new(tombstones),
+        };
+        let writer = WriterState {
+            next_id: live_state.next_id,
+            live,
+        };
+        Ok(builder.into_index(dim, live_state.id_step, gen, writer))
     }
 }
 

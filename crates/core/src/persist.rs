@@ -51,6 +51,7 @@ use crate::code::CodeWord;
 use crate::engine::QueryEngine;
 use crate::metrics::MetricsRegistry;
 use crate::probe::mih::MihIndex;
+use crate::probe_loop::Part;
 use crate::table::HashTable;
 use gqr_l2h::{persist as l2h_persist, HashModel};
 use gqr_linalg::vecops::Metric;
@@ -807,14 +808,14 @@ pub struct LoadedShard<C: CodeWord = u64> {
 /// A fully reconstructed index: the owning container that
 /// [`QueryEngine::from_snapshot`] borrows from.
 pub struct LoadedIndex<C: CodeWord = u64> {
-    model: Box<dyn HashModel>,
+    pub(crate) model: Box<dyn HashModel>,
     /// The one copy of the rows, decoded in place (see [`RowBuffer`]).
-    data: RowBuffer,
-    dim: usize,
-    metric: Metric,
-    shards: Vec<LoadedShard<C>>,
-    recall: Option<crate::recall::RecallModel>,
-    attrs: Option<crate::attrs::AttributeStore>,
+    pub(crate) data: RowBuffer,
+    pub(crate) dim: usize,
+    pub(crate) metric: Metric,
+    pub(crate) shards: Vec<LoadedShard<C>>,
+    pub(crate) recall: Option<crate::recall::RecallModel>,
+    pub(crate) attrs: Option<crate::attrs::AttributeStore>,
 }
 
 impl<C: CodeWord> std::fmt::Debug for LoadedIndex<C> {
@@ -938,6 +939,29 @@ pub fn assemble_index<C: CodeWord>(file: &SnapshotFile) -> Result<LoadedIndex<C>
             detail: "snapshot holds live mutation state; load it with MutableIndex::from_snapshot",
         });
     }
+    let loaded = validate_index(file)?;
+    if loaded
+        .attrs
+        .as_ref()
+        .is_some_and(|a| a.n_items() > loaded.n_items())
+    {
+        return Err(PersistError::Inconsistent {
+            detail: "attribute store covers more rows than the vectors section",
+        });
+    }
+    Ok(loaded)
+}
+
+/// The sections every index snapshot has — code width, model, vectors,
+/// manifest, hash tables, MIH side indexes, recall model and attribute
+/// store — decoded and checked against each other. The static loader
+/// ([`assemble_index`]) and the live one
+/// ([`MutableIndex::from_snapshot_file`](crate::live::MutableIndex::from_snapshot_file))
+/// add their own checks on top: a live snapshot's attributes are keyed by
+/// external ids, which may outnumber the base rows.
+pub(crate) fn validate_index<C: CodeWord>(
+    file: &SnapshotFile,
+) -> Result<LoadedIndex<C>, PersistError> {
     if file.code_width() != C::BITS {
         return Err(PersistError::WidthMismatch {
             found: file.code_width(),
@@ -1006,24 +1030,68 @@ pub fn assemble_index<C: CodeWord>(file: &SnapshotFile) -> Result<LoadedIndex<C>
             detail: "file holds more MIH sections than the manifest promises",
         });
     }
-    let recall = file.recall_model()?;
-    let attrs = file.attrs()?;
-    if let Some(a) = &attrs {
-        if a.n_items() > total_rows {
-            return Err(PersistError::Inconsistent {
-                detail: "attribute store covers more rows than the vectors section",
-            });
-        }
-    }
     Ok(LoadedIndex {
         model,
         data,
         dim,
         metric,
         shards,
-        recall,
-        attrs,
+        recall: file.recall_model()?,
+        attrs: file.attrs()?,
     })
+}
+
+/// What every index snapshot holds, borrowed from the index being saved:
+/// a static engine's parts, or a live index's base segment as one part.
+pub(crate) struct IndexSections<'s, M: HashModel + ?Sized, C: CodeWord> {
+    pub model: &'s M,
+    pub metric: Metric,
+    /// Every part's rows, row-major, `dim` columns.
+    pub data: &'s [f32],
+    pub dim: usize,
+    pub parts: &'s [Part<'s, C>],
+    pub recall: Option<&'s crate::recall::RecallModel>,
+    pub attrs: Option<&'s crate::attrs::AttributeStore>,
+}
+
+impl<M: HashModel + ?Sized, C: CodeWord> IndexSections<'_, M, C> {
+    /// Write the snapshot crash-safely: model, manifest, vectors, one table
+    /// per part, the parts' MIH side indexes, then `overlay` (a live
+    /// index's [`SectionKind::LiveState`] and [`SectionKind::DeltaSegment`];
+    /// none for a static one), then the recall model and attribute store.
+    /// Returns the bytes written.
+    pub fn write(
+        &self,
+        path: &Path,
+        overlay: Vec<(SectionKind, Vec<u8>)>,
+    ) -> Result<u64, PersistError> {
+        let mut w = SnapshotWriter::new();
+        w.set_code_width(C::BITS);
+        w.add_model(self.model)?;
+        let manifest: Vec<(usize, bool)> = self
+            .parts
+            .iter()
+            .map(|p| (p.rows, p.mih.is_some()))
+            .collect();
+        w.add_manifest(self.metric, &manifest);
+        w.add_vectors(self.data, self.dim);
+        for part in self.parts {
+            w.add_table(&part.table);
+        }
+        for mih in self.parts.iter().filter_map(|p| p.mih.as_deref()) {
+            w.add_mih(mih);
+        }
+        for (kind, bytes) in overlay {
+            w.add_section(kind, bytes);
+        }
+        if let Some(model) = self.recall {
+            w.add_recall_model(model);
+        }
+        if let Some(attrs) = self.attrs {
+            w.add_attrs(attrs);
+        }
+        w.write(path)
+    }
 }
 
 #[cfg(test)]

@@ -511,17 +511,10 @@ fn cmd_save_index(flags: &HashMap<String, String>) -> Result<(), String> {
             }
             b
         }
-        // The narrowest width that fits the model; sharded saves have
-        // always used at least 64-bit words.
-        None => {
-            let fit = CodeWidth::narrowest_for(m)
-                .ok_or_else(|| format!("model code length {m} exceeds the 256-bit ceiling"))?;
-            if shards > 1 {
-                fit.bits().max(64)
-            } else {
-                fit.bits()
-            }
-        }
+        // The narrowest width that fits the model, at every shard count.
+        None => CodeWidth::narrowest_for(m)
+            .ok_or_else(|| format!("model code length {m} exceeds the 256-bit ceiling"))?
+            .bits(),
     };
     let attrs = flags
         .get("attrs")
@@ -568,16 +561,30 @@ fn snapshot_kind(path: &str) -> Result<(bool, SnapshotFile), String> {
 fn load_mutable<C: CodeWord>(
     file: SnapshotFile,
     path: &str,
+    metrics: MetricsRegistry,
 ) -> Result<MutableIndex<dyn HashModel, C>, String> {
-    MutableIndex::from_snapshot_file(&file).map_err(|e| format!("loading {path}: {e}"))
+    MutableIndex::from_snapshot_file(&file, metrics).map_err(|e| format!("loading {path}: {e}"))
 }
 
 fn load_frozen<C: CodeWord>(file: SnapshotFile, path: &str) -> Result<LoadedIndex<C>, String> {
     assemble_index(&file).map_err(|e| format!("loading {path}: {e}"))
 }
 
+/// The MIH block count a frozen snapshot stores, when every shard carries
+/// its side index.
+fn stored_mih_blocks<C: CodeWord>(loaded: &LoadedIndex<C>) -> Option<usize> {
+    let mut mihs = loaded.shards().iter().map(|s| s.mih.as_ref());
+    let first = mihs.next()??;
+    mihs.all(|m| m.is_some()).then(|| first.n_blocks())
+}
+
+/// One change `insert` or `delete` makes to a snapshot.
+enum Mutation {
+    Insert(Vec<f32>),
+    Delete(u32),
+}
+
 fn cmd_insert(flags: &HashMap<String, String>) -> Result<(), String> {
-    let path = get(flags, "snapshot")?;
     let vector: Vec<f32> = get(flags, "vector")?
         .split(',')
         .map(|s| {
@@ -587,45 +594,39 @@ fn cmd_insert(flags: &HashMap<String, String>) -> Result<(), String> {
             x.ok_or_else(|| format!("bad component '{}' in --vector", s.trim()))
         })
         .collect::<Result<_, _>>()?;
-    let (_, file) = snapshot_kind(path)?;
-    dispatch_bits!(file.code_width(), C, {
-        let index = load_mutable::<C>(file, path)?;
-        if vector.len() != index.dim() {
-            return Err(format!(
-                "--vector has {} components, index expects {}",
-                vector.len(),
-                index.dim()
-            ));
-        }
-        let id = index.writer().insert(&vector);
-        if flags.contains_key("compact") {
-            index.compact();
-        }
-        let out = flags.get("out").map(String::as_str).unwrap_or(path);
-        let bytes = index
-            .save_snapshot(std::path::Path::new(out))
-            .map_err(|e| e.to_string())?;
-        let gen = index.pin();
-        println!(
-            "inserted id {id}: epoch {}, {} live rows ({} delta, {} tombstones); wrote {bytes} bytes to {out}",
-            gen.epoch(),
-            gen.n_live(),
-            gen.delta_rows(),
-            gen.n_tombstones()
-        );
-        Ok(())
-    })
+    mutate_snapshot(flags, Mutation::Insert(vector))
 }
 
 fn cmd_delete(flags: &HashMap<String, String>) -> Result<(), String> {
+    mutate_snapshot(flags, Mutation::Delete(get_num(flags, "id")?))
+}
+
+/// `insert` and `delete`: load the snapshot as a live index, apply the
+/// change, compact when `--compact` is given, save to `--out` (default: in
+/// place), and report the new generation.
+fn mutate_snapshot(flags: &HashMap<String, String>, change: Mutation) -> Result<(), String> {
     let path = get(flags, "snapshot")?;
-    let id: u32 = get_num(flags, "id")?;
     let (_, file) = snapshot_kind(path)?;
     dispatch_bits!(file.code_width(), C, {
-        let index = load_mutable::<C>(file, path)?;
-        if !index.writer().delete(id) {
-            return Err(format!("id {id} is not live in {path}"));
-        }
+        let index = load_mutable::<C>(file, path, MetricsRegistry::disabled())?;
+        let done = match change {
+            Mutation::Insert(vector) => {
+                if vector.len() != index.dim() {
+                    return Err(format!(
+                        "--vector has {} components, index expects {}",
+                        vector.len(),
+                        index.dim()
+                    ));
+                }
+                format!("inserted id {}", index.writer().insert(&vector))
+            }
+            Mutation::Delete(id) => {
+                if !index.writer().delete(id) {
+                    return Err(format!("id {id} is not live in {path}"));
+                }
+                format!("deleted id {id}")
+            }
+        };
         if flags.contains_key("compact") {
             index.compact();
         }
@@ -635,7 +636,7 @@ fn cmd_delete(flags: &HashMap<String, String>) -> Result<(), String> {
             .map_err(|e| e.to_string())?;
         let gen = index.pin();
         println!(
-            "deleted id {id}: epoch {}, {} live rows ({} delta, {} tombstones); wrote {bytes} bytes to {out}",
+            "{done}: epoch {}, {} live rows ({} delta, {} tombstones); wrote {bytes} bytes to {out}",
             gen.epoch(),
             gen.n_live(),
             gen.delta_rows(),
@@ -645,50 +646,96 @@ fn cmd_delete(flags: &HashMap<String, String>) -> Result<(), String> {
     })
 }
 
-/// `load-index` over a snapshot with live mutation state: external ids are
-/// sparse, so `--row` addresses an external id and recall evaluation maps
-/// brute-force positions back through the live id list.
-fn run_load_live<C: CodeWord>(
-    index: MutableIndex<dyn HashModel, C>,
-    path: &str,
-    loaded_in: std::time::Duration,
+fn cmd_load_index(flags: &HashMap<String, String>) -> Result<(), String> {
+    let path = get(flags, "snapshot")?;
+    let start = std::time::Instant::now();
+    let (live, file) = snapshot_kind(path)?;
+    dispatch_bits!(file.code_width(), C, {
+        if live {
+            let index = load_mutable::<C>(file, path, MetricsRegistry::disabled())?;
+            let gen = index.pin();
+            println!(
+                "loaded live index: {} rows × {} dims (epoch {}, {} delta, {} tombstones, {}-bit codes) from {path} in {:?}",
+                gen.n_live(),
+                index.dim(),
+                gen.epoch(),
+                gen.delta_rows(),
+                gen.n_tombstones(),
+                C::BITS,
+                start.elapsed()
+            );
+            let mut ids = gen.live_ids();
+            ids.sort_unstable();
+            let rows: Vec<f32> = ids
+                .iter()
+                .flat_map(|&id| index.vector(id).expect("live id has a vector"))
+                .collect();
+            let recall = index.recall_model().is_some();
+            return run_queries(&index, &rows, &ids, index.mih_blocks(), recall, flags);
+        }
+        let loaded = load_frozen::<C>(file, path)?;
+        println!(
+            "loaded {} items × {} dims ({} shard(s), model {}, {}-bit codes) from {path} in {:?}",
+            loaded.n_items(),
+            loaded.dim(),
+            loaded.shards().len(),
+            loaded.model().name(),
+            C::BITS,
+            start.elapsed()
+        );
+        let ids: Vec<u32> = (0..loaded.n_items() as u32).collect();
+        let (mih, recall) = (stored_mih_blocks(&loaded), loaded.recall_model().is_some());
+        let engine = QueryEngine::from_snapshot(&loaded);
+        run_queries(&engine, loaded.data(), &ids, mih, recall, flags)
+    })
+}
+
+/// `--strategy` (default GQR). MIH searches the stored side indexes, whose
+/// block count `mih_blocks` is baked in.
+fn flag_strategy(
+    flags: &HashMap<String, String>,
+    mih_blocks: Option<usize>,
+) -> Result<ProbeStrategy, String> {
+    let name = flags.get("strategy").map(String::as_str).unwrap_or("gqr");
+    if !name.eq_ignore_ascii_case("mih") {
+        return strategy(name);
+    }
+    let blocks = mih_blocks.ok_or("snapshot has no MIH sections; re-save with --mih-blocks")?;
+    Ok(ProbeStrategy::MultiIndexHashing { blocks })
+}
+
+/// The query half of `load-index`, over a frozen or a live snapshot alike:
+/// `rows` (row-major, `index.dim()` columns) are the stored vectors of
+/// `ids`, ascending — the identity on a frozen snapshot, the live ids on a
+/// live one. `--row` names an id; `--queries` samples rows and scores the
+/// answers against exact k-NN over them.
+fn run_queries(
+    index: &dyn Index,
+    rows: &[f32],
+    ids: &[u32],
+    mih_blocks: Option<usize>,
+    has_recall_model: bool,
     flags: &HashMap<String, String>,
 ) -> Result<(), String> {
-    let gen = index.pin();
-    println!(
-        "loaded live index: {} rows × {} dims (epoch {}, {} delta, {} tombstones, {}-bit codes) from {path} in {loaded_in:?}",
-        gen.n_live(),
-        index.dim(),
-        gen.epoch(),
-        gen.delta_rows(),
-        gen.n_tombstones(),
-        C::BITS,
-    );
     let k: usize = get_num(flags, "k")?;
-    let strat_name = flags.get("strategy").map(String::as_str).unwrap_or("gqr");
-    let strat = if strat_name.eq_ignore_ascii_case("mih") {
-        let Some(blocks) = index.mih_blocks() else {
-            return Err("snapshot has no MIH side tables; re-save with --mih-blocks".into());
-        };
-        ProbeStrategy::MultiIndexHashing { blocks }
-    } else {
-        strategy(strat_name)?
-    };
+    let strat = flag_strategy(flags, mih_blocks)?;
     let params = snapshot_params(flags, k, strat)?;
-    if params.recall_target.is_some() && index.recall_model().is_none() {
+    if params.recall_target.is_some() && !has_recall_model {
         return Err("snapshot has no recall model; run `gqr calibrate` first".into());
     }
     let filter = checked_filter(flags, index.attrs())?;
+    let dim = index.dim();
 
     if let Some(id) = flags.get("row") {
         let id: u32 = id.parse().map_err(|_| "bad --row")?;
-        let Some(query) = index.vector(id) else {
-            return Err(format!("id {id} is not live in {path}"));
+        let Ok(row) = ids.binary_search(&id) else {
+            return Err(format!("--row {id} is not a live id (n = {})", ids.len()));
         };
+        let query = &rows[row * dim..(row + 1) * dim];
         let start = std::time::Instant::now();
-        let res = index.run(request(&query, params, &filter));
+        let res = index.run(request(query, params, &filter));
         println!(
-            "{} nearest neighbors of id {id} ({} in {:?}, {} buckets probed, {} items evaluated):",
+            "{} nearest neighbors of row {id} ({} in {:?}, {} buckets probed, {} items evaluated):",
             k,
             strat.name(),
             start.elapsed(),
@@ -705,13 +752,7 @@ fn run_load_live<C: CodeWord>(
     }
 
     let n_queries: usize = get_num(flags, "queries")?;
-    let mut ids = gen.live_ids();
-    ids.sort_unstable();
-    let mut data = Vec::with_capacity(ids.len() * index.dim());
-    for &id in &ids {
-        data.extend(index.vector(id).expect("live id has a vector"));
-    }
-    let ds = Dataset::new("snapshot", index.dim(), data);
+    let ds = Dataset::new("snapshot", dim, rows.to_vec());
     let queries = ds.sample_queries(n_queries, 7);
     let truth = match &filter {
         Some(pred) => {
@@ -724,124 +765,15 @@ fn run_load_live<C: CodeWord>(
     };
     let start = std::time::Instant::now();
     let mut found = 0usize;
+    let mut probed = 0usize;
     for (q, t) in queries.iter().zip(&truth) {
         let res = index.run(request(q, params, &filter));
+        probed += res.stats.buckets_probed;
         found += res
             .ids
             .iter()
-            .filter(|&&id| t.iter().any(|&p| ids[p as usize] == id))
+            .filter(|&&id| t.iter().any(|&row| ids[row as usize] == id))
             .count();
-    }
-    println!(
-        "{:<9} recall@{k} {:.3}   {:?} total ({}/query, {n_queries} queries)",
-        strat.name(),
-        found as f64 / (k * queries.len()) as f64,
-        start.elapsed(),
-        budget_label(&params)
-    );
-    Ok(())
-}
-
-fn cmd_load_index(flags: &HashMap<String, String>) -> Result<(), String> {
-    let path = get(flags, "snapshot")?;
-    let start = std::time::Instant::now();
-    let (live, file) = snapshot_kind(path)?;
-    dispatch_bits!(file.code_width(), C, {
-        if live {
-            let index = load_mutable::<C>(file, path)?;
-            return run_load_live(index, path, start.elapsed(), flags);
-        }
-        let loaded = load_frozen::<C>(file, path)?;
-        println!(
-            "loaded {} items × {} dims ({} shard(s), model {}, {}-bit codes) from {path} in {:?}",
-            loaded.n_items(),
-            loaded.dim(),
-            loaded.shards().len(),
-            loaded.model().name(),
-            C::BITS,
-            start.elapsed()
-        );
-        run_frozen_queries(&loaded, flags)
-    })
-}
-
-/// The `--strategy` (default GQR) of queries over a frozen snapshot. MIH
-/// searches the stored side indexes, whose block count is baked in.
-fn frozen_strategy<C: CodeWord>(
-    loaded: &LoadedIndex<C>,
-    flags: &HashMap<String, String>,
-) -> Result<ProbeStrategy, String> {
-    let name = flags.get("strategy").map(String::as_str).unwrap_or("gqr");
-    if !name.eq_ignore_ascii_case("mih") {
-        return strategy(name);
-    }
-    if loaded.shards().iter().any(|s| s.mih.is_none()) {
-        return Err("snapshot has no MIH sections; re-save with --mih-blocks".into());
-    }
-    Ok(ProbeStrategy::MultiIndexHashing { blocks: 2 })
-}
-
-/// The query/eval half of `load-index`, monomorphized at the snapshot's
-/// code width.
-fn run_frozen_queries<C: CodeWord>(
-    loaded: &LoadedIndex<C>,
-    flags: &HashMap<String, String>,
-) -> Result<(), String> {
-    let k: usize = get_num(flags, "k")?;
-    let strat = frozen_strategy(loaded, flags)?;
-    let engine = QueryEngine::from_snapshot(loaded);
-    let params = snapshot_params(flags, k, strat)?;
-    if params.recall_target.is_some() && loaded.recall_model().is_none() {
-        return Err("snapshot has no recall model; run `gqr calibrate` first".into());
-    }
-    let filter = checked_filter(flags, loaded.attrs())?;
-
-    if let Some(row) = flags.get("row") {
-        let row: usize = row.parse().map_err(|_| "bad --row")?;
-        if row >= loaded.n_items() {
-            return Err(format!(
-                "--row {row} out of range (n = {})",
-                loaded.n_items()
-            ));
-        }
-        let dim = loaded.dim();
-        let query = loaded.data()[row * dim..(row + 1) * dim].to_vec();
-        let start = std::time::Instant::now();
-        let res = engine.run(request(&query, params, &filter));
-        println!(
-            "{} nearest neighbors of row {row} ({} in {:?}, {} buckets probed, {} items evaluated):",
-            k,
-            strat.name(),
-            start.elapsed(),
-            res.stats.buckets_probed,
-            res.stats.items_evaluated
-        );
-        if let Some(p) = res.predicted_recall {
-            println!("  predicted recall {p:.3}");
-        }
-        for (id, dist) in res.neighbors() {
-            println!("  #{id:<8} sq-dist {dist:.5}");
-        }
-        return Ok(());
-    }
-
-    let n_queries: usize = get_num(flags, "queries")?;
-    let ds = Dataset::new("snapshot", loaded.dim(), loaded.data().to_vec());
-    let queries = ds.sample_queries(n_queries, 7);
-    let truth = match &filter {
-        Some(pred) => {
-            let store = loaded.attrs().expect("validated above");
-            filtered_knn(&ds, &queries, k, |id| store.matches(pred, id))
-        }
-        None => brute_force_knn(&ds, &queries, k, 0),
-    };
-    let start = std::time::Instant::now();
-    let mut found = 0usize;
-    let mut probed = 0usize;
-    for (q, t) in queries.iter().zip(&truth) {
-        let res = engine.run(request(q, params, &filter));
-        probed += res.stats.buckets_probed;
-        found += res.ids.iter().filter(|&&id| t.contains(&id)).count();
     }
     println!(
         "{:<9} recall@{k} {:.3}   {:?} total ({}/query, {n_queries} queries, {:.1} buckets/query)",
@@ -903,10 +835,8 @@ fn run_calibrate<C: CodeWord>(
         ProbeStrategy::HammingRanking,
         ProbeStrategy::QdRanking,
     ];
-    if let Some(mih) = &loaded.shards()[0].mih {
-        strategies.push(ProbeStrategy::MultiIndexHashing {
-            blocks: mih.n_blocks(),
-        });
+    if let Some(blocks) = stored_mih_blocks(loaded) {
+        strategies.push(ProbeStrategy::MultiIndexHashing { blocks });
     }
 
     let start = std::time::Instant::now();
@@ -971,7 +901,7 @@ fn run_trace_dump<C: CodeWord>(
         .transpose()?
         .unwrap_or(1);
     let format = flags.get("format").map(String::as_str).unwrap_or("jsonl");
-    let strat = frozen_strategy(loaded, flags)?;
+    let strat = flag_strategy(flags, stored_mih_blocks(loaded))?;
     let params = SearchParams::for_k(k)
         .candidates(n_candidates)
         .strategy(strat)
@@ -1088,7 +1018,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     let (live, file) = snapshot_kind(path)?;
     let index: &'static (dyn Index + Sync) = dispatch_bits!(file.code_width(), C, {
         if live {
-            let index = load_mutable::<C>(file, path)?;
+            let index = load_mutable::<C>(file, path, metrics)?;
             println!(
                 "serving live snapshot {path}: {} items, epoch {}, {}-bit codes",
                 index.n_items(),

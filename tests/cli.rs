@@ -855,3 +855,152 @@ fn calibrate_on_two_shards_writes_the_one_shard_model() {
     };
     assert_eq!(section("2"), section("1"));
 }
+
+/// `save-index` picks the narrowest code word that fits the model at every
+/// shard count: a 10-bit model takes 32-bit codes at two shards as at one.
+#[test]
+fn sharded_save_takes_the_narrowest_width() {
+    let dir = tmpdir("sharded_width");
+    let data = generate(&dir, "4");
+    for shards in ["1", "2"] {
+        let text = run_ok(
+            bin()
+                .args(["save-index", "--data", path(&data), "--algo", "itq"])
+                .args(["--bits", "10", "--shards", shards])
+                .args(["--snapshot", path(&dir.join(format!("s{shards}.gqr")))]),
+        );
+        assert!(text.contains("32-bit codes"), "{shards} shard(s): {text}");
+    }
+}
+
+/// `load-index` output with the load banner and the wall times cut out.
+fn untimed(text: &str) -> String {
+    let lines = text.lines().filter(|l| !l.starts_with("loaded "));
+    let untimed = lines.map(|line| {
+        if line.contains("recall@") {
+            return untimed_summary(line);
+        }
+        match line.split_once(" in ") {
+            Some((head, rest)) => format!("{head}{}", &rest[rest.find(',').unwrap()..]),
+            None => line.to_string(),
+        }
+    });
+    untimed.collect::<Vec<_>>().join("\n")
+}
+
+/// A live snapshot whose only change is a deleted insert answers exactly
+/// like the one-shard snapshot it came from: one query path serves both.
+/// GQR and GHR enumerate every code, so the tombstoned delta row cannot
+/// change the probe sequence.
+#[test]
+fn live_twin_answers_like_its_frozen_snapshot() {
+    let dir = tmpdir("live_twin");
+    let snap = trained_snapshot(&dir);
+    let twin = dir.join("twin.gqr");
+    let vector = vec!["0.5"; 16].join(",");
+    let text = run_ok(
+        bin()
+            .args(["insert", "--snapshot", path(&snap), "--vector", &vector])
+            .args(["--out", path(&twin)]),
+    );
+    let id = text
+        .strip_prefix("inserted id ")
+        .and_then(|t| t.split(':').next())
+        .unwrap_or_else(|| panic!("no id in: {text}"));
+    run_ok(bin().args(["delete", "--snapshot", path(&twin), "--id", id]));
+
+    for strategy in ["gqr", "ghr"] {
+        for mode in [["--row", "3"], ["--queries", "10"]] {
+            let answer = |snap: &Path| {
+                let text = run_ok(
+                    bin()
+                        .args(["load-index", "--snapshot", path(snap), "--k", "5"])
+                        .args(["--candidates", "50", "--strategy", strategy])
+                        .args(mode),
+                );
+                untimed(&text)
+            };
+            let (frozen, live) = (answer(&snap), answer(&twin));
+            assert!(!frozen.is_empty(), "{strategy} {mode:?}");
+            assert_eq!(live, frozen, "{strategy} {mode:?}");
+        }
+    }
+}
+
+/// Start `gqr serve` on an ephemeral port; returns the child and its
+/// address once it has bound.
+fn serve(snap: &Path, dir: &Path) -> (std::process::Child, String) {
+    use std::io::Read;
+    let addr_file = dir.join("addr.txt");
+    let mut child = bin()
+        .args(["serve", "--snapshot", path(snap), "--addr", "127.0.0.1:0"])
+        .args(["--addr-file", path(&addr_file)])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    loop {
+        if let Ok(s) = std::fs::read_to_string(&addr_file) {
+            if !s.trim().is_empty() {
+                return (child, s.trim().to_string());
+            }
+        }
+        if std::time::Instant::now() > deadline {
+            let _ = child.kill();
+            panic!("server never wrote its address file");
+        }
+        if let Some(status) = child.try_wait().unwrap() {
+            let mut err = String::new();
+            if let Some(mut e) = child.stderr.take() {
+                let _ = e.read_to_string(&mut err);
+            }
+            panic!("server exited early ({status}): {err}");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(25));
+    }
+}
+
+/// Send one HTTP/1.1 request and return the whole response.
+fn http(addr: &str, method: &str, target: &str, body: &str) -> String {
+    use std::io::{Read, Write};
+    let raw = format!(
+        "{method} {target} HTTP/1.1\r\nhost: t\r\ncontent-type: application/json\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{body}",
+        body.len()
+    );
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .unwrap();
+    stream.write_all(raw.as_bytes()).unwrap();
+    let mut response = Vec::new();
+    stream.read_to_end(&mut response).unwrap();
+    String::from_utf8_lossy(&response).into_owned()
+}
+
+/// A live snapshot served over HTTP exports its query metrics: the search
+/// path's registry is the one `/metrics` reads.
+#[test]
+fn live_snapshot_serves_query_metrics() {
+    let dir = tmpdir("live_serve_metrics");
+    let snap = trained_snapshot(&dir);
+    let vector = vec!["0.5"; 16].join(",");
+    run_ok(bin().args(["insert", "--snapshot", path(&snap), "--vector", &vector]));
+
+    let (mut child, addr) = serve(&snap, &dir);
+    let query: Vec<String> = (0..16).map(|i| format!("{}.5", i % 7)).collect();
+    let body = format!(
+        "{{\"query\":[{}],\"k\":5,\"candidates\":200}}",
+        query.join(",")
+    );
+    let search = http(&addr, "POST", "/search", &body);
+    let metrics = http(&addr, "GET", "/metrics", "");
+    let _ = child.kill();
+    let _ = child.wait();
+
+    assert!(search.starts_with("HTTP/1.1 200"), "{search}");
+    assert!(
+        metrics.contains("gqr_live_queries_total"),
+        "/metrics lacks the live query series:\n{metrics}"
+    );
+}
