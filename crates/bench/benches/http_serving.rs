@@ -3,13 +3,17 @@
 //! exits non-zero when the admission-control gate fails.
 //!
 //! Four phases:
-//!   1. **unloaded** — low QPS, establishes the baseline p99;
-//!   2. **saturation estimate** — from the unloaded p50 and the worker
-//!      count (`sat ≈ workers / service_time`);
-//!   3. **overload sweep** — 0.5x / 1x / 2x the estimated saturation. At
-//!      2x the server must shed (429/503) while the p99 of *admitted*
-//!      queries stays within 3x of the unloaded p99: load shedding, not
-//!      queue collapse;
+//!   1. **saturation estimate** — from one unloaded p50 and the worker
+//!      count (`sat ≈ workers / service_time`), then a ramp through 0.5x
+//!      and 1x the estimate;
+//!   2. **paired rounds** — [`ROUNDS`] rounds, each an unloaded run (low
+//!      QPS, the baseline p99) followed at once by a run at 2x the
+//!      estimated saturation. Each round compares its own pair, so a
+//!      machine that slows down for a while moves both sides of a ratio;
+//!   3. **overload gate** — at 2x the server must shed (429/503) in every
+//!      round, and the median round's ratio of admitted-query p99 to
+//!      unloaded p99 must stay within 3x: load shedding, not queue
+//!      collapse;
 //!   4. **graceful drain** — shutdown under in-flight load must answer
 //!      every request that reached the server (200 or a clean 503), losing
 //!      zero admitted queries.
@@ -43,6 +47,9 @@ const HANDLERS: usize = 32;
 /// admitted request does not delay that sender's later arrivals and the
 /// measured latency reflects server-side queueing, not client backlog.
 const SENDERS: usize = 32;
+/// Unloaded/overloaded pairs behind the overload gate (odd: the median is
+/// one round's ratio).
+const ROUNDS: usize = 5;
 
 /// Deterministic blob of clustered points (xorshift64*), sized so one
 /// exhaustive query costs enough that two workers saturate at a rate the
@@ -154,18 +161,35 @@ fn main() {
 
     // Low enough that even a heavyweight full-scale query leaves the two
     // workers mostly idle — this really is the unloaded baseline.
-    let unloaded = loadgen::run(&LoadgenConfig {
+    let unloaded_cfg = LoadgenConfig {
         qps: if smoke() { 40.0 } else { 15.0 },
         duration: unloaded_dur,
         senders: 4,
         ..base.clone()
-    });
+    };
     // Saturation from measured service time; the clamp keeps the overload
     // step within what an in-process loadgen can actually offer.
-    let service_s = (unloaded.p50_us.max(50) as f64) / 1e6;
+    let estimate = loadgen::run(&unloaded_cfg);
+    let service_s = (estimate.p50_us.max(50) as f64) / 1e6;
     let sat_qps = (WORKERS as f64 / service_s).clamp(50.0, 4000.0);
-    let steps = [0.5 * sat_qps, 1.0 * sat_qps, 2.0 * sat_qps];
-    let overload = loadgen::sweep(&base, &steps).pop().expect("sweep ran");
+    loadgen::sweep(&base, &[0.5 * sat_qps, 1.0 * sat_qps]);
+    let overload_cfg = LoadgenConfig {
+        qps: 2.0 * sat_qps,
+        ..base.clone()
+    };
+    let mut rounds: Vec<_> = (0..ROUNDS)
+        .map(|_| {
+            let unloaded = loadgen::run(&unloaded_cfg);
+            let overload = loadgen::run(&overload_cfg);
+            let ratio = overload.p99_us as f64 / unloaded.p99_us.max(1) as f64;
+            (ratio, unloaded, overload)
+        })
+        .collect();
+    let every_round_sheds = rounds.iter().all(|(_, _, o)| o.shed > 0);
+    let every_round_admits = rounds.iter().all(|(_, _, o)| o.completed > 0);
+    let ratios: Vec<String> = rounds.iter().map(|(r, _, _)| format!("{r:.2}")).collect();
+    rounds.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let (p99_ratio, unloaded, overload) = rounds.swap_remove(ROUNDS / 2);
     server.shutdown();
 
     // ---- phase 4: a fresh server for the drain-under-load check ----
@@ -193,20 +217,20 @@ fn main() {
     }
 
     // ---- gates ----
-    let p99_ratio = overload.p99_us as f64 / unloaded.p99_us.max(1) as f64;
-    let gate_sheds = overload.shed > 0;
-    let gate_p99 = overload.completed > 0 && p99_ratio <= 3.0;
+    let gate_sheds = every_round_sheds;
+    let gate_p99 = every_round_admits && p99_ratio <= 3.0;
     let gate_drain = drain_lost == 0 && drain_report.served == drain_completed;
     let gate_pass = gate_sheds && gate_p99 && gate_drain;
 
     println!(
-        "http_serving: sat≈{:.0} qps | unloaded p99 {} us | 2x overload: shed {}/{} p99 {} us ({:.2}x) | drain: {} done {} refused {} lost | gate_pass={}",
+        "http_serving: sat≈{:.0} qps | median of {ROUNDS} rounds: unloaded p99 {} us, 2x overload shed {}/{} p99 {} us ({:.2}x; rounds {}) | drain: {} done {} refused {} lost | gate_pass={}",
         sat_qps,
         unloaded.p99_us,
         overload.shed,
         overload.offered,
         overload.p99_us,
         p99_ratio,
+        ratios.join(" "),
         drain_completed,
         drain_refused,
         drain_lost,
@@ -214,7 +238,7 @@ fn main() {
     );
     assert!(
         gate_pass,
-        "serving gate FAILED: sheds={gate_sheds} admitted_p99_within_3x={gate_p99} \
+        "serving gate FAILED: sheds_every_round={gate_sheds} median_admitted_p99_within_3x={gate_p99} \
          drain_zero_lost={gate_drain}"
     );
 }

@@ -330,8 +330,7 @@ impl_codeword_prim!(u128, 128);
 ///
 /// `Ord` compares numerically (most-significant block first), matching the
 /// primitive widths so tiebreaks agree across widths. `Hash` feeds blocks
-/// low-to-high through `write_u64`, so [`crate::table::CodeHasher`] chains
-/// them exactly like a sequence of narrow codes.
+/// low-to-high through `write_u64`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct U64x<const N: usize>(pub [u64; N]);
 

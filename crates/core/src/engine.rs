@@ -11,7 +11,7 @@ use crate::code::CodeWord;
 use crate::metrics::{metric_name, MetricsRegistry};
 use crate::persist::{IndexSections, LoadedIndex};
 use crate::probe::mih::MihIndex;
-use crate::probe_loop::{open_source, FlatRows, Part, ProbeCtx, Target};
+use crate::probe_loop::{open_source, FlatRows, Part, PartSource, ProbeCtx, Target};
 use crate::recall::{RecallModel, RecallTarget};
 use crate::request::SearchRequest;
 pub use crate::response::{Checkpoint, SearchResponse};
@@ -372,13 +372,15 @@ impl SearchParamsBuilder {
 /// [`QueryEngine::new`] gives one part over a borrowed table;
 /// [`QueryEngine::build`] partitions the rows into `S` owned parts (a
 /// sharded index, see [`crate::shard`]); [`QueryEngine::from_snapshot`]
-/// borrows one part per stored shard. The probe order of every strategy
-/// depends on the query alone, so a search's probe unit is the
-/// concatenation of each part's bucket — for MIH, each part's substring
-/// bucket — shifted to global ids: exactly the bucket of one table over all
-/// the rows. The answer, its [`ProbeStats`](crate::stats::ProbeStats), stop
-/// reason, recall prediction and checkpoints are therefore bit-identical
-/// whatever the part count (see `tests/sharded_equivalence.rs`).
+/// borrows one part per stored shard. An engine of `S > 1` parts merges
+/// their tables once, at construction, into one table over the global ids
+/// ([`HashTable::union`]), and every bucket strategy probes that table: a
+/// bucket is each part's bucket shifted to global ids, in part order. MIH
+/// searches the parts' own side indexes as one (each part's substring
+/// bucket, shifted). The answer, its
+/// [`ProbeStats`](crate::stats::ProbeStats), stop reason, recall prediction
+/// and checkpoints are therefore bit-identical whatever the part count (see
+/// `tests/sharded_equivalence.rs`).
 ///
 /// Generic over the code width `C` (default `u64`): the width is fixed when
 /// the tables are built, and everything downstream — probers, MIH, bucket
@@ -387,6 +389,9 @@ pub struct QueryEngine<'a, M: HashModel + ?Sized, C: CodeWord = u64> {
     model: &'a M,
     /// In ascending first id, the first at 0; never empty.
     parts: Vec<Part<'a, C>>,
+    /// With more than one part, the one table over all their rows that the
+    /// bucket strategies probe.
+    union: Option<Part<'a, C>>,
     /// Every part's rows, row-major, `dim` columns.
     data: &'a [f32],
     dim: usize,
@@ -408,7 +413,7 @@ impl<'a, M: HashModel + ?Sized, C: CodeWord> QueryEngine<'a, M, C> {
             C::BITS
         );
         assert!(data.len().is_multiple_of(dim), "data must be n×dim");
-        // Dynamic tables (insert/remove) may hold fewer items than the data
+        // A table built with `insert` may hold fewer items than the data
         // buffer has rows; every indexed id must stay addressable.
         if let Some(max_id) = table.max_id() {
             assert!(
@@ -449,9 +454,21 @@ impl<'a, M: HashModel + ?Sized, C: CodeWord> QueryEngine<'a, M, C> {
     }
 
     fn from_parts(model: &'a M, parts: Vec<Part<'a, C>>, data: &'a [f32], dim: usize) -> Self {
+        let union = (parts.len() > 1).then(|| {
+            let tables: Vec<_> = parts.iter().map(|p| (&*p.table, p.first_id)).collect();
+            let table = HashTable::union(&tables);
+            let rows = table.n_items();
+            Part {
+                table: Cow::Owned(table),
+                mih: None,
+                first_id: 0,
+                rows,
+            }
+        });
         QueryEngine {
             model,
             parts,
+            union,
             data,
             dim,
             metric: Metric::SquaredEuclidean,
@@ -607,9 +624,30 @@ impl<'a, M: HashModel + ?Sized, C: CodeWord> QueryEngine<'a, M, C> {
         &self.parts[0]
     }
 
-    /// The row-disjoint parts, in ascending first id.
-    pub(crate) fn parts(&self) -> &[Part<'a, C>] {
-        &self.parts
+    /// What the bucket strategies probe: one part whose table holds every
+    /// row.
+    pub(crate) fn tables(&self) -> &[Part<'a, C>] {
+        self.union
+            .as_ref()
+            .map_or(&self.parts, std::slice::from_ref)
+    }
+
+    /// Open the source `strategy` probes (see [`open_source`]): MIH over
+    /// the parts' side indexes, bounded by `mih_cap` lookups; any other
+    /// strategy over the one table of [`QueryEngine::tables`].
+    pub(crate) fn open_source<'s>(
+        &'s self,
+        strategy: ProbeStrategy,
+        mih_cap: Option<usize>,
+        query: &[f32],
+        ctx: &mut ProbeCtx<'_>,
+    ) -> PartSource<'s, C> {
+        let (model, n) = (self.model, self.n_items());
+        let parts = match strategy {
+            ProbeStrategy::MultiIndexHashing { .. } => &self.parts,
+            _ => self.tables(),
+        };
+        open_source(model, parts, n, strategy, mih_cap, query, ctx)
     }
 
     /// Number of parts (shards).
@@ -688,8 +726,7 @@ impl<'a, M: HashModel + ?Sized, C: CodeWord> QueryEngine<'a, M, C> {
         };
         let mut result = target.run(req, self.attrs, start, &mut ctx, |sink, ctx| {
             let policy = target.policy(&params, start, &self.metrics);
-            let (parts, n, cap) = (&self.parts[..], self.n_items(), params.max_buckets);
-            let source = open_source(self.model, parts, n, params.strategy, cap, query, ctx);
+            let source = self.open_source(params.strategy, params.max_buckets, query, ctx);
             source.drive(policy, sink, budgets, ctx)
         });
         let (phases, elapsed) = (&ctx.phases, start.elapsed());
@@ -1136,7 +1173,7 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
         let reloaded = QueryEngine::from_snapshot(&loaded);
         assert_eq!(reloaded.n_shards(), 2);
-        for (part, shard) in reloaded.parts().iter().zip(loaded.shards()) {
+        for (part, shard) in reloaded.parts.iter().zip(loaded.shards()) {
             assert!(std::ptr::eq(&*part.table, &shard.table));
             let (mih, stored) = (part.mih.as_deref(), shard.mih.as_ref());
             assert!(std::ptr::eq(mih.unwrap(), stored.unwrap()));

@@ -59,14 +59,14 @@ use crate::probe::mih::MihIndex;
 use crate::probe_loop::{open_source, Part, ProbeCtx, SegmentedRows, Target};
 use crate::recall::RecallModel;
 use crate::request::SearchRequest;
-use crate::table::{CodeHasher, HashTable};
+use crate::table::HashTable;
 use gqr_l2h::HashModel;
 use gqr_linalg::vecops::Metric;
 use gqr_linalg::wire::{ByteReader, ByteWriter, WireError};
 use gqr_linalg::RowBuffer;
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet};
-use std::hash::BuildHasherDefault;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::marker::PhantomData;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -136,6 +136,28 @@ impl<C: CodeWord> Segment<C> {
     }
 }
 
+/// Hasher of the tombstone set. A read tests every candidate against the
+/// set, and slots are the index's own dense integers: a Fibonacci multiply
+/// spreads them, where SipHash would only slow the test.
+#[derive(Default)]
+struct SlotHasher(u64);
+
+impl Hasher for SlotHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("SlotHasher only hashes u32 slots");
+    }
+
+    #[inline]
+    fn write_u32(&mut self, v: u32) {
+        self.0 = u64::from(v).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
+
 /// One immutable published version of the index: a shared base segment, a
 /// copy-on-append delta segment, and the tombstone set masking deleted
 /// global slots. Obtained from [`MutableIndex::pin`]; everything reachable
@@ -147,10 +169,8 @@ pub struct Generation<C: CodeWord = u64> {
     delta: Arc<Segment<C>>,
     /// Deleted global slots (base slot `s` → `s`; delta row `j` →
     /// `base_rows + j`). Shared between generations when a mutation does
-    /// not touch it. A read tests every candidate against it and slots are
-    /// the index's own dense integers: the table's multiply-fold hashes
-    /// them, not SipHash.
-    tombstones: Arc<HashSet<u32, BuildHasherDefault<CodeHasher>>>,
+    /// not touch it.
+    tombstones: Arc<HashSet<u32, BuildHasherDefault<SlotHasher>>>,
 }
 
 impl<C: CodeWord> Generation<C> {

@@ -78,17 +78,21 @@ macro_rules! each_prober {
 }
 
 /// Hand `f` every occupied bucket code of the union of `tables`
-/// (row-disjoint tables of one hash model), each code once, in arbitrary
-/// order: a code is taken from the first table that holds it. Internal
-/// iteration keeps the one-table case the plain walk over its buckets.
+/// (row-disjoint tables of one hash model), each code once, in ascending
+/// order: a merge of their sorted codes. One table is the plain walk over
+/// its codes.
 pub(crate) fn for_each_union_code<C: CodeWord>(tables: &[&HashTable<C>], mut f: impl FnMut(C)) {
-    for (s, table) in tables.iter().enumerate() {
-        let earlier = &tables[..s];
-        for code in table.codes() {
-            if !earlier.iter().any(|t| t.contains(code)) {
-                f(code);
+    if let [table] = tables {
+        return table.sorted_codes().iter().for_each(|&code| f(code));
+    }
+    let mut rests: Vec<&[C]> = tables.iter().map(|t| t.sorted_codes()).collect();
+    while let Some(&code) = rests.iter().filter_map(|rest| rest.first()).min() {
+        for rest in &mut rests {
+            if rest.first() == Some(&code) {
+                *rest = &rest[1..];
             }
         }
+        f(code);
     }
 }
 

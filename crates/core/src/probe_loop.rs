@@ -350,12 +350,14 @@ impl<'a, C: CodeWord> Part<'a, C> {
     }
 }
 
-/// Row-disjoint tables of **one** hash model (the parts of an engine, the
-/// base and delta of a live index) probed once — the dual of
-/// [`MergedTables`]. The bucket order is a function of the query alone, so
-/// one prober serves every part, and a unit is the concatenation of each
-/// part's bucket for the code, as global ids in part order: exactly the
-/// bucket of one table built over all the rows.
+/// Row-disjoint tables of **one** hash model probed once — the dual of
+/// [`MergedTables`]. A static engine passes one table (its sharded union,
+/// see [`HashTable::union`]), whose buckets are units as they lie; a live
+/// index passes its base and delta. The bucket order is a function of the
+/// query alone, so one prober serves every part (QR and HR rank the merge
+/// of their sorted codes), and a unit is the concatenation of each part's
+/// bucket for the code, as global ids in part order: exactly the bucket of
+/// one table built over all the rows.
 pub(crate) struct SegmentedTables<'t, C: CodeWord> {
     prober: AnyProber<'t, C>,
     parts: &'t [Part<'t, C>],

@@ -50,7 +50,7 @@ impl<M: HashModel + ?Sized, C: CodeWord> QueryEngine<'_, M, C> {
         let metrics = MetricsRegistry::disabled();
         let env = SearchRequest::new(query).open(&metrics, "range");
         let mut ctx = ProbeCtx::new(&env);
-        let (model, parts, n) = (self.model(), self.parts(), self.n_items());
+        let (model, parts, n) = (self.model(), self.tables(), self.n_items());
         let strategy = ProbeStrategy::GenerateQdRanking;
         let mut source = SegmentedTables::new(model, parts, n, strategy, query, &mut ctx);
 

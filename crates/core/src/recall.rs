@@ -35,7 +35,7 @@
 use crate::code::CodeWord;
 use crate::engine::{ProbeStrategy, QueryEngine, SearchParams};
 use crate::metrics::MetricsRegistry;
-use crate::probe_loop::{open_source, BucketSource, PartSource, ProbeCtx, StopPolicy};
+use crate::probe_loop::{BucketSource, PartSource, ProbeCtx, StopPolicy};
 use crate::request::SearchRequest;
 use crate::stats::ProbeStats;
 use gqr_l2h::HashModel;
@@ -591,9 +591,8 @@ impl Calibrator {
             if gt.is_empty() {
                 continue;
             }
-            let (model, parts, n) = (engine.model(), engine.parts(), engine.n_items());
             let cap = Some(self.bucket_cap);
-            match open_source(model, parts, n, strategy, cap, query, &mut ctx) {
+            match engine.open_source(strategy, cap, query, &mut ctx) {
                 PartSource::Mih(mut s) => self.replay(&mut s, family, &gt, &mut bins, &mut ctx),
                 PartSource::Tables(mut s) => self.replay(&mut s, family, &gt, &mut bins, &mut ctx),
             }

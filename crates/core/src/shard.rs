@@ -4,12 +4,15 @@
 //! partitioned into `S` contiguous ranges, each with its own [`HashTable`]
 //! (and optionally its own MIH side index), and a query is **one** search
 //! whose probe unit is the concatenation of each part's bucket, shifted to
-//! global ids — exactly the bucket of one index over all the rows. One
-//! candidate budget, one stop policy, one top-k, no merge: the answer, its
-//! [`ProbeStats`](crate::stats::ProbeStats), stop reason, recall prediction
-//! and checkpoints are **bit-identical** to the unsharded engine's at every
-//! budget (see `tests/sharded_equivalence.rs`). A predicate is planned
-//! once, against that global budget. The search flushes its phase spans
+//! global ids — exactly the bucket of one index over all the rows. The
+//! engine merges the parts' tables into that one table once, when it is
+//! built or loaded ([`HashTable::union`](crate::table::HashTable::union)),
+//! and the bucket strategies probe it; MIH searches the parts' side
+//! indexes as one. One candidate budget, one stop policy, one top-k, no
+//! merge: the answer, its [`ProbeStats`](crate::stats::ProbeStats), stop
+//! reason, recall prediction and checkpoints are **bit-identical** to the
+//! unsharded engine's at every budget (see `tests/sharded_equivalence.rs`).
+//! A predicate is planned once, against that global budget. The search flushes its phase spans
 //! once as `gqr_shard_*{shard="all",strategy}`.
 //!
 //! [`HashTable`]: crate::table::HashTable

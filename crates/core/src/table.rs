@@ -1,48 +1,29 @@
-//! The hash table: bucket code → item ids.
+//! The hash table: bucket code → item ids, as three flat arrays.
+//!
+//! A [`HashTable`] holds `codes`, the occupied bucket codes in ascending
+//! order; `ids`, every item id, bucket after bucket in code order and
+//! ascending within a bucket; and `offsets`, the bucket bounds in `ids`.
+//! There is no per-bucket allocation and no hashing.
+//!
+//! **Lookup rule.** When the code space is small next to the row count —
+//! `2^m ≤ 2·n_items` — `offsets` is indexed by code: bucket `c` is
+//! `ids[offsets[c]..offsets[c + 1]]`, one load and no compare (a 13-bit
+//! table over 100 000 rows spends 32 KB on it). Otherwise `offsets` is
+//! indexed by a bucket's rank in `codes`, and a lookup first finds the
+//! code's rank: a small index over the sorted codes (`prefix`, one entry per
+//! value of the code's top `⌊log2 B⌋ + 1` bits, fewer than `2B + 2`
+//! entries) narrows it to the codes that share those bits — none or one,
+//! mostly — and a scan among them decides. The rule reads only the table.
+//!
+//! Both regimes of learning-to-hash querying read these arrays: table
+//! lookup (GHR, GQR, the range search) goes through [`HashTable::bucket`];
+//! code ranking (HR, QR) walks [`HashTable::codes`]. Row-disjoint tables of
+//! one hash model merge into one in a single pass over their sorted codes
+//! ([`HashTable::union`]): that is how an engine of several parts probes
+//! one table.
 
 use crate::code::CodeWord;
 use gqr_l2h::{CodeBlocks, HashModel};
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-
-/// Identity-style hasher for bucket codes. Codes are short (≤ 256 bits) and
-/// already well-mixed by the hash functions, so hashing them again with
-/// SipHash wastes the hot lookup path; a multiply-fold is enough. Wide
-/// codes feed one `write_u64` per block; the fold chains them, and a
-/// single-block (u64) code hashes exactly as it always has.
-#[derive(Default)]
-pub struct CodeHasher(u64);
-
-impl Hasher for CodeHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("CodeHasher only hashes bucket code blocks");
-    }
-
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        // Fibonacci multiply to spread low-entropy codes across buckets;
-        // the XOR chains multi-block codes (a no-op on the first block).
-        self.0 = (self.0 ^ v).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    }
-
-    #[inline]
-    fn write_u128(&mut self, v: u128) {
-        self.write_u64(v as u64);
-        self.write_u64((v >> 64) as u64);
-    }
-
-    #[inline]
-    fn write_u32(&mut self, v: u32) {
-        self.write_u64(v as u64);
-    }
-}
-
-type CodeMap<C, V> = HashMap<C, V, BuildHasherDefault<CodeHasher>>;
 
 /// Rows per [`HashModel::encode_rows`] call inside [`encode_rows`]: bounds
 /// the `CodeBlocks` scratch (40 bytes a row) to 40 KiB per thread.
@@ -109,16 +90,47 @@ fn encode_runs<C: CodeWord, M: HashModel + ?Sized>(
     codes
 }
 
+/// The lookup rule (see the module docs): whether a table of `n_items`
+/// rows over `code_length`-bit codes indexes `offsets` by code.
+fn indexed_by_code(code_length: usize, n_items: usize) -> bool {
+    code_length < 64 && 1u64 << code_length <= 2 * n_items as u64
+}
+
+/// `len` entries; entry `x` holds the value of the first key ≥ `x` among
+/// `keys` (ascending), and `fill` past the last key. Both code-indexed
+/// offsets and the prefix index are laid out this way.
+fn spread(keys: impl Iterator<Item = (usize, u32)>, len: usize, fill: u32) -> Vec<u32> {
+    let mut out = Vec::with_capacity(len);
+    for (key, value) in keys {
+        out.resize(key + 1, value);
+    }
+    out.resize(len, fill);
+    out
+}
+
 /// A single hash table: every item is stored in the bucket of its binary
 /// code. Item payloads (the vectors) stay outside; buckets hold `u32` ids.
 /// Generic over the code width (default `u64`, the narrow path).
 #[derive(Clone, Debug)]
 pub struct HashTable<C: CodeWord = u64> {
     code_length: usize,
-    buckets: CodeMap<C, Vec<u32>>,
-    n_items: usize,
-    /// Largest item id ever inserted (not lowered on remove); the engine
-    /// checks its data buffer covers this.
+    /// Occupied bucket codes, ascending.
+    codes: Vec<C>,
+    /// Bucket bounds in `ids`: indexed by code when `by_code`, else by rank
+    /// in `codes`; one entry more than there are codes or ranks.
+    offsets: Vec<u32>,
+    /// Item ids, bucket-major in code order, ascending within a bucket.
+    ids: Vec<u32>,
+    /// The lookup rule's verdict for this table.
+    by_code: bool,
+    /// Unless `by_code`: the ranks in `codes` of the codes whose top
+    /// `⌊log2 B⌋ + 1` bits (the code shifted right by `prefix_shift`) are
+    /// `h` start at `prefix[h]` and end at `prefix[h + 1]`. Empty when
+    /// `by_code`.
+    prefix: Vec<u32>,
+    prefix_shift: usize,
+    /// Largest item id, if any; the engine checks its data buffer covers
+    /// this.
     max_id: Option<u32>,
 }
 
@@ -130,18 +142,148 @@ impl<C: CodeWord> HashTable<C> {
         HashTable::from_codes(model.code_length(), &encode_rows(model, data, dim))
     }
 
-    /// Build from precomputed codes (one per item).
+    /// Build from precomputed codes (one per item, item `i` getting id `i`).
     pub fn from_codes(code_length: usize, codes: &[C]) -> HashTable<C> {
-        let mut buckets: CodeMap<C, Vec<u32>> = HashMap::default();
-        for (i, &c) in codes.iter().enumerate() {
-            debug_assert!(c.and(C::low_mask(code_length).not()).is_zero());
-            buckets.entry(c).or_default().push(i as u32);
-        }
+        assert!(
+            codes.len() <= u32::MAX as usize,
+            "id space is u32; {} codes",
+            codes.len()
+        );
+        debug_assert!(codes
+            .iter()
+            .all(|c| c.and(C::low_mask(code_length).not()).is_zero()));
         let max_id = codes.len().checked_sub(1).map(|i| i as u32);
+        if indexed_by_code(code_length, codes.len()) {
+            return HashTable::count_codes(code_length, codes, max_id);
+        }
+        let mut pairs: Vec<(C, u32)> = codes.iter().copied().zip(0..).collect();
+        // Ids are distinct, so the unstable sort is deterministic and
+        // leaves each bucket's ids ascending.
+        pairs.sort_unstable();
+        let (mut occupied, mut bounds) = (Vec::new(), Vec::new());
+        let mut ids = Vec::with_capacity(pairs.len());
+        for (code, id) in pairs {
+            if occupied.last() != Some(&code) {
+                occupied.push(code);
+                bounds.push(ids.len() as u32);
+            }
+            ids.push(id);
+        }
+        bounds.push(ids.len() as u32);
+        HashTable::from_ranked(code_length, occupied, bounds, ids, max_id)
+    }
+
+    /// [`HashTable::from_codes`] for a table indexed by code: a counting
+    /// sort, `O(n + 2^m)`, with the code as the index.
+    fn count_codes(code_length: usize, codes: &[C], max_id: Option<u32>) -> HashTable<C> {
+        let space = 1usize << code_length;
+        let mut offsets = vec![0u32; space + 1];
+        for code in codes {
+            offsets[code.low_u64() as usize + 1] += 1;
+        }
+        for c in 1..=space {
+            offsets[c] += offsets[c - 1];
+        }
+        // Scatter with `offsets[c]` as bucket `c`'s cursor: afterwards it
+        // holds the bucket's end, so one shift restores the starts.
+        let mut ids = vec![0u32; codes.len()];
+        for (id, code) in (0..).zip(codes) {
+            let cursor = &mut offsets[code.low_u64() as usize];
+            ids[*cursor as usize] = id;
+            *cursor += 1;
+        }
+        offsets.rotate_right(1);
+        offsets[0] = 0;
+        let occupied = (0..space).filter(|&c| offsets[c] < offsets[c + 1]);
         HashTable {
             code_length,
-            buckets,
-            n_items: codes.len(),
+            codes: occupied.map(|c| C::from_u64(c as u64)).collect(),
+            offsets,
+            ids,
+            by_code: true,
+            prefix: Vec::new(),
+            prefix_shift: 0,
+            max_id,
+        }
+    }
+
+    /// One table over the rows of row-disjoint `parts` of one hash model,
+    /// each given with the global id of its local id 0, in ascending first
+    /// id. Bucket `c` is every part's bucket `c` shifted to global ids, in
+    /// part order: for parts that tile `0..n`, exactly the table
+    /// [`HashTable::from_codes`] builds over their codes in order. One merge
+    /// of the parts' sorted codes; nothing is hashed or sorted.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `parts` is empty or the parts' code lengths differ.
+    pub fn union(parts: &[(&HashTable<C>, u32)]) -> HashTable<C> {
+        let code_length = parts.first().expect("at least one part").0.code_length;
+        assert!(
+            parts.iter().all(|(t, _)| t.code_length == code_length),
+            "parts disagree on code length"
+        );
+        let n = parts.iter().map(|(t, _)| t.n_items()).sum();
+        let (mut codes, mut bounds) = (Vec::new(), Vec::new());
+        let mut ids = Vec::with_capacity(n);
+        let mut ranks = vec![0usize; parts.len()];
+        let heads = |ranks: &[usize]| {
+            let heads = parts.iter().zip(ranks).map(|((t, _), &r)| t.codes.get(r));
+            heads.flatten().min().copied()
+        };
+        while let Some(code) = heads(&ranks) {
+            codes.push(code);
+            bounds.push(ids.len() as u32);
+            for ((table, first_id), r) in parts.iter().zip(&mut ranks) {
+                if table.codes.get(*r) == Some(&code) {
+                    let bucket = table.ids_at(table.slot_of_rank(*r));
+                    ids.extend(bucket.iter().map(|&local| first_id + local));
+                    *r += 1;
+                }
+            }
+        }
+        bounds.push(ids.len() as u32);
+        let max_ids = parts
+            .iter()
+            .filter_map(|(t, first_id)| Some(first_id + t.max_id?));
+        HashTable::from_ranked(code_length, codes, bounds, ids, max_ids.max())
+    }
+
+    /// Lay out buckets given by rank — bucket `codes[r]` is
+    /// `ids[bounds[r]..bounds[r + 1]]`, `codes` ascending — under the
+    /// lookup rule.
+    fn from_ranked(
+        code_length: usize,
+        codes: Vec<C>,
+        bounds: Vec<u32>,
+        ids: Vec<u32>,
+        max_id: Option<u32>,
+    ) -> HashTable<C> {
+        debug_assert!(codes.windows(2).all(|w| w[0] < w[1]));
+        debug_assert_eq!(bounds.len(), codes.len() + 1);
+        let by_code = indexed_by_code(code_length, ids.len());
+        let (offsets, prefix, prefix_shift) = if by_code {
+            let keys = codes.iter().map(|c| c.low_u64() as usize).zip(bounds);
+            let offsets = spread(keys, (1 << code_length) + 1, ids.len() as u32);
+            (offsets, Vec::new(), 0)
+        } else {
+            let bits = codes.len().checked_ilog2().map_or(0, |b| b as usize + 1);
+            let shift = code_length - bits.min(code_length);
+            let keys = codes
+                .iter()
+                .map(|c| c.shr(shift).low_u64() as usize)
+                .zip(0..);
+            let prefix = spread(keys, (1 << (code_length - shift)) + 1, codes.len() as u32);
+            (bounds, prefix, shift)
+        };
+        HashTable {
+            code_length,
+            codes,
+            offsets,
+            ids,
+            by_code,
+            prefix,
+            prefix_shift,
             max_id,
         }
     }
@@ -155,10 +297,10 @@ impl<C: CodeWord> HashTable<C> {
     /// Number of indexed items.
     #[inline]
     pub fn n_items(&self) -> usize {
-        self.n_items
+        self.ids.len()
     }
 
-    /// Largest item id ever inserted, if any (not lowered by removals).
+    /// Largest indexed item id, if any.
     #[inline]
     pub fn max_id(&self) -> Option<u32> {
         self.max_id
@@ -167,79 +309,149 @@ impl<C: CodeWord> HashTable<C> {
     /// Number of occupied buckets (`B` in the paper's complexity analysis).
     #[inline]
     pub fn n_buckets(&self) -> usize {
-        self.buckets.len()
+        self.codes.len()
+    }
+
+    /// Where bucket `code` lies in `offsets`, when it can hold items.
+    #[inline]
+    fn slot(&self, code: C) -> Option<usize> {
+        if self.by_code {
+            let slot = code.low_u64() as usize;
+            let in_space =
+                slot < self.offsets.len() - 1 && (1..C::BLOCKS).all(|b| code.block(b) == 0);
+            in_space.then_some(slot)
+        } else {
+            let top = code.shr(self.prefix_shift).low_u64() as usize;
+            if top >= self.prefix.len() - 1 {
+                return None;
+            }
+            let (lo, hi) = (self.prefix[top] as usize, self.prefix[top + 1] as usize);
+            // A short run is scanned; a long one (top bits that barely vary)
+            // is searched.
+            let run = &self.codes[lo..hi];
+            let rank = match run.len() <= 8 {
+                true => run.iter().position(|&c| c == code),
+                false => run.binary_search(&code).ok(),
+            };
+            Some(lo + rank?)
+        }
+    }
+
+    /// Where the bucket of `codes[rank]` lies in `offsets`.
+    #[inline]
+    fn slot_of_rank(&self, rank: usize) -> usize {
+        if self.by_code {
+            self.codes[rank].low_u64() as usize
+        } else {
+            rank
+        }
+    }
+
+    /// The ids between the bounds at `slot` and `slot + 1`.
+    #[inline]
+    fn ids_at(&self, slot: usize) -> &[u32] {
+        &self.ids[self.offsets[slot] as usize..self.offsets[slot + 1] as usize]
     }
 
     /// Item ids in bucket `code`, or an empty slice.
     #[inline]
     pub fn bucket(&self, code: C) -> &[u32] {
-        self.buckets.get(&code).map(Vec::as_slice).unwrap_or(&[])
+        self.slot(code).map_or(&[], |slot| self.ids_at(slot))
     }
 
     /// Whether bucket `code` holds any items.
     #[inline]
     pub fn contains(&self, code: C) -> bool {
-        self.buckets.contains_key(&code)
+        self.slot(code)
+            .is_some_and(|s| self.offsets[s] < self.offsets[s + 1])
     }
 
-    /// Iterate over `(code, items)` pairs of occupied buckets (arbitrary
-    /// order).
+    /// Iterate over `(code, items)` pairs of occupied buckets, in ascending
+    /// code order.
     pub fn occupied(&self) -> impl Iterator<Item = (C, &[u32])> + '_ {
-        self.buckets.iter().map(|(&c, v)| (c, v.as_slice()))
+        let slots = (0..self.codes.len()).map(|r| self.slot_of_rank(r));
+        self.codes
+            .iter()
+            .zip(slots)
+            .map(|(&c, s)| (c, self.ids_at(s)))
     }
 
-    /// All occupied bucket codes (arbitrary order).
+    /// All occupied bucket codes, in ascending order.
     pub fn codes(&self) -> impl Iterator<Item = C> + '_ {
-        self.buckets.keys().copied()
+        self.codes.iter().copied()
+    }
+
+    /// The occupied bucket codes as the ascending array they are stored in.
+    pub(crate) fn sorted_codes(&self) -> &[C] {
+        &self.codes
     }
 
     /// Per-item codes recovered from the buckets: `codes[id]` is the bucket
     /// code of item `id`. Requires a dense id space `0..n_items` (true for
-    /// any table built with [`HashTable::build`] / [`HashTable::from_codes`]
-    /// and not mutated); paths like MIH construction consume this instead of
-    /// re-encoding every vector. Panics when ids have holes (e.g. after
-    /// removals).
+    /// any table built with [`HashTable::build`], [`HashTable::from_codes`]
+    /// or the union of parts that tile their ids); paths like MIH
+    /// construction consume this instead of re-encoding every vector.
+    /// Panics when ids have holes.
     pub fn dense_codes(&self) -> Vec<C> {
         assert_eq!(
             self.max_id.map_or(0, |m| m as usize + 1),
-            self.n_items,
+            self.n_items(),
             "dense_codes requires a dense id space 0..n_items"
         );
-        let mut codes = vec![C::zero(); self.n_items];
-        let mut filled = 0usize;
-        for (&code, items) in &self.buckets {
+        let mut codes = vec![C::zero(); self.n_items()];
+        for (code, items) in self.occupied() {
             for &id in items {
                 codes[id as usize] = code;
-                filled += 1;
             }
         }
-        assert_eq!(
-            filled, self.n_items,
-            "bucket contents disagree with n_items"
-        );
         codes
     }
 
     /// Expected items per bucket over occupied buckets (the paper targets
     /// `EP = 10` when choosing `m`).
     pub fn mean_bucket_size(&self) -> f64 {
-        if self.buckets.is_empty() {
+        if self.codes.is_empty() {
             0.0
         } else {
-            self.n_items as f64 / self.buckets.len() as f64
+            self.n_items() as f64 / self.codes.len() as f64
         }
     }
 
     /// Insert an item id under its code (incremental indexing). The caller
-    /// owns id assignment; inserting an id twice creates two entries.
+    /// owns id assignment; inserting an id twice creates two entries, and
+    /// the id goes last in its bucket.
+    ///
+    /// The arrays are rewritten: `O(n_items + n_buckets)` per call, plus
+    /// the code space when the table is indexed by code. For bulk loads use
+    /// [`HashTable::from_codes`].
     pub fn insert(&mut self, code: C, id: u32) {
         debug_assert!(code.and(C::low_mask(self.code_length).not()).is_zero());
-        self.buckets.entry(code).or_default().push(id);
-        self.n_items += 1;
-        self.max_id = Some(self.max_id.map_or(id, |m| m.max(id)));
+        let mut bounds: Vec<u32> = match self.by_code {
+            true => (0..self.codes.len())
+                .map(|r| self.offsets[self.slot_of_rank(r)])
+                .chain([self.ids.len() as u32])
+                .collect(),
+            false => std::mem::take(&mut self.offsets),
+        };
+        let rank = self.codes.binary_search(&code).unwrap_or_else(|rank| {
+            // A new, empty bucket where the code sorts.
+            self.codes.insert(rank, code);
+            bounds.insert(rank, bounds[rank]);
+            rank
+        });
+        self.ids.insert(bounds[rank + 1] as usize, id);
+        for bound in &mut bounds[rank + 1..] {
+            *bound += 1;
+        }
+        let (codes, ids) = (
+            std::mem::take(&mut self.codes),
+            std::mem::take(&mut self.ids),
+        );
+        let max_id = Some(self.max_id.map_or(id, |m| m.max(id)));
+        *self = HashTable::from_ranked(self.code_length, codes, bounds, ids, max_id);
     }
 
-    /// Hash and insert one item vector.
+    /// Hash and insert one item vector (see [`HashTable::insert`]).
     pub fn insert_item<M: HashModel + ?Sized>(&mut self, model: &M, item: &[f32], id: u32) {
         assert_eq!(
             model.code_length(),
@@ -249,48 +461,20 @@ impl<C: CodeWord> HashTable<C> {
         self.insert(C::from_blocks(model.encode_wide(item).blocks()), id);
     }
 
-    /// Remove one occurrence of `id` from bucket `code`. Returns whether the
-    /// id was present. An emptied bucket is dropped so `n_buckets()` /
-    /// [`HashTable::occupied`] never report ghosts, and the bucket map's
-    /// capacity is released once deletions empty most of it (a
-    /// delete-heavy workload would otherwise hold peak-size allocations
-    /// forever).
-    pub fn remove(&mut self, code: C, id: u32) -> bool {
-        let Some(items) = self.buckets.get_mut(&code) else {
-            return false;
-        };
-        let Some(pos) = items.iter().position(|&x| x == id) else {
-            return false;
-        };
-        items.swap_remove(pos);
-        if items.is_empty() {
-            self.buckets.remove(&code);
-            // Shrink only on a 4x surplus (and never below 64 slots) so
-            // insert/remove churn around a size boundary cannot thrash
-            // reallocation.
-            if self.buckets.capacity() > 64 && self.buckets.len() * 4 < self.buckets.capacity() {
-                self.buckets.shrink_to(self.buckets.len() * 2);
-            }
-        }
-        self.n_items -= 1;
-        true
-    }
-
-    /// Approximate heap size of the table in bytes (keys + id payload), used
-    /// by the memory-consumption comparisons (Fig 12 discussion).
+    /// Heap size of the table in bytes: its arrays (and the prefix index
+    /// of a table not indexed by code).
     pub fn approx_bytes(&self) -> usize {
-        let per_bucket = std::mem::size_of::<C>() + std::mem::size_of::<Vec<u32>>();
-        self.buckets.len() * per_bucket + self.n_items * std::mem::size_of::<u32>()
+        self.codes.len() * std::mem::size_of::<C>()
+            + (self.offsets.len() + self.ids.len() + self.prefix.len()) * std::mem::size_of::<u32>()
     }
 
-    /// Serialize the table for a binary snapshot (see [`crate::persist`]).
-    /// Buckets are written sorted by code so the byte stream is
-    /// deterministic; the id order *within* each bucket is preserved, which
-    /// is what makes a reloaded table return bit-identical search results
-    /// (candidates are evaluated in bucket order).
+    /// Serialize the table for a binary snapshot (see [`crate::persist`]):
+    /// the buckets in ascending code order, each with its ids in stored
+    /// order, which is what makes a reloaded table return bit-identical
+    /// search results (candidates are evaluated in bucket order).
     pub(crate) fn wire_write(&self, w: &mut gqr_linalg::wire::ByteWriter) {
         w.put_usize(self.code_length);
-        w.put_usize(self.n_items);
+        w.put_usize(self.n_items());
         match self.max_id {
             Some(id) => {
                 w.put_u8(1);
@@ -301,20 +485,20 @@ impl<C: CodeWord> HashTable<C> {
                 w.put_u32(0);
             }
         }
-        let mut codes: Vec<C> = self.buckets.keys().copied().collect();
-        codes.sort_unstable();
-        w.put_usize(codes.len());
-        for code in codes {
+        w.put_usize(self.codes.len());
+        for (code, items) in self.occupied() {
             for b in 0..C::BLOCKS {
                 w.put_u64(code.block(b));
             }
-            w.put_u32_slice(&self.buckets[&code]);
+            w.put_u32_slice(items);
         }
     }
 
     /// Decode a table written by [`HashTable::wire_write`], re-validating
     /// every structural invariant so a wrong-but-checksummed payload is
-    /// rejected instead of panicking later in the engine.
+    /// rejected instead of panicking later in the engine. Bucket codes must
+    /// come strictly ascending, as the writer puts them: codes out of order
+    /// (or repeated) are rejected, not sorted.
     pub(crate) fn wire_read(
         r: &mut gqr_linalg::wire::ByteReader<'_>,
     ) -> Result<HashTable<C>, gqr_linalg::wire::WireError> {
@@ -324,6 +508,9 @@ impl<C: CodeWord> HashTable<C> {
             return Err(WireError::Malformed("table code length out of range"));
         }
         let n_items = r.get_usize()?;
+        if n_items > u32::MAX as usize {
+            return Err(WireError::Malformed("table holds more than 2^32 items"));
+        }
         let has_max = r.get_u8()?;
         let max_raw = r.get_u32()?;
         let max_id = match has_max {
@@ -332,9 +519,10 @@ impl<C: CodeWord> HashTable<C> {
             _ => return Err(WireError::Malformed("table max_id flag out of range")),
         };
         let n_buckets = r.get_usize()?;
-        let mut buckets: CodeMap<C, Vec<u32>> = HashMap::default();
-        buckets.reserve(n_buckets.min(n_items));
-        let mut total = 0usize;
+        let (mut codes, mut bounds) = (Vec::new(), Vec::new());
+        codes.reserve(n_buckets.min(r.remaining() / (8 * C::BLOCKS)));
+        bounds.reserve(codes.capacity() + 1);
+        let mut ids = Vec::with_capacity(n_items.min(r.remaining() / 4));
         let mut blocks = [0u64; 4];
         for _ in 0..n_buckets {
             for (i, b) in blocks.iter_mut().enumerate().take(C::BLOCKS) {
@@ -350,29 +538,43 @@ impl<C: CodeWord> HashTable<C> {
             if !code.and(C::low_mask(code_length).not()).is_zero() {
                 return Err(WireError::Malformed("bucket code exceeds code length"));
             }
-            let ids = r.get_u32_vec()?;
-            if ids.is_empty() {
+            if codes.last().is_some_and(|&last| last >= code) {
+                return Err(WireError::Malformed(
+                    "bucket codes out of ascending order in table",
+                ));
+            }
+            let len = r.get_len(4)?;
+            if len == 0 {
                 return Err(WireError::Malformed("empty bucket in table payload"));
             }
-            if ids.iter().any(|&id| Some(id) > max_id) {
-                return Err(WireError::Malformed("bucket id exceeds table max_id"));
+            if ids.len() + len > n_items {
+                return Err(WireError::Malformed(
+                    "bucket contents disagree with n_items",
+                ));
             }
-            total += ids.len();
-            if buckets.insert(code, ids).is_some() {
-                return Err(WireError::Malformed("duplicate bucket code in table"));
+            codes.push(code);
+            bounds.push(ids.len() as u32);
+            for _ in 0..len {
+                let id = r.get_u32()?;
+                if Some(id) > max_id {
+                    return Err(WireError::Malformed("bucket id exceeds table max_id"));
+                }
+                ids.push(id);
             }
         }
-        if total != n_items {
+        if ids.len() != n_items {
             return Err(WireError::Malformed(
                 "bucket contents disagree with n_items",
             ));
         }
-        Ok(HashTable {
+        bounds.push(ids.len() as u32);
+        Ok(HashTable::from_ranked(
             code_length,
-            buckets,
-            n_items,
+            codes,
+            bounds,
+            ids,
             max_id,
-        })
+        ))
     }
 }
 
@@ -380,22 +582,28 @@ impl<C: CodeWord> HashTable<C> {
 mod tests {
     use super::*;
     use gqr_l2h::pcah::Pcah;
+    use std::collections::HashMap;
 
     #[test]
-    fn insert_and_remove_roundtrip() {
+    fn insert_appends_to_a_bucket_or_opens_one() {
         let mut table = HashTable::from_codes(4, &[0b0001u64, 0b0010]);
         table.insert(0b0001, 7);
         assert_eq!(table.n_items(), 3);
         assert_eq!(table.bucket(0b0001), &[0, 7]);
-
-        assert!(table.remove(0b0001, 0));
-        assert_eq!(table.bucket(0b0001), &[7]);
-        assert!(!table.remove(0b0001, 99), "absent id");
-        assert!(!table.remove(0b1111, 7), "absent bucket");
-
-        assert!(table.remove(0b0001, 7));
-        assert!(!table.contains(0b0001), "emptied bucket is dropped");
-        assert_eq!(table.n_items(), 1);
+        table.insert(0b0000, 9);
+        assert_eq!(table.codes().collect::<Vec<_>>(), [0b0000, 0b0001, 0b0010]);
+        assert_eq!(table.bucket(0b0000), &[9]);
+        assert_eq!(table.bucket(0b0010), &[1]);
+        assert_eq!(table.max_id(), Some(9));
+        // Growing past 2^(m-1) rows switches the lookup to the code index;
+        // the buckets stay as they were.
+        for id in 10..20 {
+            table.insert(0b1111, id);
+        }
+        assert!(table.by_code);
+        assert_eq!(table.bucket(0b0001), &[0, 7]);
+        assert_eq!(table.bucket(0b1111), &(10..20).collect::<Vec<_>>()[..]);
+        assert_eq!(table.n_buckets(), 4);
     }
 
     #[test]
@@ -529,44 +737,8 @@ mod tests {
     #[should_panic(expected = "dense id space")]
     fn dense_codes_rejects_holes() {
         let mut table = HashTable::from_codes(4, &[1u64, 5, 9]);
-        table.remove(5, 1);
+        table.insert(5, 10);
         let _ = table.dense_codes();
-    }
-
-    #[test]
-    fn draining_the_table_leaves_no_ghost_buckets() {
-        // One item per bucket: deleting everything must take n_buckets()
-        // and occupied() to zero, not leave ghost entries behind.
-        let codes: Vec<u64> = (0..4096u64).collect();
-        let mut table = HashTable::from_codes(64, &codes);
-        assert_eq!(table.n_buckets(), 4096);
-        let peak_capacity = table.buckets.capacity();
-        for (id, &code) in codes.iter().enumerate() {
-            assert!(table.remove(code, id as u32));
-        }
-        assert_eq!(table.n_items(), 0);
-        assert_eq!(table.n_buckets(), 0, "no ghost buckets after deletes");
-        assert_eq!(table.occupied().count(), 0);
-        assert!(
-            table.buckets.capacity() < peak_capacity / 2,
-            "bucket map released its peak allocation ({} -> {})",
-            peak_capacity,
-            table.buckets.capacity()
-        );
-        // The drained table keeps working.
-        table.insert(17, 9);
-        assert_eq!(table.bucket(17), &[9]);
-    }
-
-    #[test]
-    fn partial_deletes_keep_shared_buckets_alive() {
-        let codes = [3u64, 3, 3, 8];
-        let mut table = HashTable::from_codes(4, &codes);
-        assert!(table.remove(3, 1));
-        assert_eq!(table.n_buckets(), 2, "bucket 3 still holds items");
-        assert_eq!(table.bucket(3).len(), 2);
-        assert!(table.remove(8, 3));
-        assert_eq!(table.n_buckets(), 1, "emptied bucket 8 dropped");
     }
 
     #[test]

@@ -33,6 +33,27 @@ use gqr::persist::{assemble_index, LoadedIndex, SectionKind, SnapshotFile, Snaps
 use std::collections::HashMap;
 use std::process::exit;
 
+/// `println!` through [`say_raw`].
+macro_rules! say {
+    ($($arg:tt)*) => {
+        say_raw(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Write `args` to the locked standard output. A reader that closed the
+/// pipe early (`gqr … | head -1`) ends the program quietly with status 0;
+/// any other write error is reported, with status 1.
+fn say_raw(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            exit(0);
+        }
+        eprintln!("error: writing to standard output: {e}");
+        exit(1);
+    }
+}
+
 /// Monomorphize `$body` with `$C` aliased to the [`CodeWord`] type whose
 /// capacity is exactly `$bits`: the one runtime width branch of the tool.
 /// The enclosing function must return `Result<_, String>`: unsupported
@@ -362,8 +383,8 @@ fn cmd_generate(flags: &HashMap<String, String>) -> Result<(), String> {
     let spec = spec.scale(scale);
     let ds = spec.generate(seed);
     dsio::write_fvecs(out, &ds).map_err(|e| format!("writing {out}: {e}"))?;
-    println!("wrote {} vectors × {} dims to {out}", ds.n(), ds.dim());
-    println!(
+    say!("wrote {} vectors × {} dims to {out}", ds.n(), ds.dim());
+    say!(
         "suggested code length (paper's log2(n/10) rule): {}",
         spec.code_length()
     );
@@ -404,7 +425,7 @@ fn cmd_train(flags: &HashMap<String, String>) -> Result<(), String> {
     snap.add_model(&*model)
         .and_then(|()| snap.write(std::path::Path::new(out)))
         .map_err(|e| format!("writing {out}: {e}"))?;
-    println!(
+    say!(
         "trained {} ({} bits) on {} × {} in {:?}; model saved to {out}",
         model.name(),
         bits,
@@ -537,7 +558,7 @@ fn cmd_save_index(flags: &HashMap<String, String>) -> Result<(), String> {
         Some(store) => format!(", {} attribute column(s)", store.n_columns()),
         None => String::new(),
     };
-    println!(
+    say!(
         "saved {shards}-shard snapshot of {} × {} ({bytes} bytes, model {}, {width_bits}-bit codes{attrs_note}) to {out} in {:?}",
         ds.n(),
         ds.dim(),
@@ -635,7 +656,7 @@ fn mutate_snapshot(flags: &HashMap<String, String>, change: Mutation) -> Result<
             .save_snapshot(std::path::Path::new(out))
             .map_err(|e| e.to_string())?;
         let gen = index.pin();
-        println!(
+        say!(
             "{done}: epoch {}, {} live rows ({} delta, {} tombstones); wrote {bytes} bytes to {out}",
             gen.epoch(),
             gen.n_live(),
@@ -654,7 +675,7 @@ fn cmd_load_index(flags: &HashMap<String, String>) -> Result<(), String> {
         if live {
             let index = load_mutable::<C>(file, path, MetricsRegistry::disabled())?;
             let gen = index.pin();
-            println!(
+            say!(
                 "loaded live index: {} rows × {} dims (epoch {}, {} delta, {} tombstones, {}-bit codes) from {path} in {:?}",
                 gen.n_live(),
                 index.dim(),
@@ -674,7 +695,7 @@ fn cmd_load_index(flags: &HashMap<String, String>) -> Result<(), String> {
             return run_queries(&index, &rows, &ids, index.mih_blocks(), recall, flags);
         }
         let loaded = load_frozen::<C>(file, path)?;
-        println!(
+        say!(
             "loaded {} items × {} dims ({} shard(s), model {}, {}-bit codes) from {path} in {:?}",
             loaded.n_items(),
             loaded.dim(),
@@ -734,7 +755,7 @@ fn run_queries(
         let query = &rows[row * dim..(row + 1) * dim];
         let start = std::time::Instant::now();
         let res = index.run(request(query, params, &filter));
-        println!(
+        say!(
             "{} nearest neighbors of row {id} ({} in {:?}, {} buckets probed, {} items evaluated):",
             k,
             strat.name(),
@@ -743,10 +764,10 @@ fn run_queries(
             res.stats.items_evaluated
         );
         if let Some(p) = res.predicted_recall {
-            println!("  predicted recall {p:.3}");
+            say!("  predicted recall {p:.3}");
         }
         for (id, dist) in res.neighbors() {
-            println!("  #{id:<8} sq-dist {dist:.5}");
+            say!("  #{id:<8} sq-dist {dist:.5}");
         }
         return Ok(());
     }
@@ -775,7 +796,7 @@ fn run_queries(
             .filter(|&&id| t.iter().any(|&row| ids[row as usize] == id))
             .count();
     }
-    println!(
+    say!(
         "{:<9} recall@{k} {:.3}   {:?} total ({}/query, {n_queries} queries, {:.1} buckets/query)",
         strat.name(),
         found as f64 / (k * queries.len()) as f64,
@@ -858,7 +879,7 @@ fn run_calibrate<C: CodeWord>(
     let bytes = engine
         .save_snapshot(std::path::Path::new(out))
         .map_err(|e| e.to_string())?;
-    println!(
+    say!(
         "calibrated recall@{k} over {} sample queries ({covered}) in {:?}; wrote {bytes} bytes to {out}",
         sample_rows.len(),
         start.elapsed()
@@ -941,7 +962,7 @@ fn run_trace_dump<C: CodeWord>(
                 tracing.queries_seen(),
             );
         }
-        None => print!("{output}"),
+        None => say_raw(format_args!("{output}")),
     }
     Ok(())
 }
@@ -1019,7 +1040,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     let index: &'static (dyn Index + Sync) = dispatch_bits!(file.code_width(), C, {
         if live {
             let index = load_mutable::<C>(file, path, metrics)?;
-            println!(
+            say!(
                 "serving live snapshot {path}: {} items, epoch {}, {}-bit codes",
                 index.n_items(),
                 index.epoch(),
@@ -1028,7 +1049,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
             Box::leak(Box::new(index)) as &'static (dyn Index + Sync)
         } else {
             let loaded = &*Box::leak(Box::new(load_frozen::<C>(file, path)?));
-            println!(
+            say!(
                 "serving snapshot {path}: {} items × {} dims, {} shard(s), model {}, {}-bit codes",
                 loaded.n_items(),
                 loaded.dim(),
@@ -1044,7 +1065,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
 
     install_drain_signals();
     let server = Server::start(index, config).map_err(|e| format!("starting server: {e}"))?;
-    println!("listening on http://{}", server.addr());
+    say!("listening on http://{}", server.addr());
     if let Some(addr_file) = flags.get("addr-file") {
         std::fs::write(addr_file, server.addr().to_string())
             .map_err(|e| format!("writing {addr_file}: {e}"))?;
@@ -1052,11 +1073,13 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     while !SHUTDOWN_REQUESTED.load(std::sync::atomic::Ordering::SeqCst) {
         std::thread::sleep(std::time::Duration::from_millis(50));
     }
-    println!("draining...");
+    say!("draining...");
     let report = server.shutdown();
-    println!(
+    say!(
         "drained: {} served, {} shed, {} in flight at drain (all completed)",
-        report.served, report.shed, report.inflight_at_drain
+        report.served,
+        report.shed,
+        report.inflight_at_drain
     );
     Ok(())
 }
@@ -1142,7 +1165,7 @@ fn cmd_loadgen(flags: &HashMap<String, String>) -> Result<(), String> {
     };
 
     for r in &reports {
-        println!(
+        say!(
             "qps {:>8.1} target | offered {:>6} ok {:>6} shed {:>5} err {:>3} | p50 {:>7}us p99 {:>8}us p999 {:>8}us",
             r.target_qps, r.offered, r.completed, r.shed, r.errors, r.p50_us, r.p99_us, r.p999_us
         );
@@ -1160,7 +1183,7 @@ fn cmd_loadgen(flags: &HashMap<String, String>) -> Result<(), String> {
             let _ = std::fs::create_dir_all(parent);
         }
         std::fs::write(out, doc.to_string()).map_err(|e| format!("writing {out}: {e}"))?;
-        println!("wrote {out}");
+        say!("wrote {out}");
     }
     Ok(())
 }

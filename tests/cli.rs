@@ -1004,3 +1004,47 @@ fn live_snapshot_serves_query_metrics() {
         "/metrics lacks the live query series:\n{metrics}"
     );
 }
+
+/// A reader that stops after the first line (`gqr … | head -1`) ends the
+/// tool quietly: no panic message, no panic status. The trace dump writes
+/// well over a pipe's buffer after its first line, so it always meets the
+/// closed pipe.
+#[test]
+fn a_closed_pipe_ends_the_output_quietly() {
+    use std::io::{BufRead, BufReader, Read};
+    use std::process::Stdio;
+    let dir = tmpdir("closed-pipe");
+    let snap = trained_snapshot(&dir);
+    let cases: [&[&str]; 2] = [
+        &["load-index", "--k", "1", "--row", "0"],
+        &[
+            "trace-dump",
+            "--queries",
+            "20",
+            "--k",
+            "10",
+            "--format",
+            "jsonl",
+        ],
+    ];
+    for args in cases {
+        let mut child = bin()
+            .args(args)
+            .args(["--snapshot", path(&snap)])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap();
+        let mut first = String::new();
+        let mut stdout = BufReader::new(child.stdout.take().unwrap());
+        stdout.read_line(&mut first).unwrap();
+        drop(stdout);
+        let mut stderr = String::new();
+        let mut err_pipe = child.stderr.take().unwrap();
+        err_pipe.read_to_string(&mut stderr).unwrap();
+        let status = child.wait().unwrap();
+        assert!(!first.is_empty(), "{args:?}: no first line");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert_ne!(status.code(), Some(101), "{args:?}: {stderr}");
+    }
+}

@@ -551,3 +551,61 @@ fn recall_model_roundtrip_is_bit_identical() {
         }
     }
 }
+
+/// Load `original` as a frozen index of `C` words and save it again.
+fn resave_frozen<C: gqr::core::code::CodeWord>(original: &std::path::Path) -> Vec<u8> {
+    let loaded: LoadedIndex<C> = load_index(original).unwrap();
+    let again = original.with_extension("again");
+    QueryEngine::from_snapshot(&loaded)
+        .save_snapshot(&again)
+        .unwrap();
+    std::fs::read(again).unwrap()
+}
+
+#[test]
+fn a_reloaded_snapshot_saves_to_its_own_bytes() {
+    use std::sync::Arc;
+    let ds = fixture();
+    let (data, dim) = (ds.as_slice(), ds.dim());
+    let dir = tmpdir("resave");
+    let bytes = |path: &std::path::Path| std::fs::read(path).unwrap();
+
+    let model = Itq::train(data, dim, 10).unwrap();
+    let table: HashTable = HashTable::build(&model, data, dim);
+    let one = dir.join("one.gqr");
+    QueryEngine::new(&model, &table, data, dim)
+        .save_snapshot(&one)
+        .unwrap();
+    assert_eq!(resave_frozen::<u64>(&one), bytes(&one), "one shard");
+
+    let mut two_shards = ShardedIndex::build(&model, data, dim, 2);
+    two_shards.enable_mih(2);
+    let two = dir.join("two.gqr");
+    two_shards.save_snapshot(&two).unwrap();
+    assert_eq!(resave_frozen::<u64>(&two), bytes(&two), "two shards, MIH");
+
+    let lsh = Lsh::train(data, dim, 96, 17).unwrap();
+    let table: HashTable<u128> = HashTable::build(&lsh, data, dim);
+    let wide = dir.join("wide.gqr");
+    QueryEngine::new(&lsh, &table, data, dim)
+        .save_snapshot(&wide)
+        .unwrap();
+    assert_eq!(resave_frozen::<u128>(&wide), bytes(&wide), "u128 words");
+
+    let index: MutableIndex<_> = MutableIndex::builder(Arc::new(model))
+        .mih_blocks(2)
+        .build(data, dim);
+    let writer = index.writer();
+    for v in &ds.sample_queries(5, 41) {
+        writer.insert(v);
+    }
+    for id in [2u32, 7, 401] {
+        assert!(writer.delete(id));
+    }
+    let live = dir.join("live.gqr");
+    index.save_snapshot(&live).unwrap();
+    let reloaded: MutableIndex<dyn HashModel> = MutableIndex::from_snapshot(&live).unwrap();
+    let again = dir.join("live.again");
+    reloaded.save_snapshot(&again).unwrap();
+    assert_eq!(bytes(&again), bytes(&live), "live");
+}
